@@ -106,8 +106,9 @@ BENCHMARK(BM_ViterbiPerKilobit);
 
 // Optimized (butterfly trellis + reusable workspace, zero steady-state
 // allocations) vs reference Viterbi across the decode sizes the
-// simulator sees: 48 info bits (one SIG field), 192 (one short MPDU)
-// and 1536 (a dense A-MPDU data field). Shared inputs per size so the
+// simulator sees: 48 info bits (one SIG field), 192 (one short MPDU),
+// 1536 (a dense A-MPDU data field) and 53,270 (a whole 64-subframe
+// MCS5 exchange, see BM_ViterbiExchange). Shared inputs per size so the
 // ratio isolates the kernel rewrite; the regression gate pins the
 // optimized gauges (see tools/bench_compare).
 std::vector<double> viterbi_bench_llrs(std::size_t n_info) {
@@ -141,6 +142,14 @@ BENCHMARK(BM_Viterbi48);
 BENCHMARK(BM_Viterbi192);
 BENCHMARK(BM_Viterbi1536);
 
+// One exchange's trellis, 53,270 steps in one decode: the size a
+// 64-subframe MCS5 exchange decodes, so the gate also covers the
+// production working set (8 bytes of decisions per step).
+void BM_ViterbiExchange(benchmark::State& state) {
+  BM_ViterbiOptimized<53270>(state);
+}
+BENCHMARK(BM_ViterbiExchange);
+
 template <std::size_t N>
 void BM_ViterbiRef(benchmark::State& state) {
   const std::vector<double> llrs = viterbi_bench_llrs(N);
@@ -157,9 +166,13 @@ void BM_Viterbi192Reference(benchmark::State& state) {
 void BM_Viterbi1536Reference(benchmark::State& state) {
   BM_ViterbiRef<1536>(state);
 }
+void BM_ViterbiExchangeReference(benchmark::State& state) {
+  BM_ViterbiRef<53270>(state);
+}
 BENCHMARK(BM_Viterbi48Reference);
 BENCHMARK(BM_Viterbi192Reference);
 BENCHMARK(BM_Viterbi1536Reference);
+BENCHMARK(BM_ViterbiExchangeReference);
 
 // Viterbi with the ACS kernel pinned to the best tier this CPU offers
 // (AVX2 on CI), over the dense A-MPDU size. BM_Viterbi1536 above runs
@@ -446,13 +459,20 @@ BENCHMARK(BM_SessionRound);
 
 // Console output as usual, plus one obs gauge per benchmark
 // (`bench.<name>.ns_per_op`) so `--metrics-out FILE` captures the run as
-// a machine-readable baseline (see bench/BENCH_phy.json).
+// a machine-readable baseline (see bench/BENCH_phy.json). Under
+// --benchmark_repetitions the median aggregate, reported after the
+// repetitions, overwrites their per-repetition values.
 class ObsReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      obs::gauge("bench." + run.benchmark_name() + ".ns_per_op")
+      const bool median = run.run_type == Run::RT_Aggregate &&
+                          run.aggregate_name == "median";
+      if (run.error_occurred ||
+          (run.run_type != Run::RT_Iteration && !median)) {
+        continue;
+      }
+      obs::gauge("bench." + run.run_name.str() + ".ns_per_op")
           .set(run.GetAdjustedRealTime());
     }
     ConsoleReporter::ReportRuns(runs);

@@ -7,10 +7,12 @@
 #include "phy/simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "phy/trellis.hpp"
 #include "util/require.hpp"
@@ -51,20 +53,31 @@ std::atomic<int> g_override{-1};
 // kernel must reproduce bit for bit).
 // ---------------------------------------------------------------------
 
-void acs_step_scalar(const double* cur, double* nxt, std::uint8_t* srow,
-                     double la, double lb) {
-  // pa[e] / pb[e] = metric contribution of a branch expecting bit e.
-  const double pa[2] = {la, -la};
-  const double pb[2] = {lb, -lb};
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    const detail::Butterfly& bf = detail::kButterflies[ns];
-    // Same association as the reference: (metric + a) + b.
-    const double m0 = (cur[bf.s0] + pa[bf.a0]) + pb[bf.b0];
-    const double m1 = (cur[bf.s1] + pa[bf.a1]) + pb[bf.b1];
-    const bool take1 = m1 > m0;  // strict: ties keep the s0 branch
-    nxt[ns] = take1 ? m1 : m0;
-    srow[ns] = take1 ? bf.sv1 : bf.sv0;
+void acs_block_scalar(const double* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, double* metrics) {
+  std::array<double, kNumStates> spare{};
+  double* cur = metrics;
+  double* nxt = spare.data();
+  for (std::size_t step = 0; step < n_steps; ++step) {
+    // pa[e] / pb[e] = metric contribution of a branch expecting bit e.
+    const double la = llrs[2 * step];
+    const double lb = llrs[2 * step + 1];
+    const double pa[2] = {la, -la};
+    const double pb[2] = {lb, -lb};
+    std::uint64_t word = 0;
+    for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
+      const detail::Butterfly& bf = detail::kButterflies[ns];
+      // Same association as the reference: (metric + a) + b.
+      const double m0 = (cur[bf.s0] + pa[bf.a0]) + pb[bf.b0];
+      const double m1 = (cur[bf.s1] + pa[bf.a1]) + pb[bf.b1];
+      const bool take1 = m1 > m0;  // strict: ties keep the s0 branch
+      nxt[ns] = take1 ? m1 : m0;
+      word |= static_cast<std::uint64_t>(take1) << ns;
+    }
+    decisions[step] = word;
+    std::swap(cur, nxt);
   }
+  if (cur != metrics) std::copy(cur, cur + kNumStates, metrics);
 }
 
 void demap_block_scalar(const double* re, const double* im, const double* nv,
@@ -212,8 +225,6 @@ constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
 // see them.
 namespace kernels {
 bool sse2_available();
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb);
 void demap_block_sse2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
@@ -222,8 +233,8 @@ void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
                          double* zi, double* nv);
 bool avx2_compiled();
 bool avx2_supported();
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb);
+void acs_block_avx2(const double* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, double* metrics);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
@@ -275,18 +286,11 @@ ScopedTier::~ScopedTier() {
   g_override.store(previous_, std::memory_order_relaxed);
 }
 
-AcsStepFn acs_step_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) return kernels::acs_step_avx2;
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::acs_step_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
+AcsBlockFn acs_block_for(Tier t) {
+  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) {
+    return kernels::acs_block_avx2;
   }
-  return acs_step_scalar;
+  return acs_block_scalar;
 }
 
 DemapBlockFn demap_block_for(Tier t) {

@@ -4,11 +4,11 @@
 // Every kernel here is bit-identical to its scalar counterpart by
 // construction: the build carries no -march/-ffast-math, so scalar code
 // never contracts into FMA, and the vector kernels use only packed
-// mul/add/sub/xor/min/compare — the same IEEE-754 operations on the same
-// operands in the same association, just several lanes at a time.
-// Negation is a sign-bit XOR (exact), selection is a bitwise blend
-// (exact), and reductions only reorder operations across independent
-// outputs, never within one. tests/test_simd.cpp fuzzes every tier
+// mul/add/sub/xor/min/max/compare — the same IEEE-754 operations on the
+// same operands in the same association, just several lanes at a time.
+// Negation is a sign-bit XOR (exact), selection is a bitwise blend or a
+// max whose tie rule matches the scalar compare (exact), and reductions
+// only reorder operations across independent outputs, never within one. tests/test_simd.cpp fuzzes every tier
 // against the detail::*_reference implementations.
 //
 // Dispatch is resolved once per call site from `active_tier()`:
@@ -61,16 +61,20 @@ class ScopedTier {
 // Viterbi add-compare-select.
 // ---------------------------------------------------------------------
 
-/// One trellis step over all 64 states: reads the current path metrics
-/// from `cur`, writes the next metrics to `nxt` and the survivor bytes
-/// to `srow` (64 entries each). `la`/`lb` are the step's two LLRs.
-/// `cur` and `nxt` must be 32-byte aligned and distinct.
-using AcsStepFn = void (*)(const double* cur, double* nxt,
-                           std::uint8_t* srow, double la, double lb);
+/// Add-compare-select over a whole trellis in one call: `n_steps`
+/// steps, step k reading its two LLRs from llrs[2k] and llrs[2k + 1].
+/// `metrics` holds the 64 path metrics at the start of the trellis on
+/// entry and at its end on return. decisions[k] gets one bit per next
+/// state: bit ns is set iff ns took its odd predecessor
+/// ((2 * ns) & 63) + 1 at step k (strict m1 > m0, so ties keep the even
+/// one). Any n_steps >= 0 is valid.
+using AcsBlockFn = void (*)(const double* llrs, std::size_t n_steps,
+                            std::uint64_t* decisions, double* metrics);
 
-/// The ACS kernel for a tier (always non-null; unavailable tiers fall
-/// back to the next lower implementation).
-AcsStepFn acs_step_for(Tier t);
+/// The ACS kernel for a tier (always non-null). Only the AVX2 tier
+/// differs from scalar: the SSE2 tier, selected only on pre-AVX2 x86
+/// hosts or by WITAG_SIMD=sse2, runs the scalar kernel.
+AcsBlockFn acs_block_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Soft demap (separable Gray-QAM, SoA inputs).

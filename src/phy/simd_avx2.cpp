@@ -16,6 +16,8 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #endif
 
@@ -34,14 +36,20 @@ bool avx2_supported() {
 
 bool avx2_compiled() { return true; }
 
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  const __m256d la_v = _mm256_set1_pd(la);
-  const __m256d lb_v = _mm256_set1_pd(lb);
+namespace {
+
+/// One trellis step over all 64 states: metrics cur -> nxt, returning
+/// the step's decision word (bit ns set iff ns took its odd
+/// predecessor). Next states ns and ns + 32 share the predecessor pair
+/// cur[2*ns], cur[2*ns + 1], and by the generator symmetry in
+/// trellis.hpp their four branches use one sign pair (pa, pb) and its
+/// negation (na, nb), so each 4-state block needs one pair of sign
+/// loads and writes eight next-state metrics.
+inline std::uint64_t acs_step(const double* cur, double* nxt, __m256d la,
+                              __m256d lb) {
   const detail::AcsSigns& sg = detail::kAcsSigns;
-  // Next-states ns and ns + 32 share predecessors cur[2*ns], cur[2*ns+1]
-  // (only the expected branch bits differ), so one even/odd gather of
-  // eight metrics feeds four states in each half of the state vector.
+  const __m256d neg = _mm256_set1_pd(-0.0);
+  std::uint64_t word = 0;
   for (std::uint32_t j = 0; j < kNumStates / 2; j += 4) {
     const __m256d v0 = _mm256_load_pd(cur + 2 * j);      // cur[2j .. 2j+3]
     const __m256d v1 = _mm256_load_pd(cur + 2 * j + 4);  // cur[2j+4 .. 2j+7]
@@ -51,27 +59,57 @@ void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
         _mm256_unpacklo_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
     const __m256d odds = _mm256_permute4x64_pd(
         _mm256_unpackhi_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    for (std::uint32_t half = 0; half < 2; ++half) {
-      const std::uint32_t ns = j + half * (kNumStates / 2);
-      // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
-      // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
-      const __m256d pa0 = _mm256_xor_pd(la_v, _mm256_load_pd(&sg.a0[ns]));
-      const __m256d pb0 = _mm256_xor_pd(lb_v, _mm256_load_pd(&sg.b0[ns]));
-      const __m256d pa1 = _mm256_xor_pd(la_v, _mm256_load_pd(&sg.a1[ns]));
-      const __m256d pb1 = _mm256_xor_pd(lb_v, _mm256_load_pd(&sg.b1[ns]));
-      const __m256d m0 = _mm256_add_pd(_mm256_add_pd(evens, pa0), pb0);
-      const __m256d m1 = _mm256_add_pd(_mm256_add_pd(odds, pa1), pb1);
-      // Strict m1 > m0 (ordered): ties keep the s0 branch, like the
-      // scalar code.
-      const __m256d take1 = _mm256_cmp_pd(m1, m0, _CMP_GT_OQ);
-      _mm256_store_pd(nxt + ns, _mm256_blendv_pd(m0, m1, take1));
-      const int mask = _mm256_movemask_pd(take1);
-      for (std::uint32_t lane = 0; lane < 4; ++lane) {
-        srow[ns + lane] = static_cast<std::uint8_t>(
-            detail::kSurvivor0[ns + lane] + (((mask >> lane) & 1) ? 2 : 0));
-      }
-    }
+    // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
+    // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
+    const __m256d pa = _mm256_xor_pd(la, _mm256_load_pd(&sg.a[j]));
+    const __m256d pb = _mm256_xor_pd(lb, _mm256_load_pd(&sg.b[j]));
+    const __m256d na = _mm256_xor_pd(pa, neg);
+    const __m256d nb = _mm256_xor_pd(pb, neg);
+    const __m256d m0_lo = _mm256_add_pd(_mm256_add_pd(evens, pa), pb);
+    const __m256d m1_lo = _mm256_add_pd(_mm256_add_pd(odds, na), nb);
+    const __m256d m0_hi = _mm256_add_pd(_mm256_add_pd(evens, na), nb);
+    const __m256d m1_hi = _mm256_add_pd(_mm256_add_pd(odds, pa), pb);
+    // Strict m1 > m0 (ordered): ties keep the s0 branch, like the
+    // scalar code. max_pd(m1, m0) is exactly `m1 > m0 ? m1 : m0` (it
+    // returns its second operand on ties and NaNs), so the stored
+    // metric is the one the decision bit names.
+    const __m256d take_lo = _mm256_cmp_pd(m1_lo, m0_lo, _CMP_GT_OQ);
+    const __m256d take_hi = _mm256_cmp_pd(m1_hi, m0_hi, _CMP_GT_OQ);
+    _mm256_store_pd(nxt + j, _mm256_max_pd(m1_lo, m0_lo));
+    _mm256_store_pd(nxt + j + kNumStates / 2, _mm256_max_pd(m1_hi, m0_hi));
+    word |= static_cast<std::uint64_t>(_mm256_movemask_pd(take_lo)) << j;
+    word |= static_cast<std::uint64_t>(_mm256_movemask_pd(take_hi))
+            << (j + kNumStates / 2);
   }
+  return word;
+}
+
+}  // namespace
+
+void acs_block_avx2(const double* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, double* metrics) {
+  // Two steps per iteration, so the metric ping-pong between the two
+  // aligned arrays is fixed at compile time; an odd last step follows.
+  alignas(32) std::array<double, kNumStates> a{};
+  alignas(32) std::array<double, kNumStates> b{};
+  std::copy(metrics, metrics + kNumStates, a.begin());
+  std::size_t step = 0;
+  for (; step + 2 <= n_steps; step += 2) {
+    decisions[step] =
+        acs_step(a.data(), b.data(), _mm256_set1_pd(llrs[2 * step]),
+                 _mm256_set1_pd(llrs[2 * step + 1]));
+    decisions[step + 1] =
+        acs_step(b.data(), a.data(), _mm256_set1_pd(llrs[2 * step + 2]),
+                 _mm256_set1_pd(llrs[2 * step + 3]));
+  }
+  const std::array<double, kNumStates>* last = &a;
+  if (step < n_steps) {
+    decisions[step] =
+        acs_step(a.data(), b.data(), _mm256_set1_pd(llrs[2 * step]),
+                 _mm256_set1_pd(llrs[2 * step + 1]));
+    last = &b;
+  }
+  std::copy(last->begin(), last->end(), metrics);
 }
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,
@@ -315,8 +353,14 @@ void deinterleave_avx2(const double* in, const std::int32_t* map,
     const __m128i idx = _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
         reinterpret_cast<const __m128i*>(map + k));
     // A pure permutation: four gathered loads land in one consecutive
-    // store, bit-identical to the scalar copy loop by construction.
-    const __m256d v = _mm256_i32gather_pd(in, idx, 8);
+    // store, bit-identical to the scalar copy loop by construction. The
+    // masked form with an all-ones mask does the same four loads; its
+    // defined zero pass-through keeps GCC's self-initialized
+    // _mm256_undefined_pd (what the unmasked form expands to) out of
+    // -Wmaybe-uninitialized.
+    const __m256d v = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), in, idx,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
     _mm256_storeu_pd(out + k, v);  // witag-lint: allow(simd-unaligned)
   }
   for (; k < n; ++k) out[k] = in[map[k]];
@@ -326,9 +370,9 @@ void deinterleave_avx2(const double* in, const std::int32_t* map,
 
 bool avx2_compiled() { return false; }
 
-void acs_step_avx2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  acs_step_for(Tier::kSse2)(cur, nxt, srow, la, lb);
+void acs_block_avx2(const double* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, double* metrics) {
+  acs_block_for(Tier::kScalar)(llrs, n_steps, decisions, metrics);
 }
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,

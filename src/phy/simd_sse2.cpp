@@ -1,17 +1,15 @@
-// SSE2 kernels (two doubles per vector): Viterbi add-compare-select and
-// the separable soft demap. SSE2 is part of the x86-64 baseline, so
-// these compile with no extra flags; on non-x86 targets the file
-// compiles to the `sse2_available() == false` stubs and dispatch stays
-// scalar. Bit-exactness: only packed add/sub/mul/min/xor/compare and
-// bitwise selection are used — the same IEEE-754 operations as the
-// scalar kernels, two lanes at a time (see simd.hpp).
+// SSE2 kernels (two doubles per vector): the separable soft demap and
+// the equalizer; Viterbi add-compare-select runs the scalar kernel at
+// this tier. SSE2 is part of the x86-64 baseline, so these compile with
+// no extra flags; on non-x86 targets the file compiles to the
+// `sse2_available() == false` stubs and dispatch stays scalar.
+// Bit-exactness: only packed add/sub/mul/min/xor/compare and bitwise
+// selection are used — the same IEEE-754 operations as the scalar
+// kernels, two lanes at a time (see simd.hpp).
 
 #include "phy/simd.hpp"
 
-#include <cstdint>
 #include <limits>
-
-#include "phy/trellis.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -23,43 +21,6 @@ namespace witag::phy::simd::kernels {
 #if defined(__SSE2__)
 
 bool sse2_available() { return true; }
-
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  const __m128d la_v = _mm_set1_pd(la);
-  const __m128d lb_v = _mm_set1_pd(lb);
-  const detail::AcsSigns& sg = detail::kAcsSigns;
-  // Next-states ns and ns + 32 share predecessors cur[2*ns], cur[2*ns+1]
-  // (only the expected branch bits differ), so one gather of the
-  // even/odd metric pair feeds both halves of the state vector.
-  for (std::uint32_t j = 0; j < kNumStates / 2; j += 2) {
-    const __m128d v0 = _mm_load_pd(cur + 2 * j);      // cur[2j], cur[2j+1]
-    const __m128d v1 = _mm_load_pd(cur + 2 * j + 2);  // cur[2j+2], cur[2j+3]
-    const __m128d evens = _mm_unpacklo_pd(v0, v1);    // cur[s0] for ns=j,j+1
-    const __m128d odds = _mm_unpackhi_pd(v0, v1);     // cur[s1]
-    for (std::uint32_t half = 0; half < 2; ++half) {
-      const std::uint32_t ns = j + half * (kNumStates / 2);
-      // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
-      // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
-      const __m128d pa0 = _mm_xor_pd(la_v, _mm_load_pd(&sg.a0[ns]));
-      const __m128d pb0 = _mm_xor_pd(lb_v, _mm_load_pd(&sg.b0[ns]));
-      const __m128d pa1 = _mm_xor_pd(la_v, _mm_load_pd(&sg.a1[ns]));
-      const __m128d pb1 = _mm_xor_pd(lb_v, _mm_load_pd(&sg.b1[ns]));
-      const __m128d m0 = _mm_add_pd(_mm_add_pd(evens, pa0), pb0);
-      const __m128d m1 = _mm_add_pd(_mm_add_pd(odds, pa1), pb1);
-      // Strict m1 > m0: ties keep the s0 branch, like the scalar code.
-      const __m128d take1 = _mm_cmpgt_pd(m1, m0);
-      const __m128d best = _mm_or_pd(_mm_and_pd(take1, m1),
-                                     _mm_andnot_pd(take1, m0));
-      _mm_store_pd(nxt + ns, best);
-      const int mask = _mm_movemask_pd(take1);
-      srow[ns] = static_cast<std::uint8_t>(
-          detail::kSurvivor0[ns] + 2 * (mask & 1));
-      srow[ns + 1] = static_cast<std::uint8_t>(
-          detail::kSurvivor0[ns + 1] + ((mask & 2) ? 2 : 0));
-    }
-  }
-}
 
 void demap_block_sse2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out) {
@@ -184,11 +145,6 @@ void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
 #else  // !defined(__SSE2__)
 
 bool sse2_available() { return false; }
-
-void acs_step_sse2(const double* cur, double* nxt, std::uint8_t* srow,
-                   double la, double lb) {
-  acs_step_for(Tier::kScalar)(cur, nxt, srow, la, lb);
-}
 
 void demap_block_sse2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out) {

@@ -47,10 +47,10 @@ inline constexpr Transitions kTrellis = make_transitions();
 // input u = ns >> 5. s0 < s1 always, which is exactly the order the
 // transition-oriented reference visits them in — so "prefer the s0
 // branch on metric ties" reproduces its strict-> update rule bit for
-// bit.
+// bit. The decoder therefore stores one decision bit per next state and
+// step (set iff ns took s1) and recovers the input as ns >> 5.
 struct Butterfly {
   std::uint8_t s0, s1;          // the two predecessor states
-  std::uint8_t sv0, sv1;        // survivor bytes (pred << 1) | input
   std::uint8_t a0, b0, a1, b1;  // expected coded bits per branch
 };
 
@@ -59,12 +59,9 @@ constexpr std::array<Butterfly, kNumStates> make_butterflies() {
   for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
     const std::uint32_t f0 = ns << 1;
     const std::uint32_t f1 = f0 | 1u;
-    const std::uint32_t u = ns >> 5;
     Butterfly& bf = bs[ns];
     bf.s0 = static_cast<std::uint8_t>(f0 & (kNumStates - 1));
     bf.s1 = static_cast<std::uint8_t>(f1 & (kNumStates - 1));
-    bf.sv0 = static_cast<std::uint8_t>((bf.s0 << 1) | u);
-    bf.sv1 = static_cast<std::uint8_t>((bf.s1 << 1) | u);
     bf.a0 = static_cast<std::uint8_t>(std::popcount(f0 & kGenPolyA) & 1);
     bf.b0 = static_cast<std::uint8_t>(std::popcount(f0 & kGenPolyB) & 1);
     bf.a1 = static_cast<std::uint8_t>(std::popcount(f1 & kGenPolyA) & 1);
@@ -76,6 +73,31 @@ constexpr std::array<Butterfly, kNumStates> make_butterflies() {
 inline constexpr std::array<Butterfly, kNumStates> kButterflies =
     make_butterflies();
 
+// Both generators tap register bits 0 and 6. Bit 0 is what separates f1
+// from f0, and bit 6 is what separates next state ns + 32 from ns (same
+// predecessors, input 1 instead of 0), so flipping either one flips
+// both expected coded bits. One (a0, b0) pair per next state ns < 32
+// therefore fixes all four branches of the ns / ns + 32 butterfly:
+//   ns:      s0 expects ( a0,  b0), s1 expects (!a0, !b0)
+//   ns + 32: s0 expects (!a0, !b0), s1 expects ( a0,  b0)
+// The vector ACS kernel relies on this to derive every branch metric
+// from one sign pair.
+constexpr bool butterflies_symmetric() {
+  constexpr std::uint32_t kHalf = kNumStates / 2;
+  for (std::uint32_t ns = 0; ns < kHalf; ++ns) {
+    const Butterfly& lo = kButterflies[ns];
+    const Butterfly& hi = kButterflies[ns + kHalf];
+    if (lo.a1 == lo.a0 || lo.b1 == lo.b0) return false;
+    if (hi.s0 != lo.s0 || hi.s1 != lo.s1) return false;
+    if (hi.a0 != lo.a1 || hi.b0 != lo.b1) return false;
+    if (hi.a1 != lo.a0 || hi.b1 != lo.b0) return false;
+  }
+  return true;
+}
+
+static_assert(butterflies_symmetric(),
+              "ACS kernels assume both generators tap bits 0 and 6");
+
 // Large-finite stand-in for -inf: unreachable states carry this value
 // instead of being skipped, which removes the per-state branch from the
 // ACS loop. Physical LLR sums are tens per step, so adding a branch
@@ -86,42 +108,26 @@ inline constexpr std::array<Butterfly, kNumStates> kButterflies =
 inline constexpr double kSentinel = -1e300;
 inline constexpr double kSentinelThreshold = -1e290;
 
-// SoA companion to kButterflies for the vector ACS kernels. A branch
-// metric ±llr is the LLR with its sign bit XORed, so the expected-bit
-// flags become ±0.0 masks; negation-by-sign-flip is exact in IEEE-754,
-// making the vector branch metrics bit-identical to the scalar
-// `expected ? -llr : llr`. Survivor bytes need only sv0: s1 = s0 + 1
-// under the same input, so sv1 = sv0 + 2 always.
+// The sign pairs of the butterflies above, SoA for the vector ACS
+// kernel: a[ns] / b[ns] are ±0.0 masks for the coded bits next state
+// ns < 32 expects from its s0 branch. A branch metric ±llr is the LLR
+// with its sign bit XORed, and negation-by-sign-flip is exact in
+// IEEE-754, so XORing a mask (or a mask and -0.0, for the flipped
+// branches) reproduces the scalar `expected ? -llr : llr` bit for bit.
 struct AcsSigns {
-  alignas(32) std::array<double, kNumStates> a0{};
-  alignas(32) std::array<double, kNumStates> b0{};
-  alignas(32) std::array<double, kNumStates> a1{};
-  alignas(32) std::array<double, kNumStates> b1{};
+  alignas(32) std::array<double, kNumStates / 2> a{};
+  alignas(32) std::array<double, kNumStates / 2> b{};
 };
 
 constexpr AcsSigns make_acs_signs() {
   AcsSigns m;
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    const Butterfly& bf = kButterflies[ns];
-    m.a0[ns] = bf.a0 ? -0.0 : 0.0;
-    m.b0[ns] = bf.b0 ? -0.0 : 0.0;
-    m.a1[ns] = bf.a1 ? -0.0 : 0.0;
-    m.b1[ns] = bf.b1 ? -0.0 : 0.0;
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    m.a[ns] = kButterflies[ns].a0 ? -0.0 : 0.0;
+    m.b[ns] = kButterflies[ns].b0 ? -0.0 : 0.0;
   }
   return m;
 }
 
 inline constexpr AcsSigns kAcsSigns = make_acs_signs();
-
-constexpr std::array<std::uint8_t, kNumStates> make_survivor0() {
-  std::array<std::uint8_t, kNumStates> sv{};
-  for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
-    sv[ns] = kButterflies[ns].sv0;
-  }
-  return sv;
-}
-
-inline constexpr std::array<std::uint8_t, kNumStates> kSurvivor0 =
-    make_survivor0();
 
 }  // namespace witag::phy::detail

@@ -30,44 +30,36 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
   WITAG_COUNT("phy.viterbi.calls", 1);
   WITAG_COUNT("phy.viterbi.bits", n_steps);
 
-  if (ws.survivor_.capacity() >= n_steps * kNumStates) {
+  if (ws.decisions_.capacity() >= n_steps) {
     WITAG_COUNT("phy.viterbi.workspace_reuses", 1);
   }
-  ws.survivor_.resize(n_steps * kNumStates);
-  std::uint8_t* survivor = ws.survivor_.data();
+  ws.decisions_.resize(n_steps);
+  std::uint64_t* decisions = ws.decisions_.data();
 
-  // Path metrics ping-pong between two fixed-size arrays — no heap.
-  // 32-byte aligned so the vector ACS kernels use aligned loads/stores.
-  alignas(32) std::array<double, kNumStates> metric_a;
-  alignas(32) std::array<double, kNumStates> metric_b;
-  metric_a.fill(detail::kSentinel);
-  metric_a[0] = 0.0;  // encoder starts zeroed
-  double* cur = metric_a.data();
-  double* nxt = metric_b.data();
-
-  // Tier resolved once per decode, not once per trellis step; every
-  // tier's kernel is bit-identical (tests/test_simd.cpp fuzzes ties).
-  const simd::AcsStepFn acs_step = simd::acs_step_for(simd::active_tier());
-
-  for (std::size_t step = 0; step < n_steps; ++step) {
-    acs_step(cur, nxt, survivor + step * kNumStates, llrs[2 * step],
-             llrs[2 * step + 1]);
-    std::swap(cur, nxt);
-  }
+  // The whole trellis runs in one kernel call, with the tier resolved
+  // once per decode; every tier's kernel is bit-identical
+  // (tests/test_simd.cpp fuzzes ties).
+  std::array<double, kNumStates> metric{};
+  metric.fill(detail::kSentinel);
+  metric[0] = 0.0;  // encoder starts zeroed
+  simd::acs_block_for(simd::active_tier())(llrs.data(), n_steps, decisions,
+                                           metric.data());
 
   // The tail drives the encoder back to state 0; fall back to the best
   // surviving state if 0 was pruned (can happen under extreme noise).
   std::uint32_t state = 0;
-  if (cur[0] <= detail::kSentinelThreshold) {
+  if (metric[0] <= detail::kSentinelThreshold) {
     state = static_cast<std::uint32_t>(
-        std::max_element(cur, cur + kNumStates) - cur);
+        std::max_element(metric.begin(), metric.end()) - metric.begin());
   }
 
+  // State ns was entered with input ns >> 5 from predecessor
+  // ((2 * ns) & 63) plus its decision bit.
   out.resize(n_steps);
   for (std::size_t step = n_steps; step-- > 0;) {
-    const std::uint8_t sv = survivor[step * kNumStates + state];
-    out[step] = sv & 1u;
-    state = sv >> 1;
+    out[step] = static_cast<std::uint8_t>(state >> 5);
+    state = ((state << 1) & (kNumStates - 1)) |
+            static_cast<std::uint32_t>((decisions[step] >> state) & 1u);
   }
 }
 

@@ -10,9 +10,10 @@
 //    as the readable specification and benchmark baseline.
 //  * viterbi_decode — predecessor-oriented butterflies over a flattened
 //    constexpr trellis with a large-finite sentinel metric (branchless
-//    add-compare-select) and flat survivor storage in a reusable
-//    ViterbiWorkspace, so steady-state decode performs zero heap
-//    allocations. See DESIGN.md §12 for the correctness argument.
+//    add-compare-select, one kernel call per decode) and one decision
+//    bit per state and step in a reusable ViterbiWorkspace, so
+//    steady-state decode performs zero heap allocations. See DESIGN.md
+//    §12 for the correctness argument.
 #pragma once
 
 #include <cstdint>
@@ -31,14 +32,18 @@ namespace witag::phy {
 /// Not thread-safe: use one workspace per thread.
 class ViterbiWorkspace {
  public:
-  /// Heap bytes currently reserved by the workspace.
-  std::size_t capacity_bytes() const { return survivor_.capacity(); }
+  /// Heap bytes currently reserved by the workspace (8 per trellis
+  /// step of the largest decode seen).
+  std::size_t capacity_bytes() const {
+    return decisions_.capacity() * sizeof(std::uint64_t);
+  }
 
  private:
   friend void viterbi_decode(std::span<const double> llrs,
                              ViterbiWorkspace& ws, util::BitVec& out);
-  // survivor_[step * kNumStates + state] = (previous state << 1) | input.
-  std::vector<std::uint8_t> survivor_;
+  // Bit ns of decisions_[step] is set iff next state ns took its odd
+  // predecessor ((2 * ns) & 63) + 1 at that step.
+  std::vector<std::uint64_t> decisions_;
 };
 
 /// Decodes `llrs` (two per information bit at the mother rate) into
@@ -51,7 +56,7 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
 
 /// Convenience wrapper returning the decoded bits. Uses a thread-local
 /// workspace, so repeated calls still avoid steady-state allocations of
-/// the survivor storage (the returned vector is the only allocation).
+/// the decision storage (the returned vector is the only allocation).
 util::BitVec viterbi_decode(std::span<const double> llrs);
 
 namespace detail {

@@ -128,6 +128,37 @@ TEST(SimdParity, ViterbiEveryTierMatchesReference) {
   }
 }
 
+TEST(SimdParity, ViterbiExchangeSizesMatchReference) {
+  // The fuzz above tops out at 208 steps; a 64-subframe MCS5 exchange
+  // decodes 53,270 in one call. Odd and even counts cover both the AVX2
+  // kernel's two-steps-per-iteration loop and its single-step tail.
+  constexpr std::size_t kSteps[] = {1, 2, 3, 4097, 53270};
+  constexpr int kRegimes[] = {1, 4};  // noisy, a third erased amid noise
+  const std::vector<Tier> tiers = runnable_tiers();
+  BitVec decoded;
+  for (const std::size_t n_steps : kSteps) {
+    for (const int regime : kRegimes) {
+      util::Rng rng(0xE7'C4'00 + 8 * n_steps + static_cast<unsigned>(regime));
+      const BitVec info = random_info_bits(rng, n_steps);
+      const BitVec coded = phy::convolutional_encode(info);
+      const std::vector<double> llrs = fuzz_llrs(rng, coded, regime);
+
+      const BitVec expect = phy::detail::viterbi_reference(llrs);
+      for (const Tier t : tiers) {
+        const phy::simd::ScopedTier pin(t);
+        phy::ViterbiWorkspace ws;
+        phy::viterbi_decode(llrs, ws, decoded);
+        ASSERT_EQ(decoded, expect)
+            << "steps " << n_steps << " regime " << regime << " tier "
+            << phy::simd::tier_name(t);
+        // One 64-bit decision word per step, nothing else.
+        EXPECT_EQ(ws.capacity_bytes(), 8 * n_steps)
+            << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Soft demap.
 // ---------------------------------------------------------------------
