@@ -10,7 +10,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "util/cli.hpp"
-#include "phy/batch.hpp"
 #include "phy/channel_est.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/fft.hpp"
@@ -345,7 +344,8 @@ void BM_PpduReceive(benchmark::State& state) {
 BENCHMARK(BM_PpduReceive);
 
 // Full PPDU decode through a persistent DecodeScratch — the Session's
-// steady state. BM_PpduReceive above pays per-call scratch construction
+// steady state, through the same receive_into() pipeline Session's
+// decoder runs. BM_PpduReceive above pays per-call scratch construction
 // and is the comparison point.
 void BM_PpduDecode(benchmark::State& state) {
   util::Rng rng(4);
@@ -359,31 +359,6 @@ void BM_PpduDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PpduDecode);
-
-// Eight independent MCS5 PPDUs decoded through one persistent
-// BatchDecoder — the A-MPDU exchange shape. Reported per batch (eight
-// full decodes per iteration); divide by eight to compare against
-// BM_PpduDecode's single-PPDU steady state.
-void BM_PpduDecodeBatch8(benchmark::State& state) {
-  constexpr std::size_t kLanes = 8;
-  util::Rng rng(4);
-  phy::TxConfig cfg;
-  cfg.mcs_index = 5;
-  std::vector<phy::TxPpdu> ppdus;
-  ppdus.reserve(kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    ppdus.push_back(phy::transmit(rng.bytes(3328), cfg));
-  }
-  std::vector<std::span<const phy::FreqSymbol>> lanes;
-  lanes.reserve(kLanes);
-  for (const phy::TxPpdu& p : ppdus) lanes.emplace_back(p.symbols);
-  phy::BatchDecoder decoder;
-  for (auto _ : state) {
-    const auto results = decoder.decode(lanes, {});
-    benchmark::DoNotOptimize(results.data());
-  }
-}
-BENCHMARK(BM_PpduDecodeBatch8);
 
 void BM_AesBlock(benchmark::State& state) {
   const mac::AesKey key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};

@@ -117,9 +117,7 @@ int main(int argc, char** argv) {
 
     const std::uint64_t rss = rss_kb();
     WITAG_COUNT("soak.chunks", 1);
-#if WITAG_OBS_ENABLED
     obs::gauge("soak.rss_kb").set(static_cast<double>(rss));
-#endif
     if (chunk + 1 == warmup || (warmup == 0 && chunk == 0)) {
       rss_baseline_kb = rss;
     }
@@ -151,10 +149,8 @@ int main(int argc, char** argv) {
 
   const std::uint64_t growth_kb =
       rss_peak_kb > rss_baseline_kb ? rss_peak_kb - rss_baseline_kb : 0;
-#if WITAG_OBS_ENABLED
   obs::gauge("soak.rss_baseline_kb").set(static_cast<double>(rss_baseline_kb));
   obs::gauge("soak.rss_growth_kb").set(static_cast<double>(growth_kb));
-#endif
   std::cerr << "[soak] " << jobs_used << " jobs, wall "
             << core::Table::num(wall_ms / 1e3, 1) << " s, rss baseline "
             << rss_baseline_kb << " kB, peak " << rss_peak_kb

@@ -1,24 +1,14 @@
 // Umbrella header for the observability subsystem, plus the
 // instrumentation macros used at hot-path call sites.
 //
-// Two gates, coarse to fine:
-//  * Compile time: WITAG_OBS_ENABLED (default 1; the CMake option
-//    WITAG_OBS=OFF defines it to 0). When 0, every macro below expands
-//    to nothing — zero code, zero data.
-//  * Runtime: Tracer::set_enabled() gates span/event recording; when
-//    off a span site costs one relaxed atomic load. Counters, gauges
-//    and histograms always accumulate when compiled in (one relaxed
-//    atomic RMW) — they are the metrics export and are cheap enough to
-//    stay on (<2% on the tightest PHY microbenchmarks).
+// One gate, at run time: Tracer::set_enabled() gates span/event
+// recording; when off a span site costs one relaxed atomic load.
+// Counters, gauges and histograms always accumulate (one relaxed atomic
+// RMW) — they are the metrics export and are cheap enough to stay on
+// (<2% on the tightest PHY microbenchmarks).
 //
 // Name arguments to WITAG_SPAN / WITAG_EVENT* must be string literals.
 #pragma once
-
-#ifndef WITAG_OBS_ENABLED
-#define WITAG_OBS_ENABLED 1
-#endif
-
-#if WITAG_OBS_ENABLED
 
 #include "obs/metrics.hpp"  // IWYU pragma: export
 #include "obs/trace.hpp"    // IWYU pragma: export
@@ -99,38 +89,3 @@
     WITAG_OBS_CONCAT(witag_obs_hdr_, __LINE__)                           \
         .record(static_cast<double>(x));                                 \
   } while (0)
-
-#else  // WITAG_OBS_ENABLED == 0: every site compiles to nothing.
-
-#define WITAG_SPAN(name) \
-  do {                   \
-  } while (0)
-#define WITAG_SPAN_CAT(name, cat) \
-  do {                            \
-  } while (0)
-#define WITAG_EVENT(...) \
-  do {                    \
-  } while (0)
-#define WITAG_EVENT1(...) \
-  do {                             \
-  } while (0)
-#define WITAG_EVENT2(...) \
-  do {                                     \
-  } while (0)
-#define WITAG_COUNT(name, n) \
-  do {                       \
-  } while (0)
-#define WITAG_HIST(name, bounds_expr, x) \
-  do {                                   \
-  } while (0)
-#define WITAG_COUNT_HOT(name, n) \
-  do {                           \
-  } while (0)
-#define WITAG_HDR(name, x) \
-  do {                     \
-  } while (0)
-#define WITAG_HDR_CFG(name, cfg, x) \
-  do {                              \
-  } while (0)
-
-#endif  // WITAG_OBS_ENABLED

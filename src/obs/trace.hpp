@@ -2,11 +2,10 @@
 // export.
 //
 // Recording is gated by a runtime toggle (`Tracer::set_enabled`) that
-// costs one relaxed atomic load per site when off; when compiled out
-// (WITAG_OBS_ENABLED=0, see obs/obs.hpp) the instrumentation macros
-// vanish entirely. Event names and categories are stored as `const
-// char*` and must be string literals (or otherwise outlive the tracer):
-// this keeps the hot path allocation-free.
+// costs one relaxed atomic load per site when off. Event names and
+// categories are stored as `const char*` and must be string literals
+// (or otherwise outlive the tracer): this keeps the hot path
+// allocation-free.
 //
 // Export formats:
 //  * Chrome trace-event JSON (`{"traceEvents":[...]}`): open in

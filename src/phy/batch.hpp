@@ -1,29 +1,22 @@
-// Batch-of-PPDUs decoder: decodes N independent subframe timelines
-// (e.g. the subframes of an A-MPDU exchange) in lockstep lanes over
-// structure-of-arrays staging buffers.
+// The session-owned single-PPDU decoder: one DecodeScratch and one
+// reused RxResult around phy::receive_into(), the one receive pipeline.
+// witag::Session decodes every exchange through decode_one(), and the
+// end-to-end benchmark (perfbench/replay.cpp) checks its staged replay
+// against decode_one() as the production path.
 //
-// Why a batch API when each PPDU could just call receive(): the hot
-// kernel underneath the decode chain is the soft demap, and its SIMD
-// implementations want long runs of points. receive() hands the demap
-// 52 points per OFDM symbol; the batch decoder first equalizes every
-// data symbol of every lane into flat re/im/noise SoA arrays, then
-// demaps each lane's whole field in one kernel sweep (thousands of
-// points), and only then fans back out to the per-lane deinterleave /
-// depuncture / Viterbi / descramble tail. Results are bit-identical to
-// per-PPDU receive() — the per-point math is position-independent —
-// which tests/test_batch_decode.cpp fuzzes across lane counts, ragged
-// batches and fault regimes.
+// The name is historical: this class once decoded several PPDUs in
+// lockstep lanes over structure-of-arrays staging, which cost as much
+// per PPDU as receive() and held ~150 KB per session (DESIGN.md §14.3).
+// The class and this header keep their names until the benchmark
+// harness that includes them next changes.
 //
-// All buffers (per-lane DecodeScratch, the SoA staging, the results) are
-// grow-only and reused across calls, so steady-state batch decode
-// performs zero heap allocations (asserted via the
-// `phy.batch.scratch_reuses` counter, mirroring ViterbiWorkspace).
+// Both buffers are grow-only, so steady-state decode allocates nothing;
+// receive_into() counts each decode that grew nothing in
+// `phy.decode.scratch_reuses`.
 #pragma once
 
-#include <array>
-#include <span>
-#include <vector>
 #include <cstddef>
+#include <span>
 
 #include "phy/ppdu.hpp"
 
@@ -31,46 +24,22 @@ namespace witag::phy {
 
 class BatchDecoder {
  public:
-  /// Decodes each lane (one received symbol timeline per lane, same
-  /// layout receive() expects). Returns one RxResult per lane, in lane
-  /// order; the span is valid until the next decode call. Every lane
-  /// requires at least the header slots.
-  std::span<const RxResult> decode(
-      std::span<const std::span<const FreqSymbol>> lanes,
-      const RxConfig& cfg);
-
-  /// Single-lane convenience for callers that decode one PPDU at a time
-  /// (Session's exchange path). Same machinery, batch of one.
+  /// Decodes one PPDU (the layout receive() expects). The returned
+  /// result stays valid until the next decode_one() call.
   const RxResult& decode_one(std::span<const FreqSymbol> symbols,
-                             const RxConfig& cfg);
+                             const RxConfig& cfg) {
+    receive_into(symbols, cfg, scratch_, result_);
+    return result_;
+  }
 
-  /// Heap bytes currently reserved across all lane scratches and the
-  /// SoA staging buffers (exported as `phy.batch.scratch_bytes`).
-  std::size_t capacity_bytes() const;
+  /// Heap bytes reserved by the scratch and the reused result's PSDU.
+  std::size_t capacity_bytes() const {
+    return scratch_.capacity_bytes() + result_.psdu.capacity();
+  }
 
  private:
-  /// Per-lane data-field plan recorded by the header phase.
-  struct LanePlan {
-    bool data_ok = false;  ///< header valid and capture long enough
-    Modulation mod = Modulation::kBpsk;
-    CodeRate rate = CodeRate::kHalf;
-    std::size_t n_sym = 0;       ///< data symbols
-    std::size_t field_bits = 0;  ///< service + PSDU + tail info bits
-    std::size_t point_off = 0;   ///< lane's first index in re_/im_/nv_
-    std::size_t n_points = 0;    ///< equalized data points staged
-    std::size_t llr_off = 0;     ///< lane's first index in llr_
-  };
-
-  std::vector<DecodeScratch> scratch_;  ///< one per lane, grow-only
-  std::vector<LanePlan> plans_;
-  std::vector<RxResult> results_;
-  // SoA staging: all lanes' equalized data points and the demapped
-  // LLRs, concatenated lane by lane.
-  std::vector<double> re_;
-  std::vector<double> im_;
-  std::vector<double> nv_;
-  std::vector<double> llr_;
-  std::array<std::span<const FreqSymbol>, 1> one_lane_{};
+  DecodeScratch scratch_;
+  RxResult result_;
 };
 
 }  // namespace witag::phy

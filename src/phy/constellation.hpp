@@ -44,14 +44,6 @@ void demap_soft_into(std::span<const util::Cx> points, Modulation mod,
                      std::span<const double> noise_vars,
                      std::vector<double>& out);
 
-/// SoA soft demap for the batch decode path: `re`/`im`/`noise_vars` are
-/// parallel arrays of `count` equalized points, `out` receives
-/// count * bits_per_symbol(mod) LLRs. Same kernels (and bits) as
-/// demap_soft_into, minus the AoS→SoA staging.
-void demap_soft_soa(const double* re, const double* im,
-                    const double* noise_vars, std::size_t count,
-                    Modulation mod, double* out);
-
 /// The (normalized) points of a constellation in bit-pattern order:
 /// entry i is the point whose bits, LSB-first, encode i.
 std::span<const util::Cx> constellation_points(Modulation mod);

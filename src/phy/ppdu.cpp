@@ -49,9 +49,6 @@ std::vector<FreqSymbol> encode_field(std::span<const std::uint8_t> bits,
 
 // Inverse of encode_field: equalize, soft-demap and deinterleave each
 // symbol, then depuncture and Viterbi-decode the concatenated stream.
-// Split into the two detail:: stages below so the batch decoder can run
-// the symbols→LLRs front half over its SoA staging buffers and reuse the
-// LLRs→bits back half unchanged.
 void decode_field(std::span<const FreqSymbol> symbols,
                   const ChannelEstimate& est, Modulation mod, CodeRate rate,
                   std::size_t first_symbol_index, bool cpe_correction,
@@ -59,6 +56,55 @@ void decode_field(std::span<const FreqSymbol> symbols,
   detail::field_llrs_into(symbols, est, mod, first_symbol_index,
                           cpe_correction, scratch);
   detail::field_bits_from_llrs(rate, n_info_bits, scratch);
+}
+
+// The receive pipeline behind receive_into(). Overwrites every field of
+// `out`; returns with sig_ok false when the header is unusable or the
+// capture is truncated.
+void decode_ppdu(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
+                 DecodeScratch& scratch, RxResult& out) {
+  WITAG_REQUIRE(symbols.size() >= kHeaderSlots);
+  out.sig_ok = false;
+  out.sig = HtSig{};
+  out.psdu.clear();
+
+  // One channel estimate for the whole PPDU, taken from the LTF slots.
+  out.estimate = estimate_channel(symbols.subspan(kStfSlots, kLtfSlots));
+
+  // SIG field (consumed from scratch.bits before the data field reuses
+  // the buffer).
+  decode_field(symbols.subspan(kPreambleSlots, kSigSymbols), out.estimate,
+               Modulation::kBpsk, CodeRate::kHalf, 0, cfg.cpe_correction, 0,
+               scratch);
+  const auto sig = decode_sig(scratch.bits);
+  if (!sig || sig->mcs_index >= kNumMcs || sig->length == 0) {
+    return;  // header unusable; receiver drops the PPDU
+  }
+  out.sig = *sig;
+
+  const McsParams& m = mcs(out.sig.mcs_index);
+  const std::size_t n_sym = data_symbols_for(out.sig.length, m);
+  if (symbols.size() < kHeaderSlots + n_sym) {
+    return;  // truncated capture; treat as undecodable
+  }
+  out.sig_ok = true;
+
+  // Decode through service + PSDU + tail; the trellis terminates there
+  // and the remaining pad bits carry nothing.
+  const std::size_t payload_bits = 8 * out.sig.length;
+  decode_field(symbols.subspan(kHeaderSlots, n_sym), out.estimate,
+               m.modulation, m.rate, kSigSymbols, cfg.cpe_correction,
+               kServiceBits + payload_bits + kTailBits, scratch);
+
+  // Descramble: the service field is transmitted as zeros, so the first 7
+  // scrambled bits reveal the scrambler state (802.11 receivers recover
+  // the seed the same way).
+  descramble_recover_into(scratch.bits, scratch.plain);
+
+  WITAG_ENSURE(scratch.plain.size() >= kServiceBits + payload_bits);
+  const std::span<const std::uint8_t> payload(
+      scratch.plain.data() + kServiceBits, payload_bits);
+  util::bits_to_bytes_into(payload, out.psdu);
 }
 
 }  // namespace
@@ -169,52 +215,24 @@ RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg) {
 
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
                  DecodeScratch& scratch) {
-  WITAG_REQUIRE(symbols.size() >= kHeaderSlots);
   RxResult out;
-
-  // One channel estimate for the whole PPDU, taken from the LTF slots.
-  out.estimate = estimate_channel(symbols.subspan(kStfSlots, kLtfSlots));
-
-  // SIG field (consumed from scratch.bits before the data field reuses
-  // the buffer).
-  decode_field(symbols.subspan(kPreambleSlots, kSigSymbols), out.estimate,
-               Modulation::kBpsk, CodeRate::kHalf, 0, cfg.cpe_correction, 0,
-               scratch);
-  const auto sig = decode_sig(scratch.bits);
-  if (!sig || sig->mcs_index >= kNumMcs || sig->length == 0) {
-    return out;  // header unusable; receiver drops the PPDU
-  }
-  out.sig = *sig;
-
-  const McsParams& m = mcs(out.sig.mcs_index);
-  const std::size_t n_sym = data_symbols_for(out.sig.length, m);
-  if (symbols.size() < kHeaderSlots + n_sym) {
-    return out;  // truncated capture; treat as undecodable
-  }
-  out.sig_ok = true;
-
-  // Decode through service + PSDU + tail; the trellis terminates there
-  // and the remaining pad bits carry nothing.
-  const std::size_t field_bits = 16 + 8 * out.sig.length + 6;
-  decode_field(symbols.subspan(kHeaderSlots, n_sym), out.estimate,
-               m.modulation, m.rate, kSigSymbols, cfg.cpe_correction,
-               field_bits, scratch);
-
-  // Descramble: the service field is transmitted as zeros, so the first 7
-  // scrambled bits reveal the scrambler state (802.11 receivers recover
-  // the seed the same way).
-  descramble_recover_into(scratch.bits, scratch.plain);
-
-  const std::size_t payload_bits = 8 * out.sig.length;
-  WITAG_ENSURE(scratch.plain.size() >= kServiceBits + payload_bits);
-  const std::span<const std::uint8_t> payload(
-      scratch.plain.data() + kServiceBits, payload_bits);
-  out.psdu = util::bits_to_bytes(payload);
-#if WITAG_OBS_ENABLED
-  static obs::Gauge& scratch_gauge = obs::gauge("phy.decode.scratch_bytes");
-  scratch_gauge.set(static_cast<double>(scratch.capacity_bytes()));
-#endif
+  receive_into(symbols, cfg, scratch, out);
   return out;
+}
+
+void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
+                  DecodeScratch& scratch, RxResult& out) {
+  WITAG_SPAN_CAT("phy.receive", "phy");
+  const std::size_t capacity_before = scratch.capacity_bytes();
+  decode_ppdu(symbols, cfg, scratch, out);
+  // Counted after every decode, a dropped header or a truncated capture
+  // included, so the zero-alloc check covers broken PPDUs too.
+  const std::size_t capacity = scratch.capacity_bytes();
+  if (capacity == capacity_before) {
+    WITAG_COUNT("phy.decode.scratch_reuses", 1);
+  }
+  static obs::Gauge& scratch_gauge = obs::gauge("phy.decode.scratch_bytes");
+  scratch_gauge.set(static_cast<double>(capacity));
 }
 
 util::CxVec to_samples(const TxPpdu& ppdu) {

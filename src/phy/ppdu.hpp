@@ -29,9 +29,10 @@ namespace witag::phy {
 /// number of sequential decodes; each buffer grows to the largest PPDU
 /// seen and is then reused, so steady-state decode of an A-MPDU stream
 /// (and of successive Reader rounds — the Session owns one scratch)
-/// performs no per-subframe heap allocation. Not thread-safe: use one
-/// scratch per thread (the sweep runner's per-worker Sessions each own
-/// theirs).
+/// performs no per-subframe heap allocation; receive_into() bumps the
+/// `phy.decode.scratch_reuses` counter on every decode that grew
+/// nothing. Not thread-safe: use one scratch per thread (the sweep
+/// runner's per-worker Sessions each own theirs).
 struct DecodeScratch {
   ViterbiWorkspace viterbi;
   EqualizedSymbol eq;              ///< Per-symbol equalizer output.
@@ -97,8 +98,17 @@ struct RxResult {
   ChannelEstimate estimate;
 };
 
-/// Decodes a received symbol timeline (same layout as TxPpdu::symbols).
-/// Requires at least the header slots.
+/// Decodes a received symbol timeline (same layout as TxPpdu::symbols)
+/// into `out`, reusing the buffers of `scratch` and `out`. This is the
+/// one receive pipeline: channel estimate, SIG, then the data field
+/// through equalize, soft demap, deinterleave, depuncture, Viterbi and
+/// descramble. Every field of `out` is overwritten, so a result reused
+/// across PPDUs never keeps a stale header. Requires at least the
+/// header slots.
+void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
+                  DecodeScratch& scratch, RxResult& out);
+
+/// receive_into() with a fresh scratch and result.
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg);
 
 /// Scratch-threaded variant: reuses `scratch` buffers across calls so
@@ -122,7 +132,8 @@ namespace detail {
 
 /// Front half of a field decode: equalize, soft-demap and deinterleave
 /// each symbol, leaving the concatenated field LLRs in `scratch.llrs`
-/// (cleared first). Shared by receive() and the BatchDecoder staging.
+/// (cleared first). receive_into() runs this and the back half below
+/// once per field; they are exposed so a profiler can time each half.
 void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,

@@ -1,8 +1,8 @@
-// Tier detection, the WITAG_SIMD override, and the scalar reference
-// kernels every tier falls back to. The vector implementations live in
-// simd_sse2.cpp / simd_avx2.cpp; this TU owns the dispatch tables so a
-// build without AVX2 support (or a non-x86 target) degrades to the
-// lower tiers without any caller noticing.
+// Tier detection, the WITAG_SIMD override, and the scalar kernels: the
+// only tier on non-x86 hosts and on x86 hosts without AVX2, and the one
+// WITAG_SIMD=off forces. The AVX2 kernels live in simd_avx2.cpp; this
+// TU owns the dispatch, so a build without AVX2 support (or a non-x86
+// target) runs scalar without any caller noticing.
 
 #include "phy/simd.hpp"
 
@@ -20,13 +20,12 @@
 namespace witag::phy::simd {
 namespace {
 
-#if defined(__x86_64__) || defined(__i386__)
-constexpr bool kIsX86 = true;
-#else
-constexpr bool kIsX86 = false;
-#endif
-
 Tier clamp_tier(Tier t) { return std::min(t, detect_best_tier()); }
+
+/// True when `t` asks for AVX2 and this host and build can run it.
+bool use_avx2(Tier t) {
+  return t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2;
+}
 
 /// WITAG_SIMD parse, read once per process. Unset or unrecognized
 /// values mean "auto" (best available); "off"/"scalar" force the
@@ -37,7 +36,6 @@ Tier env_tier() {
     if (!env) return detect_best_tier();
     const std::string v(env);
     if (v == "off" || v == "scalar" || v == "0") return Tier::kScalar;
-    if (v == "sse2") return clamp_tier(Tier::kSse2);
     if (v == "avx2") return clamp_tier(Tier::kAvx2);
     return detect_best_tier();  // "auto" and anything else
   }();
@@ -220,17 +218,9 @@ constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
 
 }  // namespace
 
-// Vector kernel entry points, defined in simd_sse2.cpp / simd_avx2.cpp.
-// Declared here (not in the public header) so only the dispatch tables
-// see them.
+// AVX2 kernel entry points, defined in simd_avx2.cpp. Declared here (not
+// in the public header) so only the dispatch functions see them.
 namespace kernels {
-bool sse2_available();
-void demap_block_sse2(const double* re, const double* im, const double* nv,
-                      std::size_t count, const DemapAxes& ax, double* out);
-void equalize_block_sse2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv);
 bool avx2_compiled();
 bool avx2_supported();
 void acs_block_avx2(const double* llrs, std::size_t n_steps,
@@ -250,13 +240,10 @@ void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
 }  // namespace kernels
 
 Tier detect_best_tier() {
-  static const Tier best = [] {
-    if (!kIsX86) return Tier::kScalar;
-    if (kernels::avx2_compiled() && kernels::avx2_supported()) {
-      return Tier::kAvx2;
-    }
-    return kernels::sse2_available() ? Tier::kSse2 : Tier::kScalar;
-  }();
+  // avx2_supported() is false on non-x86 targets.
+  static const Tier best =
+      kernels::avx2_compiled() && kernels::avx2_supported() ? Tier::kAvx2
+                                                            : Tier::kScalar;
   return best;
 }
 
@@ -269,7 +256,6 @@ Tier active_tier() {
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kScalar: return "scalar";
-    case Tier::kSse2: return "sse2";
     case Tier::kAvx2: return "avx2";
   }
   WITAG_ENSURE(false);
@@ -287,57 +273,26 @@ ScopedTier::~ScopedTier() {
 }
 
 AcsBlockFn acs_block_for(Tier t) {
-  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) {
-    return kernels::acs_block_avx2;
-  }
-  return acs_block_scalar;
+  return use_avx2(t) ? kernels::acs_block_avx2 : acs_block_scalar;
 }
 
 DemapBlockFn demap_block_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) return kernels::demap_block_avx2;
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::demap_block_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
-  }
-  return demap_block_scalar;
+  return use_avx2(t) ? kernels::demap_block_avx2 : demap_block_scalar;
 }
 
 EqualizeFn equalize_for(Tier t) {
-  switch (t) {
-    case Tier::kAvx2:
-      if (detect_best_tier() == Tier::kAvx2) {
-        return kernels::equalize_block_avx2;
-      }
-      [[fallthrough]];
-    case Tier::kSse2:
-      if (kernels::sse2_available()) return kernels::equalize_block_sse2;
-      [[fallthrough]];
-    case Tier::kScalar:
-      break;
-  }
-  return equalize_block_scalar;
+  return use_avx2(t) ? kernels::equalize_block_avx2 : equalize_block_scalar;
 }
 
 DeinterleaveFn deinterleave_for(Tier t) {
-  // SSE2 has no gather instruction; a 2-lane load/shuffle emulation
-  // loses to the scalar loop, so only AVX2 diverges from scalar.
-  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) {
-    return kernels::deinterleave_avx2;
-  }
-  return deinterleave_scalar;
+  return use_avx2(t) ? kernels::deinterleave_avx2 : deinterleave_scalar;
 }
 
 const FftKernels& fft_kernels_for(Tier t) {
   static const FftKernels avx2{kernels::fft_radix4_pass_avx2,
                                kernels::fft_len2_pass_avx2,
                                kernels::fft_scale_avx2};
-  if (t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2) return avx2;
-  return kFftScalar;  // one complex double per SSE2 vector: no win
+  return use_avx2(t) ? avx2 : kFftScalar;
 }
 
 }  // namespace witag::phy::simd

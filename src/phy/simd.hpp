@@ -1,5 +1,8 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft demap, radix-4 FFT passes).
+// kernels (Viterbi add-compare-select, soft demap, equalize,
+// deinterleave, radix-4 FFT passes). There are two tiers: the portable
+// scalar kernels, and AVX2 kernels selected at run time on x86 hosts
+// that have it.
 //
 // Every kernel here is bit-identical to its scalar counterpart by
 // construction: the build carries no -march/-ffast-math, so scalar code
@@ -8,17 +11,19 @@
 // same operands in the same association, just several lanes at a time.
 // Negation is a sign-bit XOR (exact), selection is a bitwise blend or a
 // max whose tie rule matches the scalar compare (exact), and reductions
-// only reorder operations across independent outputs, never within one. tests/test_simd.cpp fuzzes every tier
-// against the detail::*_reference implementations.
+// only reorder operations across independent outputs, never within one.
+// tests/test_simd.cpp fuzzes both tiers against the detail::*_reference
+// implementations.
 //
-// Dispatch is resolved once per call site from `active_tier()`:
-// hardware detection (AVX2 via cpuid, SSE2 implied by x86-64) clamped by
-// what the build supports, overridable with the WITAG_SIMD environment
-// variable ("off"/"scalar", "sse2", "avx2", "auto") — CI's simd-dispatch
-// job forces the scalar fallback and byte-compares bench stdout.
+// Dispatch is resolved once per call site from `active_tier()`: AVX2
+// when cpuid reports it and the build compiled the AVX2 kernels, else
+// scalar, overridable with the WITAG_SIMD environment variable
+// ("off"/"scalar", "avx2", "auto"; anything else means "auto") — CI's
+// simd-dispatch job forces the scalar tier and byte-compares bench
+// stdout.
 //
-// Raw intrinsics live only in src/phy/simd_sse2.cpp / simd_avx2.cpp;
-// tools/witag_lint enforces this (rule `simd-intrinsic`).
+// Raw intrinsics live only in src/phy/simd_avx2.cpp; tools/witag_lint
+// enforces this (rule `simd-intrinsic`).
 #pragma once
 
 #include <array>
@@ -29,8 +34,8 @@
 
 namespace witag::phy::simd {
 
-/// Capability tiers, ordered: a higher tier implies the lower ones.
-enum class Tier : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Capability tiers, ordered: a higher tier implies the lower one.
+enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
 Tier detect_best_tier();
@@ -40,7 +45,7 @@ Tier detect_best_tier();
 /// ScopedTier override. Never exceeds detect_best_tier().
 Tier active_tier();
 
-/// Lower-case tier name ("scalar", "sse2", "avx2") for logs and benches.
+/// Lower-case tier name ("scalar", "avx2") for logs and benches.
 const char* tier_name(Tier t);
 
 /// RAII tier override for tests and benches: clamps to the detected
@@ -71,9 +76,7 @@ class ScopedTier {
 using AcsBlockFn = void (*)(const double* llrs, std::size_t n_steps,
                             std::uint64_t* decisions, double* metrics);
 
-/// The ACS kernel for a tier (always non-null). Only the AVX2 tier
-/// differs from scalar: the SSE2 tier, selected only on pre-AVX2 x86
-/// hosts or by WITAG_SIMD=sse2, runs the scalar kernel.
+/// The ACS kernel for a tier (always non-null).
 AcsBlockFn acs_block_for(Tier t);
 
 // ---------------------------------------------------------------------
@@ -144,8 +147,7 @@ EqualizeFn equalize_for(Tier t);
 using DeinterleaveFn = void (*)(const double* in, const std::int32_t* map,
                                 std::size_t n, double* out);
 
-/// The deinterleave kernel for a tier (always non-null). SSE2 has no
-/// gather, so only the AVX2 tier differs from scalar.
+/// The deinterleave kernel for a tier (always non-null).
 DeinterleaveFn deinterleave_for(Tier t);
 
 // ---------------------------------------------------------------------
@@ -174,9 +176,7 @@ struct FftKernels {
   FftScaleFn scale;
 };
 
-/// The FFT pass kernels for a tier. SSE2 gains nothing over scalar at
-/// one complex double per vector, so only the AVX2 tier differs from
-/// scalar here.
+/// The FFT pass kernels for a tier.
 const FftKernels& fft_kernels_for(Tier t);
 
 }  // namespace witag::phy::simd

@@ -177,10 +177,10 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
     }
   }
   if (p < count) {
-    // Tail through the SSE2/scalar kernels: per-point math is
-    // identical, so chunk boundaries never change results.
-    demap_block_for(Tier::kSse2)(re + p, im + p, nv + p, count - p, ax,
-                                 out + p * ax.n_bits);
+    // Tail through the scalar kernel: per-point math is identical, so
+    // chunk boundaries never change results.
+    demap_block_for(Tier::kScalar)(re + p, im + p, nv + p, count - p, ax,
+                                   out + p * ax.n_bits);
   }
 }
 
@@ -377,15 +377,15 @@ void acs_block_avx2(const double* llrs, std::size_t n_steps,
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out) {
-  demap_block_for(Tier::kSse2)(re, im, nv, count, ax, out);
+  demap_block_for(Tier::kScalar)(re, im, nv, count, ax, out);
 }
 
 void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
                          const double* ri, double cr, double ci,
                          double noise_floor, std::size_t count, double* zr,
                          double* zi, double* nv) {
-  equalize_for(Tier::kSse2)(hr, hi, rr, ri, cr, ci, noise_floor, count, zr,
-                            zi, nv);
+  equalize_for(Tier::kScalar)(hr, hi, rr, ri, cr, ci, noise_floor, count, zr,
+                              zi, nv);
 }
 
 void deinterleave_avx2(const double* in, const std::int32_t* map,

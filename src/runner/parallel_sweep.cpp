@@ -47,14 +47,11 @@ SweepResult run_sweep(const std::vector<SweepTask>& tasks,
       tasks.size(), result.jobs,
       [&](std::size_t i) -> core::Session::RunStats {
         const double start = steady_ms();
-#if WITAG_OBS_ENABLED
         const double trace_start =
             obs::trace_enabled() ? obs::Tracer::instance().now_us() : 0.0;
-#endif
         core::Session session(tasks[i].config);
         core::Session::RunStats stats = session.run(tasks[i].rounds);
         task_ms[i] = steady_ms() - start;
-#if WITAG_OBS_ENABLED
         WITAG_COUNT_HOT("runner.tasks", 1);
         WITAG_HDR("runner.task_ms", task_ms[i]);
         if (obs::trace_enabled()) {
@@ -64,7 +61,6 @@ SweepResult run_sweep(const std::vector<SweepTask>& tasks,
                              "index", static_cast<double>(i), "rounds",
                              static_cast<double>(tasks[i].rounds), "runner");
         }
-#endif
         return stats;
       });
   result.wall_ms = steady_ms() - t0;

@@ -467,7 +467,6 @@ Session::RunStats Session::run(std::size_t rounds) {
     } else {
       stats.metrics.record_round(r.sent, r.received, false, r.airtime_us);
     }
-#if WITAG_OBS_ENABLED
     // One instant per scheduled tag bit so a trace shows exactly which
     // subframe flipped: ok = 1 delivered, 0 flipped, -1 round lost.
     if (obs::trace_enabled()) {
@@ -479,7 +478,6 @@ Session::RunStats Session::run(std::size_t rounds) {
                           static_cast<double>(b), "ok", ok, "session");
       }
     }
-#endif
   }
   stats.mean_snr_db = channel_->mean_snr_db();
   stats.tag_perturbation_db = channel_->tag_perturbation_db();

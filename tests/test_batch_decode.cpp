@@ -1,8 +1,8 @@
-// BatchDecoder parity and allocation tests: decoding N subframe
-// timelines through phy::BatchDecoder must equal per-PPDU receive()
-// lane for lane — across lane counts, ragged MCS/length mixes, noisy
-// channels and broken lanes (corrupted SIG, truncated captures) — and
-// steady-state batch decode must not allocate.
+// Session decoder tests: phy::BatchDecoder, the session-owned decoder
+// around phy::receive_into(), must equal a fresh receive() PPDU for
+// PPDU — across MCS/length mixes, noisy channels and broken PPDUs
+// (corrupted SIG, truncated captures) decoded back to back through one
+// decoder — and steady-state decode must not allocate.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,9 +18,9 @@
 namespace witag {
 namespace {
 
-/// One lane's prepared input: the (possibly corrupted) symbol timeline
-/// plus how much of it the receiver gets to see.
-struct Lane {
+/// One prepared PPDU: the (possibly corrupted) symbol timeline plus
+/// how much of it the receiver gets to see.
+struct Capture {
   std::vector<phy::FreqSymbol> symbols;
   std::size_t visible = 0;
 
@@ -36,62 +36,55 @@ void add_noise(std::vector<phy::FreqSymbol>& symbols, util::Rng& rng,
   }
 }
 
-/// Builds a ragged batch: every lane gets its own MCS and PSDU length,
-/// and the regime cycle plants clean, noisy, corrupted-SIG and
-/// truncated lanes so the batch path handles broken lanes exactly like
-/// receive() does.
-std::vector<Lane> make_lanes(std::size_t n, std::uint64_t seed) {
-  std::vector<Lane> lanes(n);
+/// Builds `n` PPDUs, each with its own MCS and PSDU length; the regime
+/// cycle plants clean, noisy, corrupted-SIG and truncated captures so
+/// the decoder handles broken PPDUs exactly like receive() does.
+std::vector<Capture> make_captures(std::size_t n, std::uint64_t seed) {
+  std::vector<Capture> captures(n);
   for (std::size_t l = 0; l < n; ++l) {
     util::Rng rng(seed + l);
     phy::TxConfig tx;
     tx.mcs_index = static_cast<unsigned>(rng.uniform_int(phy::kNumMcs));
     const std::size_t length = 1 + rng.uniform_int(600);
     phy::TxPpdu ppdu = phy::transmit(rng.bytes(length), tx);
-    Lane& lane = lanes[l];
-    lane.symbols = std::move(ppdu.symbols);
-    lane.visible = lane.symbols.size();
+    Capture& cap = captures[l];
+    cap.symbols = std::move(ppdu.symbols);
+    cap.visible = cap.symbols.size();
     switch (l % 4) {
       case 0:  // clean
         break;
       case 1:  // noisy channel: expect occasional payload bit errors
-        add_noise(lane.symbols, rng, 0.05);
+        add_noise(cap.symbols, rng, 0.05);
         break;
       case 2:  // SIG destroyed: header CRC must fail in both paths
-        add_noise(lane.symbols, rng, 50.0, phy::kPreambleSlots);
+        add_noise(cap.symbols, rng, 50.0, phy::kPreambleSlots);
         break;
       default:  // truncated capture (header visible, data cut short)
-        add_noise(lane.symbols, rng, 0.01);
-        lane.visible = phy::kHeaderSlots +
-                       (lane.symbols.size() - phy::kHeaderSlots) / 2;
+        add_noise(cap.symbols, rng, 0.01);
+        cap.visible = phy::kHeaderSlots +
+                      (cap.symbols.size() - phy::kHeaderSlots) / 2;
         break;
     }
   }
-  return lanes;
+  return captures;
 }
 
-void expect_lane_parity(const phy::RxResult& batch, const phy::RxResult& ref,
-                        std::size_t lane, std::size_t n_lanes) {
-  ASSERT_EQ(batch.sig_ok, ref.sig_ok) << "lane " << lane << "/" << n_lanes;
-  ASSERT_EQ(batch.sig, ref.sig) << "lane " << lane << "/" << n_lanes;
-  ASSERT_EQ(batch.psdu, ref.psdu) << "lane " << lane << "/" << n_lanes;
+void expect_parity(const phy::RxResult& got, const phy::RxResult& ref,
+                   std::size_t index, std::size_t count) {
+  ASSERT_EQ(got.sig_ok, ref.sig_ok) << "ppdu " << index << "/" << count;
+  ASSERT_EQ(got.sig, ref.sig) << "ppdu " << index << "/" << count;
+  ASSERT_EQ(got.psdu, ref.psdu) << "ppdu " << index << "/" << count;
 }
 
 TEST(BatchDecode, MatchesPerPpduReceiveAcrossLaneCounts) {
   phy::BatchDecoder decoder;  // one decoder across all shapes: buffers
-  const phy::RxConfig cfg;    // sized by one batch must not leak into
+  const phy::RxConfig cfg;    // sized by one PPDU must not leak into
   for (const std::size_t n : {1u, 3u, 8u, 17u}) {  // the next
-    const std::vector<Lane> lanes = make_lanes(n, 0xBA'7C'00 + n);
-    std::vector<std::span<const phy::FreqSymbol>> views;
-    views.reserve(n);
-    for (const Lane& lane : lanes) views.push_back(lane.view());
-
-    const std::span<const phy::RxResult> results =
-        decoder.decode(views, cfg);
-    ASSERT_EQ(results.size(), n);
+    const std::vector<Capture> captures = make_captures(n, 0xBA'7C'00 + n);
     for (std::size_t l = 0; l < n; ++l) {
-      const phy::RxResult ref = phy::receive(lanes[l].view(), cfg);
-      expect_lane_parity(results[l], ref, l, n);
+      const phy::RxResult& got = decoder.decode_one(captures[l].view(), cfg);
+      const phy::RxResult ref = phy::receive(captures[l].view(), cfg);
+      expect_parity(got, ref, l, n);
     }
   }
 }
@@ -100,27 +93,28 @@ TEST(BatchDecode, DecodeOneMatchesReceive) {
   phy::BatchDecoder decoder;
   const phy::RxConfig cfg;
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
-    const std::vector<Lane> lanes = make_lanes(1, 0xD0'0E + 13 * trial);
-    const phy::RxResult& got = decoder.decode_one(lanes[0].view(), cfg);
-    const phy::RxResult ref = phy::receive(lanes[0].view(), cfg);
-    expect_lane_parity(got, ref, 0, 1);
+    const std::vector<Capture> captures =
+        make_captures(1, 0xD0'0E + 13 * trial);
+    const phy::RxResult& got = decoder.decode_one(captures[0].view(), cfg);
+    const phy::RxResult ref = phy::receive(captures[0].view(), cfg);
+    expect_parity(got, ref, 0, 1);
   }
 }
 
 TEST(BatchDecode, BrokenLaneDoesNotLeakStaleHeader) {
-  // A lane slot that decoded fine in one batch and fails SIG in the
-  // next must come back with a default header, exactly like a fresh
-  // receive() — the reused results_ buffer must not echo the old SIG.
+  // A PPDU that decoded fine followed by one that fails SIG must come
+  // back with a default header, exactly like a fresh receive() — the
+  // reused result must not echo the old SIG.
   phy::BatchDecoder decoder;
   const phy::RxConfig cfg;
-  std::vector<Lane> lanes = make_lanes(1, 0x57'A1);  // l%4==0: clean
-  ASSERT_TRUE(decoder.decode_one(lanes[0].view(), cfg).sig_ok);
+  std::vector<Capture> captures = make_captures(1, 0x57'A1);  // clean
+  ASSERT_TRUE(decoder.decode_one(captures[0].view(), cfg).sig_ok);
 
   util::Rng rng(7);
-  add_noise(lanes[0].symbols, rng, 50.0, phy::kPreambleSlots);
-  const phy::RxResult& got = decoder.decode_one(lanes[0].view(), cfg);
-  const phy::RxResult ref = phy::receive(lanes[0].view(), cfg);
-  expect_lane_parity(got, ref, 0, 1);
+  add_noise(captures[0].symbols, rng, 50.0, phy::kPreambleSlots);
+  const phy::RxResult& got = decoder.decode_one(captures[0].view(), cfg);
+  const phy::RxResult ref = phy::receive(captures[0].view(), cfg);
+  expect_parity(got, ref, 0, 1);
   EXPECT_FALSE(got.sig_ok);
   EXPECT_EQ(got.sig, phy::HtSig{});
 }
@@ -128,33 +122,30 @@ TEST(BatchDecode, BrokenLaneDoesNotLeakStaleHeader) {
 TEST(BatchDecode, SteadyStateDecodesWithoutAllocating) {
   phy::BatchDecoder decoder;
   const phy::RxConfig cfg;
-  const std::vector<Lane> lanes = make_lanes(8, 0xA1'10C);
-  std::vector<std::span<const phy::FreqSymbol>> views;
-  for (const Lane& lane : lanes) views.push_back(lane.view());
+  const std::vector<Capture> captures = make_captures(8, 0xA1'10C);
 
-  // Two warm-up rounds: the first sizes the SoA staging, the second
+  // Two warm-up passes: the first sizes the buffers, the second
   // confirms the high-water mark before we start asserting.
-  decoder.decode(views, cfg);
-  decoder.decode(views, cfg);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Capture& cap : captures) decoder.decode_one(cap.view(), cfg);
+  }
   const std::size_t warm_capacity = decoder.capacity_bytes();
   ASSERT_GT(warm_capacity, 0u);
 
-#if WITAG_OBS_ENABLED
   const std::uint64_t reuses_before =
-      obs::counter("phy.batch.scratch_reuses").value();
-#endif
-  constexpr int kRounds = 50;
-  for (int round = 0; round < kRounds; ++round) {
-    const auto results = decoder.decode(views, cfg);
-    ASSERT_EQ(results.size(), views.size()) << "round " << round;
-    ASSERT_EQ(decoder.capacity_bytes(), warm_capacity) << "round " << round;
+      obs::counter("phy.decode.scratch_reuses").value();
+  constexpr std::size_t kPasses = 50;
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (const Capture& cap : captures) {
+      decoder.decode_one(cap.view(), cfg);
+      ASSERT_EQ(decoder.capacity_bytes(), warm_capacity) << "pass " << pass;
+    }
   }
-#if WITAG_OBS_ENABLED
-  // Every steady-state batch must have taken the reuse (zero-alloc)
-  // path: the counter only increments when no buffer grew.
-  EXPECT_EQ(obs::counter("phy.batch.scratch_reuses").value(),
-            reuses_before + kRounds);
-#endif
+  // Every steady-state decode, bad-SIG and truncated captures included,
+  // must have taken the reuse (zero-alloc) path: the counter only
+  // increments when no buffer grew.
+  EXPECT_EQ(obs::counter("phy.decode.scratch_reuses").value(),
+            reuses_before + kPasses * captures.size());
 }
 
 }  // namespace

@@ -257,9 +257,6 @@ TEST_F(ObsReport, NoMetricsFlagSuppressesOutput) {
 }
 
 TEST_F(ObsSession, SpanCountsMatchLinkMetrics) {
-#if !WITAG_OBS_ENABLED
-  GTEST_SKIP() << "instrumentation compiled out (WITAG_OBS=OFF)";
-#else
   Tracer::instance().set_enabled(true);
   auto cfg = core::los_testbed_config(util::Meters{4.0}, 77);
   core::Session session(cfg);
@@ -285,7 +282,6 @@ TEST_F(ObsSession, SpanCountsMatchLinkMetrics) {
             stats.metrics.missed_corruptions());
   EXPECT_EQ(snap.counters.at("witag.false_corruption"),
             stats.metrics.false_corruptions());
-#endif
 }
 
 // --- Crash-safe flush ------------------------------------------------

@@ -1,5 +1,5 @@
 // Tier-parity tests for the SIMD dispatch layer (phy/simd.hpp): every
-// kernel tier the hardware can run — scalar, SSE2, AVX2 — must produce
+// kernel tier the hardware can run — scalar, AVX2 — must produce
 // bit-identical output to the detail::*_reference implementations, over
 // fuzz regimes that include the degenerate cases (Viterbi ties, demap
 // dead bins, erasures) where "almost equal" kernels diverge first.
@@ -31,9 +31,9 @@ using Tier = phy::simd::Tier;
 /// Every tier this machine can actually execute, in ascending order.
 std::vector<Tier> runnable_tiers() {
   std::vector<Tier> tiers{Tier::kScalar};
-  const Tier best = phy::simd::detect_best_tier();
-  if (best >= Tier::kSse2) tiers.push_back(Tier::kSse2);
-  if (best >= Tier::kAvx2) tiers.push_back(Tier::kAvx2);
+  if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
+    tiers.push_back(Tier::kAvx2);
+  }
   return tiers;
 }
 
@@ -58,7 +58,6 @@ TEST(SimdDispatch, ScopedTierOverridesAndRestores) {
 
 TEST(SimdDispatch, TierNames) {
   EXPECT_STREQ(phy::simd::tier_name(Tier::kScalar), "scalar");
-  EXPECT_STREQ(phy::simd::tier_name(Tier::kSse2), "sse2");
   EXPECT_STREQ(phy::simd::tier_name(Tier::kAvx2), "avx2");
 }
 
@@ -232,15 +231,35 @@ TEST(SimdParity, DemapEveryTierMatchesReference) {
   }
 }
 
+/// The kernels' per-axis view of a constellation, rebuilt here from the
+/// public point table: low index bits select the I level, high bits Q.
+phy::simd::DemapAxes axes_from_points(phy::Modulation mod) {
+  const std::span<const util::Cx> table = phy::constellation_points(mod);
+  phy::simd::DemapAxes ax;
+  ax.n_bits = phy::bits_per_symbol(mod);
+  ax.i_bits = ax.n_bits == 1 ? 1u : ax.n_bits / 2;
+  ax.q_bits = ax.n_bits - ax.i_bits;
+  for (unsigned j = 0; j < (1u << ax.i_bits); ++j) {
+    ax.i_levels[j] = table[j].real();
+  }
+  for (unsigned q = 0; q < (1u << ax.q_bits); ++q) {
+    ax.q_levels[q] = table[q << ax.i_bits].imag();
+  }
+  return ax;
+}
+
 TEST(SimdParity, DemapSoaMatchesAosPath) {
+  // SoA arrays fed straight to each tier's kernel must match the AoS
+  // entry point and the full-table reference bit for bit. Counts run
+  // 1..300, so every AVX2 remainder (count % 4) reaches the scalar tail.
   const std::vector<Tier> tiers = runnable_tiers();
   util::CxVec points;
   std::vector<double> noise_vars;
-  std::vector<double> re, im, soa;
-  for (std::uint64_t trial = 0; trial < 100; ++trial) {
-    util::Rng rng(0x50'A0 + trial);
+  std::vector<double> re, im, soa, aos;
+  for (std::size_t count = 1; count <= 300; ++count) {
+    util::Rng rng(0x50'A0 + count);
     for (const phy::Modulation mod : kMods) {
-      const std::size_t count = 1 + rng.uniform_int(97);
+      const phy::simd::DemapAxes ax = axes_from_points(mod);
       fuzz_points(rng, mod, count, points, noise_vars);
       re.resize(count);
       im.resize(count);
@@ -250,15 +269,24 @@ TEST(SimdParity, DemapSoaMatchesAosPath) {
       }
       const std::vector<double> expect =
           phy::detail::demap_soft_reference(points, mod, noise_vars);
-      soa.assign(expect.size(), 0.0);
       for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        phy::demap_soft_soa(re.data(), im.data(), noise_vars.data(), count,
-                            mod, soa.data());
+        soa.assign(expect.size(), 0.0);
+        phy::simd::demap_block_for(t)(re.data(), im.data(),
+                                      noise_vars.data(), count, ax,
+                                      soa.data());
         ASSERT_EQ(std::memcmp(soa.data(), expect.data(),
                               expect.size() * sizeof(double)),
                   0)
-            << "trial " << trial << " tier " << phy::simd::tier_name(t);
+            << "count " << count << " mod " << ax.n_bits << " bpsc, tier "
+            << phy::simd::tier_name(t);
+        const phy::simd::ScopedTier pin(t);
+        phy::demap_soft_into(points, mod, noise_vars, aos);
+        ASSERT_EQ(aos.size(), soa.size());
+        ASSERT_EQ(std::memcmp(aos.data(), soa.data(),
+                              soa.size() * sizeof(double)),
+                  0)
+            << "count " << count << " mod " << ax.n_bits << " bpsc, tier "
+            << phy::simd::tier_name(t);
       }
     }
   }

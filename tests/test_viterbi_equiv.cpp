@@ -101,22 +101,18 @@ TEST(ViterbiEquiv, WorkspaceReusesWithoutGrowing) {
   const std::size_t warm_capacity = ws.capacity_bytes();
   ASSERT_GT(warm_capacity, 0u);
 
-#if WITAG_OBS_ENABLED
   const std::uint64_t reuses_before =
       obs::counter("phy.viterbi.workspace_reuses").value();
-#endif
   constexpr int kRounds = 100;
   for (int round = 0; round < kRounds; ++round) {
     phy::viterbi_decode(llrs, ws, decoded);
     ASSERT_EQ(decoded, info) << "round " << round;
     ASSERT_EQ(ws.capacity_bytes(), warm_capacity) << "round " << round;
   }
-#if WITAG_OBS_ENABLED
   // Every steady-state decode must have taken the reuse (zero-alloc)
   // path: the counter only increments when existing capacity sufficed.
   EXPECT_EQ(obs::counter("phy.viterbi.workspace_reuses").value(),
             reuses_before + kRounds);
-#endif
 }
 
 TEST(DecodePipelineParity, ScramblerTableMatchesBitSerial) {

@@ -48,8 +48,8 @@ bool hot_lookup_applies(const std::string& path) {
 }
 
 /// Simd-intrinsic applies everywhere *except* the dispatch kernel files
-/// (src/phy/simd.cpp, simd_sse2.cpp, simd_avx2.cpp and the simd.hpp
-/// header), which are the sanctioned home for vector code.
+/// (src/phy/simd.cpp, simd_avx2.cpp and the simd.hpp header), which are
+/// the sanctioned home for vector code.
 bool simd_intrinsic_applies(const std::string& path) {
   return path.find("phy/simd") == std::string::npos;
 }
