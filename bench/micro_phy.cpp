@@ -260,7 +260,7 @@ std::vector<double> deinterleave_bench_llrs() {
 
 void BM_Deinterleave(benchmark::State& state) {
   const std::vector<double> llrs = deinterleave_bench_llrs();
-  std::vector<double> out;
+  std::vector<double> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
   for (auto _ : state) {
     phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
@@ -271,7 +271,7 @@ BENCHMARK(BM_Deinterleave);
 
 void BM_DeinterleaveScalar(benchmark::State& state) {
   const std::vector<double> llrs = deinterleave_bench_llrs();
-  std::vector<double> out;
+  std::vector<double> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
   for (auto _ : state) {
     phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);

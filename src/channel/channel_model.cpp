@@ -1,5 +1,6 @@
 #include "channel/channel_model.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 
@@ -28,6 +29,27 @@ std::optional<int> logical_subcarrier(unsigned bin) {
   const int k = bin < 32 ? static_cast<int>(bin) : static_cast<int>(bin) - 64;
   if (k == 0 || k < -28 || k > 28) return std::nullopt;
   return k;
+}
+
+// A used FFT bin and its subcarrier's offset from the carrier.
+struct UsedBin {
+  unsigned bin;
+  util::Hertz offset;
+};
+
+// The used bins in FFT-bin order.
+const std::array<UsedBin, kUsedSubcarriers>& used_bins() {
+  static const std::array<UsedBin, kUsedSubcarriers> kBins = [] {
+    std::array<UsedBin, kUsedSubcarriers> bins{};
+    std::size_t n = 0;
+    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+      if (const auto k = logical_subcarrier(bin)) {
+        bins[n++] = {bin, subcarrier_offset(*k)};
+      }
+    }
+    return bins;
+  }();
+  return kBins;
 }
 
 }  // namespace
@@ -99,32 +121,44 @@ void ChannelModel::rebuild_cache() const {
   const util::Db direct_loss =
       util::Db{geometry_.plan.penetration_loss_db(tx, rx)} +
       fading_.direct_excess_loss_db();
-  const util::Meters d_direct{distance(tx, rx)};
 
+  // Each path's distances, amplitude and wall-loss factors are computed
+  // once here; only its phase and polar() run per bin. The paths are
+  // added one at a time over all bins, and every bin still sums them in
+  // the same order (direct, room reflectors, scatterers, tags), so each
+  // bin's value is the same double as a per-bin loop over the paths.
   h_base_.fill(Cx{});
   tag_delta_.assign(tags_.size(), phy::FreqSymbol{});
-  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-    const auto k = logical_subcarrier(bin);
-    if (!k) continue;
-    const util::Hertz off = subcarrier_offset(*k);
-
-    Cx h = attenuate(direct_gain(d_direct, fc, off), direct_loss);
-    for (const StaticReflector& r : geometry_.reflectors) {
-      h += reflector_path_gain(r, tx, rx, geometry_.plan, fc, off);
+  const PathTerms direct = direct_terms(util::Meters{distance(tx, rx)}, fc);
+  const double direct_factor = loss_factor(direct_loss);
+  for (const UsedBin& u : used_bins()) {
+    h_base_[u.bin] = direct.gain(fc, u.offset) * direct_factor;
+  }
+  const auto add_reflectors = [&](std::span<const StaticReflector> refl) {
+    for (const StaticReflector& r : refl) {
+      const TwoHopPath path =
+          two_hop_path(tx, r.position, rx, r.strength, geometry_.plan, fc);
+      for (const UsedBin& u : used_bins()) {
+        h_base_[u.bin] += path.gain(fc, u.offset);
+      }
     }
-    for (const StaticReflector& r : fading_.scatterers()) {
-      h += reflector_path_gain(r, tx, rx, geometry_.plan, fc, off);
+  };
+  add_reflectors(geometry_.reflectors);
+  add_reflectors(fading_.scatterers());
+  for (std::size_t t = 0; t < tags_.size(); ++t) {
+    const TagPathConfig& tag = tags_[t];
+    const TwoHopPath path =
+        two_hop_path(tx, tag.position, rx, tag.strength, geometry_.plan, fc);
+    const Cx gamma_off = tag_gamma(tag.mode, false);
+    const Cx delta_gamma = tag_gamma(tag.mode, true) - gamma_off;
+    for (const UsedBin& u : used_bins()) {
+      const Cx coupling = path.gain(fc, u.offset);
+      h_base_[u.bin] += gamma_off * coupling;
+      tag_delta_[t][u.bin] = amp_scale_ * delta_gamma * coupling;
     }
-    for (std::size_t t = 0; t < tags_.size(); ++t) {
-      const Cx coupling =
-          tag_coupling(tags_[t], tx, rx, geometry_.plan, fc, off);
-      h += tag_gamma(tags_[t].mode, false) * coupling;
-      tag_delta_[t][bin] =
-          amp_scale_ *
-          (tag_gamma(tags_[t].mode, true) - tag_gamma(tags_[t].mode, false)) *
-          coupling;
-    }
-    h_base_[bin] = amp_scale_ * h;
+  }
+  for (const UsedBin& u : used_bins()) {
+    h_base_[u.bin] = amp_scale_ * h_base_[u.bin];
   }
   cache_valid_ = true;
 }
@@ -258,13 +292,9 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
 util::Db ChannelModel::mean_snr_db() const {
   if (!cache_valid_) rebuild_cache();
   double acc = 0.0;
-  unsigned used = 0;
-  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-    if (!logical_subcarrier(bin)) continue;
-    acc += std::norm(h_base_[bin]);
-    ++used;
-  }
-  return util::linear_to_db(acc / used / noise_variance().value());
+  for (const UsedBin& u : used_bins()) acc += std::norm(h_base_[u.bin]);
+  return util::linear_to_db(acc / kUsedSubcarriers /
+                            noise_variance().value());
 }
 
 util::Db ChannelModel::tag_perturbation_db() const {
@@ -272,11 +302,10 @@ util::Db ChannelModel::tag_perturbation_db() const {
   if (!cache_valid_) rebuild_cache();
   double acc = 0.0;
   unsigned used = 0;
-  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-    if (!logical_subcarrier(bin)) continue;
-    const double denom = std::norm(h_base_[bin]);
+  for (const UsedBin& u : used_bins()) {
+    const double denom = std::norm(h_base_[u.bin]);
     if (denom <= 0.0) continue;
-    acc += std::norm(tag_delta_[0][bin]) / denom;
+    acc += std::norm(tag_delta_[0][u.bin]) / denom;
     ++used;
   }
   return util::linear_to_db(acc / used);

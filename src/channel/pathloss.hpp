@@ -18,6 +18,27 @@
 
 namespace witag::channel {
 
+/// The subcarrier-invariant terms of one free-space path: its amplitude
+/// and its phase coefficient, -2 pi times the path length. gain() gives
+/// polar(amp, phase_coeff * (freq + offset) / c); direct_gain and
+/// reflected_gain are exactly that, so a CFR rebuild computes the terms
+/// once per path and only the phase and polar() per subcarrier, with
+/// the same bits as a per-subcarrier call.
+struct PathTerms {
+  double amp = 0.0;
+  double phase_coeff = 0.0;  ///< -2 pi x path length [m].
+
+  std::complex<double> gain(util::Hertz freq, util::Hertz offset) const;
+};
+
+/// Terms of a direct path of length `dist` at carrier `freq`.
+/// Requires dist > 0.
+PathTerms direct_terms(util::Meters dist, util::Hertz freq);
+
+/// Terms of a two-hop path (see reflected_gain). Requires ds, dr > 0.
+PathTerms reflected_terms(util::Meters ds, util::Meters dr, double strength,
+                          util::Hertz freq);
+
 /// Complex free-space gain of a direct path of length `dist` at carrier
 /// `freq` for the signal component at baseband offset `offset`
 /// (subcarrier frequency): amplitude lambda/(4 pi d), phase -2 pi d f / c.
@@ -33,6 +54,9 @@ std::complex<double> direct_gain(util::Meters dist, util::Hertz freq,
 std::complex<double> reflected_gain(util::Meters ds, util::Meters dr,
                                     double strength, util::Hertz freq,
                                     util::Hertz offset = util::Hertz{0.0});
+
+/// Amplitude factor of a penetration power loss: 10^(-loss / 20).
+double loss_factor(util::Db loss);
 
 /// Applies a penetration power loss to a complex gain.
 std::complex<double> attenuate(std::complex<double> gain, util::Db loss);

@@ -1,6 +1,6 @@
 #include "channel/tag_path.hpp"
 
-#include "channel/pathloss.hpp"
+#include "channel/reflector.hpp"
 #include "util/require.hpp"
 
 namespace witag::channel {
@@ -21,13 +21,8 @@ std::complex<double> tag_gamma(TagMode mode, bool asserted) {
 std::complex<double> tag_coupling(const TagPathConfig& tag, Point2 tx,
                                   Point2 rx, const FloorPlan& plan,
                                   util::Hertz freq, util::Hertz offset) {
-  const util::Meters ds{distance(tx, tag.position)};
-  const util::Meters dr{distance(tag.position, rx)};
-  std::complex<double> gain =
-      reflected_gain(ds, dr, tag.strength, freq, offset);
-  gain = attenuate(gain, util::Db{plan.penetration_loss_db(tx, tag.position)});
-  gain = attenuate(gain, util::Db{plan.penetration_loss_db(tag.position, rx)});
-  return gain;
+  return two_hop_path(tx, tag.position, rx, tag.strength, plan, freq)
+      .gain(freq, offset);
 }
 
 double channel_change_magnitude(const TagPathConfig& tag, Point2 tx, Point2 rx,

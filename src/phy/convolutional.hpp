@@ -23,18 +23,32 @@ inline constexpr std::uint8_t kGenPolyB = 0x79;  // 171 octal
 /// bits to terminate the trellis (the PPDU layer does this).
 util::BitVec convolutional_encode(std::span<const std::uint8_t> bits);
 
+/// Allocation-free variant: writes the coded pairs into `out`, which
+/// must hold exactly 2 * bits.size() elements.
+void convolutional_encode_into(std::span<const std::uint8_t> bits,
+                               std::span<std::uint8_t> out);
+
 /// Punctures rate-1/2 output to the given rate by deleting bits in the
 /// standard pattern. Identity for rate 1/2.
 util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate);
 
+/// Allocation-free variant: writes the kept bits into `out`, which must
+/// hold exactly punctured_length(coded.size(), rate) elements. `out` may
+/// start at coded.data(): bit i is read before any write past index i,
+/// so the transmitter punctures its coded buffer in place.
+void puncture_into(std::span<const std::uint8_t> coded, CodeRate rate,
+                   std::span<std::uint8_t> out);
+
 /// Inserts zero-LLR erasures where `puncture` deleted bits, restoring the
 /// mother-rate stream for the Viterbi decoder. `n_coded_bits` is the
-/// mother-rate length to restore (must be even).
+/// mother-rate length to restore (must be even), and `llrs` must hold
+/// exactly punctured_length(n_coded_bits, rate) values.
 std::vector<double> depuncture(std::span<const double> llrs, CodeRate rate,
                                std::size_t n_coded_bits);
 
 /// Allocation-reusing variant: writes into `out` (resized; capacity
-/// reused) for the hot decode path.
+/// reused) for the hot decode path. Every slot of `out` is written, so
+/// erasures read exactly 0.0 whatever `out` held before.
 void depuncture_into(std::span<const double> llrs, CodeRate rate,
                      std::size_t n_coded_bits, std::vector<double>& out);
 

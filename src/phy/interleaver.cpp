@@ -72,12 +72,17 @@ std::vector<std::size_t> interleave_map(unsigned n_cbps, unsigned n_bpsc) {
 }
 
 util::BitVec interleave(std::span<const std::uint8_t> bits, Modulation mod) {
-  const unsigned n_cbps = n_cbps_for(mod);
-  WITAG_REQUIRE(bits.size() == n_cbps);
-  const auto& map = cached_map(mod);
-  util::BitVec out(n_cbps);
-  for (unsigned k = 0; k < n_cbps; ++k) out[map[k]] = bits[k];
+  util::BitVec out(n_cbps_for(mod));
+  interleave_into(bits, mod, out);
   return out;
+}
+
+void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
+                     std::span<std::uint8_t> out) {
+  const unsigned n_cbps = n_cbps_for(mod);
+  WITAG_REQUIRE(bits.size() == n_cbps && out.size() == n_cbps);
+  const auto& map = cached_map(mod);
+  for (unsigned k = 0; k < n_cbps; ++k) out[map[k]] = bits[k];
 }
 
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod) {
@@ -91,17 +96,16 @@ util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod) {
 
 std::vector<double> deinterleave_llrs(std::span<const double> llrs,
                                       Modulation mod) {
-  std::vector<double> out;
+  std::vector<double> out(n_cbps_for(mod));
   deinterleave_llrs_into(llrs, mod, out);
   return out;
 }
 
 void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
-                            std::vector<double>& out) {
+                            std::span<double> out) {
   const unsigned n_cbps = n_cbps_for(mod);
-  WITAG_REQUIRE(llrs.size() == n_cbps);
+  WITAG_REQUIRE(llrs.size() == n_cbps && out.size() == n_cbps);
   const auto& map = cached_map_i32(mod);
-  out.resize(n_cbps);
   // Pure permutation, so the kernel is trivially bit-identical at every
   // tier; AVX2 replaces 312 dependent loads with 78 gathers per symbol.
   simd::deinterleave_for(simd::active_tier())(llrs.data(), map.data(), n_cbps,

@@ -22,6 +22,12 @@ std::vector<std::size_t> interleave_map(unsigned n_cbps, unsigned n_bpsc);
 /// Requires bits.size() == n_cbps for the modulation.
 util::BitVec interleave(std::span<const std::uint8_t> bits, Modulation mod);
 
+/// Allocation-free variant: writes the interleaved bits into `out`, which
+/// must hold n_cbps elements and must not overlap `bits` (the
+/// transmitter interleaves into a per-symbol stack buffer).
+void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
+                     std::span<std::uint8_t> out);
+
 /// Inverse of `interleave` (on bits).
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
 
@@ -29,9 +35,10 @@ util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
 std::vector<double> deinterleave_llrs(std::span<const double> llrs,
                                       Modulation mod);
 
-/// Allocation-reusing variant for the hot decode path: writes into `out`
-/// (resized; capacity reused) using a cached permutation map.
+/// Allocation-free variant for the hot decode path: writes into `out`,
+/// which must hold n_cbps elements (the receiver passes its slot of the
+/// field's LLR buffer), using a cached permutation map.
 void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
-                            std::vector<double>& out);
+                            std::span<double> out);
 
 }  // namespace witag::phy

@@ -29,6 +29,17 @@ std::array<int, 52> make_data_subcarriers() {
 
 const std::array<int, 52> kDataSc = make_data_subcarriers();
 
+// FFT bins of the data and pilot subcarriers, in logical order.
+template <std::size_t N>
+std::array<unsigned, N> bins_of(const std::array<int, N>& subcarriers) {
+  std::array<unsigned, N> bins{};
+  for (std::size_t i = 0; i < N; ++i) bins[i] = bin_index(subcarriers[i]);
+  return bins;
+}
+
+const std::array<unsigned, 52> kDataBins = bins_of(kDataSc);
+const std::array<unsigned, kNumPilots> kPilotBins = bins_of(kPilots);
+
 }  // namespace
 
 unsigned bin_index(int subcarrier) {
@@ -53,22 +64,22 @@ std::array<Cx, kNumPilots> pilot_values(std::size_t symbol_index) {
 
 FreqSymbol assemble_data_symbol(std::span<const Cx> points,
                                 std::size_t symbol_index) {
-  WITAG_REQUIRE(points.size() == kDataSc.size());
+  WITAG_REQUIRE(points.size() == kDataBins.size());
   FreqSymbol symbol{};
-  for (std::size_t i = 0; i < kDataSc.size(); ++i) {
-    symbol[bin_index(kDataSc[i])] = points[i];
+  for (std::size_t i = 0; i < kDataBins.size(); ++i) {
+    symbol[kDataBins[i]] = points[i];
   }
   const auto pilots = pilot_values(symbol_index);
   for (std::size_t i = 0; i < kNumPilots; ++i) {
-    symbol[bin_index(kPilots[i])] = pilots[i];
+    symbol[kPilotBins[i]] = pilots[i];
   }
   return symbol;
 }
 
 util::CxVec extract_data(const FreqSymbol& symbol) {
-  util::CxVec out(kDataSc.size());
-  for (std::size_t i = 0; i < kDataSc.size(); ++i) {
-    out[i] = symbol[bin_index(kDataSc[i])];
+  util::CxVec out(kDataBins.size());
+  for (std::size_t i = 0; i < kDataBins.size(); ++i) {
+    out[i] = symbol[kDataBins[i]];
   }
   return out;
 }
@@ -76,7 +87,7 @@ util::CxVec extract_data(const FreqSymbol& symbol) {
 std::array<Cx, kNumPilots> extract_pilots(const FreqSymbol& symbol) {
   std::array<Cx, kNumPilots> out{};
   for (std::size_t i = 0; i < kNumPilots; ++i) {
-    out[i] = symbol[bin_index(kPilots[i])];
+    out[i] = symbol[kPilotBins[i]];
   }
   return out;
 }

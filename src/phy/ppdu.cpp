@@ -1,6 +1,7 @@
 #include "phy/ppdu.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 
 #include "obs/obs.hpp"
@@ -19,32 +20,56 @@ namespace {
 constexpr std::size_t kServiceBits = 16;
 constexpr std::size_t kTailBits = 6;
 
+// Coded bits per OFDM symbol at the densest modulation (64-QAM).
+constexpr std::size_t kMaxCodedBitsPerSymbol =
+    std::size_t{kDataSubcarriers} * 6;
+
 template <typename T>
 std::size_t vec_capacity_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
+// Transmit intermediates, one set per thread like viterbi_decode's
+// workspace: each buffer grows to the largest field the thread has
+// encoded and is then reused, so transmit() allocates only the returned
+// timeline and no Session owns a transmit buffer.
+struct TxWorkspace {
+  util::BitVec data;   ///< Service + PSDU + tail + pad, scrambled in place.
+  util::BitVec coded;  ///< Mother-rate code bits, punctured in place.
+};
+
+TxWorkspace& tx_workspace() {
+  thread_local TxWorkspace ws;
+  return ws;
+}
+
 // Encodes `bits` (already scrambled where applicable) into OFDM data
-// symbols at the given modulation/rate. `bits` must fill a whole number
-// of symbols after encoding. `first_symbol_index` sets pilot polarity.
-std::vector<FreqSymbol> encode_field(std::span<const std::uint8_t> bits,
-                                     Modulation mod, CodeRate rate,
-                                     std::size_t first_symbol_index) {
-  const util::BitVec mother = convolutional_encode(bits);
-  const util::BitVec coded = puncture(mother, rate);
+// symbols appended to `out`. The whole field is encoded and punctured in
+// the thread's coded buffer; each symbol is then interleaved and mapped
+// through stack buffers. `bits` must fill a whole number of symbols
+// after encoding. `first_symbol_index` sets pilot polarity.
+void encode_field(std::span<const std::uint8_t> bits, Modulation mod,
+                  CodeRate rate, std::size_t first_symbol_index,
+                  std::vector<FreqSymbol>& out) {
+  util::BitVec& coded_buf = tx_workspace().coded;
+  coded_buf.resize(2 * bits.size());
+  const std::span<std::uint8_t> mother(coded_buf);
+  convolutional_encode_into(bits, mother);
+  const std::span<std::uint8_t> coded =
+      mother.first(punctured_length(mother.size(), rate));
+  puncture_into(mother, rate, coded);
   const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
   WITAG_REQUIRE(coded.size() % n_cbps == 0);
 
-  std::vector<FreqSymbol> symbols;
-  symbols.reserve(coded.size() / n_cbps);
+  std::array<std::uint8_t, kMaxCodedBitsPerSymbol> interleaved{};
+  std::array<util::Cx, kDataSubcarriers> points{};
+  const std::span<std::uint8_t> symbol_bits(interleaved.data(), n_cbps);
   for (std::size_t off = 0; off < coded.size(); off += n_cbps) {
-    const std::span<const std::uint8_t> chunk(coded.data() + off, n_cbps);
-    const util::BitVec interleaved = interleave(chunk, mod);
-    const util::CxVec points = map_bits(interleaved, mod);
-    symbols.push_back(
-        assemble_data_symbol(points, first_symbol_index + symbols.size()));
+    interleave_into(coded.subspan(off, n_cbps), mod, symbol_bits);
+    map_bits_into(symbol_bits, mod, points);
+    out.push_back(
+        assemble_data_symbol(points, first_symbol_index + off / n_cbps));
   }
-  return symbols;
 }
 
 // Inverse of encode_field: equalize, soft-demap and deinterleave each
@@ -116,16 +141,17 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
                      std::size_t first_symbol_index, bool cpe_correction,
                      DecodeScratch& scratch) {
   const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
-  scratch.llrs.clear();
-  scratch.llrs.reserve(symbols.size() * n_cbps);
+  // resize, not assign: every slot is written below, one symbol's
+  // deinterleaved LLRs at a time.
+  scratch.llrs.resize(symbols.size() * n_cbps);
+  const std::span<double> field(scratch.llrs);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     equalize_into(symbols[s], est, first_symbol_index + s, cpe_correction,
                   scratch.eq);
     demap_soft_into(scratch.eq.points, mod, scratch.eq.noise_vars,
                     scratch.sym_llrs);
-    deinterleave_llrs_into(scratch.sym_llrs, mod, scratch.deint);
-    scratch.llrs.insert(scratch.llrs.end(), scratch.deint.begin(),
-                        scratch.deint.end());
+    deinterleave_llrs_into(scratch.sym_llrs, mod,
+                           field.subspan(s * n_cbps, n_cbps));
   }
 }
 
@@ -148,7 +174,7 @@ void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
 std::size_t DecodeScratch::capacity_bytes() const {
   return viterbi.capacity_bytes() + vec_capacity_bytes(eq.points) +
          vec_capacity_bytes(eq.noise_vars) + vec_capacity_bytes(sym_llrs) +
-         vec_capacity_bytes(deint) + vec_capacity_bytes(llrs) +
+         vec_capacity_bytes(llrs) +
          vec_capacity_bytes(mother) + vec_capacity_bytes(bits) +
          vec_capacity_bytes(plain) + vec_capacity_bytes(symbols) +
          vec_capacity_bytes(fft_work);
@@ -167,44 +193,43 @@ SlotKind TxPpdu::kind(std::size_t slot) const {
 }
 
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
+  WITAG_SPAN_CAT("phy.transmit", "phy");
   WITAG_REQUIRE(!psdu.empty());
   WITAG_REQUIRE(psdu.size() < 65536);
   const McsParams& m = mcs(cfg.mcs_index);
+  const std::size_t n_sym = data_symbols_for(psdu.size(), m);
 
   TxPpdu ppdu;
   ppdu.sig = HtSig{cfg.mcs_index, psdu.size()};
+  ppdu.symbols.reserve(kHeaderSlots + n_sym);
 
   // Preamble.
   ppdu.symbols.push_back(stf_symbol());
   for (std::size_t i = 0; i < kLtfSlots; ++i) ppdu.symbols.push_back(ltf_symbol());
 
   // SIG field: BPSK rate 1/2, symbol indices 0..1 for pilot polarity.
-  const util::BitVec sig_bits = encode_sig(ppdu.sig);
-  const auto sig_syms =
-      encode_field(sig_bits, Modulation::kBpsk, CodeRate::kHalf, 0);
-  WITAG_ENSURE(sig_syms.size() == kSigSymbols);
-  ppdu.symbols.insert(ppdu.symbols.end(), sig_syms.begin(), sig_syms.end());
+  encode_field(encode_sig(ppdu.sig), Modulation::kBpsk, CodeRate::kHalf, 0,
+               ppdu.symbols);
+  WITAG_ENSURE(ppdu.symbols.size() == kHeaderSlots);
 
-  // DATA field: service + PSDU + tail, padded to whole symbols, scrambled
-  // (with the tail re-zeroed so the decoder's trellis terminates).
-  const std::size_t n_sym = data_symbols_for(psdu.size(), m);
-  const std::size_t n_bits = n_sym * m.n_dbps;
-  util::BitWriter w;
-  w.write(0, kServiceBits);
-  w.write_bits(util::bytes_to_bits(psdu));
-  w.write(0, kTailBits);
-  util::BitVec data_bits = w.take();
-  data_bits.resize(n_bits, 0);
-
-  util::BitVec scrambled = scramble(data_bits, cfg.scrambler_seed);
+  // DATA field: service + PSDU + tail, padded to whole symbols, written
+  // in place and scrambled in place (with the tail re-zeroed so the
+  // decoder's trellis terminates).
+  util::BitVec& data_buf = tx_workspace().data;
+  data_buf.resize(n_sym * m.n_dbps);
+  const std::span<std::uint8_t> bits(data_buf);
   const std::size_t tail_at = kServiceBits + 8 * psdu.size();
-  std::fill_n(scrambled.begin() + static_cast<std::ptrdiff_t>(tail_at),
+  std::fill_n(bits.begin(), kServiceBits, std::uint8_t{0});
+  util::bytes_to_bits_into(psdu, bits.subspan(kServiceBits, 8 * psdu.size()));
+  std::fill(bits.begin() + static_cast<std::ptrdiff_t>(tail_at), bits.end(),
+            std::uint8_t{0});
+  scramble_into(bits, cfg.scrambler_seed, bits);
+  std::fill_n(bits.begin() + static_cast<std::ptrdiff_t>(tail_at),
               kTailBits, std::uint8_t{0});
 
-  const auto data_syms =
-      encode_field(scrambled, m.modulation, m.rate, kSigSymbols);
-  ppdu.n_data_symbols = data_syms.size();
-  ppdu.symbols.insert(ppdu.symbols.end(), data_syms.begin(), data_syms.end());
+  encode_field(bits, m.modulation, m.rate, kSigSymbols, ppdu.symbols);
+  ppdu.n_data_symbols = ppdu.symbols.size() - kHeaderSlots;
+  WITAG_ENSURE(ppdu.n_data_symbols == n_sym);
   return ppdu;
 }
 

@@ -37,8 +37,7 @@ struct DecodeScratch {
   ViterbiWorkspace viterbi;
   EqualizedSymbol eq;              ///< Per-symbol equalizer output.
   std::vector<double> sym_llrs;    ///< Per-symbol soft demap output.
-  std::vector<double> deint;       ///< Per-symbol deinterleaved LLRs.
-  std::vector<double> llrs;        ///< Concatenated field LLRs.
+  std::vector<double> llrs;        ///< Field LLRs, one slot per symbol.
   std::vector<double> mother;      ///< Depunctured mother-rate LLRs.
   util::BitVec bits;               ///< Viterbi output bits.
   util::BitVec plain;              ///< Descrambled field bits.
@@ -79,7 +78,10 @@ struct TxConfig {
 };
 
 /// Builds the PPDU carrying `psdu`. Requires a non-empty PSDU smaller
-/// than 65536 bytes and a valid MCS.
+/// than 65536 bytes and a valid MCS. One pass per field: the data bits
+/// are written, scrambled, encoded and punctured in place in per-thread
+/// buffers, then each OFDM symbol is interleaved and mapped through
+/// stack buffers into the returned timeline, which is reserved once.
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg);
 
 /// Receiver options.
@@ -132,8 +134,9 @@ namespace detail {
 
 /// Front half of a field decode: equalize, soft-demap and deinterleave
 /// each symbol, leaving the concatenated field LLRs in `scratch.llrs`
-/// (cleared first). receive_into() runs this and the back half below
-/// once per field; they are exposed so a profiler can time each half.
+/// (resized to the field; each symbol deinterleaves straight into its
+/// slot). receive_into() runs this and the back half below once per
+/// field; they are exposed so a profiler can time each half.
 void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,

@@ -1,7 +1,9 @@
 #include "phy/scrambler.hpp"
 
-#include "util/require.hpp"
 #include <cstddef>
+#include <cstring>
+
+#include "util/require.hpp"
 
 namespace witag::phy {
 namespace {
@@ -16,10 +18,11 @@ constexpr std::uint8_t lfsr_step(std::uint8_t& state) {
 
 // Byte-at-a-time tables: the keystream is a function of the LFSR state
 // alone (the data never feeds back), so eight steps collapse into one
-// lookup. kKeystream[s] bit i is the output of step i from state s;
-// kNextState[s] is the state after those eight steps.
+// lookup. keystream[s][i] is the output of step i from state s, one bit
+// per byte like the data; next_state[s] is the state after those eight
+// steps.
 struct ScramblerTables {
-  std::array<std::uint8_t, 128> keystream{};
+  std::array<std::array<std::uint8_t, 8>, 128> keystream{};
   std::array<std::uint8_t, 128> next_state{};
 };
 
@@ -27,11 +30,7 @@ constexpr ScramblerTables make_scrambler_tables() {
   ScramblerTables t;
   for (std::uint32_t s = 0; s < 128; ++s) {
     std::uint8_t state = static_cast<std::uint8_t>(s);
-    std::uint8_t ks = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      ks = static_cast<std::uint8_t>(ks | (lfsr_step(state) << i));
-    }
-    t.keystream[s] = ks;
+    for (unsigned i = 0; i < 8; ++i) t.keystream[s][i] = lfsr_step(state);
     t.next_state[s] = state;
   }
   return t;
@@ -40,20 +39,20 @@ constexpr ScramblerTables make_scrambler_tables() {
 constexpr ScramblerTables kScrTables = make_scrambler_tables();
 
 // XORs the keystream from `state` onto bits[0..n), eight bits per table
-// lookup, leaving `state` advanced past the tail.
+// lookup, leaving `state` advanced past the tail. Each group of eight
+// is one 64-bit XOR and mask: byte-wise, so the byte order of the word
+// does not matter.
 void apply_keystream(const std::uint8_t* in, std::uint8_t* out,
                      std::size_t n, std::uint8_t& state) {
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const std::uint8_t ks = kScrTables.keystream[state];
-    out[i + 0] = static_cast<std::uint8_t>((in[i + 0] ^ ks) & 1u);
-    out[i + 1] = static_cast<std::uint8_t>((in[i + 1] ^ (ks >> 1)) & 1u);
-    out[i + 2] = static_cast<std::uint8_t>((in[i + 2] ^ (ks >> 2)) & 1u);
-    out[i + 3] = static_cast<std::uint8_t>((in[i + 3] ^ (ks >> 3)) & 1u);
-    out[i + 4] = static_cast<std::uint8_t>((in[i + 4] ^ (ks >> 4)) & 1u);
-    out[i + 5] = static_cast<std::uint8_t>((in[i + 5] ^ (ks >> 5)) & 1u);
-    out[i + 6] = static_cast<std::uint8_t>((in[i + 6] ^ (ks >> 6)) & 1u);
-    out[i + 7] = static_cast<std::uint8_t>((in[i + 7] ^ (ks >> 7)) & 1u);
+    std::uint64_t data = 0;
+    std::uint64_t ks = 0;
+    std::memcpy(&data, in + i, 8);
+    std::memcpy(&ks, kScrTables.keystream[state].data(), 8);
+    data = (data ^ ks) & kLowBits;
+    std::memcpy(out + i, &data, 8);
     state = kScrTables.next_state[state];
   }
   for (; i < n; ++i) {
@@ -64,11 +63,19 @@ void apply_keystream(const std::uint8_t* in, std::uint8_t* out,
 }  // namespace
 
 util::BitVec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed) {
-  WITAG_REQUIRE(seed >= 1 && seed <= 127);
-  std::uint8_t state = seed;
   util::BitVec out(bits.size());
-  apply_keystream(bits.data(), out.data(), bits.size(), state);
+  scramble_into(bits, seed, out);
   return out;
+}
+
+void scramble_into(std::span<const std::uint8_t> bits, std::uint8_t seed,
+                   std::span<std::uint8_t> out) {
+  WITAG_REQUIRE(seed >= 1 && seed <= 127);
+  WITAG_REQUIRE(out.size() == bits.size());
+  std::uint8_t state = seed;
+  // apply_keystream reads bit i before it writes bit i, so in == out is
+  // safe.
+  apply_keystream(bits.data(), out.data(), bits.size(), state);
 }
 
 util::BitVec descramble_recover(std::span<const std::uint8_t> bits) {

@@ -16,6 +16,12 @@ namespace witag::phy {
 /// Requires seed in [1, 127] (an all-zero state would be degenerate).
 util::BitVec scramble(std::span<const std::uint8_t> bits, std::uint8_t seed);
 
+/// Allocation-free variant: writes the scrambled stream into `out`,
+/// which must be as long as `bits` and may be `bits` itself (the PPDU
+/// transmitter scrambles its data field in place).
+void scramble_into(std::span<const std::uint8_t> bits, std::uint8_t seed,
+                   std::span<std::uint8_t> out);
+
 /// Descrambles a stream whose first 7 plain bits are known to be zero
 /// (the 802.11 SERVICE-field convention): the first 7 scrambled bits are
 /// then the raw LFSR output, which reveals the scrambler state without

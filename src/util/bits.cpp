@@ -1,21 +1,52 @@
 #include "util/bits.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <cstring>
 
 #include "util/require.hpp"
 
 namespace witag::util {
 
-BitVec bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  BitVec bits;
-  bits.reserve(bytes.size() * 8);
-  for (const std::uint8_t byte : bytes) {
+namespace {
+
+// kBitsOf[v] holds byte v's bits LSB-first, one per byte, so expanding
+// a byte is one 8-byte copy.
+constexpr auto kBitsOf = [] {
+  std::array<std::array<std::uint8_t, 8>, 256> table{};
+  for (unsigned v = 0; v < 256; ++v) {
     for (unsigned i = 0; i < 8; ++i) {
-      bits.push_back(static_cast<std::uint8_t>((byte >> i) & 1u));
+      table[v][i] = static_cast<std::uint8_t>((v >> i) & 1u);
     }
   }
+  return table;
+}();
+
+// Packs the low bits of b[0..8) LSB-first into one byte. Written out,
+// with no branch on the data: decoded PSDUs (CCMP ciphertext) are
+// random bits.
+std::uint8_t pack_byte(const std::uint8_t* b) {
+  return static_cast<std::uint8_t>(
+      (b[0] & 1u) | (b[1] & 1u) << 1 | (b[2] & 1u) << 2 | (b[3] & 1u) << 3 |
+      (b[4] & 1u) << 4 | (b[5] & 1u) << 5 | (b[6] & 1u) << 6 |
+      (b[7] & 1u) << 7);
+}
+
+}  // namespace
+
+BitVec bytes_to_bits(std::span<const std::uint8_t> bytes) {
+  BitVec bits(bytes.size() * 8);
+  bytes_to_bits_into(bytes, bits);
   return bits;
+}
+
+void bytes_to_bits_into(std::span<const std::uint8_t> bytes,
+                        std::span<std::uint8_t> out) {
+  WITAG_REQUIRE(out.size() == 8 * bytes.size());
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    std::memcpy(out.data() + 8 * k, kBitsOf[bytes[k]].data(), 8);
+  }
 }
 
 ByteVec bits_to_bytes(std::span<const std::uint8_t> bits) {
@@ -25,11 +56,18 @@ ByteVec bits_to_bytes(std::span<const std::uint8_t> bits) {
 }
 
 void bits_to_bytes_into(std::span<const std::uint8_t> bits, ByteVec& out) {
-  out.assign((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i] & 1u) {
-      out[i / 8] = static_cast<std::uint8_t>(out[i / 8] | (1u << (i % 8)));
-    }
+  // resize, not assign: every byte, the partial last one included, is
+  // written below.
+  out.resize((bits.size() + 7) / 8);
+  const std::size_t full = bits.size() / 8;
+  for (std::size_t k = 0; k < full; ++k) {
+    out[k] = pack_byte(bits.data() + 8 * k);
+  }
+  if (full < out.size()) {
+    std::array<std::uint8_t, 8> tail{};  // zero high bits
+    std::copy(bits.begin() + static_cast<std::ptrdiff_t>(8 * full),
+              bits.end(), tail.begin());
+    out[full] = pack_byte(tail.data());
   }
 }
 

@@ -19,6 +19,12 @@ using ByteVec = std::vector<std::uint8_t>;
 /// Expands bytes to bits, LSB of each byte first (802.11 order).
 BitVec bytes_to_bits(std::span<const std::uint8_t> bytes);
 
+/// Allocation-free variant: writes the bits into `out`, which must hold
+/// exactly 8 * bytes.size() elements (the PPDU transmitter writes a PSDU
+/// straight into its data-field buffer).
+void bytes_to_bits_into(std::span<const std::uint8_t> bytes,
+                        std::span<std::uint8_t> out);
+
 /// Packs bits (LSB-first per byte) back into bytes. If the bit count is
 /// not a multiple of 8, the final byte is zero-padded in its high bits.
 ByteVec bits_to_bytes(std::span<const std::uint8_t> bits);

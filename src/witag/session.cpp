@@ -260,7 +260,9 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   }
 
   // Air: per-symbol channel application with the trigger envelope scale.
-  std::vector<phy::FreqSymbol> tx = frame.ppdu.symbols;
+  // The query's timeline moves into the channel; nothing reads it after.
+  const util::Micros ppdu_us{frame.ppdu.duration_us()};
+  std::vector<phy::FreqSymbol> tx = std::move(frame.ppdu.symbols);
   for (std::size_t s = 0; s < tx.size(); ++s) {
     if (frame.slot_scale[s] == 1.0) continue;
     for (auto& bin : tx[s]) bin *= frame.slot_scale[s];
@@ -345,8 +347,7 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   if (!ba) result.lost = true;
 
   // Airtime accounting for the exchange.
-  const auto airtime = mac::ampdu_exchange(
-      util::Micros{frame.ppdu.duration_us()}, draw_backoff_us());
+  const auto airtime = mac::ampdu_exchange(ppdu_us, draw_backoff_us());
   result.airtime_us = airtime.total_us() + cfg_.inter_query_gap_us;
 
   WITAG_HIST("session.airtime_us", obs::exp_bounds(500.0, 1.5, 16),

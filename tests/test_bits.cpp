@@ -30,6 +30,32 @@ TEST(Bits, BitsToBytesPadsHighBits) {
   EXPECT_EQ(bytes[0], 0x07);
 }
 
+TEST(Bits, PackUsesOnlyBitZeroAtEverySize) {
+  Rng rng(3);
+  ByteVec out(5, 0xFF);  // longer, non-zero: every byte must be rewritten
+  for (std::size_t n = 1; n <= 17; ++n) {
+    BitVec bits(n);
+    ByteVec want((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Random high bits on top of the bit that counts.
+      bits[i] = static_cast<std::uint8_t>(rng.uniform_int(256));
+      if (bits[i] & 1u) want[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+    }
+    bits_to_bytes_into(bits, out);
+    EXPECT_EQ(out, want) << "n " << n;
+    EXPECT_EQ(bits_to_bytes(bits), want) << "n " << n;
+  }
+}
+
+TEST(Bits, BytesToBitsIntoFillsExactSpan) {
+  const ByteVec bytes{0xA5, 0x3C};
+  BitVec bits(16, 7);
+  bytes_to_bits_into(bytes, bits);
+  EXPECT_EQ(bits, bytes_to_bits(bytes));
+  BitVec short_out(15);
+  EXPECT_THROW(bytes_to_bits_into(bytes, short_out), std::invalid_argument);
+}
+
 TEST(Bits, HammingDistanceBasics) {
   const BitVec a{0, 1, 0, 1};
   const BitVec b{0, 1, 1, 1};

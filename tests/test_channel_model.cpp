@@ -200,6 +200,141 @@ TEST(ChannelModel, SetTagInvalidatesCache) {
   EXPECT_THROW(ch.tag_perturbation_db(), std::invalid_argument);
 }
 
+// Oracle for ChannelModel::cfr: every path gain computed from scratch in
+// every bin, with the path-loss formulas written out here so the check
+// does not run the split (terms once, gain per bin) code it checks.
+using util::Cx;
+
+Cx per_bin_polar(double amp, double path_m, util::Hertz freq,
+                 util::Hertz offset) {
+  const double phase = -2.0 * util::kPi * path_m * (freq + offset).value() /
+                       util::kSpeedOfLight;
+  return std::polar(amp, phase);
+}
+
+Cx per_bin_attenuate(Cx gain, double loss_db) {
+  return gain * std::pow(10.0, -loss_db / 20.0);
+}
+
+Cx per_bin_two_hop(Point2 via, double strength, Point2 tx, Point2 rx,
+                   const FloorPlan& plan, util::Hertz fc, util::Hertz off) {
+  const double ds = distance(tx, via);
+  const double dr = distance(via, rx);
+  const double lambda = util::wavelength(fc).value();
+  const double amp = strength * lambda * lambda /
+                     (std::pow(4.0 * util::kPi, 1.5) * ds * dr);
+  Cx gain = per_bin_polar(amp, ds + dr, fc, off);
+  gain = per_bin_attenuate(gain, plan.penetration_loss_db(tx, via));
+  gain = per_bin_attenuate(gain, plan.penetration_loss_db(via, rx));
+  return gain;
+}
+
+struct PerBinCfr {
+  phy::FreqSymbol base{};
+  std::vector<phy::FreqSymbol> delta;
+};
+
+PerBinCfr per_bin_cfr(const RadioConfig& radio, const LinkGeometry& geo,
+                      const FadingProcess& fading,
+                      const std::vector<TagPathConfig>& tags) {
+  const util::Hertz fc = radio.carrier_hz;
+  const double amp_scale =
+      std::sqrt(util::to_watts(radio.tx_power_dbm).value() / 56);
+  const util::Db direct_loss =
+      util::Db{geo.plan.penetration_loss_db(geo.tx, geo.rx)} +
+      fading.direct_excess_loss_db();
+  const double d_direct = distance(geo.tx, geo.rx);
+  PerBinCfr out;
+  out.delta.assign(tags.size(), phy::FreqSymbol{});
+  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+    const int k = bin < 32 ? static_cast<int>(bin) : static_cast<int>(bin) - 64;
+    if (k == 0 || k < -28 || k > 28) continue;
+    const util::Hertz off{static_cast<double>(k) * 312'500.0};
+    const double lambda = util::wavelength(fc).value();
+    Cx h = per_bin_attenuate(
+        per_bin_polar(lambda / (4.0 * util::kPi * d_direct), d_direct, fc,
+                      off),
+        direct_loss.value());
+    for (const StaticReflector& r : geo.reflectors) {
+      h += per_bin_two_hop(r.position, r.strength, geo.tx, geo.rx, geo.plan,
+                           fc, off);
+    }
+    for (const StaticReflector& r : fading.scatterers()) {
+      h += per_bin_two_hop(r.position, r.strength, geo.tx, geo.rx, geo.plan,
+                           fc, off);
+    }
+    for (std::size_t t = 0; t < tags.size(); ++t) {
+      const Cx coupling = per_bin_two_hop(tags[t].position, tags[t].strength,
+                                          geo.tx, geo.rx, geo.plan, fc, off);
+      h += tag_gamma(tags[t].mode, false) * coupling;
+      out.delta[t][bin] = amp_scale *
+                          (tag_gamma(tags[t].mode, true) -
+                           tag_gamma(tags[t].mode, false)) *
+                          coupling;
+    }
+    out.base[bin] = amp_scale * h;
+  }
+  return out;
+}
+
+void expect_bit_exact(const phy::FreqSymbol& got, const phy::FreqSymbol& want,
+                      const char* what, int advances) {
+  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+    EXPECT_EQ(got[bin].real(), want[bin].real())
+        << what << " bin " << bin << " after " << advances << " advances";
+    EXPECT_EQ(got[bin].imag(), want[bin].imag())
+        << what << " bin " << bin << " after " << advances << " advances";
+  }
+}
+
+TEST(ChannelModel, CfrMatchesPerBinPathLoopBitExact) {
+  // Figure-4 location B: the direct path, every room reflector and both
+  // tags cross walls, so both wall-loss factors of the two-hop paths are
+  // exercised (their order matters in the last bit).
+  const TestbedLayout layout = figure4_testbed();
+  LinkGeometry geo;
+  geo.tx = layout.location_b;
+  geo.rx = layout.ap;
+  geo.plan = layout.plan;
+  geo.reflectors = default_room_reflectors(geo.tx, geo.rx);
+  const std::vector<TagPathConfig> tags{
+      {{6.5, 2.0}, 7.0, TagMode::kPhaseFlip},
+      {{3.5, 4.5}, 5.0, TagMode::kOpenShort}};
+  ASSERT_GT(geo.plan.penetration_loss_db(geo.tx, geo.rx), 0.0);
+  for (const StaticReflector& r : geo.reflectors) {
+    ASSERT_GT(geo.plan.penetration_loss_db(geo.tx, r.position) +
+                  geo.plan.penetration_loss_db(r.position, geo.rx),
+              0.0);
+  }
+  for (const TagPathConfig& tag : tags) {
+    ASSERT_GT(geo.plan.penetration_loss_db(geo.tx, tag.position), 0.0);
+    ASSERT_GT(geo.plan.penetration_loss_db(tag.position, geo.rx), 0.0);
+  }
+
+  const FadingConfig fading;  // the default 3 moving scatterers
+  ASSERT_EQ(fading.n_scatterers, 3u);
+  const std::uint64_t seed = 21;
+  ChannelModel ch(radio(), geo, tags[0], fading, seed);
+  ASSERT_EQ(ch.add_tag(tags[1]), 1u);
+  // The model's fading process, replayed in step from the same seed.
+  FadingProcess replay(fading, util::Rng(seed));
+
+  for (int advances = 0; advances <= 5; ++advances) {
+    if (advances > 0) {
+      ch.advance(util::Seconds{0.7});
+      replay.advance(util::Seconds{0.7});
+    }
+    if (advances != 0 && advances != 5) continue;
+    const PerBinCfr want = per_bin_cfr(radio(), geo, replay, tags);
+    expect_bit_exact(ch.cfr(false), want.base, "cfr(false)", advances);
+    phy::FreqSymbol asserted = want.base;
+    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+      asserted[bin] += want.delta[0][bin];
+    }
+    expect_bit_exact(ch.cfr(true), asserted, "cfr(true)", advances);
+  }
+}
+
 TEST(ChannelModel, ApplyChecksLevelSize) {
   ChannelModel ch(radio(), los_link(), mid_tag(), no_fading(), 14);
   std::vector<phy::FreqSymbol> tx(3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "phy/viterbi.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +117,87 @@ TEST_P(PunctureRates, EndToEndWithViterbi) {
   for (std::size_t i = 0; i < n_info; ++i) {
     EXPECT_EQ(decoded[i], info[i]) << "bit " << i;
   }
+}
+
+// `%`-indexed puncture and depuncture, the specification the
+// period-walking implementations are checked against.
+util::BitVec modulo_puncture(const util::BitVec& coded, CodeRate rate) {
+  const auto pattern = puncture_pattern(rate);
+  util::BitVec out;
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    if (pattern[i % pattern.size()]) out.push_back(coded[i]);
+  }
+  return out;
+}
+
+std::vector<double> modulo_depuncture(const std::vector<double>& llrs,
+                                      CodeRate rate, std::size_t n_coded) {
+  const auto pattern = puncture_pattern(rate);
+  std::vector<double> out(n_coded, 0.0);
+  std::size_t src = 0;
+  for (std::size_t i = 0; i < n_coded; ++i) {
+    if (pattern[i % pattern.size()]) out[i] = llrs[src++];
+  }
+  return out;
+}
+
+TEST_P(PunctureRates, PartialPeriodsMatchModuloReference) {
+  util::Rng rng(11);
+  for (std::size_t mother = 2; mother <= 64; ++mother) {
+    const util::BitVec coded = rng.bits(mother);
+    const util::BitVec want = modulo_puncture(coded, GetParam());
+    EXPECT_EQ(puncture(coded, GetParam()), want) << "mother " << mother;
+    EXPECT_EQ(punctured_length(mother, GetParam()), want.size());
+    if (mother % 2 != 0) continue;  // depuncture restores whole pairs
+    std::vector<double> llrs(want.size());
+    for (std::size_t i = 0; i < llrs.size(); ++i) {
+      llrs[i] = static_cast<double>(i + 1) * (want[i] ? -0.5 : 0.5);
+    }
+    EXPECT_EQ(depuncture(llrs, GetParam(), mother),
+              modulo_depuncture(llrs, GetParam(), mother))
+        << "mother " << mother;
+  }
+}
+
+TEST_P(PunctureRates, DepunctureIntoReusedBufferWritesZeroErasures) {
+  util::Rng rng(12);
+  const std::size_t mother = 210;
+  std::vector<double> out;
+  depuncture_into(std::vector<double>(punctured_length(2 * mother, GetParam()),
+                                      1.0),
+                  GetParam(), 2 * mother, out);
+  for (double& v : out) v = rng.uniform(1.0, 2.0);  // longer, non-zero
+
+  std::vector<double> llrs(punctured_length(mother, GetParam()));
+  for (auto& v : llrs) v = rng.uniform(3.0, 4.0);
+  depuncture_into(llrs, GetParam(), mother, out);
+  const std::vector<double> want =
+      modulo_depuncture(llrs, GetParam(), mother);
+  ASSERT_EQ(out.size(), mother);
+  const auto pattern = puncture_pattern(GetParam());
+  for (std::size_t i = 0; i < mother; ++i) {
+    if (pattern[i % pattern.size()] == 0) {
+      EXPECT_EQ(out[i], 0.0) << "erasure " << i;
+      EXPECT_FALSE(std::signbit(out[i])) << "erasure " << i;
+    } else {
+      EXPECT_EQ(out[i], want[i]) << "kept " << i;
+    }
+  }
+}
+
+TEST_P(PunctureRates, DepunctureRejectsLengthMismatch) {
+  const std::size_t mother = 60;
+  const std::size_t n = punctured_length(mother, GetParam());
+  std::vector<double> out;
+  EXPECT_THROW(depuncture_into(std::vector<double>(n + 1, 1.0), GetParam(),
+                               mother, out),
+               std::invalid_argument);
+  EXPECT_THROW(depuncture_into(std::vector<double>(n - 1, 1.0), GetParam(),
+                               mother, out),
+               std::invalid_argument);
+  EXPECT_THROW(depuncture_into(std::vector<double>(n, 1.0), GetParam(),
+                               mother + 2, out),
+               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, PunctureRates,

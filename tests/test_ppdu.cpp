@@ -2,13 +2,84 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "phy/constellation.hpp"
+#include "phy/convolutional.hpp"
+#include "phy/interleaver.hpp"
 #include "phy/preamble.hpp"
+#include "phy/scrambler.hpp"
 #include "util/rng.hpp"
 
 namespace witag::phy {
 namespace {
 
 using util::Cx;
+
+// One field through the reference stages: the bit-serial encoder, a
+// `%`-indexed puncture, then the interleaver permutation and the
+// constellation table applied by hand, one symbol at a time.
+std::vector<FreqSymbol> reference_field(const util::BitVec& bits,
+                                        Modulation mod, CodeRate rate,
+                                        std::size_t first_symbol_index) {
+  const util::BitVec mother = detail::convolutional_encode_reference(bits);
+  const auto pattern = puncture_pattern(rate);
+  util::BitVec coded;
+  for (std::size_t i = 0; i < mother.size(); ++i) {
+    if (pattern[i % pattern.size()]) coded.push_back(mother[i]);
+  }
+  const unsigned n_bpsc = bits_per_symbol(mod);
+  const unsigned n_cbps = kDataSubcarriers * n_bpsc;
+  EXPECT_EQ(coded.size() % n_cbps, 0u);
+  const std::vector<std::size_t> map = interleave_map(n_cbps, n_bpsc);
+  const std::span<const Cx> table = constellation_points(mod);
+  std::vector<FreqSymbol> symbols;
+  for (std::size_t off = 0; off + n_cbps <= coded.size(); off += n_cbps) {
+    util::BitVec interleaved(n_cbps);
+    for (unsigned k = 0; k < n_cbps; ++k) interleaved[map[k]] = coded[off + k];
+    util::CxVec points(kDataSubcarriers);
+    for (unsigned p = 0; p < kDataSubcarriers; ++p) {
+      unsigned index = 0;
+      for (unsigned b = 0; b < n_bpsc; ++b) {
+        index |= static_cast<unsigned>(interleaved[p * n_bpsc + b]) << b;
+      }
+      points[p] = table[index];
+    }
+    symbols.push_back(
+        assemble_data_symbol(points, first_symbol_index + symbols.size()));
+  }
+  return symbols;
+}
+
+// The whole PPDU from the reference stages, bit by bit as 802.11 lays it
+// out: preamble, SIG, then service + PSDU + tail + pad scrambled with
+// the tail re-zeroed.
+std::vector<FreqSymbol> reference_transmit(const util::ByteVec& psdu,
+                                           unsigned mcs_index,
+                                           std::uint8_t seed) {
+  const McsParams& m = mcs(mcs_index);
+  std::vector<FreqSymbol> symbols{stf_symbol(), ltf_symbol(), ltf_symbol()};
+  const auto sig = reference_field(encode_sig(HtSig{mcs_index, psdu.size()}),
+                                   Modulation::kBpsk, CodeRate::kHalf, 0);
+  symbols.insert(symbols.end(), sig.begin(), sig.end());
+
+  util::BitVec data(16, 0);  // service field
+  for (const std::uint8_t byte : psdu) {
+    for (unsigned i = 0; i < 8; ++i) {
+      data.push_back(static_cast<std::uint8_t>((byte >> i) & 1u));
+    }
+  }
+  const std::size_t tail_at = data.size();
+  data.resize(data_symbols_for(psdu.size(), m) * m.n_dbps, 0);
+  util::BitVec scrambled = detail::scramble_reference(data, seed);
+  std::fill_n(scrambled.begin() + static_cast<std::ptrdiff_t>(tail_at), 6,
+              std::uint8_t{0});
+  const auto body =
+      reference_field(scrambled, m.modulation, m.rate, kSigSymbols);
+  symbols.insert(symbols.end(), body.begin(), body.end());
+  return symbols;
+}
 
 class PpduAllMcs : public ::testing::TestWithParam<unsigned> {};
 
@@ -59,6 +130,33 @@ TEST_P(PpduAllMcs, DataSymbolCountMatchesMcsTable) {
   const TxPpdu ppdu = transmit(psdu, cfg);
   EXPECT_EQ(ppdu.n_data_symbols, data_symbols_for(psdu.size(), mcs(GetParam())));
   EXPECT_EQ(ppdu.symbols.size(), kHeaderSlots + ppdu.n_data_symbols);
+}
+
+// Nothing else pins transmit()'s exact symbols: the round-trip tests
+// would pass if it changed its bits consistently with the receiver.
+TEST_P(PpduAllMcs, TransmitMatchesReferenceChain) {
+  for (const std::size_t length :
+       {1u, 2u, 3u, 51u, 52u, 104u, 1500u, 4095u, 65535u}) {
+    for (const std::uint8_t seed : {1, 0x5D, 127}) {
+      util::Rng rng(length * 131 + seed);
+      const util::ByteVec psdu = rng.bytes(length);
+      TxConfig cfg;
+      cfg.mcs_index = GetParam();
+      cfg.scrambler_seed = seed;
+      const TxPpdu ppdu = transmit(psdu, cfg);
+      const std::vector<FreqSymbol> want =
+          reference_transmit(psdu, GetParam(), seed);
+      ASSERT_EQ(ppdu.symbols.size(), want.size())
+          << "length " << length << " seed " << int(seed);
+      for (std::size_t s = 0; s < want.size(); ++s) {
+        ASSERT_EQ(std::memcmp(ppdu.symbols[s].data(), want[s].data(),
+                              sizeof(FreqSymbol)),
+                  0)
+            << "length " << length << " seed " << int(seed) << " slot "
+            << s;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMcs, PpduAllMcs,

@@ -404,6 +404,8 @@ TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
       const unsigned n_cbps =
           phy::kDataSubcarriers * phy::bits_per_symbol(mod);
       llrs.resize(n_cbps);
+      scalar_out.resize(n_cbps);
+      got.resize(n_cbps);
       for (auto& v : llrs) v = rng.uniform(-1e3, 1e3);
       {
         const phy::simd::ScopedTier pin(Tier::kScalar);
