@@ -11,6 +11,7 @@
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 #include "phy/channel_est.hpp"
+#include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/fft.hpp"
 #include "phy/interleaver.hpp"
@@ -174,9 +175,11 @@ BENCHMARK(BM_Viterbi1536Reference);
 BENCHMARK(BM_ViterbiExchangeReference);
 
 // Viterbi with the ACS kernel pinned to the best tier this CPU offers
-// (AVX2 on CI), over the dense A-MPDU size. BM_Viterbi1536 above runs
-// whatever tier the environment dispatches (same thing by default, but
-// WITAG_SIMD can demote it); this gauge pins the vector kernel itself.
+// (AVX-512 where the host has AVX-512F/DQ, else AVX2; the run's
+// `simd_tier` config records which), over the dense A-MPDU size.
+// BM_Viterbi1536 above runs whatever tier the environment dispatches
+// (same thing by default, but WITAG_SIMD can demote it); this gauge pins
+// the vector kernel itself.
 void BM_ViterbiAcsSimd(benchmark::State& state) {
   const std::vector<double> llrs = viterbi_bench_llrs(1536);
   phy::ViterbiWorkspace ws;
@@ -247,6 +250,26 @@ void BM_EqualizeReference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EqualizeReference);
+
+// 64-QAM soft demap of one equalized data symbol (52 points, 312 LLRs)
+// at the best tier: the widest demap body, and most of the receive
+// front half's time per symbol.
+void BM_DemapQam64(benchmark::State& state) {
+  phy::FreqSymbol rx{};
+  phy::ChannelEstimate est;
+  equalize_bench_inputs(rx, est);
+  phy::EqualizedSymbol eq;
+  phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, eq);
+  std::vector<double> llrs;
+  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    phy::demap_soft_into(eq.points, phy::Modulation::kQam64, eq.noise_vars,
+                         llrs);
+    benchmark::DoNotOptimize(llrs.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DemapQam64);
 
 // LLR deinterleave over one 64-QAM symbol (312 LLRs, the widest map):
 // dispatched gather kernel at the best tier vs pinned scalar.
@@ -480,6 +503,10 @@ int main(int argc, char** argv) {
   const witag::util::Args args(static_cast<int>(obs_argv.size()),
                                obs_argv.data());
   witag::obs::RunScope obs_run("micro_phy", args);
+  // Which kernels produced the gauges: the dispatched tier differs
+  // between AVX2-only and AVX-512 hosts.
+  obs_run.config("simd_tier", witag::phy::simd::tier_name(
+                                  witag::phy::simd::active_tier()));
   ObsReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

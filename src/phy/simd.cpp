@@ -1,17 +1,18 @@
 // Tier detection, the WITAG_SIMD override, and the scalar kernels: the
 // only tier on non-x86 hosts and on x86 hosts without AVX2, and the one
-// WITAG_SIMD=off forces. The AVX2 kernels live in simd_avx2.cpp; this
-// TU owns the dispatch, so a build without AVX2 support (or a non-x86
-// target) runs scalar without any caller noticing.
+// WITAG_SIMD=off forces. The vector kernels live in simd_avx2.cpp (every
+// hot kernel) and simd_avx512.cpp (the Viterbi ACS only); this TU owns
+// the dispatch, so a build without AVX2 or AVX-512 support (or a non-x86
+// target) runs the lower tiers without any caller noticing.
 
 #include "phy/simd.hpp"
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string>
 #include <utility>
 
 #include "phy/trellis.hpp"
@@ -22,22 +23,34 @@ namespace {
 
 Tier clamp_tier(Tier t) { return std::min(t, detect_best_tier()); }
 
-/// True when `t` asks for AVX2 and this host and build can run it.
+/// True when `t` asks for at least AVX2 and this host and build can run
+/// it. `>=`, not `==`: a kernel with no AVX-512 version must keep its
+/// AVX2 one at kAvx512, and an `==` would send it back to scalar there
+/// with byte-identical (so unnoticed) outputs.
 bool use_avx2(Tier t) {
-  return t == Tier::kAvx2 && detect_best_tier() == Tier::kAvx2;
+  return t >= Tier::kAvx2 && detect_best_tier() >= Tier::kAvx2;
 }
 
-/// WITAG_SIMD parse, read once per process. Unset or unrecognized
-/// values mean "auto" (best available); "off"/"scalar" force the
-/// portable path CI's simd-dispatch job byte-compares against.
+/// WITAG_SIMD, read once per process. Unset or empty means "auto" (best
+/// available); "off"/"scalar" force the portable path and "avx2" caps
+/// at AVX2, which CI's simd-dispatch job byte-compares against native.
+/// Any other value would make that comparison vacuous, so it ends the
+/// process. _Exit, not exit: the first dispatch may run on a worker
+/// thread while others wait on this static, and exit()'s destructors
+/// could join them.
 Tier env_tier() {
   static const Tier tier = [] {
     const char* env = std::getenv("WITAG_SIMD");
-    if (!env) return detect_best_tier();
-    const std::string v(env);
-    if (v == "off" || v == "scalar" || v == "0") return Tier::kScalar;
-    if (v == "avx2") return clamp_tier(Tier::kAvx2);
-    return detect_best_tier();  // "auto" and anything else
+    if (!env || *env == '\0') return detect_best_tier();
+    const std::optional<Tier> parsed = parse_tier_override(env);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "witag: unrecognized WITAG_SIMD=\"%s\"; accepted values: "
+                   "off, scalar, 0, avx2, auto\n",
+                   env);
+      std::_Exit(2);
+    }
+    return clamp_tier(*parsed);
   }();
   return tier;
 }
@@ -218,11 +231,16 @@ constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
 
 }  // namespace
 
-// AVX2 kernel entry points, defined in simd_avx2.cpp. Declared here (not
-// in the public header) so only the dispatch functions see them.
+// Vector kernel entry points, defined in simd_avx2.cpp and
+// simd_avx512.cpp. Declared here (not in the public header) so only the
+// dispatch functions see them.
 namespace kernels {
 bool avx2_compiled();
 bool avx2_supported();
+bool avx512_compiled();
+bool avx512_supported();
+void acs_block_avx512(const double* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, double* metrics);
 void acs_block_avx2(const double* llrs, std::size_t n_steps,
                     std::uint64_t* decisions, double* metrics);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
@@ -240,11 +258,26 @@ void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
 }  // namespace kernels
 
 Tier detect_best_tier() {
-  // avx2_supported() is false on non-x86 targets.
-  static const Tier best =
-      kernels::avx2_compiled() && kernels::avx2_supported() ? Tier::kAvx2
-                                                            : Tier::kScalar;
+  // The *_supported() probes are false on non-x86 targets.
+  static const Tier best = [] {
+    if (!kernels::avx2_compiled() || !kernels::avx2_supported()) {
+      return Tier::kScalar;
+    }
+    if (!kernels::avx512_compiled() || !kernels::avx512_supported()) {
+      return Tier::kAvx2;
+    }
+    return Tier::kAvx512;
+  }();
   return best;
+}
+
+std::optional<Tier> parse_tier_override(std::string_view value) {
+  if (value == "off" || value == "scalar" || value == "0") {
+    return Tier::kScalar;
+  }
+  if (value == "avx2") return Tier::kAvx2;
+  if (value == "auto") return Tier::kAvx512;
+  return std::nullopt;
 }
 
 Tier active_tier() {
@@ -257,6 +290,7 @@ const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kScalar: return "scalar";
     case Tier::kAvx2: return "avx2";
+    case Tier::kAvx512: return "avx512";
   }
   WITAG_ENSURE(false);
   return "scalar";
@@ -273,6 +307,9 @@ ScopedTier::~ScopedTier() {
 }
 
 AcsBlockFn acs_block_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::acs_block_avx512;
+  }
   return use_avx2(t) ? kernels::acs_block_avx2 : acs_block_scalar;
 }
 

@@ -1,8 +1,10 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
 // kernels (Viterbi add-compare-select, soft demap, equalize,
-// deinterleave, radix-4 FFT passes). There are two tiers: the portable
-// scalar kernels, and AVX2 kernels selected at run time on x86 hosts
-// that have it.
+// deinterleave, radix-4 FFT passes). There are three tiers: the portable
+// scalar kernels; AVX2 kernels for every hot kernel; and AVX-512, which
+// carries one kernel of its own, a register-resident Viterbi ACS, and
+// runs the AVX2 kernels for everything else. Both vector tiers are
+// selected at run time on x86 hosts that have them.
 //
 // Every kernel here is bit-identical to its scalar counterpart by
 // construction: the build carries no -march/-ffast-math, so scalar code
@@ -12,40 +14,55 @@
 // Negation is a sign-bit XOR (exact), selection is a bitwise blend or a
 // max whose tie rule matches the scalar compare (exact), and reductions
 // only reorder operations across independent outputs, never within one.
-// tests/test_simd.cpp fuzzes both tiers against the detail::*_reference
-// implementations.
+// tests/test_simd.cpp fuzzes every tier against the detail::*_reference
+// implementations and the ACS kernels against each other.
 //
-// Dispatch is resolved once per call site from `active_tier()`: AVX2
-// when cpuid reports it and the build compiled the AVX2 kernels, else
-// scalar, overridable with the WITAG_SIMD environment variable
-// ("off"/"scalar", "avx2", "auto"; anything else means "auto") — CI's
-// simd-dispatch job forces the scalar tier and byte-compares bench
-// stdout.
+// Dispatch is resolved once per call site from `active_tier()`: the
+// best tier cpuid reports and the build compiled, capped by the
+// WITAG_SIMD environment variable ("off"/"scalar"/"0", "avx2", "auto";
+// see parse_tier_override) — CI's simd-dispatch job forces the scalar
+// and AVX2 tiers and byte-compares bench stdout against native.
 //
-// Raw intrinsics live only in src/phy/simd_avx2.cpp; tools/witag_lint
-// enforces this (rule `simd-intrinsic`).
+// Raw intrinsics live only in src/phy/simd_avx2.cpp and
+// src/phy/simd_avx512.cpp; tools/witag_lint enforces this (rule
+// `simd-intrinsic`).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "util/complexvec.hpp"
 
 namespace witag::phy::simd {
 
-/// Capability tiers, ordered: a higher tier implies the lower one.
-enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1 };
+/// Capability tiers, ordered: a higher tier implies the lower one, and
+/// a kernel without an implementation at some tier dispatches to the
+/// highest lower tier that has one.
+enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
+/// AVX-512 needs both AVX-512F and AVX-512DQ.
 Tier detect_best_tier();
 
+/// Parses a WITAG_SIMD value into the tier it caps dispatch at:
+/// "off", "scalar" and "0" give kScalar, "avx2" gives kAvx2, and "auto"
+/// gives the highest tier (kAvx512). Anything else, including other
+/// spellings and case, is nullopt. Pure: reads no environment and
+/// detects no hardware.
+std::optional<Tier> parse_tier_override(std::string_view value);
+
 /// The tier kernels dispatch on: detect_best_tier() clamped by the
-/// WITAG_SIMD environment variable (read once per process) and by any
-/// ScopedTier override. Never exceeds detect_best_tier().
+/// WITAG_SIMD environment variable (read once per process; unset or
+/// empty means "auto") and by any ScopedTier override. Never exceeds
+/// detect_best_tier(). An unrecognized WITAG_SIMD value prints one line
+/// naming the accepted values to stderr and exits with status 2.
 Tier active_tier();
 
-/// Lower-case tier name ("scalar", "avx2") for logs and benches.
+/// Lower-case tier name ("scalar", "avx2", "avx512") for logs and
+/// benches.
 const char* tier_name(Tier t);
 
 /// RAII tier override for tests and benches: clamps to the detected
@@ -76,7 +93,8 @@ class ScopedTier {
 using AcsBlockFn = void (*)(const double* llrs, std::size_t n_steps,
                             std::uint64_t* decisions, double* metrics);
 
-/// The ACS kernel for a tier (always non-null).
+/// The ACS kernel for a tier (always non-null). The only kernel with an
+/// AVX-512 implementation.
 AcsBlockFn acs_block_for(Tier t);
 
 // ---------------------------------------------------------------------

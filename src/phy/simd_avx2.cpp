@@ -112,10 +112,59 @@ void acs_block_avx2(const double* llrs, std::size_t n_steps,
   std::copy(last->begin(), last->end(), metrics);
 }
 
-void demap_block_avx2(const double* re, const double* im, const double* nv,
-                      std::size_t count, const DemapAxes& ax, double* out) {
-  const unsigned ni = 1u << ax.i_bits;
-  const unsigned nq = 1u << ax.q_bits;
+namespace {
+
+// The demap loops below all have compile-time trip counts, but -O2 (the
+// default RelWithDebInfo build) does not unroll them completely on its
+// own; `#pragma GCC unroll` does, which is what lets the per-bit minima
+// and the LLR transpose live in registers instead of on the stack.
+
+/// One axis of the separable demap, four points at a time: the squared
+/// distances from y to the axis's 2^Bits levels reduced to their overall
+/// minimum and, per index bit, the minima over the levels with that bit
+/// clear (zero) and set (one). The scalar kernel's per-axis loop, in its
+/// order.
+template <unsigned Bits>
+struct AxisMinima {
+  __m256d all;
+  __m256d zero[Bits > 0 ? Bits : 1];  // no zero-size arrays (BPSK's Q)
+  __m256d one[Bits > 0 ? Bits : 1];
+};
+
+template <unsigned Bits>
+inline AxisMinima<Bits> axis_minima(__m256d y,
+                                    const std::array<double, 8>& levels,
+                                    __m256d inf) {
+  AxisMinima<Bits> m;
+  m.all = inf;
+#pragma GCC unroll 8
+  for (unsigned b = 0; b < Bits; ++b) m.zero[b] = m.one[b] = inf;
+#pragma GCC unroll 8
+  for (unsigned j = 0; j < (1u << Bits); ++j) {
+    const __m256d d = _mm256_sub_pd(y, _mm256_set1_pd(levels[j]));
+    const __m256d sq = _mm256_mul_pd(d, d);
+    m.all = _mm256_min_pd(m.all, sq);
+#pragma GCC unroll 8
+    for (unsigned b = 0; b < Bits; ++b) {
+      if ((j >> b) & 1u) {
+        m.one[b] = _mm256_min_pd(m.one[b], sq);
+      } else {
+        m.zero[b] = _mm256_min_pd(m.zero[b], sq);
+      }
+    }
+  }
+  return m;
+}
+
+/// The soft demap for one modulation: the axis bit counts, level counts
+/// and LLR layout are compile-time constants. The operations and their
+/// order are the scalar kernel's, four points at a time; the last
+/// count % 4 points go through the scalar kernel itself.
+template <unsigned IBits, unsigned QBits>
+void demap_block_avx2_for(const double* re, const double* im,
+                          const double* nv, std::size_t count,
+                          const DemapAxes& ax, double* out) {
+  constexpr unsigned kBits = IBits + QBits;
   const __m256d inf =
       _mm256_set1_pd(std::numeric_limits<double>::infinity());
   std::size_t p = 0;
@@ -128,51 +177,28 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
         _mm256_loadu_pd(im + p);  // witag-lint: allow(simd-unaligned)
     const __m256d noise =
         _mm256_loadu_pd(nv + p);  // witag-lint: allow(simd-unaligned)
-    __m256d min_i = inf, min_q = inf;
-    __m256d min0_i[4], min1_i[4], min0_q[4], min1_q[4];
-    for (unsigned b = 0; b < ax.i_bits; ++b) min0_i[b] = min1_i[b] = inf;
-    for (unsigned b = 0; b < ax.q_bits; ++b) min0_q[b] = min1_q[b] = inf;
-    for (unsigned j = 0; j < ni; ++j) {
-      const __m256d d = _mm256_sub_pd(yr, _mm256_set1_pd(ax.i_levels[j]));
-      const __m256d sq = _mm256_mul_pd(d, d);
-      min_i = _mm256_min_pd(min_i, sq);
-      for (unsigned b = 0; b < ax.i_bits; ++b) {
-        if ((j >> b) & 1u) {
-          min1_i[b] = _mm256_min_pd(min1_i[b], sq);
-        } else {
-          min0_i[b] = _mm256_min_pd(min0_i[b], sq);
-        }
-      }
+    const AxisMinima<IBits> mi = axis_minima<IBits>(yr, ax.i_levels, inf);
+    const AxisMinima<QBits> mq = axis_minima<QBits>(yi, ax.q_levels, inf);
+    // LLRs bit-major, then transposed into the point-major output.
+    alignas(32) double lanes[kBits][4];
+#pragma GCC unroll 8
+    for (unsigned b = 0; b < IBits; ++b) {
+      const __m256d m1 = _mm256_add_pd(mi.one[b], mq.all);
+      const __m256d m0 = _mm256_add_pd(mi.zero[b], mq.all);
+      _mm256_store_pd(lanes[b], _mm256_div_pd(_mm256_sub_pd(m1, m0), noise));
     }
-    for (unsigned q = 0; q < nq; ++q) {
-      const __m256d d = _mm256_sub_pd(yi, _mm256_set1_pd(ax.q_levels[q]));
-      const __m256d sq = _mm256_mul_pd(d, d);
-      min_q = _mm256_min_pd(min_q, sq);
-      for (unsigned b = 0; b < ax.q_bits; ++b) {
-        if ((q >> b) & 1u) {
-          min1_q[b] = _mm256_min_pd(min1_q[b], sq);
-        } else {
-          min0_q[b] = _mm256_min_pd(min0_q[b], sq);
-        }
-      }
+#pragma GCC unroll 8
+    for (unsigned b = 0; b < QBits; ++b) {
+      const __m256d m1 = _mm256_add_pd(mi.all, mq.one[b]);
+      const __m256d m0 = _mm256_add_pd(mi.all, mq.zero[b]);
+      _mm256_store_pd(lanes[IBits + b],
+                      _mm256_div_pd(_mm256_sub_pd(m1, m0), noise));
     }
-    alignas(32) double lanes[4];
-    for (unsigned b = 0; b < ax.i_bits; ++b) {
-      const __m256d m1 = _mm256_add_pd(min1_i[b], min_q);
-      const __m256d m0 = _mm256_add_pd(min0_i[b], min_q);
-      const __m256d llr = _mm256_div_pd(_mm256_sub_pd(m1, m0), noise);
-      _mm256_store_pd(lanes, llr);
-      for (unsigned lane = 0; lane < 4; ++lane) {
-        out[(p + lane) * ax.n_bits + b] = lanes[lane];
-      }
-    }
-    for (unsigned b = 0; b < ax.q_bits; ++b) {
-      const __m256d m1 = _mm256_add_pd(min_i, min1_q[b]);
-      const __m256d m0 = _mm256_add_pd(min_i, min0_q[b]);
-      const __m256d llr = _mm256_div_pd(_mm256_sub_pd(m1, m0), noise);
-      _mm256_store_pd(lanes, llr);
-      for (unsigned lane = 0; lane < 4; ++lane) {
-        out[(p + lane) * ax.n_bits + ax.i_bits + b] = lanes[lane];
+#pragma GCC unroll 4
+    for (unsigned lane = 0; lane < 4; ++lane) {
+#pragma GCC unroll 8
+      for (unsigned b = 0; b < kBits; ++b) {
+        out[(p + lane) * kBits + b] = lanes[b][lane];
       }
     }
   }
@@ -180,7 +206,27 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
     // Tail through the scalar kernel: per-point math is identical, so
     // chunk boundaries never change results.
     demap_block_for(Tier::kScalar)(re + p, im + p, nv + p, count - p, ax,
-                                   out + p * ax.n_bits);
+                                   out + p * kBits);
+  }
+}
+
+}  // namespace
+
+void demap_block_avx2(const double* re, const double* im, const double* nv,
+                      std::size_t count, const DemapAxes& ax, double* out) {
+  // One body per modulation, selected once per call (BPSK, QPSK,
+  // 16-QAM, 64-QAM); constellation.cpp builds no other axes.
+  switch (ax.i_bits * 4 + ax.q_bits) {
+    case 1 * 4 + 0:
+      return demap_block_avx2_for<1, 0>(re, im, nv, count, ax, out);
+    case 1 * 4 + 1:
+      return demap_block_avx2_for<1, 1>(re, im, nv, count, ax, out);
+    case 2 * 4 + 2:
+      return demap_block_avx2_for<2, 2>(re, im, nv, count, ax, out);
+    case 3 * 4 + 3:
+      return demap_block_avx2_for<3, 3>(re, im, nv, count, ax, out);
+    default:
+      return demap_block_for(Tier::kScalar)(re, im, nv, count, ax, out);
   }
 }
 

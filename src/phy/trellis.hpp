@@ -80,7 +80,7 @@ inline constexpr std::array<Butterfly, kNumStates> kButterflies =
 // therefore fixes all four branches of the ns / ns + 32 butterfly:
 //   ns:      s0 expects ( a0,  b0), s1 expects (!a0, !b0)
 //   ns + 32: s0 expects (!a0, !b0), s1 expects ( a0,  b0)
-// The vector ACS kernel relies on this to derive every branch metric
+// The vector ACS kernels rely on this to derive every branch metric
 // from one sign pair.
 constexpr bool butterflies_symmetric() {
   constexpr std::uint32_t kHalf = kNumStates / 2;
@@ -114,9 +114,10 @@ inline constexpr double kSentinelThreshold = -1e290;
 // with its sign bit XORed, and negation-by-sign-flip is exact in
 // IEEE-754, so XORing a mask (or a mask and -0.0, for the flipped
 // branches) reproduces the scalar `expected ? -llr : llr` bit for bit.
+// 64-byte alignment lets the AVX-512 kernel load eight at a time.
 struct AcsSigns {
-  alignas(32) std::array<double, kNumStates / 2> a{};
-  alignas(32) std::array<double, kNumStates / 2> b{};
+  alignas(64) std::array<double, kNumStates / 2> a{};
+  alignas(64) std::array<double, kNumStates / 2> b{};
 };
 
 constexpr AcsSigns make_acs_signs() {

@@ -1,11 +1,14 @@
 // Tier-parity tests for the SIMD dispatch layer (phy/simd.hpp): every
-// kernel tier the hardware can run — scalar, AVX2 — must produce
-// bit-identical output to the detail::*_reference implementations, over
-// fuzz regimes that include the degenerate cases (Viterbi ties, demap
-// dead bins, erasures) where "almost equal" kernels diverge first.
+// kernel tier the hardware can run — scalar, AVX2, AVX-512 — must
+// produce bit-identical output to the detail::*_reference
+// implementations, over fuzz regimes that include the degenerate cases
+// (Viterbi ties, demap dead bins, erasures) where "almost equal" kernels
+// diverge first.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "phy/mcs.hpp"
 #include "phy/preamble.hpp"
 #include "phy/simd.hpp"
+#include "phy/trellis.hpp"
 #include "phy/viterbi.hpp"
 #include "util/bits.hpp"
 #include "util/complexvec.hpp"
@@ -33,6 +37,9 @@ std::vector<Tier> runnable_tiers() {
   std::vector<Tier> tiers{Tier::kScalar};
   if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
     tiers.push_back(Tier::kAvx2);
+  }
+  if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
+    tiers.push_back(Tier::kAvx512);
   }
   return tiers;
 }
@@ -59,6 +66,70 @@ TEST(SimdDispatch, ScopedTierOverridesAndRestores) {
 TEST(SimdDispatch, TierNames) {
   EXPECT_STREQ(phy::simd::tier_name(Tier::kScalar), "scalar");
   EXPECT_STREQ(phy::simd::tier_name(Tier::kAvx2), "avx2");
+  EXPECT_STREQ(phy::simd::tier_name(Tier::kAvx512), "avx512");
+}
+
+TEST(SimdDispatch, ParseTierOverride) {
+  using phy::simd::parse_tier_override;
+  EXPECT_EQ(parse_tier_override("off"), Tier::kScalar);
+  EXPECT_EQ(parse_tier_override("scalar"), Tier::kScalar);
+  EXPECT_EQ(parse_tier_override("0"), Tier::kScalar);
+  EXPECT_EQ(parse_tier_override("avx2"), Tier::kAvx2);
+  EXPECT_EQ(parse_tier_override("auto"), Tier::kAvx512);
+  // Typos, other spellings and tier names that are not accepted values
+  // must not silently mean "auto".
+  for (const char* bad : {"sse2", "Off", "AVX2", "avx512", "avx2 ", "1",
+                          "none", "on"}) {
+    EXPECT_EQ(parse_tier_override(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(SimdDispatchDeathTest, UnknownWitagSimdExitsWithStatus2) {
+  // "threadsafe" re-executes the binary for the child, so its once-per-
+  // process WITAG_SIMD read sees the value set below, not a cached one.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("WITAG_SIMD", "sse2", 1);
+        static_cast<void>(phy::simd::active_tier());
+      },
+      testing::ExitedWithCode(2),
+      "WITAG_SIMD=\"sse2\"; accepted values: off, scalar, 0, avx2, auto");
+}
+
+TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
+  // Only the ACS has an AVX-512 kernel; at that tier every other kernel
+  // must stay on AVX2. A dispatch that tests `tier == kAvx2` would send
+  // them back to scalar instead, and the outputs would still be
+  // byte-identical, so no parity test would notice.
+  const auto& k2 = phy::simd::fft_kernels_for(Tier::kAvx2);
+  const auto& k512 = phy::simd::fft_kernels_for(Tier::kAvx512);
+  EXPECT_EQ(phy::simd::demap_block_for(Tier::kAvx512),
+            phy::simd::demap_block_for(Tier::kAvx2));
+  EXPECT_EQ(phy::simd::equalize_for(Tier::kAvx512),
+            phy::simd::equalize_for(Tier::kAvx2));
+  EXPECT_EQ(phy::simd::deinterleave_for(Tier::kAvx512),
+            phy::simd::deinterleave_for(Tier::kAvx2));
+  EXPECT_EQ(k512.radix4_pass, k2.radix4_pass);
+  EXPECT_EQ(k512.len2_pass, k2.len2_pass);
+  EXPECT_EQ(k512.scale, k2.scale);
+  if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
+    // ... and AVX2 really is a vector kernel on hosts that have it.
+    const auto& k0 = phy::simd::fft_kernels_for(Tier::kScalar);
+    EXPECT_NE(phy::simd::demap_block_for(Tier::kAvx2),
+              phy::simd::demap_block_for(Tier::kScalar));
+    EXPECT_NE(phy::simd::equalize_for(Tier::kAvx2),
+              phy::simd::equalize_for(Tier::kScalar));
+    EXPECT_NE(phy::simd::deinterleave_for(Tier::kAvx2),
+              phy::simd::deinterleave_for(Tier::kScalar));
+    EXPECT_NE(k2.radix4_pass, k0.radix4_pass);
+    EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx2),
+              phy::simd::acs_block_for(Tier::kScalar));
+  }
+  if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
+    EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx512),
+              phy::simd::acs_block_for(Tier::kAvx2));
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -153,6 +224,90 @@ TEST(SimdParity, ViterbiExchangeSizesMatchReference) {
         // One 64-bit decision word per step, nothing else.
         EXPECT_EQ(ws.capacity_bytes(), 8 * n_steps)
             << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+      }
+    }
+  }
+}
+
+/// Start metrics for the raw ACS kernels. Start 0 is the decoder's own
+/// (state 0 at 0.0, every other state at the sentinel). Start 1 is
+/// random metrics seeded with ±0.0 and equal butterfly pairs
+/// (cur[2i] == cur[2i + 1]), so zero and erased LLRs produce exact ties,
+/// including +0.0 against -0.0, on every state.
+std::vector<double> acs_start_metrics(util::Rng& rng, int start) {
+  std::vector<double> metrics(phy::kNumStates, phy::detail::kSentinel);
+  if (start == 0) {
+    metrics[0] = 0.0;
+    return metrics;
+  }
+  for (std::size_t s = 0; s < metrics.size(); ++s) {
+    switch (rng.uniform_int(5)) {
+      case 0:
+        metrics[s] = 0.0;
+        break;
+      case 1:
+        metrics[s] = -0.0;
+        break;
+      case 2:
+        metrics[s] = s % 2 == 1 ? metrics[s - 1] : rng.uniform(-50.0, 50.0);
+        break;
+      case 3:
+        metrics[s] = phy::detail::kSentinel;
+        break;
+      default:
+        metrics[s] = rng.uniform(-50.0, 50.0);
+        break;
+    }
+  }
+  return metrics;
+}
+
+TEST(SimdParity, AcsBlockEveryTierBitIdentical) {
+  // The decoded bits compared above only see the decision bits along
+  // the surviving path and never the end metrics, so a kernel that
+  // mis-sets a bit on a state the traceback never visits, or returns a
+  // wrong metric, would still pass them. Here every tier's raw kernel
+  // must match the scalar kernel word for word and metric for metric.
+  // The counts cover empty, single-step and every remainder around the
+  // vector kernels' block sizes, up to one 64-subframe MCS5 exchange.
+  constexpr std::size_t kSteps[] = {0, 1, 2, 3, 7, 8, 9, 4097, 53270};
+  const std::vector<Tier> tiers = runnable_tiers();
+  const phy::simd::AcsBlockFn scalar =
+      phy::simd::acs_block_for(Tier::kScalar);
+  std::vector<std::uint64_t> expect_dec, got_dec;
+  for (const std::size_t n_steps : kSteps) {
+    for (int regime = 0; regime < 5; ++regime) {
+      for (int start = 0; start < 2; ++start) {
+        util::Rng rng(0xAC'5B'00 + 16 * n_steps +
+                      static_cast<unsigned>(4 * regime + start));
+        const BitVec info = random_info_bits(rng, n_steps);
+        const BitVec coded = phy::convolutional_encode(info);
+        const std::vector<double> llrs = fuzz_llrs(rng, coded, regime);
+        const std::vector<double> metrics0 = acs_start_metrics(rng, start);
+
+        std::vector<double> expect_m = metrics0;
+        expect_dec.assign(n_steps, 0);
+        scalar(llrs.data(), n_steps, expect_dec.data(), expect_m.data());
+        for (const Tier t : tiers) {
+          std::vector<double> got_m = metrics0;
+          got_dec.assign(n_steps, ~std::uint64_t{0});
+          phy::simd::acs_block_for(t)(llrs.data(), n_steps, got_dec.data(),
+                                      got_m.data());
+          ASSERT_TRUE(got_dec == expect_dec)
+              << "steps " << n_steps << " regime " << regime << " start "
+              << start << " tier " << phy::simd::tier_name(t);
+          ASSERT_EQ(std::memcmp(got_m.data(), expect_m.data(),
+                                expect_m.size() * sizeof(double)),
+                    0)
+              << "steps " << n_steps << " regime " << regime << " start "
+              << start << " tier " << phy::simd::tier_name(t);
+        }
+        if (n_steps == 0) {
+          EXPECT_EQ(std::memcmp(expect_m.data(), metrics0.data(),
+                                metrics0.size() * sizeof(double)),
+                    0)
+              << "an empty trellis must leave the metrics untouched";
+        }
       }
     }
   }
