@@ -9,11 +9,18 @@
 // the parallel sweep engine; results are bit-identical for any --jobs.
 //
 // Options: --runs N (per position), --rounds N (per run),
+//          --seed S (task seeds S + 17 run + 97 pos; default 1000, the
+//          historical seeds), --csv PATH (one row per position with the
+//          error split: false/missed corruptions, lost rounds),
 //          --jobs N (0 = hardware concurrency, 1 = serial)
+#include <cstdint>
 #include <iostream>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "runner/parallel_sweep.hpp"
+#include "util/csv.hpp"
 #include "util/stats.hpp"
 #include "witag/session.hpp"
 #include "obs/report.hpp"
@@ -25,10 +32,13 @@ int main(int argc, char** argv) {
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 4));
   const auto rounds =
       static_cast<std::size_t>(args.get_int("rounds", 45));  // 59 bits each
+  const std::uint64_t seed = args.get_u64("seed", 1000);
+  const std::string csv_path = args.get_string("csv", "");
   const std::size_t jobs = runner::jobs_from_args(args);
   obs::RunScope obs_run("fig5_ber_throughput", args);
   obs_run.config("runs_per_position", static_cast<double>(runs));
   obs_run.config("rounds_per_run", static_cast<double>(rounds));
+  obs_run.config("seed", static_cast<double>(seed));
   args.warn_unused(std::cerr);
 
   std::cout << "=== Figure 5: BER and throughput vs tag position ===\n"
@@ -37,15 +47,16 @@ int main(int argc, char** argv) {
                "mid-link; throughput ~40 Kbps with a ~1 Kbps mid-link "
                "dip.\n\n";
 
-  // Task list in (position, run) order with the historical seeds, so the
-  // table matches the old serial loop bit for bit at any worker count.
+  // Task list in (position, run) order with the historical seed formula,
+  // so the table matches the old serial loop bit for bit at any worker
+  // count.
   std::vector<runner::SweepTask> tasks;
   tasks.reserve(7 * runs);
   for (int pos = 1; pos <= 7; ++pos) {
     for (std::size_t run = 0; run < runs; ++run) {
       auto cfg = core::los_testbed_config(
           util::Meters{static_cast<double>(pos)},
-          1000 + 17 * run + 97 * static_cast<std::size_t>(pos));
+          seed + 17 * run + 97 * static_cast<std::uint64_t>(pos));
       tasks.push_back({std::move(cfg), rounds});
     }
   }
@@ -58,6 +69,13 @@ int main(int argc, char** argv) {
 
   core::Table table({"tag-to-client [m]", "BER", "BER 95% CI", "throughput [Kbps]",
                      "raw rate [Kbps]", "tag perturbation [dB]", "bits"});
+  std::unique_ptr<util::CsvWriter> csv;
+  if (!csv_path.empty()) {
+    csv = std::make_unique<util::CsvWriter>(csv_path);
+    csv->header({"pos_m", "ber", "bits", "bit_errors", "false_corruptions",
+                 "missed_corruptions", "rounds", "rounds_lost",
+                 "goodput_kbps"});
+  }
 
   for (int pos = 1; pos <= 7; ++pos) {
     core::LinkMetrics merged;
@@ -82,6 +100,15 @@ int main(int argc, char** argv) {
                    core::Table::num(raw.mean(), 1),
                    core::Table::num(perturbation.mean(), 1),
                    std::to_string(bits)});
+    if (csv) {
+      csv->row({std::to_string(pos), util::CsvWriter::num(merged.ber()),
+                std::to_string(bits), std::to_string(errors),
+                std::to_string(merged.false_corruptions()),
+                std::to_string(merged.missed_corruptions()),
+                std::to_string(merged.rounds()),
+                std::to_string(merged.rounds_lost()),
+                util::CsvWriter::num(goodput.mean())});
+    }
   }
   table.print(std::cout);
 

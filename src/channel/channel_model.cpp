@@ -281,9 +281,14 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
     const phy::FreqSymbol& h = composed[slot];
     const double var = noise_var + interference[s] +
                        (extra_noise.empty() ? 0.0 : extra_noise[s]);
+    WITAG_REQUIRE(var >= 0.0);
+    // Per-axis deviation of the circular complex Gaussian noise, once per
+    // symbol; real part drawn first, as Rng::complex_normal does.
+    const double sigma = std::sqrt(var / 2.0);
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
       if (h[bin] == Cx{} && tx[s][bin] == Cx{}) continue;
-      rx[s][bin] = h[bin] * tx[s][bin] + rng_.complex_normal(var);
+      const double re = sigma * rng_.normal();
+      rx[s][bin] = h[bin] * tx[s][bin] + Cx{re, sigma * rng_.normal()};
     }
   }
   return rx;

@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "util/require.hpp"
-#include "util/units.hpp"
 
 namespace witag::util {
 namespace {
@@ -17,27 +16,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t v, int k) {
-  return (v << k) | (v >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 Rng Rng::split() { return Rng(next_u64()); }
@@ -76,18 +59,31 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-double Rng::normal() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_normal_;
+double Rng::normal_slow(std::uint64_t u) {
+  using ziggurat::kF;
+  using ziggurat::kR;
+  using ziggurat::kX;
+  for (;;) {
+    const std::size_t layer = u & 0xFF;
+    const bool negative = (u & 0x100) != 0;
+    const double x = static_cast<double>(u >> 11) * 0x1.0p-53 * kX[layer];
+    if (x < kX[layer + 1]) return negative ? -x : x;
+    if (layer == 0) {
+      // Tail beyond R (Marsaglia 1964): exponential proposals accepted
+      // against the Gaussian tail; 1 - uniform() is in (0, 1].
+      double t = 0.0;
+      double e = 0.0;
+      do {
+        t = -std::log(1.0 - uniform()) / kR;
+        e = -std::log(1.0 - uniform());
+      } while (e + e < t * t);
+      return negative ? -(kR + t) : kR + t;
+    }
+    // Wedge: a uniform height inside the layer, under the density?
+    const double y = kF[layer] + (kF[layer + 1] - kF[layer]) * uniform();
+    if (y < std::exp(-0.5 * x * x)) return negative ? -x : x;
+    u = next_u64();
   }
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  spare_normal_ = r * std::sin(2.0 * kPi * u2);
-  has_spare_ = true;
-  return r * std::cos(2.0 * kPi * u2);
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -98,7 +94,8 @@ double Rng::normal(double mean, double stddev) {
 std::complex<double> Rng::complex_normal(double variance) {
   require(variance >= 0.0, "Rng::complex_normal: variance must be >= 0");
   const double sigma = std::sqrt(variance / 2.0);
-  return {normal(0.0, sigma), normal(0.0, sigma)};
+  const double re = sigma * normal();
+  return {re, sigma * normal()};
 }
 
 unsigned Rng::poisson(double lambda) {

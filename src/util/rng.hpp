@@ -7,10 +7,13 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <complex>
 #include <cstdint>
 #include <vector>
 #include <cstddef>
+
+#include "util/ziggurat.hpp"
 
 namespace witag::util {
 
@@ -25,7 +28,18 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[0] + state_[3], 23) +
+                                 state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Derives an independent generator; deterministic given this stream.
   Rng split();
@@ -51,13 +65,29 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
   bool bernoulli(double p);
 
-  /// Standard normal deviate (Box-Muller, cached spare).
-  double normal();
+  /// Standard normal deviate: 256-layer ziggurat (util/ziggurat.hpp).
+  /// One 64-bit draw picks the layer (bits 0-7), the sign (bit 8) and a
+  /// 53-bit uniform (bits 11-63); ~99% of draws end in this inline fast
+  /// path, the rest in the wedge or tail (normal_slow), which redraw.
+  /// The sign is XORed into the result's sign bit: a branch on a random
+  /// bit would mispredict half the time.
+  double normal() {
+    const std::uint64_t u = next_u64();
+    const std::size_t layer = u & 0xFF;
+    const double x = static_cast<double>(u >> 11) * 0x1.0p-53 *
+                     ziggurat::kX[layer];
+    if (x < ziggurat::kX[layer + 1]) {
+      return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                                   ((u & 0x100) << 55));
+    }
+    return normal_slow(u);
+  }
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance.
+  /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance:
+  /// sqrt(variance / 2) times two normal() draws, real part first.
   std::complex<double> complex_normal(double variance = 1.0);
 
   /// Poisson-distributed count with the given mean (Knuth for small
@@ -71,9 +101,12 @@ class Rng {
   std::vector<std::uint8_t> bits(std::size_t n);
 
  private:
+  /// The ziggurat's rejection path for the draw `u` that missed the fast
+  /// path: the wedge test of layers 1-255 or the tail beyond R of layer
+  /// 0; a rejected point starts over with a fresh draw.
+  double normal_slow(std::uint64_t u);
+
   std::array<std::uint64_t, 4> state_{};
-  double spare_normal_ = 0.0;
-  bool has_spare_ = false;
 };
 
 }  // namespace witag::util
