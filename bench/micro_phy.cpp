@@ -3,6 +3,7 @@
 // experiment harness can simulate.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -89,43 +90,45 @@ void BM_Fft64Radix4(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft64Radix4);
 
-void BM_ViterbiPerKilobit(benchmark::State& state) {
+// Clean int8 LLRs at the receiver's full scale (a clean bit reads 32)
+// for `n_info` bits ending in the 6-bit tail.
+std::vector<std::int8_t> viterbi_bench_llrs(std::size_t n_info) {
   util::Rng rng(2);
-  util::BitVec info = rng.bits(1000);
+  util::BitVec info = rng.bits(n_info - 6);
   info.insert(info.end(), 6, 0);
   const util::BitVec coded = phy::convolutional_encode(info);
-  std::vector<double> llrs(coded.size());
+  std::vector<std::int8_t> llrs(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) {
-    llrs[i] = coded[i] ? -4.0 : 4.0;
+    llrs[i] = coded[i] ? -32 : 32;
   }
+  return llrs;
+}
+
+/// The same LLRs as doubles, for the reference decoder.
+std::vector<double> viterbi_bench_llrs_wide(std::size_t n_info) {
+  const std::vector<std::int8_t> llrs = viterbi_bench_llrs(n_info);
+  return std::vector<double>(llrs.begin(), llrs.end());
+}
+
+void BM_ViterbiPerKilobit(benchmark::State& state) {
+  const std::vector<std::int8_t> llrs = viterbi_bench_llrs(1006);
   for (auto _ : state) {
     benchmark::DoNotOptimize(phy::viterbi_decode(llrs));
   }
 }
 BENCHMARK(BM_ViterbiPerKilobit);
 
-// Optimized (butterfly trellis + reusable workspace, zero steady-state
-// allocations) vs reference Viterbi across the decode sizes the
-// simulator sees: 48 info bits (one SIG field), 192 (one short MPDU),
-// 1536 (a dense A-MPDU data field) and 53,270 (a whole 64-subframe
-// MCS5 exchange, see BM_ViterbiExchange). Shared inputs per size so the
-// ratio isolates the kernel rewrite; the regression gate pins the
-// optimized gauges (see tools/bench_compare).
-std::vector<double> viterbi_bench_llrs(std::size_t n_info) {
-  util::Rng rng(2);
-  util::BitVec info = rng.bits(n_info - 6);
-  info.insert(info.end(), 6, 0);
-  const util::BitVec coded = phy::convolutional_encode(info);
-  std::vector<double> llrs(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    llrs[i] = coded[i] ? -4.0 : 4.0;
-  }
-  return llrs;
-}
-
+// Optimized (int16 butterfly trellis + reusable workspace, zero
+// steady-state allocations) vs reference Viterbi across the decode sizes
+// the simulator sees: 48 info bits (one SIG field), 192 (one short
+// MPDU), 1536 (a dense A-MPDU data field) and 53,270 (a whole
+// 64-subframe MCS5 exchange, see BM_ViterbiExchange). Shared inputs per
+// size (the reference gets them as doubles) so the ratio isolates the
+// kernel rewrite; the regression gate pins the optimized gauges (see
+// tools/bench_compare).
 template <std::size_t N>
 void BM_ViterbiOptimized(benchmark::State& state) {
-  const std::vector<double> llrs = viterbi_bench_llrs(N);
+  const std::vector<std::int8_t> llrs = viterbi_bench_llrs(N);
   phy::ViterbiWorkspace ws;
   util::BitVec bits;
   for (auto _ : state) {
@@ -152,7 +155,7 @@ BENCHMARK(BM_ViterbiExchange);
 
 template <std::size_t N>
 void BM_ViterbiRef(benchmark::State& state) {
-  const std::vector<double> llrs = viterbi_bench_llrs(N);
+  const std::vector<double> llrs = viterbi_bench_llrs_wide(N);
   for (auto _ : state) {
     benchmark::DoNotOptimize(phy::detail::viterbi_reference(llrs));
   }
@@ -175,13 +178,13 @@ BENCHMARK(BM_Viterbi1536Reference);
 BENCHMARK(BM_ViterbiExchangeReference);
 
 // Viterbi with the ACS kernel pinned to the best tier this CPU offers
-// (AVX-512 where the host has AVX-512F/DQ, else AVX2; the run's
+// (AVX-512 where the host has AVX-512F/BW, else AVX2; the run's
 // `simd_tier` config records which), over the dense A-MPDU size.
 // BM_Viterbi1536 above runs whatever tier the environment dispatches
 // (same thing by default, but WITAG_SIMD can demote it); this gauge pins
 // the vector kernel itself.
 void BM_ViterbiAcsSimd(benchmark::State& state) {
-  const std::vector<double> llrs = viterbi_bench_llrs(1536);
+  const std::vector<std::int8_t> llrs = viterbi_bench_llrs(1536);
   phy::ViterbiWorkspace ws;
   util::BitVec bits;
   const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
@@ -271,8 +274,9 @@ void BM_DemapQam64(benchmark::State& state) {
 }
 BENCHMARK(BM_DemapQam64);
 
-// LLR deinterleave over one 64-QAM symbol (312 LLRs, the widest map):
-// dispatched gather kernel at the best tier vs pinned scalar.
+// LLR deinterleave and int8 quantization over one 64-QAM symbol (312
+// LLRs, the widest map): dispatched gather kernel at the best tier vs
+// pinned scalar.
 std::vector<double> deinterleave_bench_llrs() {
   util::Rng rng(10);
   std::vector<double> llrs(phy::kDataSubcarriers *
@@ -283,10 +287,10 @@ std::vector<double> deinterleave_bench_llrs() {
 
 void BM_Deinterleave(benchmark::State& state) {
   const std::vector<double> llrs = deinterleave_bench_llrs();
-  std::vector<double> out(llrs.size());
+  std::vector<std::int8_t> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
   for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
+    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, 3.0, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
@@ -294,10 +298,10 @@ BENCHMARK(BM_Deinterleave);
 
 void BM_DeinterleaveScalar(benchmark::State& state) {
   const std::vector<double> llrs = deinterleave_bench_llrs();
-  std::vector<double> out(llrs.size());
+  std::vector<std::int8_t> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
   for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
+    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, 3.0, out);
     benchmark::DoNotOptimize(out.data());
   }
 }

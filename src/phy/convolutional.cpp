@@ -135,19 +135,12 @@ std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {
   return len;
 }
 
-std::vector<double> depuncture(std::span<const double> llrs, CodeRate rate,
-                               std::size_t n_coded_bits) {
-  std::vector<double> out;
-  depuncture_into(llrs, rate, n_coded_bits, out);
-  return out;
-}
-
-void depuncture_into(std::span<const double> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<double>& out) {
+void depuncture_into(std::span<const std::int8_t> llrs, CodeRate rate,
+                     std::size_t n_coded_bits, std::vector<std::int8_t>& out) {
   WITAG_REQUIRE(n_coded_bits % 2 == 0);
   // One length check up front, so the loop needs no per-bit bounds check.
   WITAG_REQUIRE(llrs.size() == punctured_length(n_coded_bits, rate));
-  // resize, not assign: the walk writes every slot, 0.0 into each
+  // resize, not assign: the walk writes every slot, 0 into each
   // erasure, so a reused buffer keeps no stale value.
   out.resize(n_coded_bits);
   walk_pattern(
@@ -155,7 +148,7 @@ void depuncture_into(std::span<const double> llrs, CodeRate rate,
       [src = llrs.data(), dst = out.data()](std::size_t i, std::size_t k) {
         dst[i] = src[k];
       },
-      [dst = out.data()](std::size_t i, std::size_t) { dst[i] = 0.0; });
+      [dst = out.data()](std::size_t i, std::size_t) { dst[i] = 0; });
 }
 
 namespace detail {

@@ -39,18 +39,12 @@ util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate);
 void puncture_into(std::span<const std::uint8_t> coded, CodeRate rate,
                    std::span<std::uint8_t> out);
 
-/// Inserts zero-LLR erasures where `puncture` deleted bits, restoring the
-/// mother-rate stream for the Viterbi decoder. `n_coded_bits` is the
-/// mother-rate length to restore (must be even), and `llrs` must hold
-/// exactly punctured_length(n_coded_bits, rate) values.
-std::vector<double> depuncture(std::span<const double> llrs, CodeRate rate,
-                               std::size_t n_coded_bits);
-
-/// Allocation-reusing variant: writes into `out` (resized; capacity
-/// reused) for the hot decode path. Every slot of `out` is written, so
-/// erasures read exactly 0.0 whatever `out` held before.
-void depuncture_into(std::span<const double> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<double>& out);
+/// Inserts zero erasures where `puncture` deleted bits, restoring the
+/// mother-rate int8 LLR stream for the Viterbi decoder: writes all
+/// `n_coded_bits` (even) slots of `out` (resized; capacity reused) from
+/// exactly punctured_length(n_coded_bits, rate) `llrs`.
+void depuncture_into(std::span<const std::int8_t> llrs, CodeRate rate,
+                     std::size_t n_coded_bits, std::vector<std::int8_t>& out);
 
 /// Mother-rate coded length -> punctured length for a code rate.
 std::size_t punctured_length(std::size_t mother_bits, CodeRate rate);

@@ -18,33 +18,18 @@ unsigned n_cbps_for(Modulation mod) {
 
 // The permutation depends only on the modulation, and the decode path
 // applies it once per OFDM symbol — cache the four maps instead of
-// rebuilding (and re-allocating) them every call.
-const std::vector<std::size_t>& cached_map(Modulation mod) {
-  static const std::array<std::vector<std::size_t>, 4> kMaps = [] {
-    std::array<std::vector<std::size_t>, 4> maps;
-    for (const Modulation m : {Modulation::kBpsk, Modulation::kQpsk,
-                               Modulation::kQam16, Modulation::kQam64}) {
-      maps[static_cast<std::size_t>(m)] =
-          interleave_map(n_cbps_for(m), bits_per_symbol(m));
-    }
-    return maps;
-  }();
-  return kMaps[static_cast<std::size_t>(mod)];
-}
-
-// Same permutation as int32 indices: the AVX2 deinterleave kernel
-// gathers through vgatherdpd, which takes 32-bit indices. n_cbps is at
+// rebuilding (and re-allocating) them every call. int32 indices, because
+// the AVX2 deinterleave kernel gathers through vgatherdpd; n_cbps is at
 // most 312 (64-QAM), so the narrowing is always exact.
-const std::vector<std::int32_t>& cached_map_i32(Modulation mod) {
+const std::vector<std::int32_t>& cached_map(Modulation mod) {
   static const std::array<std::vector<std::int32_t>, 4> kMaps = [] {
     std::array<std::vector<std::int32_t>, 4> maps;
     for (const Modulation m : {Modulation::kBpsk, Modulation::kQpsk,
                                Modulation::kQam16, Modulation::kQam64}) {
-      const auto& wide = cached_map(m);
-      auto& narrow = maps[static_cast<std::size_t>(m)];
-      narrow.reserve(wide.size());
-      for (const std::size_t idx : wide) {
-        narrow.push_back(static_cast<std::int32_t>(idx));
+      for (const std::size_t idx :
+           interleave_map(n_cbps_for(m), bits_per_symbol(m))) {
+        maps[static_cast<std::size_t>(m)].push_back(
+            static_cast<std::int32_t>(idx));
       }
     }
     return maps;
@@ -82,7 +67,7 @@ void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
   const unsigned n_cbps = n_cbps_for(mod);
   WITAG_REQUIRE(bits.size() == n_cbps && out.size() == n_cbps);
   const auto& map = cached_map(mod);
-  for (unsigned k = 0; k < n_cbps; ++k) out[map[k]] = bits[k];
+  for (unsigned k = 0; k < n_cbps; ++k) out.data()[map[k]] = bits[k];
 }
 
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod) {
@@ -90,26 +75,19 @@ util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod) {
   WITAG_REQUIRE(bits.size() == n_cbps);
   const auto& map = cached_map(mod);
   util::BitVec out(n_cbps);
-  for (unsigned k = 0; k < n_cbps; ++k) out[k] = bits[map[k]];
-  return out;
-}
-
-std::vector<double> deinterleave_llrs(std::span<const double> llrs,
-                                      Modulation mod) {
-  std::vector<double> out(n_cbps_for(mod));
-  deinterleave_llrs_into(llrs, mod, out);
+  for (unsigned k = 0; k < n_cbps; ++k) out[k] = bits.data()[map[k]];
   return out;
 }
 
 void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
-                            std::span<double> out) {
+                            double scale, std::span<std::int8_t> out) {
   const unsigned n_cbps = n_cbps_for(mod);
   WITAG_REQUIRE(llrs.size() == n_cbps && out.size() == n_cbps);
-  const auto& map = cached_map_i32(mod);
-  // Pure permutation, so the kernel is trivially bit-identical at every
-  // tier; AVX2 replaces 312 dependent loads with 78 gathers per symbol.
+  const auto& map = cached_map(mod);
+  // Every tier does the same multiply, clamp and rounding per element;
+  // AVX2 replaces 312 dependent loads with 78 gathers per symbol.
   simd::deinterleave_for(simd::active_tier())(llrs.data(), map.data(), n_cbps,
-                                              out.data());
+                                              scale, out.data());
 }
 
 }  // namespace witag::phy

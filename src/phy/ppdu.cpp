@@ -10,6 +10,7 @@
 #include "phy/interleaver.hpp"
 #include "phy/preamble.hpp"
 #include "phy/scrambler.hpp"
+#include "phy/simd.hpp"
 #include "phy/viterbi.hpp"
 #include "util/require.hpp"
 #include "util/complexvec.hpp"
@@ -136,21 +137,32 @@ void decode_ppdu(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
 
 namespace detail {
 
+double llr_scale(const ChannelEstimate& est, Modulation mod) {
+  if (!(est.mean_gain > simd::kEqualizeMinGain)) return 0.0;
+  // Squared distance between adjacent levels of each normalized
+  // constellation (BPSK, QPSK, 16-QAM, 64-QAM).
+  constexpr std::array<double, 4> kLevelDistanceSq{4.0, 2.0, 0.4,
+                                                   4.0 / 42.0};
+  const double d2 = kLevelDistanceSq[static_cast<std::size_t>(mod)];
+  return kLlrFullScale * std::max(est.noise_var, 1e-12) / (est.mean_gain * d2);
+}
+
 void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,
                      DecodeScratch& scratch) {
   const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
+  const double scale = llr_scale(est, mod);
   // resize, not assign: every slot is written below, one symbol's
   // deinterleaved LLRs at a time.
   scratch.llrs.resize(symbols.size() * n_cbps);
-  const std::span<double> field(scratch.llrs);
+  const std::span<std::int8_t> field(scratch.llrs);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     equalize_into(symbols[s], est, first_symbol_index + s, cpe_correction,
                   scratch.eq);
     demap_soft_into(scratch.eq.points, mod, scratch.eq.noise_vars,
                     scratch.sym_llrs);
-    deinterleave_llrs_into(scratch.sym_llrs, mod,
+    deinterleave_llrs_into(scratch.sym_llrs, mod, scale,
                            field.subspan(s * n_cbps, n_cbps));
   }
 }

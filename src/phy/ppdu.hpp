@@ -37,8 +37,8 @@ struct DecodeScratch {
   ViterbiWorkspace viterbi;
   EqualizedSymbol eq;              ///< Per-symbol equalizer output.
   std::vector<double> sym_llrs;    ///< Per-symbol soft demap output.
-  std::vector<double> llrs;        ///< Field LLRs, one slot per symbol.
-  std::vector<double> mother;      ///< Depunctured mother-rate LLRs.
+  std::vector<std::int8_t> llrs;   ///< Quantized field LLRs, slot/symbol.
+  std::vector<std::int8_t> mother; ///< Depunctured mother-rate LLRs.
   util::BitVec bits;               ///< Viterbi output bits.
   util::BitVec plain;              ///< Descrambled field bits.
   std::vector<FreqSymbol> symbols; ///< receive_samples staging.
@@ -132,11 +132,20 @@ RxResult receive_samples(std::span<const util::Cx> samples,
 
 namespace detail {
 
-/// Front half of a field decode: equalize, soft-demap and deinterleave
-/// each symbol, leaving the concatenated field LLRs in `scratch.llrs`
-/// (resized to the field; each symbol deinterleaves straight into its
-/// slot). receive_into() runs this and the back half below once per
-/// field; they are exposed so a profiler can time each half.
+/// What a clean weakest bit on an average-gain subcarrier quantizes to.
+inline constexpr double kLlrFullScale = 32.0;
+
+/// The one LLR quantization scale of a field: kLlrFullScale ×
+/// max(noise_var, 1e-12) / (mean_gain × d²), d² the squared distance
+/// between adjacent levels (4, 2, 0.4, 4/42 for BPSK to 64-QAM); 0 when
+/// mean_gain <= simd::kEqualizeMinGain (nothing to decode).
+double llr_scale(const ChannelEstimate& est, Modulation mod);
+
+/// Front half of a field decode: equalize, soft-demap, then deinterleave
+/// and quantize each symbol at the field's llr_scale() straight into its
+/// slot of `scratch.llrs` (resized to the field). receive_into() runs
+/// this and the back half below once per field; they are exposed so a
+/// profiler can time each half.
 void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,

@@ -64,29 +64,41 @@ std::atomic<int> g_override{-1};
 // kernel must reproduce bit for bit).
 // ---------------------------------------------------------------------
 
-void acs_block_scalar(const double* llrs, std::size_t n_steps,
-                      std::uint64_t* decisions, double* metrics) {
-  std::array<double, kNumStates> spare{};
-  double* cur = metrics;
-  double* nxt = spare.data();
+std::int16_t saturate16(int v) {
+  return static_cast<std::int16_t>(std::clamp(v, -32768, 32767));
+}
+
+void acs_block_scalar(const std::int8_t* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, std::int16_t* metrics) {
+  std::array<std::int16_t, kNumStates> spare{};
+  std::int16_t* cur = metrics;
+  std::int16_t* nxt = spare.data();
   for (std::size_t step = 0; step < n_steps; ++step) {
-    // pa[e] / pb[e] = metric contribution of a branch expecting bit e.
-    const double la = llrs[2 * step];
-    const double lb = llrs[2 * step + 1];
-    const double pa[2] = {la, -la};
-    const double pb[2] = {lb, -lb};
+    const int la = llrs[2 * step];
+    const int lb = llrs[2 * step + 1];
     std::uint64_t word = 0;
-    for (std::uint32_t ns = 0; ns < kNumStates; ++ns) {
+    for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+      // One branch metric fixes all four branches of the ns / ns + 32
+      // butterfly (trellis.hpp's generator symmetry).
       const detail::Butterfly& bf = detail::kButterflies[ns];
-      // Same association as the reference: (metric + a) + b.
-      const double m0 = (cur[bf.s0] + pa[bf.a0]) + pb[bf.b0];
-      const double m1 = (cur[bf.s1] + pa[bf.a1]) + pb[bf.b1];
-      const bool take1 = m1 > m0;  // strict: ties keep the s0 branch
-      nxt[ns] = take1 ? m1 : m0;
-      word |= static_cast<std::uint64_t>(take1) << ns;
+      const int bm = (bf.a0 ? -la : la) + (bf.b0 ? -lb : lb);
+      const std::int16_t lo0 = saturate16(cur[bf.s0] + bm);
+      const std::int16_t lo1 = saturate16(cur[bf.s1] - bm);
+      const std::int16_t hi0 = saturate16(cur[bf.s0] - bm);
+      const std::int16_t hi1 = saturate16(cur[bf.s1] + bm);
+      nxt[ns] = std::max(lo0, lo1);
+      nxt[ns + kNumStates / 2] = std::max(hi0, hi1);
+      word |= static_cast<std::uint64_t>(lo1 > lo0) << ns;
+      word |= static_cast<std::uint64_t>(hi1 > hi0) << (ns + kNumStates / 2);
     }
     decisions[step] = word;
     std::swap(cur, nxt);
+    if (step % kAcsRenormPeriod == kAcsRenormPeriod - 1) {
+      const int base = cur[0];
+      for (std::uint32_t s = 0; s < kNumStates; ++s) {
+        cur[s] = saturate16(cur[s] - base);
+      }
+    }
   }
   if (cur != metrics) std::copy(cur, cur + kNumStates, metrics);
 }
@@ -171,8 +183,8 @@ void equalize_block_scalar(const double* hr, const double* hi,
 }
 
 void deinterleave_scalar(const double* in, const std::int32_t* map,
-                         std::size_t n, double* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = in[map[k]];
+                         std::size_t n, double scale, std::int8_t* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = quantize_llr(in[map[k]], scale);
 }
 
 using util::Cx;
@@ -239,10 +251,10 @@ bool avx2_compiled();
 bool avx2_supported();
 bool avx512_compiled();
 bool avx512_supported();
-void acs_block_avx512(const double* llrs, std::size_t n_steps,
-                      std::uint64_t* decisions, double* metrics);
-void acs_block_avx2(const double* llrs, std::size_t n_steps,
-                    std::uint64_t* decisions, double* metrics);
+void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, std::int16_t* metrics);
+void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, std::int16_t* metrics);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
@@ -250,12 +262,23 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
                          double noise_floor, std::size_t count, double* zr,
                          double* zi, double* nv);
 void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out);
+                       std::size_t n, double scale, std::int8_t* out);
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
                           const util::Cx* w1, const util::Cx* w2);
 void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
 void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
 }  // namespace kernels
+
+std::int8_t quantize_llr(double llr, double scale) {
+  double v = llr * scale;
+  v = v < 127.0 ? v : 127.0;
+  v = v > -127.0 ? v : -127.0;
+  // Adding and subtracting 1.5 * 2^52 rounds to nearest, ties to even,
+  // like the AVX2 tier's cvtpd2dq.
+  constexpr double kRound = 0x1.8p52;
+  v = (v + kRound) - kRound;
+  return static_cast<std::int8_t>(v);
+}
 
 Tier detect_best_tier() {
   // The *_supported() probes are false on non-x86 targets.

@@ -1,21 +1,23 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
 // kernels (Viterbi add-compare-select, soft demap, equalize,
-// deinterleave, radix-4 FFT passes). There are three tiers: the portable
-// scalar kernels; AVX2 kernels for every hot kernel; and AVX-512, which
-// carries one kernel of its own, a register-resident Viterbi ACS, and
-// runs the AVX2 kernels for everything else. Both vector tiers are
-// selected at run time on x86 hosts that have them.
+// deinterleave with LLR quantization, radix-4 FFT passes). There are three tiers:
+// the portable scalar kernels; AVX2 kernels for every hot kernel; and
+// AVX-512 (F + BW), which carries one kernel of its own, a
+// register-resident Viterbi ACS, and runs the AVX2 kernels for
+// everything else. Both vector tiers are selected at run time on x86
+// hosts that have them.
 //
-// Every kernel here is bit-identical to its scalar counterpart by
-// construction: the build carries no -march/-ffast-math, so scalar code
+// Every kernel here is bit-identical to its scalar counterpart. The
+// Viterbi back end (int8 LLRs, int16 path metrics, saturating adds) is
+// integer arithmetic, so its tiers agree exactly by construction. The
+// double front end (equalize, demap, FFT, the quantizer's multiply) is
+// IEEE-exact: the build carries no -march/-ffast-math, so scalar code
 // never contracts into FMA, and the vector kernels use only packed
-// mul/add/sub/xor/min/max/compare — the same IEEE-754 operations on the
-// same operands in the same association, just several lanes at a time.
-// Negation is a sign-bit XOR (exact), selection is a bitwise blend or a
-// max whose tie rule matches the scalar compare (exact), and reductions
-// only reorder operations across independent outputs, never within one.
-// tests/test_simd.cpp fuzzes every tier against the detail::*_reference
-// implementations and the ACS kernels against each other.
+// mul/add/sub/div/min/max/compare — the same IEEE-754 operations on the
+// same operands in the same association, several lanes at a time, with
+// min/max operand order matching the scalar compare. tests/test_simd.cpp
+// fuzzes every tier against the detail::*_reference implementations and
+// the ACS kernels against each other.
 //
 // Dispatch is resolved once per call site from `active_tier()`: the
 // best tier cpuid reports and the build compiled, capped by the
@@ -44,7 +46,7 @@ namespace witag::phy::simd {
 enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
-/// AVX-512 needs both AVX-512F and AVX-512DQ.
+/// AVX-512 needs both AVX-512F and AVX-512BW.
 Tier detect_best_tier();
 
 /// Parses a WITAG_SIMD value into the tier it caps dispatch at:
@@ -80,18 +82,34 @@ class ScopedTier {
 };
 
 // ---------------------------------------------------------------------
-// Viterbi add-compare-select.
+// Viterbi add-compare-select (int8 LLRs, int16 path metrics).
 // ---------------------------------------------------------------------
 
+/// The ACS renormalizes after every kAcsRenormPeriod-th step of a call.
+inline constexpr std::size_t kAcsRenormPeriod = 16;
+
+/// Start metrics within ±kAcsStartBound never saturate an add: before the
+/// first renormalization a metric moves at most 16 × 256 (|LLR| <= 128);
+/// from step 6 on, metrics span at most 2 × 6 × 256 = 3,072 (any state
+/// reaches any other in six steps), so they stay within 3,072 + 4,096.
+inline constexpr std::int16_t kAcsStartBound = 16384;
+
 /// Add-compare-select over a whole trellis in one call: `n_steps`
-/// steps, step k reading its two LLRs from llrs[2k] and llrs[2k + 1].
+/// steps, step k reading its two LLRs la = llrs[2k], lb = llrs[2k + 1].
 /// `metrics` holds the 64 path metrics at the start of the trellis on
-/// entry and at its end on return. decisions[k] gets one bit per next
-/// state: bit ns is set iff ns took its odd predecessor
-/// ((2 * ns) & 63) + 1 at step k (strict m1 > m0, so ties keep the even
-/// one). Any n_steps >= 0 is valid.
-using AcsBlockFn = void (*)(const double* llrs, std::size_t n_steps,
-                            std::uint64_t* decisions, double* metrics);
+/// entry and at its end on return. For next state ns < 32, whose even
+/// predecessor s0 = 2 * ns expects the coded bits (a0, b0) and whose odd
+/// predecessor s1 = s0 + 1 expects their complements, let
+/// bm = (a0 ? -la : la) + (b0 ? -lb : lb) (exact in int16). Then
+///   ns:      m0 = sat(cur[s0] + bm), m1 = sat(cur[s1] - bm)
+///   ns + 32: m0 = sat(cur[s0] - bm), m1 = sat(cur[s1] + bm)
+/// with sat() saturating to int16, next metric max(m0, m1), and bit ns
+/// of decisions[k] set iff m1 > m0 (strict, so ties keep the even
+/// predecessor). After every kAcsRenormPeriod-th step (k % 16 == 15)
+/// each metric has next-state 0's metric subtracted (saturating), so
+/// state 0 reads 0. Any n_steps >= 0 is valid.
+using AcsBlockFn = void (*)(const std::int8_t* llrs, std::size_t n_steps,
+                            std::uint64_t* decisions, std::int16_t* metrics);
 
 /// The ACS kernel for a tier (always non-null). The only kernel with an
 /// AVX-512 implementation.
@@ -156,14 +174,21 @@ using EqualizeFn = void (*)(const double* hr, const double* hi,
 EqualizeFn equalize_for(Tier t);
 
 // ---------------------------------------------------------------------
-// Deinterleave (pure permutation gather: out[k] = in[map[k]]).
+// Deinterleave and quantize (double LLRs in, int8 soft bits out).
 // ---------------------------------------------------------------------
 
-/// Applies a precomputed permutation: out[k] = in[map[k]] for k in
-/// [0, n). A pure data movement, so every tier is trivially
-/// bit-identical; AVX2 uses vgatherdpd over the int32 index table.
+/// Quantizes one LLR: v = llr * scale, clamped to [-127, 127] as
+/// v = v < 127 ? v : 127 then v = v > -127 ? v : -127 (so a NaN reads
+/// 127), then rounded to nearest, ties to even. Every tier performs this
+/// same multiply, clamp and rounding, with no libm call.
+std::int8_t quantize_llr(double llr, double scale);
+
+/// Applies a precomputed permutation and quantizes: out[k] =
+/// quantize_llr(in[map[k]], scale) for k in [0, n). AVX2 gathers four
+/// doubles at a time over the int32 index table.
 using DeinterleaveFn = void (*)(const double* in, const std::int32_t* map,
-                                std::size_t n, double* out);
+                                std::size_t n, double scale,
+                                std::int8_t* out);
 
 /// The deinterleave kernel for a tier (always non-null).
 DeinterleaveFn deinterleave_for(Tier t);

@@ -1,11 +1,12 @@
-// AVX2 kernels (four doubles / two complex doubles per vector): Viterbi
-// add-compare-select, separable soft demap, and the fused radix-4 FFT
-// passes. This TU is compiled with -mavx2 (and deliberately WITHOUT
-// -mfma: the scalar code the kernels must match bit for bit is built
-// with no contraction, so the kernels stick to packed mul/add/sub —
-// an FMA here would round differently). When the compiler cannot
-// target AVX2 the file degrades to stubs and dispatch never selects
-// this tier (see avx2_compiled()).
+// AVX2 kernels: the int16 Viterbi add-compare-select (sixteen metrics
+// per vector) and, four doubles / two complex doubles per vector, the
+// separable soft demap, the equalizer, the deinterleave-and-quantize
+// gather and the fused radix-4 FFT passes. This TU is
+// compiled with -mavx2 (and deliberately WITHOUT -mfma: the scalar code
+// the double kernels must match bit for bit is built with no
+// contraction, so the kernels stick to packed mul/add/sub — an FMA here
+// would round differently). When the compiler cannot target AVX2 the file degrades
+// to stubs and dispatch never selects this tier (see avx2_compiled()).
 
 #include "phy/simd.hpp"
 
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstring>
 #endif
 
 namespace witag::phy::simd::kernels {
@@ -38,78 +40,89 @@ bool avx2_compiled() { return true; }
 
 namespace {
 
-/// One trellis step over all 64 states: metrics cur -> nxt, returning
-/// the step's decision word (bit ns set iff ns took its odd
-/// predecessor). Next states ns and ns + 32 share the predecessor pair
-/// cur[2*ns], cur[2*ns + 1], and by the generator symmetry in
-/// trellis.hpp their four branches use one sign pair (pa, pb) and its
-/// negation (na, nb), so each 4-state block needs one pair of sign
-/// loads and writes eight next-state metrics.
-inline std::uint64_t acs_step(const double* cur, double* nxt, __m256d la,
-                              __m256d lb) {
-  const detail::AcsSigns& sg = detail::kAcsSigns;
-  const __m256d neg = _mm256_set1_pd(-0.0);
-  std::uint64_t word = 0;
-  for (std::uint32_t j = 0; j < kNumStates / 2; j += 4) {
-    const __m256d v0 = _mm256_load_pd(cur + 2 * j);      // cur[2j .. 2j+3]
-    const __m256d v1 = _mm256_load_pd(cur + 2 * j + 4);  // cur[2j+4 .. 2j+7]
-    // In-lane unpack then a cross-lane permute yields the even/odd
-    // deinterleave: evens = cur[s0] for ns = j..j+3, odds = cur[s1].
-    const __m256d evens = _mm256_permute4x64_pd(
-        _mm256_unpacklo_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    const __m256d odds = _mm256_permute4x64_pd(
-        _mm256_unpackhi_pd(v0, v1), _MM_SHUFFLE(3, 1, 2, 0));
-    // Branch metrics via sign-bit XOR: ±llr exactly as the scalar
-    // pa[e]/pb[e] tables, with the same (cur + pa) + pb association.
-    const __m256d pa = _mm256_xor_pd(la, _mm256_load_pd(&sg.a[j]));
-    const __m256d pb = _mm256_xor_pd(lb, _mm256_load_pd(&sg.b[j]));
-    const __m256d na = _mm256_xor_pd(pa, neg);
-    const __m256d nb = _mm256_xor_pd(pb, neg);
-    const __m256d m0_lo = _mm256_add_pd(_mm256_add_pd(evens, pa), pb);
-    const __m256d m1_lo = _mm256_add_pd(_mm256_add_pd(odds, na), nb);
-    const __m256d m0_hi = _mm256_add_pd(_mm256_add_pd(evens, na), nb);
-    const __m256d m1_hi = _mm256_add_pd(_mm256_add_pd(odds, pa), pb);
-    // Strict m1 > m0 (ordered): ties keep the s0 branch, like the
-    // scalar code. max_pd(m1, m0) is exactly `m1 > m0 ? m1 : m0` (it
-    // returns its second operand on ties and NaNs), so the stored
-    // metric is the one the decision bit names.
-    const __m256d take_lo = _mm256_cmp_pd(m1_lo, m0_lo, _CMP_GT_OQ);
-    const __m256d take_hi = _mm256_cmp_pd(m1_hi, m0_hi, _CMP_GT_OQ);
-    _mm256_store_pd(nxt + j, _mm256_max_pd(m1_lo, m0_lo));
-    _mm256_store_pd(nxt + j + kNumStates / 2, _mm256_max_pd(m1_hi, m0_hi));
-    word |= static_cast<std::uint64_t>(_mm256_movemask_pd(take_lo)) << j;
-    word |= static_cast<std::uint64_t>(_mm256_movemask_pd(take_hi))
-            << (j + kNumStates / 2);
+/// ±1 per next state ns < 32: entry ns is -1 where the even predecessor
+/// expects coded bit 1 on the first output, entry 32 + ns likewise on the
+/// second, so _mm256_sign_epi16 turns broadcast LLRs into simd.hpp's bm.
+alignas(32) constexpr std::array<std::int16_t, kNumStates> kBranchSigns = [] {
+  std::array<std::int16_t, kNumStates> s{};
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    s[ns] = detail::kButterflies[ns].a0 ? -1 : 1;
+    s[ns + kNumStates / 2] = detail::kButterflies[ns].b0 ? -1 : 1;
   }
-  return word;
+  return s;
+}();
+
+/// 32 decision masks (0 / -1 per int16 lane, states in order across the
+/// two registers) to 32 bits in state order: the pack interleaves the
+/// registers' 128-bit lanes, the qword permute restores the order.
+inline std::uint64_t decision_bits(__m256i d0, __m256i d1) {
+  const __m256i bytes = _mm256_permute4x64_epi64(_mm256_packs_epi16(d0, d1),
+                                                 _MM_SHUFFLE(3, 1, 2, 0));
+  return static_cast<std::uint32_t>(_mm256_movemask_epi8(bytes));
 }
 
 }  // namespace
 
-void acs_block_avx2(const double* llrs, std::size_t n_steps,
-                    std::uint64_t* decisions, double* metrics) {
-  // Two steps per iteration, so the metric ping-pong between the two
-  // aligned arrays is fixed at compile time; an odd last step follows.
-  alignas(32) std::array<double, kNumStates> a{};
-  alignas(32) std::array<double, kNumStates> b{};
-  std::copy(metrics, metrics + kNumStates, a.begin());
-  std::size_t step = 0;
-  for (; step + 2 <= n_steps; step += 2) {
-    decisions[step] =
-        acs_step(a.data(), b.data(), _mm256_set1_pd(llrs[2 * step]),
-                 _mm256_set1_pd(llrs[2 * step + 1]));
-    decisions[step + 1] =
-        acs_step(b.data(), a.data(), _mm256_set1_pd(llrs[2 * step + 2]),
-                 _mm256_set1_pd(llrs[2 * step + 3]));
+void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, std::int16_t* metrics) {
+  // The 64 metrics stay in four registers for the whole trellis: m[k]
+  // holds cur[16k .. 16k + 15]. Callers' metric arrays carry no
+  // alignment contract, and these loads and stores run once per call.
+  __m256i m[4];
+  __m256i signs[4];
+#pragma GCC unroll 4
+  for (int k = 0; k < 4; ++k) {
+    m[k] = _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
+        reinterpret_cast<const __m256i*>(metrics + 16 * k));
+    signs[k] = _mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kBranchSigns.data() + 16 * k));
   }
-  const std::array<double, kNumStates>* last = &a;
-  if (step < n_steps) {
-    decisions[step] =
-        acs_step(a.data(), b.data(), _mm256_set1_pd(llrs[2 * step]),
-                 _mm256_set1_pd(llrs[2 * step + 1]));
-    last = &b;
+  for (std::size_t step = 0; step < n_steps; ++step) {
+    const __m256i la = _mm256_set1_epi16(llrs[2 * step]);
+    const __m256i lb = _mm256_set1_epi16(llrs[2 * step + 1]);
+    __m256i next[4];
+    __m256i take[4];
+#pragma GCC unroll 2
+    for (int k = 0; k < 2; ++k) {
+      // Predecessors of next states 16k .. 16k + 15 from m[2k], m[2k+1]:
+      // each int32 lane holds one (even, odd) pair; shifts split it, the
+      // in-lane pack joins the halves (exact on sign-extended int16) and
+      // a qword permute undoes the pack's lane interleave.
+      const __m256i x = m[2 * k];
+      const __m256i y = m[2 * k + 1];
+      const __m256i ev = _mm256_permute4x64_epi64(
+          _mm256_packs_epi32(_mm256_srai_epi32(_mm256_slli_epi32(x, 16), 16),
+                             _mm256_srai_epi32(_mm256_slli_epi32(y, 16), 16)),
+          _MM_SHUFFLE(3, 1, 2, 0));
+      const __m256i od = _mm256_permute4x64_epi64(
+          _mm256_packs_epi32(_mm256_srai_epi32(x, 16), _mm256_srai_epi32(y, 16)),
+          _MM_SHUFFLE(3, 1, 2, 0));
+      const __m256i bm = _mm256_add_epi16(_mm256_sign_epi16(la, signs[k]),
+                                          _mm256_sign_epi16(lb, signs[k + 2]));
+      // Next states 16k .. (lo) and their partners + 32 (hi).
+      const __m256i lo0 = _mm256_adds_epi16(ev, bm);
+      const __m256i lo1 = _mm256_subs_epi16(od, bm);
+      const __m256i hi0 = _mm256_subs_epi16(ev, bm);
+      const __m256i hi1 = _mm256_adds_epi16(od, bm);
+      next[k] = _mm256_max_epi16(lo0, lo1);
+      next[k + 2] = _mm256_max_epi16(hi0, hi1);
+      take[k] = _mm256_cmpgt_epi16(lo1, lo0);
+      take[k + 2] = _mm256_cmpgt_epi16(hi1, hi0);
+    }
+    decisions[step] = decision_bits(take[0], take[1]) |
+                      decision_bits(take[2], take[3]) << (kNumStates / 2);
+    const bool renorm = step % kAcsRenormPeriod == kAcsRenormPeriod - 1;
+    const __m256i base = renorm
+                             ? _mm256_broadcastw_epi16(
+                                   _mm256_castsi256_si128(next[0]))
+                             : _mm256_setzero_si256();
+#pragma GCC unroll 4
+    for (int k = 0; k < 4; ++k) m[k] = _mm256_subs_epi16(next[k], base);
   }
-  std::copy(last->begin(), last->end(), metrics);
+#pragma GCC unroll 4
+  for (int k = 0; k < 4; ++k) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(metrics + 16 * k), m[k]);
+  }
 }
 
 namespace {
@@ -392,32 +405,59 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
   }
 }
 
+namespace {
+
+/// Four gathered LLRs quantized as quantize_llr does: the same multiply,
+/// the same min/max operand order (a NaN becomes 127), and cvtpd2dq's
+/// rounding, nearest with ties to even like the scalar tier.
+inline __m128i gather_quantize4(const double* in, const std::int32_t* map,
+                                __m256d scale) {
+  const __m128i idx = _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
+      reinterpret_cast<const __m128i*>(map));
+  // The masked form with an all-ones mask does the same four loads; its
+  // defined zero pass-through keeps GCC's self-initialized
+  // _mm256_undefined_pd (what the unmasked form expands to) out of
+  // -Wmaybe-uninitialized.
+  const __m256d v = _mm256_mask_i32gather_pd(
+      _mm256_setzero_pd(), in, idx,
+      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+  const __m256d clamped = _mm256_max_pd(
+      _mm256_min_pd(_mm256_mul_pd(v, scale), _mm256_set1_pd(127.0)),
+      _mm256_set1_pd(-127.0));
+  return _mm256_cvtpd_epi32(clamped);
+}
+
+}  // namespace
+
 void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out) {
+                       std::size_t n, double scale, std::int8_t* out) {
+  const __m256d s = _mm256_set1_pd(scale);
   std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m128i idx = _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
-        reinterpret_cast<const __m128i*>(map + k));
-    // A pure permutation: four gathered loads land in one consecutive
-    // store, bit-identical to the scalar copy loop by construction. The
-    // masked form with an all-ones mask does the same four loads; its
-    // defined zero pass-through keeps GCC's self-initialized
-    // _mm256_undefined_pd (what the unmasked form expands to) out of
-    // -Wmaybe-uninitialized.
-    const __m256d v = _mm256_mask_i32gather_pd(
-        _mm256_setzero_pd(), in, idx,
-        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-    _mm256_storeu_pd(out + k, v);  // witag-lint: allow(simd-unaligned)
+  // Sixteen per store (±127 packs through int16 to int8 exactly); symbol
+  // sizes are multiples of four, so the four-wide loop takes the rest.
+  for (; k + 16 <= n; k += 16) {
+    const __m128i w0 = _mm_packs_epi32(gather_quantize4(in, map + k, s),
+                                       gather_quantize4(in, map + k + 4, s));
+    const __m128i w1 = _mm_packs_epi32(gather_quantize4(in, map + k + 8, s),
+                                       gather_quantize4(in, map + k + 12, s));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
+                     _mm_packs_epi16(w0, w1));
   }
-  for (; k < n; ++k) out[k] = in[map[k]];
+  for (; k + 4 <= n; k += 4) {
+    const __m128i w = gather_quantize4(in, map + k, s);
+    const __m128i bytes = _mm_packs_epi16(_mm_packs_epi32(w, w), w);
+    const std::int32_t four = _mm_cvtsi128_si32(bytes);
+    std::memcpy(out + k, &four, sizeof(four));
+  }
+  for (; k < n; ++k) out[k] = quantize_llr(in[map[k]], scale);
 }
 
 #else  // !defined(__AVX2__)
 
 bool avx2_compiled() { return false; }
 
-void acs_block_avx2(const double* llrs, std::size_t n_steps,
-                    std::uint64_t* decisions, double* metrics) {
+void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
+                    std::uint64_t* decisions, std::int16_t* metrics) {
   acs_block_for(Tier::kScalar)(llrs, n_steps, decisions, metrics);
 }
 
@@ -435,8 +475,8 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
 }
 
 void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double* out) {
-  deinterleave_for(Tier::kScalar)(in, map, n, out);
+                       std::size_t n, double scale, std::int8_t* out) {
+  deinterleave_for(Tier::kScalar)(in, map, n, scale, out);
 }
 
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,

@@ -1,14 +1,13 @@
-// AVX-512 tier: one kernel, the Viterbi add-compare-select. Eight
-// doubles per register hold all 64 path metrics in eight zmm registers
-// for the whole trellis, so a step reads and writes no memory except its
-// two LLRs and its decision word. Every other kernel runs its AVX2
-// version at this tier (simd.cpp; DESIGN.md section 14.4 says why).
+// AVX-512 tier: one kernel, the Viterbi add-compare-select. Thirty-two
+// int16 metrics per register hold all 64 path metrics in two zmm
+// registers for the whole trellis, so a step reads and writes no memory
+// except its two LLRs and its decision word. Every other kernel runs its
+// AVX2 version at this tier (simd.cpp; DESIGN.md section 14.4 says why).
 //
-// This TU is compiled with -mavx512f -mavx512dq and deliberately WITHOUT
-// -mfma (-mavx512f does not imply it): like the AVX2 kernels, the ACS
-// must round exactly like the uncontracted scalar code. When the
-// compiler cannot target AVX-512 the file degrades to stubs and dispatch
-// never selects this tier (see avx512_compiled()).
+// This TU is compiled with -mavx512f -mavx512bw (the int16 lanes and
+// their mask compares are AVX-512BW). When the compiler cannot target
+// AVX-512 the file degrades to stubs and dispatch never selects this
+// tier (see avx512_compiled()).
 
 #include "phy/simd.hpp"
 
@@ -17,7 +16,7 @@
 
 #include "phy/trellis.hpp"
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#if defined(__AVX512F__) && defined(__AVX512BW__)
 #include <immintrin.h>
 #endif
 
@@ -27,121 +26,92 @@ bool avx512_supported() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512dq") != 0;
+         __builtin_cpu_supports("avx512bw") != 0;
 #else
   return false;
 #endif
 }
 
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
+#if defined(__AVX512F__) && defined(__AVX512BW__)
 
 bool avx512_compiled() { return true; }
 
 namespace {
 
-/// One block's survivors: next states 8K .. 8K + 7 (lo), their partners
-/// 8K + 32 .. 8K + 39 (hi), and the block's decision bits in place.
-struct AcsBlock8 {
-  __m512d lo;
-  __m512d hi;
-  std::uint64_t bits;
-};
-
-/// ACS for block K from the register pair (c0, c1) holding
-/// cur[16K .. 16K + 15], which are the even predecessors
-/// cur[s0] = cur[2ns] and odd predecessors cur[s1] = cur[2ns + 1] of
-/// next states ns = 8K .. 8K + 7 and ns + 32.
-inline AcsBlock8 acs_block8(__m512d c0, __m512d c1, __m512d la, __m512d lb,
-                            unsigned k) {
-  const detail::AcsSigns& sg = detail::kAcsSigns;
-  const __m512d neg = _mm512_set1_pd(-0.0);
-  const __m512d evens = _mm512_permutex2var_pd(
-      c0, _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14), c1);
-  const __m512d odds = _mm512_permutex2var_pd(
-      c0, _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15), c1);
-  // The same sign-bit XORs and (cur + pa) + pb association as the AVX2
-  // and scalar kernels (trellis.hpp's butterfly symmetry).
-  const __m512d pa = _mm512_xor_pd(la, _mm512_load_pd(&sg.a[8 * k]));
-  const __m512d pb = _mm512_xor_pd(lb, _mm512_load_pd(&sg.b[8 * k]));
-  const __m512d na = _mm512_xor_pd(pa, neg);
-  const __m512d nb = _mm512_xor_pd(pb, neg);
-  const __m512d m0_lo = _mm512_add_pd(_mm512_add_pd(evens, pa), pb);
-  const __m512d m1_lo = _mm512_add_pd(_mm512_add_pd(odds, na), nb);
-  const __m512d m0_hi = _mm512_add_pd(_mm512_add_pd(evens, na), nb);
-  const __m512d m1_hi = _mm512_add_pd(_mm512_add_pd(odds, pa), pb);
-  // Strict ordered m1 > m0: ties keep the s0 branch. vmaxpd returns its
-  // second operand on ties and NaNs, so max(m1, m0) is exactly
-  // `m1 > m0 ? m1 : m0`. The all-ones masked form does the same
-  // operation; its defined pass-through keeps GCC's self-initialized
-  // _mm512_undefined_pd (what the unmasked form expands to) out of
-  // -Wmaybe-uninitialized.
-  const __mmask8 take_lo = _mm512_cmp_pd_mask(m1_lo, m0_lo, _CMP_GT_OQ);
-  const __mmask8 take_hi = _mm512_cmp_pd_mask(m1_hi, m0_hi, _CMP_GT_OQ);
-  return {_mm512_mask_max_pd(m0_lo, 0xFF, m1_lo, m0_lo),
-          _mm512_mask_max_pd(m0_hi, 0xFF, m1_hi, m0_hi),
-          static_cast<std::uint64_t>(take_lo) << (8 * k) |
-              static_cast<std::uint64_t>(take_hi) << (kNumStates / 2 + 8 * k)};
-}
+/// Bit ns (< 32) set iff the even predecessor of next state ns expects
+/// coded bit 1 on the first (kNegA) or second (kNegB) output.
+constexpr std::uint64_t kNegAB = [] {
+  std::uint64_t masks = 0;
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    masks |= std::uint64_t{detail::kButterflies[ns].a0} << ns |
+             std::uint64_t{detail::kButterflies[ns].b0} << (ns + 32);
+  }
+  return masks;
+}();
+constexpr auto kNegA = static_cast<__mmask32>(kNegAB);
+constexpr auto kNegB = static_cast<__mmask32>(kNegAB >> 32);
 
 }  // namespace
 
-void acs_block_avx512(const double* llrs, std::size_t n_steps,
-                      std::uint64_t* decisions, double* metrics) {
-  // The 64 metrics, eight per register: mK holds cur[8K .. 8K + 7]. The
-  // four blocks are spelled out rather than looped over so they stay in
-  // registers at any optimization level. Callers' metric arrays carry no
-  // alignment contract, and these loads and stores run once per call.
-  __m512d m0 = _mm512_loadu_pd(metrics);  // witag-lint: allow(simd-unaligned)
-  __m512d m1 =
-      _mm512_loadu_pd(metrics + 8);  // witag-lint: allow(simd-unaligned)
-  __m512d m2 =
-      _mm512_loadu_pd(metrics + 16);  // witag-lint: allow(simd-unaligned)
-  __m512d m3 =
-      _mm512_loadu_pd(metrics + 24);  // witag-lint: allow(simd-unaligned)
-  __m512d m4 =
-      _mm512_loadu_pd(metrics + 32);  // witag-lint: allow(simd-unaligned)
-  __m512d m5 =
-      _mm512_loadu_pd(metrics + 40);  // witag-lint: allow(simd-unaligned)
-  __m512d m6 =
-      _mm512_loadu_pd(metrics + 48);  // witag-lint: allow(simd-unaligned)
-  __m512d m7 =
-      _mm512_loadu_pd(metrics + 56);  // witag-lint: allow(simd-unaligned)
+void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, std::int16_t* metrics) {
+  // lo holds cur[0 .. 31], hi cur[32 .. 63]. Callers' metric arrays
+  // carry no alignment contract, and these loads and stores run once per
+  // call.
+  __m512i lo = _mm512_loadu_si512(metrics);  // witag-lint: allow(simd-unaligned)
+  __m512i hi =
+      _mm512_loadu_si512(metrics + 32);  // witag-lint: allow(simd-unaligned)
+  // Word indices of the even (s0 = 2ns) and odd (s1 = 2ns + 1)
+  // predecessors of next states 0 .. 31 across the lo:hi pair.
+  const __m512i even_idx = _mm512_set_epi16(
+      62, 60, 58, 56, 54, 52, 50, 48, 46, 44, 42, 40, 38, 36, 34, 32, 30, 28,
+      26, 24, 22, 20, 18, 16, 14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd_idx = _mm512_add_epi16(even_idx, _mm512_set1_epi16(1));
+  const __m512i zero = _mm512_setzero_si512();
   for (std::size_t step = 0; step < n_steps; ++step) {
-    const __m512d la = _mm512_set1_pd(llrs[2 * step]);
-    const __m512d lb = _mm512_set1_pd(llrs[2 * step + 1]);
-    const AcsBlock8 b0 = acs_block8(m0, m1, la, lb, 0);
-    const AcsBlock8 b1 = acs_block8(m2, m3, la, lb, 1);
-    const AcsBlock8 b2 = acs_block8(m4, m5, la, lb, 2);
-    const AcsBlock8 b3 = acs_block8(m6, m7, la, lb, 3);
-    decisions[step] = b0.bits | b1.bits | b2.bits | b3.bits;
-    m0 = b0.lo;
-    m1 = b1.lo;
-    m2 = b2.lo;
-    m3 = b3.lo;
-    m4 = b0.hi;
-    m5 = b1.hi;
-    m6 = b2.hi;
-    m7 = b3.hi;
+    // Masked forms throughout, with defined pass-through operands: the
+    // unmasked ones expand to GCC's self-initialized undefined vectors,
+    // which -Wmaybe-uninitialized reports.
+    const __m512i la = _mm512_mask_set1_epi16(zero, ~__mmask32{0},
+                                              llrs[2 * step]);
+    const __m512i lb = _mm512_mask_set1_epi16(zero, ~__mmask32{0},
+                                              llrs[2 * step + 1]);
+    const __m512i ev = _mm512_permutex2var_epi16(lo, even_idx, hi);
+    const __m512i od = _mm512_permutex2var_epi16(lo, odd_idx, hi);
+    // bm = (a0 ? -la : la) + (b0 ? -lb : lb) per next state ns < 32.
+    const __m512i bm =
+        _mm512_add_epi16(_mm512_mask_sub_epi16(la, kNegA, zero, la),
+                         _mm512_mask_sub_epi16(lb, kNegB, zero, lb));
+    const __m512i lo0 = _mm512_adds_epi16(ev, bm);
+    const __m512i lo1 = _mm512_subs_epi16(od, bm);
+    const __m512i hi0 = _mm512_subs_epi16(ev, bm);
+    const __m512i hi1 = _mm512_adds_epi16(od, bm);
+    decisions[step] =
+        static_cast<std::uint64_t>(_mm512_cmpgt_epi16_mask(lo1, lo0)) |
+        static_cast<std::uint64_t>(_mm512_cmpgt_epi16_mask(hi1, hi0))
+            << (kNumStates / 2);
+    lo = _mm512_max_epi16(lo0, lo1);
+    hi = _mm512_max_epi16(hi0, hi1);
+    if (step % kAcsRenormPeriod == kAcsRenormPeriod - 1) {
+      // Next-state 0's metric in every lane (word permute, indices 0).
+      const __m512i base = _mm512_permutexvar_epi16(zero, lo);
+      lo = _mm512_subs_epi16(lo, base);
+      hi = _mm512_subs_epi16(hi, base);
+    }
   }
-  _mm512_storeu_pd(metrics, m0);
-  _mm512_storeu_pd(metrics + 8, m1);
-  _mm512_storeu_pd(metrics + 16, m2);
-  _mm512_storeu_pd(metrics + 24, m3);
-  _mm512_storeu_pd(metrics + 32, m4);
-  _mm512_storeu_pd(metrics + 40, m5);
-  _mm512_storeu_pd(metrics + 48, m6);
-  _mm512_storeu_pd(metrics + 56, m7);
+  _mm512_storeu_si512(metrics, lo);
+  _mm512_storeu_si512(metrics + 32, hi);
 }
 
-#else  // !(defined(__AVX512F__) && defined(__AVX512DQ__))
+#else  // !(defined(__AVX512F__) && defined(__AVX512BW__))
 
 bool avx512_compiled() { return false; }
 
-void acs_block_avx512(const double* llrs, std::size_t n_steps,
-                      std::uint64_t* decisions, double* metrics) {
+void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                      std::uint64_t* decisions, std::int16_t* metrics) {
   acs_block_for(Tier::kAvx2)(llrs, n_steps, decisions, metrics);
 }
 
-#endif  // defined(__AVX512F__) && defined(__AVX512DQ__)
+#endif  // defined(__AVX512F__) && defined(__AVX512BW__)
 
 }  // namespace witag::phy::simd::kernels

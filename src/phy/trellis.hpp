@@ -1,8 +1,8 @@
 // Shared constexpr trellis tables for the K = 7 Viterbi decoder
 // (generators 133/171 octal). Factored out of viterbi.cpp so the SIMD
 // add-compare-select kernels in src/phy/simd*.cpp walk the exact same
-// flattened trellis as the scalar decoder and the transition-oriented
-// reference — bit-identical outputs fall out of sharing one table.
+// flattened trellis as the scalar kernel and the transition-oriented
+// reference — identical outputs fall out of sharing one table.
 #pragma once
 
 #include <array>
@@ -80,8 +80,8 @@ inline constexpr std::array<Butterfly, kNumStates> kButterflies =
 // therefore fixes all four branches of the ns / ns + 32 butterfly:
 //   ns:      s0 expects ( a0,  b0), s1 expects (!a0, !b0)
 //   ns + 32: s0 expects (!a0, !b0), s1 expects ( a0,  b0)
-// The vector ACS kernels rely on this to derive every branch metric
-// from one sign pair.
+// Every ACS kernel relies on this to derive all four branch metrics
+// from one signed sum bm = ±la ± lb.
 constexpr bool butterflies_symmetric() {
   constexpr std::uint32_t kHalf = kNumStates / 2;
   for (std::uint32_t ns = 0; ns < kHalf; ++ns) {
@@ -97,38 +97,5 @@ constexpr bool butterflies_symmetric() {
 
 static_assert(butterflies_symmetric(),
               "ACS kernels assume both generators tap bits 0 and 6");
-
-// Large-finite stand-in for -inf: unreachable states carry this value
-// instead of being skipped, which removes the per-state branch from the
-// ACS loop. Physical LLR sums are tens per step, so adding a branch
-// metric to the sentinel does not move it at double granularity (ulp at
-// 1e300 is ~1e284), and a sentinel path can never beat a real one. Any
-// end metric below kSentinelThreshold therefore means "state 0 was
-// pruned", exactly like the reference's -inf test.
-inline constexpr double kSentinel = -1e300;
-inline constexpr double kSentinelThreshold = -1e290;
-
-// The sign pairs of the butterflies above, SoA for the vector ACS
-// kernel: a[ns] / b[ns] are ±0.0 masks for the coded bits next state
-// ns < 32 expects from its s0 branch. A branch metric ±llr is the LLR
-// with its sign bit XORed, and negation-by-sign-flip is exact in
-// IEEE-754, so XORing a mask (or a mask and -0.0, for the flipped
-// branches) reproduces the scalar `expected ? -llr : llr` bit for bit.
-// 64-byte alignment lets the AVX-512 kernel load eight at a time.
-struct AcsSigns {
-  alignas(64) std::array<double, kNumStates / 2> a{};
-  alignas(64) std::array<double, kNumStates / 2> b{};
-};
-
-constexpr AcsSigns make_acs_signs() {
-  AcsSigns m;
-  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
-    m.a[ns] = kButterflies[ns].a0 ? -0.0 : 0.0;
-    m.b[ns] = kButterflies[ns].b0 ? -0.0 : 0.0;
-  }
-  return m;
-}
-
-inline constexpr AcsSigns kAcsSigns = make_acs_signs();
 
 }  // namespace witag::phy::detail

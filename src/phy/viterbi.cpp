@@ -14,15 +14,16 @@
 namespace witag::phy {
 namespace {
 
-// Branch metric contribution of one coded bit: LLR > 0 favors bit 0, so a
-// branch expecting bit 0 gains +llr and one expecting bit 1 gains -llr.
-double bit_metric(double llr, std::uint8_t expected) {
-  return expected ? -llr : llr;
-}
+// Start metric of the states the zeroed encoder cannot be in: for the
+// six steps until every state is reachable from state 0, a path out of
+// them trails every path out of state 0 (2 × 6 × 256 < 8192), so the
+// decoder prunes exactly like the reference's -inf.
+constexpr std::int16_t kUnreachableMetric = -8192;
+static_assert(-kUnreachableMetric <= simd::kAcsStartBound);
 
 }  // namespace
 
-void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
+void viterbi_decode(std::span<const std::int8_t> llrs, ViterbiWorkspace& ws,
                     util::BitVec& out) {
   WITAG_SPAN_CAT("phy.viterbi", "phy");
   WITAG_REQUIRE(!llrs.empty() && llrs.size() % 2 == 0);
@@ -37,24 +38,19 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
   std::uint64_t* decisions = ws.decisions_.data();
 
   // The whole trellis runs in one kernel call, with the tier resolved
-  // once per decode; every tier's kernel is bit-identical
-  // (tests/test_simd.cpp fuzzes ties).
-  std::array<double, kNumStates> metric{};
-  metric.fill(detail::kSentinel);
-  metric[0] = 0.0;  // encoder starts zeroed
+  // once per decode; the kernels are integer arithmetic, so every tier
+  // returns the same decisions (tests/test_simd.cpp).
+  std::array<std::int16_t, kNumStates> metric{};
+  metric.fill(kUnreachableMetric);
+  metric[0] = 0;  // encoder starts zeroed
   simd::acs_block_for(simd::active_tier())(llrs.data(), n_steps, decisions,
                                            metric.data());
 
-  // The tail drives the encoder back to state 0; fall back to the best
-  // surviving state if 0 was pruned (can happen under extreme noise).
-  std::uint32_t state = 0;
-  if (metric[0] <= detail::kSentinelThreshold) {
-    state = static_cast<std::uint32_t>(
-        std::max_element(metric.begin(), metric.end()) - metric.begin());
-  }
-
-  // State ns was entered with input ns >> 5 from predecessor
+  // The tail drives the encoder back to state 0, and the all-zero input
+  // path keeps state 0 reachable at every step, so the traceback starts
+  // there. State ns was entered with input ns >> 5 from predecessor
   // ((2 * ns) & 63) plus its decision bit.
+  std::uint32_t state = 0;
   out.resize(n_steps);
   for (std::size_t step = n_steps; step-- > 0;) {
     out[step] = static_cast<std::uint8_t>(state >> 5);
@@ -63,7 +59,7 @@ void viterbi_decode(std::span<const double> llrs, ViterbiWorkspace& ws,
   }
 }
 
-util::BitVec viterbi_decode(std::span<const double> llrs) {
+util::BitVec viterbi_decode(std::span<const std::int8_t> llrs) {
   thread_local ViterbiWorkspace ws;
   util::BitVec bits;
   viterbi_decode(llrs, ws, bits);
@@ -92,8 +88,9 @@ util::BitVec viterbi_reference(std::span<const double> llrs) {
       if (metric[s] == kNegInf) continue;
       for (std::uint32_t u = 0; u < 2; ++u) {
         const std::uint8_t ns = kTrellis.next[s][u];
-        const double m = metric[s] + bit_metric(la, kTrellis.out_a[s][u]) +
-                         bit_metric(lb, kTrellis.out_b[s][u]);
+        // LLR > 0 favors bit 0: a branch expecting bit 0 gains +llr.
+        const double m = metric[s] + (kTrellis.out_a[s][u] ? -la : la) +
+                         (kTrellis.out_b[s][u] ? -lb : lb);
         if (m > next_metric[ns]) {
           next_metric[ns] = m;
           survivor[step][ns] = static_cast<std::uint8_t>((s << 1) | u);

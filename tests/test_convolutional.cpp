@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "phy/viterbi.hpp"
 #include "util/rng.hpp"
@@ -16,12 +20,20 @@ util::BitVec with_tail(util::BitVec bits) {
   return bits;
 }
 
-std::vector<double> to_llrs(const util::BitVec& coded) {
-  std::vector<double> llrs(coded.size());
+// Clean int8 LLRs at the receiver's full scale (a clean bit reads 32).
+std::vector<std::int8_t> to_llrs(const util::BitVec& coded) {
+  std::vector<std::int8_t> llrs(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) {
-    llrs[i] = coded[i] ? -4.0 : 4.0;
+    llrs[i] = coded[i] ? -32 : 32;
   }
   return llrs;
+}
+
+std::vector<std::int8_t> depuncture(std::span<const std::int8_t> llrs,
+                                    CodeRate rate, std::size_t n_coded) {
+  std::vector<std::int8_t> out;
+  depuncture_into(llrs, rate, n_coded, out);
+  return out;
 }
 
 TEST(Convolutional, ImpulseResponseMatchesGenerators) {
@@ -79,19 +91,19 @@ TEST_P(PunctureRates, DepunctureRestoresPositions) {
   util::Rng rng(4);
   const util::BitVec coded = rng.bits(mother);
   const util::BitVec punct = puncture(coded, GetParam());
-  std::vector<double> llrs(punct.size());
+  std::vector<std::int8_t> llrs(punct.size());
   for (std::size_t i = 0; i < punct.size(); ++i) {
-    llrs[i] = punct[i] ? -1.0 : 1.0;
+    llrs[i] = punct[i] ? -1 : 1;
   }
   const auto restored = depuncture(llrs, GetParam(), mother);
   ASSERT_EQ(restored.size(), mother);
   std::size_t erasures = 0;
   std::size_t src = 0;
   for (std::size_t i = 0; i < mother; ++i) {
-    if (restored[i] == 0.0) {
+    if (restored[i] == 0) {
       ++erasures;
     } else {
-      EXPECT_EQ(restored[i] < 0.0, punct[src] == 1);
+      EXPECT_EQ(restored[i] < 0, punct[src] == 1);
       ++src;
     }
   }
@@ -107,10 +119,7 @@ TEST_P(PunctureRates, EndToEndWithViterbi) {
   const util::BitVec tailed = with_tail(info);
   const util::BitVec mother = convolutional_encode(tailed);
   const util::BitVec punct = puncture(mother, GetParam());
-  std::vector<double> llrs(punct.size());
-  for (std::size_t i = 0; i < punct.size(); ++i) {
-    llrs[i] = punct[i] ? -4.0 : 4.0;
-  }
+  const std::vector<std::int8_t> llrs = to_llrs(punct);
   const auto restored = depuncture(llrs, GetParam(), mother.size());
   const util::BitVec decoded = viterbi_decode(restored);
   ASSERT_EQ(decoded.size(), tailed.size());
@@ -130,10 +139,10 @@ util::BitVec modulo_puncture(const util::BitVec& coded, CodeRate rate) {
   return out;
 }
 
-std::vector<double> modulo_depuncture(const std::vector<double>& llrs,
-                                      CodeRate rate, std::size_t n_coded) {
+std::vector<std::int8_t> modulo_depuncture(
+    const std::vector<std::int8_t>& llrs, CodeRate rate, std::size_t n_coded) {
   const auto pattern = puncture_pattern(rate);
-  std::vector<double> out(n_coded, 0.0);
+  std::vector<std::int8_t> out(n_coded, 0);
   std::size_t src = 0;
   for (std::size_t i = 0; i < n_coded; ++i) {
     if (pattern[i % pattern.size()]) out[i] = llrs[src++];
@@ -149,9 +158,10 @@ TEST_P(PunctureRates, PartialPeriodsMatchModuloReference) {
     EXPECT_EQ(puncture(coded, GetParam()), want) << "mother " << mother;
     EXPECT_EQ(punctured_length(mother, GetParam()), want.size());
     if (mother % 2 != 0) continue;  // depuncture restores whole pairs
-    std::vector<double> llrs(want.size());
+    std::vector<std::int8_t> llrs(want.size());
     for (std::size_t i = 0; i < llrs.size(); ++i) {
-      llrs[i] = static_cast<double>(i + 1) * (want[i] ? -0.5 : 0.5);
+      const auto magnitude = static_cast<std::int8_t>(i + 1);  // <= 64
+      llrs[i] = static_cast<std::int8_t>(want[i] ? -magnitude : magnitude);
     }
     EXPECT_EQ(depuncture(llrs, GetParam(), mother),
               modulo_depuncture(llrs, GetParam(), mother))
@@ -162,23 +172,24 @@ TEST_P(PunctureRates, PartialPeriodsMatchModuloReference) {
 TEST_P(PunctureRates, DepunctureIntoReusedBufferWritesZeroErasures) {
   util::Rng rng(12);
   const std::size_t mother = 210;
-  std::vector<double> out;
-  depuncture_into(std::vector<double>(punctured_length(2 * mother, GetParam()),
-                                      1.0),
+  std::vector<std::int8_t> out;
+  depuncture_into(std::vector<std::int8_t>(
+                      punctured_length(2 * mother, GetParam()), 1),
                   GetParam(), 2 * mother, out);
-  for (double& v : out) v = rng.uniform(1.0, 2.0);  // longer, non-zero
+  for (auto& v : out) {  // longer, non-zero
+    v = static_cast<std::int8_t>(1 + rng.uniform_int(100));
+  }
 
-  std::vector<double> llrs(punctured_length(mother, GetParam()));
-  for (auto& v : llrs) v = rng.uniform(3.0, 4.0);
+  std::vector<std::int8_t> llrs(punctured_length(mother, GetParam()));
+  for (auto& v : llrs) v = static_cast<std::int8_t>(-1 - rng.uniform_int(100));
   depuncture_into(llrs, GetParam(), mother, out);
-  const std::vector<double> want =
+  const std::vector<std::int8_t> want =
       modulo_depuncture(llrs, GetParam(), mother);
   ASSERT_EQ(out.size(), mother);
   const auto pattern = puncture_pattern(GetParam());
   for (std::size_t i = 0; i < mother; ++i) {
     if (pattern[i % pattern.size()] == 0) {
-      EXPECT_EQ(out[i], 0.0) << "erasure " << i;
-      EXPECT_FALSE(std::signbit(out[i])) << "erasure " << i;
+      EXPECT_EQ(out[i], 0) << "erasure " << i;
     } else {
       EXPECT_EQ(out[i], want[i]) << "kept " << i;
     }
@@ -188,14 +199,14 @@ TEST_P(PunctureRates, DepunctureIntoReusedBufferWritesZeroErasures) {
 TEST_P(PunctureRates, DepunctureRejectsLengthMismatch) {
   const std::size_t mother = 60;
   const std::size_t n = punctured_length(mother, GetParam());
-  std::vector<double> out;
-  EXPECT_THROW(depuncture_into(std::vector<double>(n + 1, 1.0), GetParam(),
+  std::vector<std::int8_t> out;
+  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n + 1, 1), GetParam(),
                                mother, out),
                std::invalid_argument);
-  EXPECT_THROW(depuncture_into(std::vector<double>(n - 1, 1.0), GetParam(),
+  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n - 1, 1), GetParam(),
                                mother, out),
                std::invalid_argument);
-  EXPECT_THROW(depuncture_into(std::vector<double>(n, 1.0), GetParam(),
+  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n, 1), GetParam(),
                                mother + 2, out),
                std::invalid_argument);
 }
@@ -235,20 +246,22 @@ TEST(Viterbi, SoftErasuresAreHarmless) {
   const util::BitVec coded = convolutional_encode(tailed);
   auto llrs = to_llrs(coded);
   // Zero out scattered positions (erasures).
-  for (std::size_t pos = 5; pos < llrs.size(); pos += 40) llrs[pos] = 0.0;
+  for (std::size_t pos = 5; pos < llrs.size(); pos += 40) llrs[pos] = 0;
   EXPECT_EQ(viterbi_decode(llrs), tailed);
 }
 
 TEST(Viterbi, FailsGracefullyOnGarbage) {
   util::Rng rng(9);
-  std::vector<double> llrs(512);
-  for (auto& l : llrs) l = rng.normal();
+  std::vector<std::int8_t> llrs(512);
+  for (auto& l : llrs) {
+    l = static_cast<std::int8_t>(std::clamp(32.0 * rng.normal(), -127.0, 127.0));
+  }
   const util::BitVec decoded = viterbi_decode(llrs);
   EXPECT_EQ(decoded.size(), 256u);  // still returns the right shape
 }
 
 TEST(Viterbi, RejectsOddLlrCount) {
-  const std::vector<double> llrs(3, 1.0);
+  const std::vector<std::int8_t> llrs(3, 1);
   EXPECT_THROW(viterbi_decode(llrs), std::invalid_argument);
   EXPECT_THROW(viterbi_decode({}), std::invalid_argument);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -50,9 +52,10 @@ TEST_P(InterleaverParam, LlrDeinterleaveMatchesBitDeinterleave) {
   const util::BitVec inter = interleave(bits, GetParam());
   std::vector<double> llrs(n_cbps);
   for (unsigned i = 0; i < n_cbps; ++i) llrs[i] = inter[i] ? -1.0 : 1.0;
-  const auto deint = deinterleave_llrs(llrs, GetParam());
+  std::vector<std::int8_t> deint(n_cbps);
+  deinterleave_llrs_into(llrs, GetParam(), 32.0, deint);
   for (unsigned i = 0; i < n_cbps; ++i) {
-    EXPECT_EQ(deint[i] < 0.0, bits[i] == 1) << i;
+    EXPECT_EQ(deint[i], bits[i] == 1 ? -32 : 32) << i;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "obs/obs.hpp"
 #include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/interleaver.hpp"
@@ -283,6 +284,59 @@ TEST(Ppdu, ScramblerSeedDoesNotAffectDecode) {
     const RxResult rx = receive(ppdu.symbols, {});
     ASSERT_TRUE(rx.sig_ok) << "seed " << int(seed);
     EXPECT_EQ(rx.psdu, psdu) << "seed " << int(seed);
+  }
+}
+
+TEST(Ppdu, AllZeroChannelEstimateDropsThePpdu) {
+  // A dead estimate (every LTF bin zero) makes the quantization scale 0:
+  // the decoder sees only erasures and the header fails, without a throw
+  // or a non-finite value on the way.
+  util::Rng rng(9);
+  const TxPpdu ppdu = transmit(rng.bytes(60), {});
+  std::vector<FreqSymbol> symbols = ppdu.symbols;
+  for (std::size_t s = kStfSlots; s < kPreambleSlots; ++s) symbols[s] = {};
+  RxResult rx;
+  ASSERT_NO_THROW(rx = receive(symbols, {}));
+  EXPECT_FALSE(rx.sig_ok);
+  EXPECT_TRUE(rx.psdu.empty());
+  EXPECT_EQ(rx.estimate.mean_gain, 0.0);
+  EXPECT_EQ(detail::llr_scale(rx.estimate, Modulation::kBpsk), 0.0);
+
+  for (auto& sym : symbols) sym = {};
+  ASSERT_NO_THROW(rx = receive(symbols, {}));
+  EXPECT_FALSE(rx.sig_ok);
+}
+
+TEST(Ppdu, WarmScratchHoldsTheInt8Layout) {
+  // The receive scratch after warm MCS5 decodes of an 8- and a
+  // 64-subframe query (104-byte subframes): one byte per field LLR and
+  // per depunctured LLR, 8 per trellis step of decisions, one per
+  // decoded and descrambled bit, plus one symbol's double demap output
+  // and equalizer buffers. Field and mother LLRs held as doubles would
+  // take 262,716 and 2,033,212 bytes here.
+  for (const std::size_t subframes : {8u, 64u}) {
+    util::Rng rng(10 + subframes);
+    TxConfig cfg;
+    cfg.mcs_index = 5;
+    const TxPpdu ppdu = transmit(rng.bytes(104 * subframes), cfg);
+    DecodeScratch scratch;
+    RxResult rx;
+    for (int round = 0; round < 3; ++round) {
+      receive_into(ppdu.symbols, {}, scratch, rx);
+      ASSERT_TRUE(rx.sig_ok);
+    }
+    const McsParams& m = mcs(5);
+    const std::size_t n_cbps = kDataSubcarriers * bits_per_symbol(m.modulation);
+    const std::size_t field = ppdu.n_data_symbols * n_cbps;
+    const std::size_t mother = 2 * (field * 2 / 3);  // rate 2/3
+    const std::size_t steps = 16 + 8 * 104 * subframes + 6;
+    const std::size_t layout = field + mother + 8 * steps + 2 * steps +
+                               n_cbps * sizeof(double) +
+                               kDataSubcarriers * (sizeof(Cx) + sizeof(double));
+    EXPECT_LE(scratch.capacity_bytes(), layout) << subframes << " subframes";
+    EXPECT_GT(subframes == 8 ? 262'716u : 2'033'212u, layout);
+    EXPECT_EQ(obs::gauge("phy.decode.scratch_bytes").value(),
+              static_cast<double>(scratch.capacity_bytes()));
   }
 }
 

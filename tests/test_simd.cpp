@@ -6,10 +6,14 @@
 // diverge first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "phy/channel_est.hpp"
@@ -18,6 +22,7 @@
 #include "phy/fft.hpp"
 #include "phy/interleaver.hpp"
 #include "phy/mcs.hpp"
+#include "phy/ppdu.hpp"
 #include "phy/preamble.hpp"
 #include "phy/simd.hpp"
 #include "phy/trellis.hpp"
@@ -144,35 +149,73 @@ BitVec random_info_bits(util::Rng& rng, std::size_t n_info) {
   return bits;
 }
 
-/// Same fuzz regimes as test_viterbi_equiv.cpp: clean, moderate noise,
-/// extreme noise (sign is chance), all-ties, punctured-style erasures.
-/// The ties matter most here — the vector compare must keep the scalar
-/// path's strict-greater survivor rule bit for bit.
-std::vector<double> fuzz_llrs(util::Rng& rng, const BitVec& coded,
-                              int regime) {
-  std::vector<double> llrs(coded.size());
+/// Same fuzz regimes as test_viterbi_equiv.cpp, in int8 at the
+/// receiver's full scale (a clean bit reads 32): clean, moderate noise,
+/// extreme noise (sign and size are chance, -128 included), all-ties,
+/// punctured-style erasures. The ties matter most here — every tier
+/// must keep the strict-greater survivor rule.
+std::vector<std::int8_t> fuzz_llrs(util::Rng& rng, const BitVec& coded,
+                                   int regime) {
+  std::vector<std::int8_t> llrs(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) {
-    const double clean = coded[i] != 0 ? -4.0 : 4.0;
+    const int clean = coded[i] != 0 ? -32 : 32;
+    int v = 0;
     switch (regime) {
       case 0:
-        llrs[i] = clean;
+        v = clean;
         break;
       case 1:
-        llrs[i] = clean + rng.uniform(-6.0, 6.0);
+        v = clean + static_cast<int>(rng.uniform_int(97)) - 48;
         break;
       case 2:
-        llrs[i] = rng.uniform(-1e6, 1e6);
+        v = static_cast<int>(rng.uniform_int(256)) - 128;
         break;
       case 3:
-        llrs[i] = 0.0;
+        v = 0;
         break;
       default:
-        llrs[i] = rng.uniform_int(3) == 0 ? 0.0
-                                          : clean + rng.uniform(-2.0, 2.0);
+        v = rng.uniform_int(3) == 0
+                ? 0
+                : clean + static_cast<int>(rng.uniform_int(33)) - 16;
         break;
     }
+    llrs[i] = static_cast<std::int8_t>(v);
   }
   return llrs;
+}
+
+/// Full-scale streams: every LLR is ±127, the quantizer's clamp. Kind 0
+/// follows the code (the survivor gains 254 per step, the largest drift
+/// renormalization must absorb), kind 1 has random signs, kind 2 is a
+/// constant +127 and kind 3 a constant -127.
+std::vector<std::int8_t> full_scale_llrs(util::Rng& rng, const BitVec& coded,
+                                         int kind) {
+  std::vector<std::int8_t> llrs(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    bool one = false;
+    switch (kind) {
+      case 0:
+        one = coded[i] != 0;
+        break;
+      case 1:
+        one = rng.uniform_int(2) == 1;
+        break;
+      case 2:
+        one = false;
+        break;
+      default:
+        one = true;
+        break;
+    }
+    llrs[i] = one ? -127 : 127;
+  }
+  return llrs;
+}
+
+/// The reference decoder on the same LLRs cast to double.
+BitVec reference_decode(const std::vector<std::int8_t>& llrs) {
+  const std::vector<double> wide(llrs.begin(), llrs.end());
+  return phy::detail::viterbi_reference(wide);
 }
 
 TEST(SimdParity, ViterbiEveryTierMatchesReference) {
@@ -184,10 +227,10 @@ TEST(SimdParity, ViterbiEveryTierMatchesReference) {
     const std::size_t n_info = 8 + rng.uniform_int(201);
     const BitVec info = random_info_bits(rng, n_info);
     const BitVec coded = phy::convolutional_encode(info);
-    const std::vector<double> llrs =
+    const std::vector<std::int8_t> llrs =
         fuzz_llrs(rng, coded, static_cast<int>(trial % 5));
 
-    const BitVec expect = phy::detail::viterbi_reference(llrs);
+    const BitVec expect = reference_decode(llrs);
     for (const Tier t : tiers) {
       const phy::simd::ScopedTier pin(t);
       phy::viterbi_decode(llrs, ws, decoded);
@@ -200,62 +243,84 @@ TEST(SimdParity, ViterbiEveryTierMatchesReference) {
 
 TEST(SimdParity, ViterbiExchangeSizesMatchReference) {
   // The fuzz above tops out at 208 steps; a 64-subframe MCS5 exchange
-  // decodes 53,270 in one call. Odd and even counts cover both the AVX2
-  // kernel's two-steps-per-iteration loop and its single-step tail.
-  constexpr std::size_t kSteps[] = {1, 2, 3, 4097, 53270};
-  constexpr int kRegimes[] = {1, 4};  // noisy, a third erased amid noise
+  // decodes 53,270 in one call. Counts around the 16-step
+  // renormalization period and the full-scale ±127 streams at exchange
+  // size stress saturation and renormalization.
+  constexpr std::size_t kSteps[] = {1, 2, 3, 15, 16, 17, 4097, 53270};
+  constexpr int kRegimes[] = {1, 2, 4};  // noisy, chance, erased amid noise
   const std::vector<Tier> tiers = runnable_tiers();
   BitVec decoded;
+  const auto check = [&](const std::vector<std::int8_t>& llrs,
+                         std::size_t n_steps, const char* what, int kind) {
+    const BitVec expect = reference_decode(llrs);
+    for (const Tier t : tiers) {
+      const phy::simd::ScopedTier pin(t);
+      phy::ViterbiWorkspace ws;
+      phy::viterbi_decode(llrs, ws, decoded);
+      ASSERT_EQ(decoded, expect)
+          << "steps " << n_steps << " " << what << " " << kind << " tier "
+          << phy::simd::tier_name(t);
+      // One 64-bit decision word per step, nothing else.
+      EXPECT_EQ(ws.capacity_bytes(), 8 * n_steps)
+          << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+    }
+  };
   for (const std::size_t n_steps : kSteps) {
     for (const int regime : kRegimes) {
       util::Rng rng(0xE7'C4'00 + 8 * n_steps + static_cast<unsigned>(regime));
       const BitVec info = random_info_bits(rng, n_steps);
       const BitVec coded = phy::convolutional_encode(info);
-      const std::vector<double> llrs = fuzz_llrs(rng, coded, regime);
-
-      const BitVec expect = phy::detail::viterbi_reference(llrs);
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        phy::ViterbiWorkspace ws;
-        phy::viterbi_decode(llrs, ws, decoded);
-        ASSERT_EQ(decoded, expect)
-            << "steps " << n_steps << " regime " << regime << " tier "
-            << phy::simd::tier_name(t);
-        // One 64-bit decision word per step, nothing else.
-        EXPECT_EQ(ws.capacity_bytes(), 8 * n_steps)
-            << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
-      }
+      check(fuzz_llrs(rng, coded, regime), n_steps, "regime", regime);
+    }
+  }
+  constexpr std::size_t kExchangeSteps = 53270;
+  for (int kind = 0; kind < 4; ++kind) {
+    util::Rng rng(0xF5'12'70 + static_cast<unsigned>(kind));
+    const BitVec info = random_info_bits(rng, kExchangeSteps);
+    const BitVec coded = phy::convolutional_encode(info);
+    const std::vector<std::int8_t> llrs = full_scale_llrs(rng, coded, kind);
+    check(llrs, kExchangeSteps, "full-scale kind", kind);
+    if (kind == 0) {
+      phy::ViterbiWorkspace ws;
+      phy::viterbi_decode(llrs, ws, decoded);
+      EXPECT_EQ(decoded, info);
     }
   }
 }
 
-/// Start metrics for the raw ACS kernels. Start 0 is the decoder's own
-/// (state 0 at 0.0, every other state at the sentinel). Start 1 is
-/// random metrics seeded with ±0.0 and equal butterfly pairs
-/// (cur[2i] == cur[2i + 1]), so zero and erased LLRs produce exact ties,
-/// including +0.0 against -0.0, on every state.
-std::vector<double> acs_start_metrics(util::Rng& rng, int start) {
-  std::vector<double> metrics(phy::kNumStates, phy::detail::kSentinel);
+/// Start metrics for the raw ACS kernels, all inside the documented
+/// no-saturation bound ±kAcsStartBound. Start 0 is the decoder's own
+/// (state 0 at 0, every other state at -8192). Start 1 is random
+/// metrics seeded with zeros and equal butterfly pairs
+/// (cur[2i] == cur[2i + 1]), so zero and erased LLRs produce exact ties
+/// on every state. Start 2 sits at the bound itself.
+std::vector<std::int16_t> acs_start_metrics(util::Rng& rng, int start) {
+  constexpr int kBound = phy::simd::kAcsStartBound;
+  std::vector<std::int16_t> metrics(phy::kNumStates, -8192);
   if (start == 0) {
-    metrics[0] = 0.0;
+    metrics[0] = 0;
     return metrics;
   }
   for (std::size_t s = 0; s < metrics.size(); ++s) {
-    switch (rng.uniform_int(5)) {
+    const auto random_metric = [&] {
+      return static_cast<std::int16_t>(
+          static_cast<int>(rng.uniform_int(2 * kBound + 1)) - kBound);
+    };
+    if (start == 2) {
+      metrics[s] = static_cast<std::int16_t>(rng.uniform_int(2) == 0
+                                                 ? kBound
+                                                 : -kBound);
+      continue;
+    }
+    switch (rng.uniform_int(3)) {
       case 0:
-        metrics[s] = 0.0;
+        metrics[s] = 0;
         break;
       case 1:
-        metrics[s] = -0.0;
-        break;
-      case 2:
-        metrics[s] = s % 2 == 1 ? metrics[s - 1] : rng.uniform(-50.0, 50.0);
-        break;
-      case 3:
-        metrics[s] = phy::detail::kSentinel;
+        metrics[s] = s % 2 == 1 ? metrics[s - 1] : random_metric();
         break;
       default:
-        metrics[s] = rng.uniform(-50.0, 50.0);
+        metrics[s] = random_metric();
         break;
     }
   }
@@ -269,46 +334,96 @@ TEST(SimdParity, AcsBlockEveryTierBitIdentical) {
   // wrong metric, would still pass them. Here every tier's raw kernel
   // must match the scalar kernel word for word and metric for metric.
   // The counts cover empty, single-step and every remainder around the
-  // vector kernels' block sizes, up to one 64-subframe MCS5 exchange.
-  constexpr std::size_t kSteps[] = {0, 1, 2, 3, 7, 8, 9, 4097, 53270};
+  // 16-step renormalization period, up to one 64-subframe MCS5
+  // exchange; regimes 5-8 are the full-scale ±127 streams.
+  constexpr std::size_t kSteps[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 4097,
+                                    53270};
   const std::vector<Tier> tiers = runnable_tiers();
   const phy::simd::AcsBlockFn scalar =
       phy::simd::acs_block_for(Tier::kScalar);
   std::vector<std::uint64_t> expect_dec, got_dec;
   for (const std::size_t n_steps : kSteps) {
-    for (int regime = 0; regime < 5; ++regime) {
-      for (int start = 0; start < 2; ++start) {
-        util::Rng rng(0xAC'5B'00 + 16 * n_steps +
+    for (int regime = 0; regime < 9; ++regime) {
+      for (int start = 0; start < 3; ++start) {
+        util::Rng rng(0xAC'5B'00 + 64 * n_steps +
                       static_cast<unsigned>(4 * regime + start));
         const BitVec info = random_info_bits(rng, n_steps);
         const BitVec coded = phy::convolutional_encode(info);
-        const std::vector<double> llrs = fuzz_llrs(rng, coded, regime);
-        const std::vector<double> metrics0 = acs_start_metrics(rng, start);
+        const std::vector<std::int8_t> llrs =
+            regime < 5 ? fuzz_llrs(rng, coded, regime)
+                       : full_scale_llrs(rng, coded, regime - 5);
+        const std::vector<std::int16_t> metrics0 =
+            acs_start_metrics(rng, start);
 
-        std::vector<double> expect_m = metrics0;
+        std::vector<std::int16_t> expect_m = metrics0;
         expect_dec.assign(n_steps, 0);
         scalar(llrs.data(), n_steps, expect_dec.data(), expect_m.data());
         for (const Tier t : tiers) {
-          std::vector<double> got_m = metrics0;
+          std::vector<std::int16_t> got_m = metrics0;
           got_dec.assign(n_steps, ~std::uint64_t{0});
           phy::simd::acs_block_for(t)(llrs.data(), n_steps, got_dec.data(),
                                       got_m.data());
           ASSERT_TRUE(got_dec == expect_dec)
               << "steps " << n_steps << " regime " << regime << " start "
               << start << " tier " << phy::simd::tier_name(t);
-          ASSERT_EQ(std::memcmp(got_m.data(), expect_m.data(),
-                                expect_m.size() * sizeof(double)),
-                    0)
+          ASSERT_TRUE(got_m == expect_m)
               << "steps " << n_steps << " regime " << regime << " start "
               << start << " tier " << phy::simd::tier_name(t);
         }
         if (n_steps == 0) {
-          EXPECT_EQ(std::memcmp(expect_m.data(), metrics0.data(),
-                                metrics0.size() * sizeof(double)),
-                    0)
+          EXPECT_TRUE(expect_m == metrics0)
               << "an empty trellis must leave the metrics untouched";
         }
+        if (n_steps >= phy::simd::kAcsRenormPeriod &&
+            n_steps % phy::simd::kAcsRenormPeriod == 0) {
+          EXPECT_EQ(expect_m[0], 0)
+              << "state 0 reads 0 after a renormalizing step";
+        }
       }
+    }
+  }
+}
+
+TEST(SimdParity, AcsScalarFollowsContract) {
+  // The scalar kernel is the specification the vector tiers are held
+  // to, so check it against the contract in simd.hpp written out long
+  // hand: the per-state adds in int32, strict decisions, and the state-0
+  // subtraction after every 16th step.
+  util::Rng rng(0xAC'C0'01);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n_steps = 1 + rng.uniform_int(70);
+    const BitVec info = random_info_bits(rng, n_steps);
+    const BitVec coded = phy::convolutional_encode(info);
+    const std::vector<std::int8_t> llrs =
+        fuzz_llrs(rng, coded, trial % 5);
+    std::vector<std::int16_t> metrics = acs_start_metrics(rng, trial % 3);
+    std::vector<int> want(metrics.begin(), metrics.end());
+    std::vector<std::uint64_t> decisions(n_steps);
+    phy::simd::acs_block_for(Tier::kScalar)(llrs.data(), n_steps,
+                                            decisions.data(), metrics.data());
+    for (std::size_t k = 0; k < n_steps; ++k) {
+      std::vector<int> next(phy::kNumStates);
+      std::uint64_t word = 0;
+      for (std::uint32_t ns = 0; ns < phy::kNumStates; ++ns) {
+        const phy::detail::Butterfly& bf = phy::detail::kButterflies[ns];
+        const auto branch = [&](std::uint8_t a, std::uint8_t b) {
+          return (a ? -llrs[2 * k] : llrs[2 * k]) +
+                 (b ? -llrs[2 * k + 1] : llrs[2 * k + 1]);
+        };
+        const int m0 = want[bf.s0] + branch(bf.a0, bf.b0);
+        const int m1 = want[bf.s1] + branch(bf.a1, bf.b1);
+        next[ns] = std::max(m0, m1);
+        if (m1 > m0) word |= std::uint64_t{1} << ns;
+      }
+      ASSERT_EQ(decisions[k], word) << "trial " << trial << " step " << k;
+      want = next;
+      if (k % 16 == 15) {
+        const int base = want[0];
+        for (int& m : want) m -= base;
+      }
+    }
+    for (std::uint32_t s = 0; s < phy::kNumStates; ++s) {
+      ASSERT_EQ(metrics[s], want[s]) << "trial " << trial << " state " << s;
     }
   }
 }
@@ -550,34 +665,104 @@ TEST(SimdParity, EqualizeKernelMatchesComplexDivisionReference) {
 // Deinterleave.
 // ---------------------------------------------------------------------
 
+/// quantize_llr written with libm: clamp, then round half to even.
+std::int8_t quantize_reference(double llr, double scale) {
+  const double v = llr * scale;
+  if (std::isnan(v)) return 127;
+  return static_cast<std::int8_t>(std::nearbyint(std::clamp(v, -127.0, 127.0)));
+}
+
+/// Deinterleaves `llrs` at `scale` through every tier and checks each
+/// against the permutation and quantize_reference, element for element.
+void expect_deinterleave_matches(const std::vector<double>& llrs,
+                                 phy::Modulation mod, double scale,
+                                 const std::string& what) {
+  const unsigned n_bpsc = phy::bits_per_symbol(mod);
+  const unsigned n_cbps = phy::kDataSubcarriers * n_bpsc;
+  const std::vector<std::size_t> map = phy::interleave_map(n_cbps, n_bpsc);
+  std::vector<std::int8_t> got(n_cbps);
+  for (const Tier t : runnable_tiers()) {
+    const phy::simd::ScopedTier pin(t);
+    std::fill(got.begin(), got.end(), std::int8_t{-128});
+    phy::deinterleave_llrs_into(llrs, mod, scale, got);
+    for (unsigned k = 0; k < n_cbps; ++k) {
+      ASSERT_EQ(got[k], quantize_reference(llrs[map[k]], scale))
+          << what << " k " << k << " llr " << llrs[map[k]] << " scale "
+          << scale << " tier " << phy::simd::tier_name(t);
+    }
+  }
+}
+
 TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
-  const std::vector<Tier> tiers = runnable_tiers();
-  std::vector<double> llrs, scalar_out, got;
+  // Values straddle the clamp and a quarter sit on exact halves.
+  std::vector<double> llrs;
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     util::Rng rng(0xDE'17'33 + trial);
     for (const phy::Modulation mod : kMods) {
-      const unsigned n_cbps =
-          phy::kDataSubcarriers * phy::bits_per_symbol(mod);
-      llrs.resize(n_cbps);
-      scalar_out.resize(n_cbps);
-      got.resize(n_cbps);
-      for (auto& v : llrs) v = rng.uniform(-1e3, 1e3);
-      {
-        const phy::simd::ScopedTier pin(Tier::kScalar);
-        phy::deinterleave_llrs_into(llrs, mod, scalar_out);
+      llrs.resize(phy::kDataSubcarriers * phy::bits_per_symbol(mod));
+      for (auto& v : llrs) {
+        v = rng.uniform_int(4) == 0
+                ? 0.5 * static_cast<double>(
+                            static_cast<int>(rng.uniform_int(601)) - 300)
+                : rng.uniform(-1e3, 1e3);
       }
-      // Round-trip sanity: deinterleave inverts interleave's placement.
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        phy::deinterleave_llrs_into(llrs, mod, got);
-        ASSERT_EQ(got.size(), scalar_out.size());
-        ASSERT_EQ(std::memcmp(got.data(), scalar_out.data(),
-                              scalar_out.size() * sizeof(double)),
-                  0)
-            << "trial " << trial << " mod " << phy::bits_per_symbol(mod)
-            << " bpsc, tier " << phy::simd::tier_name(t);
-      }
+      const double scale = trial % 4 == 0 ? 1.0 : rng.uniform(1e-3, 1.0);
+      expect_deinterleave_matches(llrs, mod, scale,
+                                  "trial " + std::to_string(trial));
     }
+  }
+}
+
+TEST(SimdParity, QuantizerEdgeCases) {
+  // A dead estimate quantizes everything to 0, a zero noise estimate
+  // still gives a finite positive scale, overflow saturates at ±127, a
+  // NaN reads 127, and exact halves round to even — on every tier.
+  phy::ChannelEstimate est;
+  est.noise_var = 0.01;
+  for (const double dead : {0.0, phy::simd::kEqualizeMinGain, -1.0}) {
+    est.mean_gain = dead;
+    for (const phy::Modulation mod : kMods) {
+      EXPECT_EQ(phy::detail::llr_scale(est, mod), 0.0) << dead;
+    }
+  }
+  est.noise_var = 0.0;
+  est.mean_gain = 1.0;
+  for (const phy::Modulation mod : kMods) {
+    const double scale = phy::detail::llr_scale(est, mod);
+    EXPECT_TRUE(std::isfinite(scale) && scale > 0.0);
+  }
+  est.noise_var = 0.5;
+  est.mean_gain = 2.0;
+  EXPECT_EQ(phy::detail::llr_scale(est, phy::Modulation::kBpsk),
+            32.0 * 0.5 / (2.0 * 4.0));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.5,   1.5,    2.5,    -0.5,  -1.5,   -2.5,   126.5, -126.5,
+      127.4, 127.5,  -127.5, 128.0, -128.0, 1e300,  -1e300, inf,
+      -inf,  nan,    0.0,    -0.0,  3.4999, -3.5,   4.5,   0.49999999999999994};
+  const std::vector<std::int8_t> want_unit = {
+      0,   2,    2,    0,    -2,   -2,   126,  -126, 127,  127, -127, 127,
+      -127, 127, -127, 127,  -127, 127,  0,    0,    3,    -4,  4,    0};
+  ASSERT_EQ(edges.size(), want_unit.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(phy::simd::quantize_llr(edges[i], 1.0), want_unit[i])
+        << "llr " << edges[i];
+    EXPECT_EQ(quantize_reference(edges[i], 1.0), want_unit[i])
+        << "llr " << edges[i];
+  }
+  EXPECT_EQ(phy::simd::quantize_llr(1.0, 0.0), 0);
+  EXPECT_EQ(phy::simd::quantize_llr(inf, 0.0), 127);  // 0 * inf is NaN
+  for (const phy::Modulation mod : kMods) {
+    std::vector<double> llrs(phy::kDataSubcarriers * phy::bits_per_symbol(mod));
+    for (std::size_t k = 0; k < llrs.size(); ++k) {
+      llrs[k] = edges[k % edges.size()];
+    }
+    expect_deinterleave_matches(llrs, mod, 1.0, "edges");
+    for (double& v : llrs) v *= 2.0;  // exact halves again at scale 0.5
+    expect_deinterleave_matches(llrs, mod, 0.5, "doubled edges");
+    expect_deinterleave_matches(llrs, mod, 0.0, "dead");
   }
 }
 

@@ -1,7 +1,8 @@
-// Fuzz-equivalence tests for the optimized decode hot path: the
-// branchless butterfly Viterbi, table-driven scrambler/encoder and
-// slicing-by-8 CRC-32 must be bit-identical to the bit-serial
-// reference implementations they replaced (kept under detail::).
+// Fuzz-equivalence tests for the optimized decode hot path: the int16
+// butterfly Viterbi (on the reference's doubles cast from its int8
+// LLRs), table-driven scrambler/encoder and slicing-by-8 CRC-32 must be
+// bit-identical to the bit-serial reference implementations they
+// replaced (kept under detail::).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,34 +32,43 @@ BitVec random_info_bits(util::Rng& rng, std::size_t n_info) {
   return bits;
 }
 
-/// Maps coded bits to LLRs (positive = bit 0) in one of several fuzz
-/// regimes, including the degenerate ones the tie-breaking rules exist
-/// for.
-std::vector<double> fuzz_llrs(util::Rng& rng, const BitVec& coded,
-                              int regime) {
-  std::vector<double> llrs(coded.size());
+/// Maps coded bits to int8 LLRs (positive = bit 0) in one of several
+/// fuzz regimes, including the degenerate ones the tie-breaking rules
+/// exist for. A clean bit reads 32, the receiver's full scale.
+std::vector<std::int8_t> fuzz_llrs(util::Rng& rng, const BitVec& coded,
+                                   int regime) {
+  std::vector<std::int8_t> llrs(coded.size());
   for (std::size_t i = 0; i < coded.size(); ++i) {
-    const double clean = coded[i] != 0 ? -4.0 : 4.0;
+    const int clean = coded[i] != 0 ? -32 : 32;
+    int v = 0;
     switch (regime) {
       case 0:  // clean channel
-        llrs[i] = clean;
+        v = clean;
         break;
       case 1:  // moderate noise
-        llrs[i] = clean + rng.uniform(-6.0, 6.0);
+        v = clean + static_cast<int>(rng.uniform_int(97)) - 48;
         break;
-      case 2:  // extreme noise: sign of the LLR is pure chance
-        llrs[i] = rng.uniform(-1e6, 1e6);
+      case 2:  // extreme noise: sign and size are pure chance
+        v = static_cast<int>(rng.uniform_int(256)) - 128;
         break;
       case 3:  // all ties: every add-compare-select is a tie
-        llrs[i] = 0.0;
+        v = 0;
         break;
       default:  // punctured-style erasures amid noise
-        llrs[i] = rng.uniform_int(3) == 0 ? 0.0
-                                          : clean + rng.uniform(-2.0, 2.0);
+        v = rng.uniform_int(3) == 0
+                ? 0
+                : clean + static_cast<int>(rng.uniform_int(33)) - 16;
         break;
     }
+    llrs[i] = static_cast<std::int8_t>(v);
   }
   return llrs;
+}
+
+/// The reference decoder on the same LLRs cast to double.
+BitVec reference_decode(const std::vector<std::int8_t>& llrs) {
+  const std::vector<double> wide(llrs.begin(), llrs.end());
+  return phy::detail::viterbi_reference(wide);
 }
 
 TEST(ViterbiEquiv, FuzzMatchesReferenceOverAllRegimes) {
@@ -69,10 +79,10 @@ TEST(ViterbiEquiv, FuzzMatchesReferenceOverAllRegimes) {
     const std::size_t n_info = 8 + rng.uniform_int(201);
     const BitVec info = random_info_bits(rng, n_info);
     const BitVec coded = phy::detail::convolutional_encode_reference(info);
-    const std::vector<double> llrs =
+    const std::vector<std::int8_t> llrs =
         fuzz_llrs(rng, coded, static_cast<int>(trial % 5));
 
-    const BitVec expect = phy::detail::viterbi_reference(llrs);
+    const BitVec expect = reference_decode(llrs);
     phy::viterbi_decode(llrs, ws, decoded);
     ASSERT_EQ(decoded, expect) << "trial " << trial << " n_info " << n_info
                                << " regime " << trial % 5;
@@ -82,9 +92,9 @@ TEST(ViterbiEquiv, FuzzMatchesReferenceOverAllRegimes) {
 TEST(ViterbiEquiv, AllTiesDecodeToAllZeros) {
   // Zero LLRs tie every branch; both decoders must resolve ties the
   // same way, which lands on the all-zeros path (state 0 throughout).
-  const std::vector<double> llrs(2 * 64, 0.0);
+  const std::vector<std::int8_t> llrs(2 * 64, 0);
   const BitVec expect(64, 0);
-  EXPECT_EQ(phy::detail::viterbi_reference(llrs), expect);
+  EXPECT_EQ(reference_decode(llrs), expect);
   EXPECT_EQ(phy::viterbi_decode(llrs), expect);
 }
 
@@ -94,7 +104,7 @@ TEST(ViterbiEquiv, WorkspaceReusesWithoutGrowing) {
   util::Rng rng(77);
   const BitVec info = random_info_bits(rng, 1536);
   const BitVec coded = phy::convolutional_encode(info);
-  std::vector<double> llrs = fuzz_llrs(rng, coded, 0);
+  const std::vector<std::int8_t> llrs = fuzz_llrs(rng, coded, 0);
 
   phy::viterbi_decode(llrs, ws, decoded);  // warm-up sizes the buffers
   EXPECT_EQ(decoded, info);
