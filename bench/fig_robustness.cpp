@@ -218,14 +218,16 @@ int main(int argc, char** argv) {
             << core::Table::num(serial_estimate_ms, 0) << " ms\n";
   std::cout << "\nReading: at intensity 0 both modes match the benign "
                "testbed and the supervisor stays at the top of its "
-               "ladder (no escalations). At mild intensity the "
-               "supervisor trades airtime for reliability: retries and "
-               "stronger FEC roughly double delivery success while the "
-               "per-airtime goodput dips below the plain reader's. From "
-               "moderate intensity up the trade inverts — the plain "
-               "reader burns its whole round budget on polls that never "
-               "decode and collapses to zero, while the supervisor "
-               "escalates FEC, shrinks frames, and waits out bursts, "
-               "keeping goodput strictly above the baseline.\n";
+               "ladder (no escalations); its retries and stronger FEC "
+               "cost airtime, so its per-airtime goodput sits below the "
+               "plain reader's. Under faults the plain reader burns its "
+               "round budget on polls that never decode, while the "
+               "supervisor escalates FEC, shrinks frames, and waits out "
+               "bursts. Pooled over seeds, the supervisor delivers more "
+               "frames at intensities 0.5 and 0.75, has the higher mean "
+               "goodput over 48 seeds at 0.75, and at 0.5 has the higher "
+               "goodput in most seeds (at least 12 of 32 are asserted) "
+               "but not in all: one small table like this one can still "
+               "show the plain reader ahead in a cell.\n";
   return 0;
 }
