@@ -16,6 +16,7 @@
 #include "channel/tag_path.hpp"
 #include "claims.hpp"
 #include "runner/parallel_sweep.hpp"
+#include "sim/city.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 #include "witag/metrics.hpp"
@@ -163,6 +164,45 @@ TEST(ClaimsFig3, PhaseFlipBelowOpenShortAtEveryPosition) {
               << "\n";
     EXPECT_LT(pooled[1].ber(), pooled[0].ber()) << pos << " m";
   }
+}
+
+// City scale (bench/fig_city): with cross-cell coupling off the cells
+// are independent, so the deployment's goodput (good tag bits over the
+// simulated span) grows in proportion to the cell count. fig_city's CI
+// sizes, 32 and 128 cells, over four seed sets.
+TEST(ClaimsCity, GoodputScalesWithCellsWithoutCoupling) {
+  constexpr std::size_t kSets = 4;
+  constexpr std::array<std::size_t, 2> kCells = {32, 128};
+  const std::uint64_t base = claims::seed_base(kDefaultBase);
+
+  std::array<double, 2> goodput_kbps{};
+  for (std::size_t i = 0; i < kCells.size(); ++i) {
+    double good_bits = 0.0;
+    double span_us = 0.0;
+    for (std::size_t set = 0; set < kSets; ++set) {
+      sim::CityConfig cfg;
+      cfg.n_cells = kCells[i];
+      cfg.n_shards = 8;
+      cfg.epochs = 2;
+      cfg.epoch_us = 1'500.0;
+      cfg.n_subframes = 8;
+      cfg.coupling_scale = 0.0;
+      cfg.seed = claims::set_seed(base, set, kCells[i]);
+      const sim::CityResult r = sim::run_city(cfg, 1);
+      good_bits +=
+          static_cast<double>(r.merged.bits() - r.merged.bit_errors());
+      span_us += static_cast<double>(cfg.epochs) * cfg.epoch_us;
+    }
+    goodput_kbps[i] = good_bits / span_us * 1e3;
+  }
+  const double ratio = goodput_kbps[1] / goodput_kbps[0];
+  std::cout << "seed base " << base << ": goodput " << kCells[0]
+            << " cells " << goodput_kbps[0] << " Kbps, " << kCells[1]
+            << " cells " << goodput_kbps[1] << " Kbps, ratio " << ratio
+            << "\n";
+  // Over 11 bases (default, 2, 3, 1000, 10000-70000) the ratio spanned
+  // 3.975-4.043 (sd 0.023); a per-cell figure would read ~1.
+  EXPECT_NEAR(ratio, 4.0, 0.1);
 }
 
 }  // namespace
