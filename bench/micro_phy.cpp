@@ -274,38 +274,57 @@ void BM_DemapQam64(benchmark::State& state) {
 }
 BENCHMARK(BM_DemapQam64);
 
-// LLR deinterleave and int8 quantization over one 64-QAM symbol (312
-// LLRs, the widest map): dispatched gather kernel at the best tier vs
-// pinned scalar.
-std::vector<double> deinterleave_bench_llrs() {
+// Int8 LLR deinterleave over one 64-QAM symbol (312 soft bits, the
+// widest map): dispatched gather kernel at the best tier vs pinned
+// scalar.
+std::vector<std::int8_t> deinterleave_bench_llrs() {
   util::Rng rng(10);
-  std::vector<double> llrs(phy::kDataSubcarriers *
-                           phy::bits_per_symbol(phy::Modulation::kQam64));
-  for (auto& v : llrs) v = rng.uniform(-20.0, 20.0);
+  std::vector<std::int8_t> llrs(phy::kDataSubcarriers *
+                                phy::bits_per_symbol(phy::Modulation::kQam64));
+  for (auto& v : llrs) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(255)) - 127);
+  }
   return llrs;
 }
 
 void BM_Deinterleave(benchmark::State& state) {
-  const std::vector<double> llrs = deinterleave_bench_llrs();
+  const std::vector<std::int8_t> llrs = deinterleave_bench_llrs();
   std::vector<std::int8_t> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
   for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, 3.0, out);
+    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_Deinterleave);
 
 void BM_DeinterleaveScalar(benchmark::State& state) {
-  const std::vector<double> llrs = deinterleave_bench_llrs();
+  const std::vector<std::int8_t> llrs = deinterleave_bench_llrs();
   std::vector<std::int8_t> out(llrs.size());
   const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
   for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, 3.0, out);
+    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
     benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_DeinterleaveScalar);
+
+// The quantizer the receiver runs on each symbol's demap output before
+// the deinterleave above: 312 64-QAM LLRs to int8 at the best tier.
+void BM_QuantizeQam64(benchmark::State& state) {
+  util::Rng rng(10);
+  std::vector<double> llrs(phy::kDataSubcarriers *
+                           phy::bits_per_symbol(phy::Modulation::kQam64));
+  for (auto& v : llrs) v = rng.uniform(-20.0, 20.0);
+  std::vector<std::int8_t> out(llrs.size());
+  const phy::simd::QuantizeFn quantize =
+      phy::simd::quantize_for(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    quantize(llrs.data(), llrs.size(), 3.0, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_QuantizeQam64);
 
 // Table-driven (byte-at-a-time keystream) vs bit-serial scrambler over
 // one max-rate data field's worth of bits.

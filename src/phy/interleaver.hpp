@@ -31,11 +31,11 @@ void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
 /// Inverse of `interleave` (on bits).
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
 
-/// Deinterleaves one symbol's soft values and quantizes them for the
-/// Viterbi decoder: out[k] = simd::quantize_llr(llrs[map[k]], scale).
-/// Requires llrs.size() == out.size() == n_cbps; the receiver passes its
-/// slot of the field's int8 buffer as `out`. No allocation.
-void deinterleave_llrs_into(std::span<const double> llrs, Modulation mod,
-                            double scale, std::span<std::int8_t> out);
+/// Deinterleaves one symbol's quantized soft values, a pure byte
+/// permutation. Requires llrs.size() == out.size() == n_cbps; the
+/// receiver passes its slot of the field's int8 buffer as `out`. No
+/// allocation.
+void deinterleave_llrs_into(std::span<const std::int8_t> llrs, Modulation mod,
+                            std::span<std::int8_t> out);
 
 }  // namespace witag::phy

@@ -153,6 +153,9 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
                      DecodeScratch& scratch) {
   const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
   const double scale = llr_scale(est, mod);
+  const simd::QuantizeFn quantize = simd::quantize_for(simd::active_tier());
+  std::array<std::int8_t, kMaxCodedBitsPerSymbol> quantized{};
+  const std::span<const std::int8_t> symbol(quantized.data(), n_cbps);
   // resize, not assign: every slot is written below, one symbol's
   // deinterleaved LLRs at a time.
   scratch.llrs.resize(symbols.size() * n_cbps);
@@ -162,8 +165,8 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
                   scratch.eq);
     demap_soft_into(scratch.eq.points, mod, scratch.eq.noise_vars,
                     scratch.sym_llrs);
-    deinterleave_llrs_into(scratch.sym_llrs, mod, scale,
-                           field.subspan(s * n_cbps, n_cbps));
+    quantize(scratch.sym_llrs.data(), n_cbps, scale, quantized.data());
+    deinterleave_llrs_into(symbol, mod, field.subspan(s * n_cbps, n_cbps));
   }
 }
 

@@ -141,8 +141,8 @@ inline constexpr double kLlrFullScale = 32.0;
 /// mean_gain <= simd::kEqualizeMinGain (nothing to decode).
 double llr_scale(const ChannelEstimate& est, Modulation mod);
 
-/// Front half of a field decode: equalize, soft-demap, then deinterleave
-/// and quantize each symbol at the field's llr_scale() straight into its
+/// Front half of a field decode: equalize, soft-demap, quantize at the
+/// field's llr_scale() and deinterleave each symbol straight into its
 /// slot of `scratch.llrs` (resized to the field). receive_into() runs
 /// this and the back half below once per field; they are exposed so a
 /// profiler can time each half.

@@ -182,9 +182,14 @@ void equalize_block_scalar(const double* hr, const double* hi,
   }
 }
 
-void deinterleave_scalar(const double* in, const std::int32_t* map,
-                         std::size_t n, double scale, std::int8_t* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = quantize_llr(in[map[k]], scale);
+void quantize_scalar(const double* in, std::size_t n, double scale,
+                     std::int8_t* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = quantize_llr(in[k], scale);
+}
+
+void deinterleave_scalar(const std::int8_t* in, const std::int32_t* map,
+                         std::size_t n, std::int8_t* out) {
+  for (std::size_t k = 0; k < n; ++k) out[k] = in[map[k]];
 }
 
 using util::Cx;
@@ -261,8 +266,10 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
                          const double* ri, double cr, double ci,
                          double noise_floor, std::size_t count, double* zr,
                          double* zi, double* nv);
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double scale, std::int8_t* out);
+void quantize_avx2(const double* in, std::size_t n, double scale,
+                   std::int8_t* out);
+void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
+                       std::size_t n, std::int8_t* out);
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
                           const util::Cx* w1, const util::Cx* w2);
 void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
@@ -342,6 +349,10 @@ DemapBlockFn demap_block_for(Tier t) {
 
 EqualizeFn equalize_for(Tier t) {
   return use_avx2(t) ? kernels::equalize_block_avx2 : equalize_block_scalar;
+}
+
+QuantizeFn quantize_for(Tier t) {
+  return use_avx2(t) ? kernels::quantize_avx2 : quantize_scalar;
 }
 
 DeinterleaveFn deinterleave_for(Tier t) {

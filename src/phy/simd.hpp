@@ -1,6 +1,6 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft demap, equalize,
-// deinterleave with LLR quantization, radix-4 FFT passes). There are three tiers:
+// kernels (Viterbi add-compare-select, soft demap, equalize, LLR
+// quantize, deinterleave, radix-4 FFT passes). There are three tiers:
 // the portable scalar kernels; AVX2 kernels for every hot kernel; and
 // AVX-512 (F + BW), which carries one kernel of its own, a
 // register-resident Viterbi ACS, and runs the AVX2 kernels for
@@ -174,7 +174,8 @@ using EqualizeFn = void (*)(const double* hr, const double* hi,
 EqualizeFn equalize_for(Tier t);
 
 // ---------------------------------------------------------------------
-// Deinterleave and quantize (double LLRs in, int8 soft bits out).
+// Quantize (double LLRs to int8 soft bits) and deinterleave (a pure
+// byte permutation of them).
 // ---------------------------------------------------------------------
 
 /// Quantizes one LLR: v = llr * scale, clamped to [-127, 127] as
@@ -183,14 +184,17 @@ EqualizeFn equalize_for(Tier t);
 /// same multiply, clamp and rounding, with no libm call.
 std::int8_t quantize_llr(double llr, double scale);
 
-/// Applies a precomputed permutation and quantizes: out[k] =
-/// quantize_llr(in[map[k]], scale) for k in [0, n). AVX2 gathers four
-/// doubles at a time over the int32 index table.
-using DeinterleaveFn = void (*)(const double* in, const std::int32_t* map,
-                                std::size_t n, double scale,
-                                std::int8_t* out);
+/// out[k] = quantize_llr(in[k], scale) for k in [0, n).
+using QuantizeFn = void (*)(const double* in, std::size_t n, double scale,
+                            std::int8_t* out);
+QuantizeFn quantize_for(Tier t);
 
-/// The deinterleave kernel for a tier (always non-null).
+/// out[k] = in[map[k]] for k in [0, n): pure data movement, so every
+/// tier is trivially identical; AVX2 gathers eight at a time over the
+/// int32 index table.
+using DeinterleaveFn = void (*)(const std::int8_t* in,
+                                const std::int32_t* map, std::size_t n,
+                                std::int8_t* out);
 DeinterleaveFn deinterleave_for(Tier t);
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // AVX2 kernels: the int16 Viterbi add-compare-select (sixteen metrics
-// per vector) and, four doubles / two complex doubles per vector, the
-// separable soft demap, the equalizer, the deinterleave-and-quantize
-// gather and the fused radix-4 FFT passes. This TU is
+// per vector), the int8 deinterleave gather and, four doubles / two
+// complex doubles per vector, the separable soft demap, the equalizer,
+// the LLR quantizer and the fused radix-4 FFT passes. This TU is
 // compiled with -mavx2 (and deliberately WITHOUT -mfma: the scalar code
 // the double kernels must match bit for bit is built with no
 // contraction, so the kernels stick to packed mul/add/sub — an FMA here
@@ -407,49 +407,73 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
 
 namespace {
 
-/// Four gathered LLRs quantized as quantize_llr does: the same multiply,
-/// the same min/max operand order (a NaN becomes 127), and cvtpd2dq's
+/// Four LLRs quantized as quantize_llr does: the same multiply, the
+/// same min/max operand order (a NaN becomes 127), and cvtpd2dq's
 /// rounding, nearest with ties to even like the scalar tier.
-inline __m128i gather_quantize4(const double* in, const std::int32_t* map,
-                                __m256d scale) {
-  const __m128i idx = _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
-      reinterpret_cast<const __m128i*>(map));
-  // The masked form with an all-ones mask does the same four loads; its
-  // defined zero pass-through keeps GCC's self-initialized
-  // _mm256_undefined_pd (what the unmasked form expands to) out of
-  // -Wmaybe-uninitialized.
-  const __m256d v = _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), in, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-  const __m256d clamped = _mm256_max_pd(
+inline __m128i quantize4(const double* in, __m256d scale) {
+  const __m256d v = _mm256_loadu_pd(in);  // witag-lint: allow(simd-unaligned)
+  return _mm256_cvtpd_epi32(_mm256_max_pd(
       _mm256_min_pd(_mm256_mul_pd(v, scale), _mm256_set1_pd(127.0)),
-      _mm256_set1_pd(-127.0));
-  return _mm256_cvtpd_epi32(clamped);
+      _mm256_set1_pd(-127.0)));
 }
 
 }  // namespace
 
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double scale, std::int8_t* out) {
+void quantize_avx2(const double* in, std::size_t n, double scale,
+                   std::int8_t* out) {
   const __m256d s = _mm256_set1_pd(scale);
   std::size_t k = 0;
   // Sixteen per store (±127 packs through int16 to int8 exactly); symbol
   // sizes are multiples of four, so the four-wide loop takes the rest.
   for (; k + 16 <= n; k += 16) {
-    const __m128i w0 = _mm_packs_epi32(gather_quantize4(in, map + k, s),
-                                       gather_quantize4(in, map + k + 4, s));
-    const __m128i w1 = _mm_packs_epi32(gather_quantize4(in, map + k + 8, s),
-                                       gather_quantize4(in, map + k + 12, s));
+    const __m128i w0 =
+        _mm_packs_epi32(quantize4(in + k, s), quantize4(in + k + 4, s));
+    const __m128i w1 =
+        _mm_packs_epi32(quantize4(in + k + 8, s), quantize4(in + k + 12, s));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
                      _mm_packs_epi16(w0, w1));
   }
   for (; k + 4 <= n; k += 4) {
-    const __m128i w = gather_quantize4(in, map + k, s);
-    const __m128i bytes = _mm_packs_epi16(_mm_packs_epi32(w, w), w);
-    const std::int32_t four = _mm_cvtsi128_si32(bytes);
+    const __m128i w = quantize4(in + k, s);
+    const std::int32_t four =
+        _mm_cvtsi128_si32(_mm_packs_epi16(_mm_packs_epi32(w, w), w));
     std::memcpy(out + k, &four, sizeof(four));
   }
-  for (; k < n; ++k) out[k] = quantize_llr(in[map[k]], scale);
+  for (; k < n; ++k) out[k] = quantize_llr(in[k], scale);
+}
+
+void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
+                       std::size_t n, std::int8_t* out) {
+  // A dword gather at byte offset map[k] reads in[map[k]] and the three
+  // bytes after it, so the input goes through a copy with four bytes of
+  // slack (a symbol is at most 312 bytes).
+  alignas(32) std::array<std::int8_t, 320> padded;
+  if (n + 4 > padded.size()) {
+    return deinterleave_for(Tier::kScalar)(in, map, n, out);
+  }
+  std::memcpy(padded.data(), in, n);
+  std::memset(padded.data() + n, 0, 4);
+  const int* base = reinterpret_cast<const int*>(padded.data());
+  // Byte 0 of each dword to the low four bytes of its lane, then the
+  // two lanes' dwords side by side.
+  const __m256i low_bytes = _mm256_setr_epi8(
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
+      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+  const __m256i join = _mm256_setr_epi32(0, 4, 1, 1, 1, 1, 1, 1);
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) {
+    const __m256i idx = _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
+        reinterpret_cast<const __m256i*>(map + k));
+    // The all-ones masked form does the same eight loads; its defined
+    // zero pass-through keeps GCC's self-initialized undefined vector
+    // out of -Wmaybe-uninitialized.
+    const __m256i v = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), base, idx, _mm256_set1_epi32(-1), 1);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + k),
+                     _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                         _mm256_shuffle_epi8(v, low_bytes), join)));
+  }
+  for (; k < n; ++k) out[k] = in[map[k]];
 }
 
 #else  // !defined(__AVX2__)
@@ -474,9 +498,14 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
                               zi, nv);
 }
 
-void deinterleave_avx2(const double* in, const std::int32_t* map,
-                       std::size_t n, double scale, std::int8_t* out) {
-  deinterleave_for(Tier::kScalar)(in, map, n, scale, out);
+void quantize_avx2(const double* in, std::size_t n, double scale,
+                   std::int8_t* out) {
+  quantize_for(Tier::kScalar)(in, n, scale, out);
+}
+
+void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
+                       std::size_t n, std::int8_t* out) {
+  deinterleave_for(Tier::kScalar)(in, map, n, out);
 }
 
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,

@@ -50,10 +50,10 @@ TEST_P(InterleaverParam, LlrDeinterleaveMatchesBitDeinterleave) {
   const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(GetParam());
   const util::BitVec bits = rng.bits(n_cbps);
   const util::BitVec inter = interleave(bits, GetParam());
-  std::vector<double> llrs(n_cbps);
-  for (unsigned i = 0; i < n_cbps; ++i) llrs[i] = inter[i] ? -1.0 : 1.0;
+  std::vector<std::int8_t> llrs(n_cbps);
+  for (unsigned i = 0; i < n_cbps; ++i) llrs[i] = inter[i] ? -32 : 32;
   std::vector<std::int8_t> deint(n_cbps);
-  deinterleave_llrs_into(llrs, GetParam(), 32.0, deint);
+  deinterleave_llrs_into(llrs, GetParam(), deint);
   for (unsigned i = 0; i < n_cbps; ++i) {
     EXPECT_EQ(deint[i], bits[i] == 1 ? -32 : 32) << i;
   }

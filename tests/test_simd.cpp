@@ -115,6 +115,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
             phy::simd::equalize_for(Tier::kAvx2));
   EXPECT_EQ(phy::simd::deinterleave_for(Tier::kAvx512),
             phy::simd::deinterleave_for(Tier::kAvx2));
+  EXPECT_EQ(phy::simd::quantize_for(Tier::kAvx512),
+            phy::simd::quantize_for(Tier::kAvx2));
   EXPECT_EQ(k512.radix4_pass, k2.radix4_pass);
   EXPECT_EQ(k512.len2_pass, k2.len2_pass);
   EXPECT_EQ(k512.scale, k2.scale);
@@ -127,6 +129,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
               phy::simd::equalize_for(Tier::kScalar));
     EXPECT_NE(phy::simd::deinterleave_for(Tier::kAvx2),
               phy::simd::deinterleave_for(Tier::kScalar));
+    EXPECT_NE(phy::simd::quantize_for(Tier::kAvx2),
+              phy::simd::quantize_for(Tier::kScalar));
     EXPECT_NE(k2.radix4_pass, k0.radix4_pass);
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx2),
               phy::simd::acs_block_for(Tier::kScalar));
@@ -672,43 +676,66 @@ std::int8_t quantize_reference(double llr, double scale) {
   return static_cast<std::int8_t>(std::nearbyint(std::clamp(v, -127.0, 127.0)));
 }
 
-/// Deinterleaves `llrs` at `scale` through every tier and checks each
-/// against the permutation and quantize_reference, element for element.
-void expect_deinterleave_matches(const std::vector<double>& llrs,
-                                 phy::Modulation mod, double scale,
-                                 const std::string& what) {
-  const unsigned n_bpsc = phy::bits_per_symbol(mod);
-  const unsigned n_cbps = phy::kDataSubcarriers * n_bpsc;
-  const std::vector<std::size_t> map = phy::interleave_map(n_cbps, n_bpsc);
-  std::vector<std::int8_t> got(n_cbps);
+/// Quantizes `llrs` at `scale` through every tier's kernel and checks
+/// each against quantize_reference, element for element.
+void expect_quantize_matches(const std::vector<double>& llrs, double scale,
+                             const std::string& what) {
+  std::vector<std::int8_t> got(llrs.size());
   for (const Tier t : runnable_tiers()) {
-    const phy::simd::ScopedTier pin(t);
     std::fill(got.begin(), got.end(), std::int8_t{-128});
-    phy::deinterleave_llrs_into(llrs, mod, scale, got);
-    for (unsigned k = 0; k < n_cbps; ++k) {
-      ASSERT_EQ(got[k], quantize_reference(llrs[map[k]], scale))
-          << what << " k " << k << " llr " << llrs[map[k]] << " scale "
-          << scale << " tier " << phy::simd::tier_name(t);
+    phy::simd::quantize_for(t)(llrs.data(), llrs.size(), scale, got.data());
+    for (std::size_t k = 0; k < llrs.size(); ++k) {
+      ASSERT_EQ(got[k], quantize_reference(llrs[k], scale))
+          << what << " k " << k << " of " << llrs.size() << " llr " << llrs[k]
+          << " scale " << scale << " tier " << phy::simd::tier_name(t);
     }
   }
 }
 
-TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
-  // Values straddle the clamp and a quarter sit on exact halves.
+TEST(SimdParity, QuantizeEveryTierMatchesReference) {
+  // Counts 1..320 reach every remainder of the AVX2 kernel's 16- and
+  // 4-wide loops; values straddle the clamp and a quarter sit on exact
+  // halves.
   std::vector<double> llrs;
+  for (std::size_t count = 1; count <= 320; ++count) {
+    util::Rng rng(0x0A'17'00 + count);
+    llrs.resize(count);
+    for (auto& v : llrs) {
+      v = rng.uniform_int(4) == 0
+              ? 0.5 * static_cast<double>(
+                          static_cast<int>(rng.uniform_int(601)) - 300)
+              : rng.uniform(-1e3, 1e3);
+    }
+    const double scale = count % 3 == 0 ? 1.0 : rng.uniform(1e-3, 1.0);
+    expect_quantize_matches(llrs, scale, "count " + std::to_string(count));
+  }
+}
+
+TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
+  const std::vector<Tier> tiers = runnable_tiers();
+  std::vector<std::int8_t> llrs, got;
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     util::Rng rng(0xDE'17'33 + trial);
     for (const phy::Modulation mod : kMods) {
-      llrs.resize(phy::kDataSubcarriers * phy::bits_per_symbol(mod));
+      const unsigned n_bpsc = phy::bits_per_symbol(mod);
+      const unsigned n_cbps = phy::kDataSubcarriers * n_bpsc;
+      const std::vector<std::size_t> map = phy::interleave_map(n_cbps, n_bpsc);
+      llrs.resize(n_cbps);
+      got.resize(n_cbps);
       for (auto& v : llrs) {
-        v = rng.uniform_int(4) == 0
-                ? 0.5 * static_cast<double>(
-                            static_cast<int>(rng.uniform_int(601)) - 300)
-                : rng.uniform(-1e3, 1e3);
+        v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) -
+                                     128);
       }
-      const double scale = trial % 4 == 0 ? 1.0 : rng.uniform(1e-3, 1.0);
-      expect_deinterleave_matches(llrs, mod, scale,
-                                  "trial " + std::to_string(trial));
+      for (const Tier t : tiers) {
+        const phy::simd::ScopedTier pin(t);
+        std::fill(got.begin(), got.end(), std::int8_t{0});
+        phy::deinterleave_llrs_into(llrs, mod, got);
+        for (unsigned k = 0; k < n_cbps; ++k) {
+          ASSERT_EQ(got[k], llrs[map[k]])
+              << "trial " << trial << " mod " << n_bpsc << " bpsc, k " << k
+              << " tier " << phy::simd::tier_name(t);
+        }
+      }
     }
   }
 }
@@ -754,15 +781,18 @@ TEST(SimdParity, QuantizerEdgeCases) {
   }
   EXPECT_EQ(phy::simd::quantize_llr(1.0, 0.0), 0);
   EXPECT_EQ(phy::simd::quantize_llr(inf, 0.0), 127);  // 0 * inf is NaN
-  for (const phy::Modulation mod : kMods) {
-    std::vector<double> llrs(phy::kDataSubcarriers * phy::bits_per_symbol(mod));
-    for (std::size_t k = 0; k < llrs.size(); ++k) {
-      llrs[k] = edges[k % edges.size()];
+  // Every length from 1 to 3 × edges, so each edge value lands in the
+  // vector body and in each tail of the AVX2 kernel.
+  std::vector<double> llrs;
+  for (std::size_t count = 1; count <= 3 * edges.size(); ++count) {
+    llrs.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      llrs[k] = edges[(k + count) % edges.size()];
     }
-    expect_deinterleave_matches(llrs, mod, 1.0, "edges");
+    expect_quantize_matches(llrs, 1.0, "edges");
     for (double& v : llrs) v *= 2.0;  // exact halves again at scale 0.5
-    expect_deinterleave_matches(llrs, mod, 0.5, "doubled edges");
-    expect_deinterleave_matches(llrs, mod, 0.0, "dead");
+    expect_quantize_matches(llrs, 0.5, "doubled edges");
+    expect_quantize_matches(llrs, 0.0, "dead");
   }
 }
 
