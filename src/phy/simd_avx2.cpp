@@ -5,8 +5,9 @@
 // compiled with -mavx2 (and deliberately WITHOUT -mfma: the scalar code
 // the double kernels must match bit for bit is built with no
 // contraction, so the kernels stick to packed mul/add/sub — an FMA here
-// would round differently). When the compiler cannot target AVX2 the file degrades
-// to stubs and dispatch never selects this tier (see avx2_compiled()).
+// would round differently). When the compiler cannot target AVX2 the
+// file degrades to stubs and dispatch never selects this tier (see
+// avx2_compiled()).
 
 #include "phy/simd.hpp"
 
@@ -95,7 +96,8 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                              _mm256_srai_epi32(_mm256_slli_epi32(y, 16), 16)),
           _MM_SHUFFLE(3, 1, 2, 0));
       const __m256i od = _mm256_permute4x64_epi64(
-          _mm256_packs_epi32(_mm256_srai_epi32(x, 16), _mm256_srai_epi32(y, 16)),
+          _mm256_packs_epi32(_mm256_srai_epi32(x, 16),
+                             _mm256_srai_epi32(y, 16)),
           _MM_SHUFFLE(3, 1, 2, 0));
       const __m256i bm = _mm256_add_epi16(_mm256_sign_epi16(la, signs[k]),
                                           _mm256_sign_epi16(lb, signs[k + 2]));
@@ -423,8 +425,7 @@ void quantize_avx2(const double* in, std::size_t n, double scale,
                    std::int8_t* out) {
   const __m256d s = _mm256_set1_pd(scale);
   std::size_t k = 0;
-  // Sixteen per store (±127 packs through int16 to int8 exactly); symbol
-  // sizes are multiples of four, so the four-wide loop takes the rest.
+  // Sixteen per store; ±127 packs through int16 to int8 exactly.
   for (; k + 16 <= n; k += 16) {
     const __m128i w0 =
         _mm_packs_epi32(quantize4(in + k, s), quantize4(in + k + 4, s));
@@ -432,12 +433,6 @@ void quantize_avx2(const double* in, std::size_t n, double scale,
         _mm_packs_epi32(quantize4(in + k + 8, s), quantize4(in + k + 12, s));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
                      _mm_packs_epi16(w0, w1));
-  }
-  for (; k + 4 <= n; k += 4) {
-    const __m128i w = quantize4(in + k, s);
-    const std::int32_t four =
-        _mm_cvtsi128_si32(_mm_packs_epi16(_mm_packs_epi32(w, w), w));
-    std::memcpy(out + k, &four, sizeof(four));
   }
   for (; k < n; ++k) out[k] = quantize_llr(in[k], scale);
 }
@@ -462,8 +457,9 @@ void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
   const __m256i join = _mm256_setr_epi32(0, 4, 1, 1, 1, 1, 1, 1);
   std::size_t k = 0;
   for (; k + 8 <= n; k += 8) {
-    const __m256i idx = _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
-        reinterpret_cast<const __m256i*>(map + k));
+    const __m256i idx =
+        _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
+            reinterpret_cast<const __m256i*>(map + k));
     // The all-ones masked form does the same eight loads; its defined
     // zero pass-through keeps GCC's self-initialized undefined vector
     // out of -Wmaybe-uninitialized.

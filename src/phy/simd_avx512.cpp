@@ -58,7 +58,8 @@ void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
   // lo holds cur[0 .. 31], hi cur[32 .. 63]. Callers' metric arrays
   // carry no alignment contract, and these loads and stores run once per
   // call.
-  __m512i lo = _mm512_loadu_si512(metrics);  // witag-lint: allow(simd-unaligned)
+  __m512i lo =
+      _mm512_loadu_si512(metrics);  // witag-lint: allow(simd-unaligned)
   __m512i hi =
       _mm512_loadu_si512(metrics + 32);  // witag-lint: allow(simd-unaligned)
   // Word indices of the even (s0 = 2ns) and odd (s1 = 2ns + 1)

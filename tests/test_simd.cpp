@@ -693,9 +693,8 @@ void expect_quantize_matches(const std::vector<double>& llrs, double scale,
 }
 
 TEST(SimdParity, QuantizeEveryTierMatchesReference) {
-  // Counts 1..320 reach every remainder of the AVX2 kernel's 16- and
-  // 4-wide loops; values straddle the clamp and a quarter sit on exact
-  // halves.
+  // Counts 1..320 reach every remainder of the AVX2 kernel's 16-wide
+  // loop; values straddle the clamp and a quarter sit on exact halves.
   std::vector<double> llrs;
   for (std::size_t count = 1; count <= 320; ++count) {
     util::Rng rng(0x0A'17'00 + count);
@@ -782,7 +781,7 @@ TEST(SimdParity, QuantizerEdgeCases) {
   EXPECT_EQ(phy::simd::quantize_llr(1.0, 0.0), 0);
   EXPECT_EQ(phy::simd::quantize_llr(inf, 0.0), 127);  // 0 * inf is NaN
   // Every length from 1 to 3 × edges, so each edge value lands in the
-  // vector body and in each tail of the AVX2 kernel.
+  // AVX2 kernel's vector body and in its scalar tail.
   std::vector<double> llrs;
   for (std::size_t count = 1; count <= 3 * edges.size(); ++count) {
     llrs.resize(count);
