@@ -16,6 +16,11 @@ namespace {
 
 using util::Cx;
 
+// Floor on |h|^2 to keep equalization of a faded bin from producing
+// non-finite values; such bins get an enormous noise variance instead.
+// The kernel path uses the identical simd::kEqualizeMinGain.
+constexpr double kMinGain = 1e-18;
+
 // Common phase error from the four pilots: correlate received pilots
 // against their expected post-channel values; the angle of the sum is
 // the shared rotation. Four complex MACs per symbol — not worth a
@@ -147,10 +152,10 @@ EqualizedSymbol equalize_reference(const FreqSymbol& rx,
   for (std::size_t i = 0; i < data_sc.size(); ++i) {
     const unsigned bin = bin_index(data_sc[i]);
     const double gain = std::norm(est.h[bin]);
-    if (gain < simd::kEqualizeMinGain) {
+    if (gain < kMinGain) {
       // A dead bin carries no information: neutral point, huge noise.
       out.points[i] = Cx{};
-      out.noise_vars[i] = simd::kEqualizeDeadNoise;
+      out.noise_vars[i] = 1e18;
       continue;
     }
     out.points[i] = rx[bin] * std::conj(cpe) / est.h[bin];

@@ -14,6 +14,12 @@
 namespace witag::phy {
 namespace {
 
+// Branch metric contribution of one coded bit: LLR > 0 favors bit 0, so a
+// branch expecting bit 0 gains +llr and one expecting bit 1 gains -llr.
+double bit_metric(double llr, std::uint8_t expected) {
+  return expected ? -llr : llr;
+}
+
 // Start metric of the states the zeroed encoder cannot be in: for the
 // six steps until every state is reachable from state 0, a path out of
 // them trails every path out of state 0 (2 × 6 × 256 < 8192), so the
@@ -88,9 +94,8 @@ util::BitVec viterbi_reference(std::span<const double> llrs) {
       if (metric[s] == kNegInf) continue;
       for (std::uint32_t u = 0; u < 2; ++u) {
         const std::uint8_t ns = kTrellis.next[s][u];
-        // LLR > 0 favors bit 0: a branch expecting bit 0 gains +llr.
-        const double m = metric[s] + (kTrellis.out_a[s][u] ? -la : la) +
-                         (kTrellis.out_b[s][u] ? -lb : lb);
+        const double m = metric[s] + bit_metric(la, kTrellis.out_a[s][u]) +
+                         bit_metric(lb, kTrellis.out_b[s][u]);
         if (m > next_metric[ns]) {
           next_metric[ns] = m;
           survivor[step][ns] = static_cast<std::uint8_t>((s << 1) | u);
