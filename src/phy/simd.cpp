@@ -74,8 +74,8 @@ void acs_block_scalar(const std::int8_t* llrs, std::size_t n_steps,
   std::int16_t* cur = metrics;
   std::int16_t* nxt = spare.data();
   for (std::size_t step = 0; step < n_steps; ++step) {
-    const int la = llrs[2 * step];
-    const int lb = llrs[2 * step + 1];
+    const std::int8_t la = llrs[2 * step];
+    const std::int8_t lb = llrs[2 * step + 1];
     std::uint64_t word = 0;
     for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
       // One branch metric fixes all four branches of the ns / ns + 32

@@ -72,7 +72,7 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
   __m256i m[4];
   __m256i signs[4];
 #pragma GCC unroll 4
-  for (int k = 0; k < 4; ++k) {
+  for (std::size_t k = 0; k < 4; ++k) {
     m[k] = _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
         reinterpret_cast<const __m256i*>(metrics + 16 * k));
     signs[k] = _mm256_load_si256(
@@ -84,7 +84,7 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
     __m256i next[4];
     __m256i take[4];
 #pragma GCC unroll 2
-    for (int k = 0; k < 2; ++k) {
+    for (std::size_t k = 0; k < 2; ++k) {
       // Predecessors of next states 16k .. 16k + 15 from m[2k], m[2k+1]:
       // each int32 lane holds one (even, odd) pair; shifts split it, the
       // in-lane pack joins the halves (exact on sign-extended int16) and
@@ -119,10 +119,12 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                                    _mm256_castsi256_si128(next[0]))
                              : _mm256_setzero_si256();
 #pragma GCC unroll 4
-    for (int k = 0; k < 4; ++k) m[k] = _mm256_subs_epi16(next[k], base);
+    for (std::size_t k = 0; k < 4; ++k) {
+      m[k] = _mm256_subs_epi16(next[k], base);
+    }
   }
 #pragma GCC unroll 4
-  for (int k = 0; k < 4; ++k) {
+  for (std::size_t k = 0; k < 4; ++k) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(metrics + 16 * k), m[k]);
   }
 }
