@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mac/aes.hpp"
+#include "mac/station.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "util/cli.hpp"
@@ -406,7 +407,12 @@ void BM_PpduDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_PpduDecode);
 
-void BM_AesBlock(benchmark::State& state) {
+// One AES-128 block, chained so each encryption waits on the last.
+// BM_AesBlock runs the dispatched cipher (AES-NI at the vector tiers);
+// BM_AesBlockReference pins the portable byte-wise rounds, so the pair's
+// ratio is the kernel's gain on this host. Neither is pinned in
+// BENCH_phy.json (absolute ns are host-bound).
+void aes_block_loop(benchmark::State& state) {
   const mac::AesKey key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
   const mac::Aes128 aes(key);
   mac::AesBlock block{};
@@ -415,7 +421,31 @@ void BM_AesBlock(benchmark::State& state) {
     benchmark::DoNotOptimize(block.data());
   }
 }
+
+void BM_AesBlock(benchmark::State& state) { aes_block_loop(state); }
 BENCHMARK(BM_AesBlock);
+
+void BM_AesBlockReference(benchmark::State& state) {
+  const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
+  aes_block_loop(state);
+}
+BENCHMARK(BM_AesBlockReference);
+
+// The MAC side of one encrypted query: a 64-subframe CCMP A-MPDU (CBC-MAC
+// and CTR over every subframe) through Client::build_ampdu, with the
+// testbed session's own payload size, at the dispatched tier.
+void BM_CcmpBuildAmpdu(benchmark::State& state) {
+  auto cfg = core::los_testbed_config(util::Meters{2.0}, 1);
+  cfg.security.mode = mac::Security::kCcmp;
+  const core::QueryLayout layout = core::Session(cfg).layout();
+  const std::vector<util::ByteVec> payloads(
+      layout.n_subframes, util::ByteVec(layout.payload_bytes, 0xA5));
+  mac::Client client(mac::make_address(1), mac::make_address(2), cfg.security);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.build_ampdu(payloads));
+  }
+}
+BENCHMARK(BM_CcmpBuildAmpdu);
 
 void BM_EnvelopeDetector(benchmark::State& state) {
   util::Rng rng(5);

@@ -1,6 +1,8 @@
 #include "mac/aes.hpp"
 #include <cstddef>
 
+#include "phy/simd.hpp"
+
 namespace witag::mac {
 namespace {
 
@@ -107,6 +109,13 @@ Aes128::Aes128(const AesKey& key) {
 }
 
 AesBlock Aes128::encrypt(const AesBlock& plaintext) const {
+  static_assert(sizeof(round_keys_) == 11 * 16, "round keys are contiguous");
+  if (const phy::simd::AesEncryptFn kernel =
+          phy::simd::aes_encrypt_for(phy::simd::active_tier())) {
+    AesBlock out{};
+    kernel(round_keys_.front().data(), plaintext.data(), out.data());
+    return out;
+  }
   std::array<std::uint8_t, 16> state = plaintext;
   add_round_key(state, round_keys_[0]);
   for (int round = 1; round < 10; ++round) {

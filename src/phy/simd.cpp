@@ -1,7 +1,8 @@
 // Tier detection, the WITAG_SIMD override, and the scalar kernels: the
-// only tier on non-x86 hosts and on x86 hosts without AVX2, and the one
-// WITAG_SIMD=off forces. The vector kernels live in simd_avx2.cpp (every
-// hot kernel) and simd_avx512.cpp (the Viterbi ACS only); this TU owns
+// only tier on non-x86 hosts and on x86 hosts without AVX2 or AES-NI,
+// and the one WITAG_SIMD=off forces. The vector kernels live in
+// simd_avx2.cpp (every hot kernel and the AES-NI block cipher) and
+// simd_avx512.cpp (the Viterbi ACS only); this TU owns
 // the dispatch, so a build without AVX2 or AVX-512 support (or a non-x86
 // target) runs the lower tiers without any caller noticing.
 
@@ -274,6 +275,8 @@ void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
                           const util::Cx* w1, const util::Cx* w2);
 void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
 void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
+void aes_encrypt_aesni(const std::uint8_t* round_keys, const std::uint8_t* in,
+                       std::uint8_t* out);
 }  // namespace kernels
 
 std::int8_t quantize_llr(double llr, double scale) {
@@ -364,6 +367,10 @@ const FftKernels& fft_kernels_for(Tier t) {
                                kernels::fft_len2_pass_avx2,
                                kernels::fft_scale_avx2};
   return use_avx2(t) ? avx2 : kFftScalar;
+}
+
+AesEncryptFn aes_encrypt_for(Tier t) {
+  return use_avx2(t) ? kernels::aes_encrypt_aesni : nullptr;
 }
 
 }  // namespace witag::phy::simd

@@ -1,22 +1,23 @@
-// AVX2 kernels: the int16 Viterbi add-compare-select (sixteen metrics
-// per vector), the int8 deinterleave gather and, four doubles / two
-// complex doubles per vector, the separable soft demap, the equalizer,
-// the LLR quantizer and the fused radix-4 FFT passes. This TU is
-// compiled with -mavx2 (and deliberately WITHOUT -mfma: the scalar code
-// the double kernels must match bit for bit is built with no
-// contraction, so the kernels stick to packed mul/add/sub — an FMA here
-// would round differently). When the compiler cannot target AVX2 the
-// file degrades to stubs and dispatch never selects this tier (see
-// avx2_compiled()).
+// AVX2 + AES-NI tier: the int16 Viterbi add-compare-select (sixteen
+// metrics per vector), the int8 deinterleave gather, the AES-NI block
+// cipher and, four doubles / two complex doubles per vector, the
+// separable soft demap, the equalizer, the LLR quantizer and the fused
+// radix-4 FFT passes. This TU is compiled with -mavx2 -maes (and
+// deliberately WITHOUT -mfma: the scalar code the double kernels must
+// match bit for bit is built with no contraction, so the kernels stick
+// to packed mul/add/sub — an FMA here would round differently). When
+// the compiler cannot target both the file degrades to stubs and
+// dispatch never selects this tier (see avx2_compiled()).
 
 #include "phy/simd.hpp"
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 
 #include "phy/trellis.hpp"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__AES__)
 #include <immintrin.h>
 #include <algorithm>
 #include <array>
@@ -29,13 +30,14 @@ namespace witag::phy::simd::kernels {
 bool avx2_supported() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("aes") != 0;
 #else
   return false;
 #endif
 }
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__AES__)
 
 bool avx2_compiled() { return true; }
 
@@ -474,7 +476,22 @@ void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
   for (; k < n; ++k) out[k] = in[map[k]];
 }
 
-#else  // !defined(__AVX2__)
+void aes_encrypt_aesni(const std::uint8_t* round_keys, const std::uint8_t* in,
+                       std::uint8_t* out) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  // Blocks are std::arrays with no alignment contract; one load, one store.
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(  // witag-lint: allow(simd-unaligned)
+          reinterpret_cast<const __m128i*>(in)),
+      _mm_load_si128(rk));
+#pragma GCC unroll 9
+  for (int r = 1; r < 10; ++r) s = _mm_aesenc_si128(s, _mm_load_si128(rk + r));
+  _mm_storeu_si128(  // witag-lint: allow(simd-unaligned)
+      reinterpret_cast<__m128i*>(out),
+      _mm_aesenclast_si128(s, _mm_load_si128(rk + 10)));
+}
+
+#else  // !(defined(__AVX2__) && defined(__AES__))
 
 bool avx2_compiled() { return false; }
 
@@ -519,6 +536,10 @@ void fft_scale_avx2(util::Cx* data, std::size_t n, double scale) {
   fft_kernels_for(Tier::kScalar).scale(data, n, scale);
 }
 
-#endif  // defined(__AVX2__)
+// Never selected: aes_encrypt_for returns nullptr when this tier is off.
+void aes_encrypt_aesni(const std::uint8_t*, const std::uint8_t*,
+                       std::uint8_t*) { std::abort(); }
+
+#endif  // defined(__AVX2__) && defined(__AES__)
 
 }  // namespace witag::phy::simd::kernels

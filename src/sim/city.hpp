@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/hdr.hpp"
@@ -73,6 +74,11 @@ struct CityConfig {
   /// cross-cell interference entirely.
   double coupling_scale = 0.02;
   std::uint64_t seed = 1;
+
+  /// Why run_city cannot run this config, as one readable line, or an
+  /// empty string when it can. Covers every field a command line can
+  /// break; run_city's own WITAG_REQUIREs stay as the backstop.
+  std::string validate() const;
 };
 
 struct CityResult {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "sim/city.hpp"
@@ -218,6 +219,96 @@ TEST(SimCitySupervised, DeterministicDeliveries) {
   EXPECT_EQ(a.deliveries_failed, b.deliveries_failed);
   EXPECT_EQ(essence(a), essence(b));
   EXPECT_GT(a.deliveries_ok + a.deliveries_failed, 0u);
+}
+
+// ---------------------------------------------------------------------
+// CityConfig::validate: one readable reason per field a command line
+// can break, instead of a WITAG_REQUIRE deep inside run_city.
+// ---------------------------------------------------------------------
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(SimCityValidate, AcceptsTheDefaultsAndTheEdgesOfEachRange) {
+  EXPECT_EQ(sim::CityConfig{}.validate(), "");
+  sim::CityConfig cfg = small_city();
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.n_cells = 1;
+  cfg.epochs = 1;
+  cfg.mcs = 0;
+  cfg.n_subframes = 6;
+  cfg.coupling_scale = 0.0;
+  EXPECT_EQ(cfg.validate(), "");
+  EXPECT_NO_THROW(sim::run_city(cfg, 1));
+  cfg.mcs = 7;
+  cfg.n_subframes = 64;
+  EXPECT_EQ(cfg.validate(), "");
+  EXPECT_NO_THROW(sim::run_city(cfg, 1));
+}
+
+TEST(SimCityValidate, RejectsNoCells) {
+  sim::CityConfig cfg = small_city();
+  cfg.n_cells = 0;
+  EXPECT_EQ(cfg.validate(), "a deployment needs at least one cell");
+}
+
+TEST(SimCityValidate, RejectsNoEpochs) {
+  sim::CityConfig cfg = small_city();
+  cfg.epochs = 0;
+  EXPECT_EQ(cfg.validate(), "epochs must be at least 1");
+}
+
+TEST(SimCityValidate, RejectsEpochLengthsThatAreNotPositive) {
+  sim::CityConfig cfg = small_city();
+  cfg.epoch_us = -5.0;
+  EXPECT_EQ(cfg.validate(),
+            "epoch length must be a positive number of us, not -5");
+  for (const double bad : {0.0, kNan, kInf}) {
+    cfg.epoch_us = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
+}
+
+TEST(SimCityValidate, RejectsMcsOutsideTheTable) {
+  sim::CityConfig cfg = small_city();
+  cfg.mcs = 9;
+  EXPECT_EQ(cfg.validate(), "MCS 9 is not one of 0-7");
+  cfg.mcs = 8;
+  EXPECT_NE(cfg.validate(), "");
+}
+
+TEST(SimCityValidate, RejectsSubframeCountsTheQueryCannotPlan) {
+  sim::CityConfig cfg = small_city();
+  cfg.n_subframes = 0;
+  EXPECT_EQ(cfg.validate(), "subframes per query must be 6-64, not 0");
+  for (const unsigned bad : {5u, 65u}) {
+    cfg.n_subframes = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
+}
+
+TEST(SimCityValidate, RejectsTagPositionsOutsideTheLab) {
+  sim::CityConfig cfg = small_city();
+  for (const double bad : {0.0, -1.0, 8.0, kNan}) {
+    cfg.tag_pos_m = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
+}
+
+TEST(SimCityValidate, RejectsCellSpacingThatIsNotPositive) {
+  sim::CityConfig cfg = small_city();
+  for (const double bad : {0.0, -25.0, kNan, kInf}) {
+    cfg.cell_spacing_m = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
+}
+
+TEST(SimCityValidate, RejectsNegativeCoupling) {
+  sim::CityConfig cfg = small_city();
+  for (const double bad : {-0.01, kNan, kInf}) {
+    cfg.coupling_scale = bad;
+    EXPECT_NE(cfg.validate(), "") << bad;
+  }
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "phy/simd.hpp"
 #include "phy/trellis.hpp"
 #include "phy/viterbi.hpp"
+#include "tiers.hpp"
 #include "util/bits.hpp"
 #include "util/complexvec.hpp"
 #include "util/rng.hpp"
@@ -37,17 +38,7 @@ namespace {
 using util::BitVec;
 using Tier = phy::simd::Tier;
 
-/// Every tier this machine can actually execute, in ascending order.
-std::vector<Tier> runnable_tiers() {
-  std::vector<Tier> tiers{Tier::kScalar};
-  if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
-    tiers.push_back(Tier::kAvx2);
-  }
-  if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
-    tiers.push_back(Tier::kAvx512);
-  }
-  return tiers;
-}
+using test::runnable_tiers;
 
 TEST(SimdDispatch, ActiveTierNeverExceedsDetected) {
   EXPECT_LE(phy::simd::active_tier(), phy::simd::detect_best_tier());
