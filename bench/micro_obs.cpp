@@ -4,19 +4,17 @@
 // Variants, each T threads x N increments of one shared counter:
 //   mutex+map  the naive registry: lock a std::mutex, look the name up
 //              in a std::map<std::string, uint64>, increment — what
-//              every bump would cost without the handle cache and
-//              sharding. This is the headline baseline.
+//              every bump would cost without a cached handle. This is
+//              the headline baseline.
 //   mutex      lock around a bare uint64 (map cost stripped out)
-//   atomic     one std::atomic<uint64> — correct but the cache line
-//              bounces between cores
-//   sharded    obs::ShardedCounter — per-thread-padded cells; with a
-//              cached handle this is what WITAG_COUNT_HOT costs
-//   lookup     sharded, but re-resolving obs::sharded_counter(name)
-//              every iteration — the lock-free handle-cache probe cost
+//   counter    obs::Counter through a handle resolved once — what
+//              WITAG_COUNT costs: one relaxed atomic add whose cache
+//              line every worker shares
 //
-// Prints ns/op per variant and the sharded-vs-naive speedup.
-// --assert-speedup X exits 1 when sharded fails to beat mutex+map by X
-// (CI uses 5). Numbers go to stdout; this bench has no golden output.
+// Prints ns/op per variant and the counter-vs-naive speedup.
+// --assert-speedup X exits 1 when the counter fails to beat mutex+map
+// by X (CI uses 5). Numbers go to stdout; this bench has no golden
+// output.
 //
 // Options: --threads N (default 8), --iters N (per thread, default
 //          2000000), --repeats N (best-of, default 3),
@@ -104,53 +102,33 @@ int main(int argc, char** argv) {
         }
       });
 
-  std::atomic<std::uint64_t> atomic_count{0};
-  const double atomic_ns = best_ns_per_op(
+  obs::Counter& counter = obs::counter("micro_obs.counter");
+  const double counter_ns = best_ns_per_op(
       repeats, threads, iters, [&](std::size_t) {
-        for (std::size_t i = 0; i < iters; ++i) {
-          atomic_count.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-
-  obs::ShardedCounter sharded;
-  const double sharded_ns = best_ns_per_op(
-      repeats, threads, iters, [&](std::size_t) {
-        for (std::size_t i = 0; i < iters; ++i) sharded.add(1);
-      });
-
-  obs::MetricsRegistry::instance().reset();
-  const double lookup_ns = best_ns_per_op(
-      repeats, threads, iters, [&](std::size_t) {
-        for (std::size_t i = 0; i < iters; ++i) {
-          obs::sharded_counter("micro_obs.lookup").add(1);
-        }
+        for (std::size_t i = 0; i < iters; ++i) counter.add(1);
       });
 
   // Keep the compiler honest about the accumulated totals.
   if (named_counts["session.exchanges.naive"] == 0 || locked_count == 0 ||
-      atomic_count.load() == 0 || sharded.value() == 0) {
+      counter.value() == 0) {
     std::cerr << "[micro_obs] impossible: zero counts\n";
     return 2;
   }
 
-  const double speedup = sharded_ns > 0.0 ? naive_ns / sharded_ns : 0.0;
+  const double speedup = counter_ns > 0.0 ? naive_ns / counter_ns : 0.0;
   core::Table table({"variant", "ns/op", "vs mutex+map"});
   table.add_row({"mutex+map", core::Table::num(naive_ns, 2),
                  core::Table::num(1.0, 2)});
   table.add_row({"mutex", core::Table::num(mutex_ns, 2),
                  core::Table::num(naive_ns / mutex_ns, 2)});
-  table.add_row({"atomic", core::Table::num(atomic_ns, 2),
-                 core::Table::num(naive_ns / atomic_ns, 2)});
-  table.add_row({"sharded", core::Table::num(sharded_ns, 2),
+  table.add_row({"counter", core::Table::num(counter_ns, 2),
                  core::Table::num(speedup, 2)});
-  table.add_row({"lookup+sharded", core::Table::num(lookup_ns, 2),
-                 core::Table::num(naive_ns / lookup_ns, 2)});
   table.print(std::cout);
   std::cout << "\n" << threads << " threads x " << iters
             << " increments, best of " << repeats << "\n";
 
   if (assert_speedup > 0.0 && speedup < assert_speedup) {
-    std::cerr << "[micro_obs] FAIL: sharded is only "
+    std::cerr << "[micro_obs] FAIL: obs::Counter is only "
               << core::Table::num(speedup, 2) << "x the naive "
               << "mutex+map registry (need " << assert_speedup << "x)\n";
     return 1;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "phy/constellation.hpp"
 #include "phy/mimo.hpp"

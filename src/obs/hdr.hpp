@@ -9,12 +9,12 @@
 // (1 + 2^-sub_bucket_bits): ~3.1% relative error at the default 5 bits,
 // independent of the dynamic range.
 //
-// Unlike obs::Histogram (explicit edges chosen per call site), an
-// HdrHistogram covers `octaves` powers of two out of the box, which is
-// what latency distributions need: microseconds to minutes in one
-// fixed-size array. Updates are relaxed atomic adds (thread-safe, no
-// locks); `merge()` folds another histogram with the same config in
-// bucket-wise, so per-shard instances aggregate exactly.
+// An HdrHistogram covers `octaves` powers of two out of the box, which
+// is what latency distributions need: microseconds to minutes in one
+// fixed-size array, with no edges chosen per call site. Updates are
+// relaxed atomic adds (thread-safe, no locks); `merge()` folds another
+// histogram with the same config in bucket-wise, so per-shard
+// instances aggregate exactly.
 //
 // Determinism: bucket indexing is a pure function of the value, and
 // quantiles are pure functions of the bucket counts — two runs that
@@ -83,7 +83,7 @@ class HdrHistogram {
   void merge(const HdrHistogram& other);
 
   /// Non-zero buckets as (upper_edge, count) pairs in ascending edge
-  /// order — the sparse export written into metrics reports.
+  /// order.
   std::vector<std::pair<double, std::uint64_t>> nonzero_buckets() const;
 
   void reset();

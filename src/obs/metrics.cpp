@@ -1,136 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-#include <array>
 #include <stdexcept>
-#include <utility>
-#include <cstddef>
 
 namespace witag::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) {
-    throw std::invalid_argument("Histogram: need at least one bucket bound");
-  }
-  if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
-      std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
-    throw std::invalid_argument("Histogram: bounds must be strictly ascending");
-  }
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-}
-
-void Histogram::observe(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  return sum() / static_cast<double>(n);
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-std::vector<double> exp_bounds(double first, double factor,
-                               std::size_t count) {
-  if (!(first > 0.0) || !(factor > 1.0) || count == 0) {
-    throw std::invalid_argument("exp_bounds: need first > 0, factor > 1");
-  }
-  std::vector<double> out;
-  out.reserve(count);
-  double edge = first;
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(edge);
-    edge *= factor;
-  }
-  return out;
-}
-
-// Fixed-capacity open-addressing table from name to metric pointer.
-// Readers probe lock-free (acquire loads); inserts happen under the
-// registry mutex, publish the slot's payload with a release store on
-// the key, and keep the load factor below 1/2. Keys point at the
-// registry map's node keys, which are stable for the process lifetime
-// (metrics are never removed). When the table fills up, later names
-// simply fall back to the mutex-guarded map path — correctness never
-// depends on a cache hit.
-struct MetricsRegistry::HandleCache {
-  static constexpr std::size_t kCapacity = 2048;  // power of two
-  static constexpr std::size_t kMask = kCapacity - 1;
-
-  struct Slot {
-    std::atomic<const std::string*> key{nullptr};
-    void* ptr = nullptr;  ///< Written before `key`'s release store.
-  };
-  std::array<Slot, kCapacity> slots;
-  std::size_t used = 0;  // witag: guarded_by(mu_)
-
-  static std::size_t hash(std::string_view s) {
-    // FNV-1a, 64-bit.
-    std::uint64_t h = 14695981039346656037ull;
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-
-  void* find(std::string_view name) const {
-    std::size_t i = hash(name) & kMask;
-    for (std::size_t probes = 0; probes < kCapacity; ++probes) {
-      const std::string* key = slots[i].key.load(std::memory_order_acquire);
-      if (key == nullptr) return nullptr;
-      if (*key == name) return slots[i].ptr;
-      i = (i + 1) & kMask;
-    }
-    return nullptr;
-  }
-
-  /// Caller holds the registry mutex. Idempotent per key.
-  // witag: locks_required(mu_)
-  void insert(const std::string* key, void* ptr) {
-    if (used * 2 >= kCapacity) return;  // full: fall back to the map path
-    std::size_t i = hash(*key) & kMask;
-    for (;;) {
-      const std::string* existing =
-          slots[i].key.load(std::memory_order_relaxed);
-      if (existing == nullptr) break;
-      if (existing == key || *existing == *key) return;  // already cached
-      i = (i + 1) & kMask;
-    }
-    slots[i].ptr = ptr;
-    slots[i].key.store(key, std::memory_order_release);
-    ++used;
-  }
-};
-
-MetricsRegistry::MetricsRegistry()
-    : counter_cache_(std::make_unique<HandleCache>()),
-      gauge_cache_(std::make_unique<HandleCache>()),
-      sharded_cache_(std::make_unique<HandleCache>()),
-      histogram_cache_(std::make_unique<HandleCache>()),
-      hdr_cache_(std::make_unique<HandleCache>()) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry registry;
@@ -140,47 +12,25 @@ MetricsRegistry& MetricsRegistry::instance() {
 template <typename T, typename Make>
 T& MetricsRegistry::lookup(
     std::map<std::string, std::unique_ptr<T>, std::less<>>& table,
-    HandleCache& cache, std::string_view name, Make&& make) {
-  if (void* hit = cache.find(name)) return *static_cast<T*>(hit);
+    std::string_view name, Make&& make) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = table.find(name);
   if (it == table.end()) {
     it = table.emplace(std::string(name), make()).first;
   }
-  cache.insert(&it->first, it->second.get());
   return *it->second;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  return lookup(counters_, *counter_cache_, name,
-                [] { return std::make_unique<Counter>(); });
+  return lookup(counters_, name, [] { return std::make_unique<Counter>(); });
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return lookup(gauges_, *gauge_cache_, name,
-                [] { return std::make_unique<Gauge>(); });
-}
-
-ShardedCounter& MetricsRegistry::sharded_counter(std::string_view name) {
-  return lookup(sharded_counters_, *sharded_cache_, name,
-                [] { return std::make_unique<ShardedCounter>(); });
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
-  Histogram& h =
-      lookup(histograms_, *histogram_cache_, name,
-             [&] { return std::make_unique<Histogram>(bounds); });
-  if (h.bounds() != bounds) {
-    throw std::invalid_argument("MetricsRegistry: histogram \"" +
-                                std::string(name) +
-                                "\" re-registered with different bounds");
-  }
-  return h;
+  return lookup(gauges_, name, [] { return std::make_unique<Gauge>(); });
 }
 
 HdrHistogram& MetricsRegistry::hdr(std::string_view name, HdrConfig cfg) {
-  HdrHistogram& h = lookup(hdrs_, *hdr_cache_, name,
+  HdrHistogram& h = lookup(hdrs_, name,
                            [&] { return std::make_unique<HdrHistogram>(cfg); });
   if (!(h.config() == cfg)) {
     throw std::invalid_argument("MetricsRegistry: hdr histogram \"" +
@@ -194,34 +44,18 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c->value();
-  // Sharded counters share the counter namespace: a plain and a sharded
-  // counter under one name report their (exact, integer) sum.
-  for (const auto& [name, c] : sharded_counters_) {
-    snap.counters[name] += c->value();
-  }
   for (const auto& [name, g] : gauges_) snap.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::Hist out;
-    out.bounds = h->bounds();
-    out.counts = h->counts();
-    out.count = h->count();
-    out.sum = h->sum();
-    snap.histograms[name] = std::move(out);
-  }
   for (const auto& [name, h] : hdrs_) {
     MetricsSnapshot::Hdr out;
     out.count = h->count();
     out.sum = h->sum();
-    out.max = h->max();
-    out.overflow = h->overflow();
-    out.buckets = h->nonzero_buckets();
     out.quantiles = hdr_quantiles(*h);
     snap.gauges[name + ".p50"] = out.quantiles.p50;
     snap.gauges[name + ".p90"] = out.quantiles.p90;
     snap.gauges[name + ".p99"] = out.quantiles.p99;
     snap.gauges[name + ".p999"] = out.quantiles.p999;
     snap.gauges[name + ".max"] = out.quantiles.max;
-    snap.hdrs[name] = std::move(out);
+    snap.hdrs[name] = out;
   }
   return snap;
 }
@@ -229,9 +63,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, c] : sharded_counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, h] : hdrs_) h->reset();
 }
 

@@ -1,18 +1,10 @@
-// Process-wide metrics: named counters, gauges, fixed-bucket and
-// HDR histograms, and sharded counters, with a lock-free fast path.
+// Process-wide metrics: named counters, gauges and HDR histograms.
 //
-// Two tiers of fast path:
-//  * Updates are relaxed atomics — one uncontended RMW per touch
-//    (Counter/Gauge/Histogram), or one RMW on a per-thread-padded cell
-//    (ShardedCounter, see obs/sharded.hpp) when multiple workers hit
-//    the same name.
-//  * Registration lookups (`obs::counter(name)` etc.) go through a
-//    pre-hashed open-addressing handle cache: after the first (mutex-
-//    guarded) registration of a name, later lookups are a lock-free
-//    probe — no mutex, no std::map walk, no std::string construction.
-//    Caching the handle in a function-local static (the WITAG_* macro
-//    pattern, see obs/obs.hpp) is still fastest, but a lookup inside a
-//    loop no longer serializes the process.
+// Updates are relaxed atomics — one RMW per touch, shared by every
+// thread that bumps the same name. Lookups (`obs::counter(name)` etc.)
+// take the registry mutex and walk a std::map, so hot call sites cache
+// the handle in a function-local static (the WITAG_* macro pattern, see
+// obs/obs.hpp) and the hot-lookup lint rejects a lookup inside a loop.
 //
 // `snapshot()` copies everything into plain structs for export. HDR
 // histograms additionally surface p50/p90/p99/p99.9/max quantile
@@ -28,11 +20,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
-#include <cstddef>
 
 #include "obs/hdr.hpp"
-#include "obs/sharded.hpp"
 
 namespace witag::obs {
 
@@ -51,7 +40,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double v) { v_.fetch_add(v, std::memory_order_relaxed); }
   double value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0.0, std::memory_order_relaxed); }
 
@@ -59,59 +47,17 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket histogram. `bounds` are ascending inclusive upper edges;
-/// one implicit overflow bucket catches everything above the last edge.
-class Histogram {
- public:
-  /// Throws std::invalid_argument on empty or non-ascending bounds.
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double x);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts; size() == bounds().size() + 1 (overflow last).
-  std::vector<std::uint64_t> counts() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// Mean of observed values; 0 when empty.
-  double mean() const;
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// `count` geometric upper edges starting at `first`, each `factor`
-/// above the previous — the usual latency-histogram layout.
-std::vector<double> exp_bounds(double first, double factor,
-                               std::size_t count);
-
-/// Point-in-time copy of every registered metric. Sharded counters
-/// fold into `counters` (summed with any plain counter of the same
-/// name); HDR histograms appear in `hdrs` and contribute quantile
-/// gauges (`<name>.p50`, `.p90`, `.p99`, `.p999`, `.max`) to `gauges`.
+/// Point-in-time copy of every registered metric. HDR histograms
+/// appear in `hdrs` and contribute quantile gauges (`<name>.p50`,
+/// `.p90`, `.p99`, `.p999`, `.max`) to `gauges`.
 struct MetricsSnapshot {
-  struct Hist {
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 entries.
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
   struct Hdr {
     std::uint64_t count = 0;
     double sum = 0.0;
-    double max = 0.0;
-    std::uint64_t overflow = 0;
-    /// Non-zero buckets, ascending (upper_edge, count).
-    std::vector<std::pair<double, std::uint64_t>> buckets;
     HdrQuantiles quantiles;
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Hist> histograms;
   std::map<std::string, Hdr> hdrs;
 };
 
@@ -120,17 +66,13 @@ class MetricsRegistry {
   static MetricsRegistry& instance();
 
   /// Idempotent registration: the first call for a name creates the
-  /// metric, later calls return the same object via the lock-free
-  /// handle cache. References stay valid for the process lifetime
-  /// (reset() zeroes values, never removes).
+  /// metric, later calls return the same object. References stay valid
+  /// for the process lifetime (reset() zeroes values, never removes).
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  ShardedCounter& sharded_counter(std::string_view name);
-  /// `bounds` are used on first registration only; a later call with
-  /// different bounds for the same name throws std::invalid_argument.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
   /// `cfg` is used on first registration only; a later call with a
   /// different config for the same name throws std::invalid_argument.
+  /// An invalid `cfg` throws and registers nothing.
   HdrHistogram& hdr(std::string_view name, HdrConfig cfg = {});
 
   MetricsSnapshot snapshot() const;
@@ -139,34 +81,21 @@ class MetricsRegistry {
   void reset();
 
  private:
-  MetricsRegistry();
-  ~MetricsRegistry();
-
-  struct HandleCache;
+  MetricsRegistry() = default;
 
   template <typename T, typename Make>
   T& lookup(std::map<std::string, std::unique_ptr<T>, std::less<>>& table,
-            HandleCache& cache, std::string_view name, Make&& make);
+            std::string_view name, Make&& make);
 
-  // The maps are written only under mu_; references handed out stay
-  // valid forever (nodes are never erased), which is what lets lookup()
-  // pass them to the lock-free cache after registration.
+  // Nodes are never erased, so the references lookup() hands out stay
+  // valid after the lock is released.
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>>
       counters_;  // witag: guarded_by(mu_)
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>>
       gauges_;  // witag: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<ShardedCounter>, std::less<>>
-      sharded_counters_;  // witag: guarded_by(mu_)
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-      histograms_;  // witag: guarded_by(mu_)
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>>
       hdrs_;  // witag: guarded_by(mu_)
-  std::unique_ptr<HandleCache> counter_cache_;
-  std::unique_ptr<HandleCache> gauge_cache_;
-  std::unique_ptr<HandleCache> sharded_cache_;
-  std::unique_ptr<HandleCache> histogram_cache_;
-  std::unique_ptr<HandleCache> hdr_cache_;
 };
 
 /// Shorthands for the process-wide registry.
@@ -175,13 +104,6 @@ inline Counter& counter(std::string_view name) {
 }
 inline Gauge& gauge(std::string_view name) {
   return MetricsRegistry::instance().gauge(name);
-}
-inline ShardedCounter& sharded_counter(std::string_view name) {
-  return MetricsRegistry::instance().sharded_counter(name);
-}
-inline Histogram& histogram(std::string_view name,
-                            std::vector<double> bounds) {
-  return MetricsRegistry::instance().histogram(name, std::move(bounds));
 }
 inline HdrHistogram& hdr(std::string_view name, HdrConfig cfg = {}) {
   return MetricsRegistry::instance().hdr(name, cfg);

@@ -3,9 +3,9 @@
 //
 // One gate, at run time: Tracer::set_enabled() gates span/event
 // recording; when off a span site costs one relaxed atomic load.
-// Counters, gauges and histograms always accumulate (one relaxed atomic
-// RMW) — they are the metrics export and are cheap enough to stay on
-// (<2% on the tightest PHY microbenchmarks).
+// Counters, gauges and HDR histograms always accumulate (relaxed
+// atomics) — they are the metrics export and are cheap enough to stay
+// on (<2% on the tightest PHY microbenchmarks).
 //
 // Name arguments to WITAG_SPAN / WITAG_EVENT* must be string literals.
 #pragma once
@@ -42,50 +42,14 @@
         .add(static_cast<std::uint64_t>(n));                             \
   } while (0)
 
-/// Records `x` into a named fixed-bucket histogram; `bounds_expr` is
-/// evaluated once, at first execution of the call site.
-#define WITAG_HIST(name, bounds_expr, x)                                 \
-  do {                                                                   \
-    static ::witag::obs::Histogram& WITAG_OBS_CONCAT(witag_obs_hist_,    \
-                                                     __LINE__) =         \
-        ::witag::obs::histogram((name), (bounds_expr));                  \
-    WITAG_OBS_CONCAT(witag_obs_hist_, __LINE__)                          \
-        .observe(static_cast<double>(x));                                \
-  } while (0)
-
-/// Like WITAG_COUNT but backed by a sharded counter: workers on
-/// different threads land on different cache lines instead of bouncing
-/// one atomic. Use for counters bumped from inside parallel regions.
-/// Exported value is the exact sum (folds into the plain-counter
-/// namespace in snapshots).
-#define WITAG_COUNT_HOT(name, n)                                         \
-  do {                                                                   \
-    static ::witag::obs::ShardedCounter& WITAG_OBS_CONCAT(               \
-        witag_obs_shard_, __LINE__) = ::witag::obs::sharded_counter(     \
-        (name));                                                         \
-    WITAG_OBS_CONCAT(witag_obs_shard_, __LINE__)                         \
-        .add(static_cast<std::uint64_t>(n));                             \
-  } while (0)
-
 /// Records `x` into a named HDR (log-bucketed) histogram with the
 /// default config — snapshots export <name>.p50/.p90/.p99/.p999/.max
-/// quantile gauges. Use WITAG_HDR_CFG to pick a non-default layout.
+/// quantile gauges.
 #define WITAG_HDR(name, x)                                               \
   do {                                                                   \
     static ::witag::obs::HdrHistogram& WITAG_OBS_CONCAT(witag_obs_hdr_,  \
                                                         __LINE__) =      \
         ::witag::obs::hdr((name));                                       \
-    WITAG_OBS_CONCAT(witag_obs_hdr_, __LINE__)                           \
-        .record(static_cast<double>(x));                                 \
-  } while (0)
-
-/// HDR histogram with an explicit HdrConfig (first execution wins; a
-/// different config for the same name elsewhere throws).
-#define WITAG_HDR_CFG(name, cfg, x)                                      \
-  do {                                                                   \
-    static ::witag::obs::HdrHistogram& WITAG_OBS_CONCAT(witag_obs_hdr_,  \
-                                                        __LINE__) =      \
-        ::witag::obs::hdr((name), (cfg));                                \
     WITAG_OBS_CONCAT(witag_obs_hdr_, __LINE__)                           \
         .record(static_cast<double>(x));                                 \
   } while (0)

@@ -66,6 +66,34 @@ void install_crash_flush_once() {
 
 }  // namespace
 
+void encode_snapshot(const MetricsSnapshot& snapshot, json::Value& doc) {
+  json::Value counters = json::Value::object();
+  for (const auto& [name, value] : snapshot.counters) {
+    counters.set(name, json::Value::number(static_cast<double>(value)));
+  }
+  doc.set("counters", std::move(counters));
+
+  json::Value gauges = json::Value::object();
+  for (const auto& [name, value] : snapshot.gauges) {
+    gauges.set(name, json::Value::number(value));
+  }
+  doc.set("gauges", std::move(gauges));
+
+  json::Value hdrs = json::Value::object();
+  for (const auto& [name, h] : snapshot.hdrs) {
+    json::Value one = json::Value::object();
+    one.set("count", json::Value::number(static_cast<double>(h.count)));
+    one.set("sum", json::Value::number(h.sum));
+    one.set("p50", json::Value::number(h.quantiles.p50));
+    one.set("p90", json::Value::number(h.quantiles.p90));
+    one.set("p99", json::Value::number(h.quantiles.p99));
+    one.set("p999", json::Value::number(h.quantiles.p999));
+    one.set("max", json::Value::number(h.quantiles.max));
+    hdrs.set(name, std::move(one));
+  }
+  doc.set("hdr", std::move(hdrs));
+}
+
 json::Value build_report(
     const std::string& bench,
     const std::vector<std::pair<std::string, json::Value>>& config,
@@ -79,34 +107,7 @@ json::Value build_report(
 
   doc.set("wall_ms", json::Value::number(wall_ms));
 
-  json::Value counters = json::Value::object();
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.set(name, json::Value::number(static_cast<double>(value)));
-  }
-  doc.set("counters", std::move(counters));
-
-  json::Value gauges = json::Value::object();
-  for (const auto& [name, value] : snapshot.gauges) {
-    gauges.set(name, json::Value::number(value));
-  }
-  doc.set("gauges", std::move(gauges));
-
-  json::Value hists = json::Value::object();
-  for (const auto& [name, h] : snapshot.histograms) {
-    json::Value entry = json::Value::object();
-    json::Value bounds = json::Value::array();
-    for (const double b : h.bounds) bounds.push_back(json::Value::number(b));
-    entry.set("bounds", std::move(bounds));
-    json::Value counts = json::Value::array();
-    for (const std::uint64_t c : h.counts) {
-      counts.push_back(json::Value::number(static_cast<double>(c)));
-    }
-    entry.set("counts", std::move(counts));
-    entry.set("count", json::Value::number(static_cast<double>(h.count)));
-    entry.set("sum", json::Value::number(h.sum));
-    hists.set(name, std::move(entry));
-  }
-  doc.set("histograms", std::move(hists));
+  encode_snapshot(snapshot, doc);
   return doc;
 }
 

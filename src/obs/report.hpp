@@ -24,7 +24,7 @@
 //  * on destruction writes the metrics report:
 //      {"bench": ..., "config": {...}, "wall_ms": ...,
 //       "counters": {...}, "gauges": {...},
-//       "histograms": {name: {bounds, counts, count, sum}}}
+//       "hdr": {name: {count, sum, p50, p90, p99, p999, max}}}
 //    and, when tracing, the trace file.
 //
 // Crash-safe flush: the first RunScope installs an atexit hook and
@@ -55,6 +55,11 @@ namespace witag::obs {
 
 struct MetricsSnapshot;
 class TelemetryStreamer;
+
+/// Sets `counters`, `gauges` and `hdr` on the object `doc` from
+/// `snapshot`: the one encoding shared by the metrics report and the
+/// telemetry stream's metrics records.
+void encode_snapshot(const MetricsSnapshot& snapshot, json::Value& doc);
 
 /// Builds the metrics-report JSON document (exposed for tests and for
 /// callers that want the document without the RAII file handling).

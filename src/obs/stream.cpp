@@ -6,6 +6,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 
 namespace witag::obs {
 namespace {
@@ -126,36 +127,13 @@ void TelemetryStreamer::flush_cycle(bool final_cycle) {
     }
   }
 
-  const MetricsSnapshot snap = MetricsRegistry::instance().snapshot();
   const std::uint64_t seq =
       seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   json::Value rec = json::Value::object();
   rec.set("type", json::Value::string(final_cycle ? "final" : "metrics"));
   rec.set("seq", json::Value::number(static_cast<double>(seq)));
   rec.set("ts_us", json::Value::number(tracer.now_us()));
-  json::Value counters = json::Value::object();
-  for (const auto& [name, v] : snap.counters) {
-    counters.set(name, json::Value::number(static_cast<double>(v)));
-  }
-  rec.set("counters", std::move(counters));
-  json::Value gauges = json::Value::object();
-  for (const auto& [name, v] : snap.gauges) {
-    gauges.set(name, json::Value::number(v));
-  }
-  rec.set("gauges", std::move(gauges));
-  json::Value hdrs = json::Value::object();
-  for (const auto& [name, h] : snap.hdrs) {
-    json::Value one = json::Value::object();
-    one.set("count", json::Value::number(static_cast<double>(h.count)));
-    one.set("sum", json::Value::number(h.sum));
-    one.set("p50", json::Value::number(h.quantiles.p50));
-    one.set("p90", json::Value::number(h.quantiles.p90));
-    one.set("p99", json::Value::number(h.quantiles.p99));
-    one.set("p999", json::Value::number(h.quantiles.p999));
-    one.set("max", json::Value::number(h.quantiles.max));
-    hdrs.set(name, std::move(one));
-  }
-  rec.set("hdr", std::move(hdrs));
+  encode_snapshot(MetricsRegistry::instance().snapshot(), rec);
   rec.set("spans_dropped",
           json::Value::number(static_cast<double>(tracer.dropped())));
   write_line(rec.dump());

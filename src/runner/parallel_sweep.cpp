@@ -52,7 +52,7 @@ SweepResult run_sweep(const std::vector<SweepTask>& tasks,
         core::Session session(tasks[i].config);
         core::Session::RunStats stats = session.run(tasks[i].rounds);
         task_ms[i] = steady_ms() - start;
-        WITAG_COUNT_HOT("runner.tasks", 1);
+        WITAG_COUNT("runner.tasks", 1);
         WITAG_HDR("runner.task_ms", task_ms[i]);
         if (obs::trace_enabled()) {
           // Recorded on the worker's own thread, so the Chrome trace

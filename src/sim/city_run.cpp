@@ -63,7 +63,7 @@ void run_shard_epoch(Shard& shard,
         cell.session->config().inter_query_gap_us.value();
     shard.calendar.push(end_us + gap_us, ev.cell);
     ++shard.events;
-    WITAG_COUNT_HOT("sim.events.processed", 1);
+    WITAG_COUNT("sim.events.processed", 1);
   }
 }
 

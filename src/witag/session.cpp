@@ -161,7 +161,7 @@ std::optional<tag::QueryTiming> Session::tag_timing(
 }
 
 Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
-  WITAG_COUNT_HOT("session.exchanges", 1);
+  WITAG_COUNT("session.exchanges", 1);
   QueryFrame frame =
       build_query(layout_for(address), client_, cfg_.query.trigger_low_scale);
 
@@ -350,8 +350,6 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   const auto airtime = mac::ampdu_exchange(ppdu_us, draw_backoff_us());
   result.airtime_us = airtime.total_us() + cfg_.inter_query_gap_us;
 
-  WITAG_HIST("session.airtime_us", obs::exp_bounds(500.0, 1.5, 16),
-             result.airtime_us.value());
   // Simulated airtime, not wall time: identical across --jobs, so the
   // exported latency quantiles stay deterministic.
   WITAG_HDR("session.latency_us", result.airtime_us.value());
@@ -367,13 +365,13 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
 
 Session::RoundResult Session::run_round() {
   WITAG_SPAN_CAT("session.round", "session");
-  WITAG_COUNT_HOT("session.rounds", 1);
+  WITAG_COUNT("session.rounds", 1);
   return exchange(true, cfg_.query.trigger_code);
 }
 
 Session::RoundResult Session::run_round_addressed(unsigned address) {
   WITAG_SPAN_CAT("session.round", "session");
-  WITAG_COUNT_HOT("session.rounds", 1);
+  WITAG_COUNT("session.rounds", 1);
   return exchange(true, address);
 }
 

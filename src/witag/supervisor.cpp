@@ -381,7 +381,9 @@ LinkSupervisor::DeliveryResult LinkSupervisor::deliver(unsigned address) {
       const double ratio = static_cast<double>(poll.droplets_used) /
                            static_cast<double>(poll.k_symbols);
       overhead_ += cfg_.overhead_alpha * (ratio - overhead_);
-      obs::gauge("link.rateless.overhead_ratio").set(overhead_);
+      static obs::Gauge& overhead_gauge =
+          obs::gauge("link.rateless.overhead_ratio");
+      overhead_gauge.set(overhead_);
       retune_budget();
     }
     if (poll.ok) {

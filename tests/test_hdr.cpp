@@ -181,7 +181,7 @@ TEST_F(HdrRegistry, SnapshotExportsQuantileGauges) {
   ASSERT_EQ(snap.hdrs.count("test.latency"), 1u);
   const auto& out = snap.hdrs.at("test.latency");
   EXPECT_EQ(out.count, 100u);
-  EXPECT_DOUBLE_EQ(out.max, 100.0);
+  EXPECT_DOUBLE_EQ(out.quantiles.max, 100.0);
   ASSERT_EQ(snap.gauges.count("test.latency.p50"), 1u);
   ASSERT_EQ(snap.gauges.count("test.latency.p90"), 1u);
   ASSERT_EQ(snap.gauges.count("test.latency.p99"), 1u);

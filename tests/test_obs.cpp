@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -95,52 +99,68 @@ TEST_F(ObsMetrics, CounterAccumulates) {
 }
 
 TEST_F(ObsMetrics, HistogramBucketsAndMoments) {
-  Histogram& h = histogram("test.hist", {1.0, 2.0, 4.0});
-  h.observe(0.5);   // <= 1      -> bucket 0
-  h.observe(1.0);   // == edge   -> bucket 0 (inclusive upper edges)
-  h.observe(1.5);   //           -> bucket 1
-  h.observe(4.0);   //           -> bucket 2
-  h.observe(100.0); // overflow  -> bucket 3
-  const auto counts = h.counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
+  // lowest 1, 4 sub-buckets per octave, 4 octaves: (1, 16] plus the
+  // overflow bucket, which reports the recorded maximum as its edge.
+  HdrHistogram h({1.0, 2, 4});
+  for (const double x : {0.5, 1.0, 1.5, 4.0, 100.0}) h.record(x);
+  const std::vector<std::pair<double, std::uint64_t>> expected{
+      {1.25, 2},   // 0.5 and 1.0: at or below `lowest` -> bucket 0
+      {1.75, 1},   // 1.5: [1.5, 1.75)
+      {5.0, 1},    // 4.0: first bucket of octave 2, [4, 5)
+      {100.0, 1},  // 100 > 16: overflow
+  };
+  EXPECT_EQ(h.nonzero_buckets(), expected);
   EXPECT_EQ(h.count(), 5u);
   EXPECT_DOUBLE_EQ(h.sum(), 107.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 21.4);
+  EXPECT_DOUBLE_EQ(h.max(), 100.0);
+  EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST_F(ObsMetrics, HistogramValidation) {
-  EXPECT_THROW(Histogram(std::vector<double>{}), std::invalid_argument);
-  EXPECT_THROW((Histogram({2.0, 1.0})), std::invalid_argument);
-  EXPECT_THROW((Histogram({1.0, 1.0})), std::invalid_argument);
-  histogram("test.hist2", {1.0, 2.0});
-  EXPECT_THROW((histogram("test.hist2", {1.0, 3.0})), std::invalid_argument);
+  EXPECT_THROW(HdrHistogram({std::numeric_limits<double>::infinity()}),
+               std::invalid_argument);
+  EXPECT_THROW(HdrHistogram({std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
+  // A rejected config registers nothing: the name stays free for a
+  // later, valid registration.
+  EXPECT_THROW(hdr("test.bad_cfg", {1.0, /*sub_bucket_bits=*/0}),
+               std::invalid_argument);
+  EXPECT_EQ(MetricsRegistry::instance().snapshot().hdrs.count("test.bad_cfg"),
+            0u);
+  EXPECT_EQ(hdr("test.bad_cfg").config(), HdrConfig{});
 }
 
 TEST_F(ObsMetrics, ExpBounds) {
-  const auto b = exp_bounds(1.0, 2.0, 4);
-  ASSERT_EQ(b.size(), 4u);
-  EXPECT_DOUBLE_EQ(b[0], 1.0);
-  EXPECT_DOUBLE_EQ(b[3], 8.0);
+  // Octave k spans (lowest * 2^k, lowest * 2^(k+1)]; its last
+  // sub-bucket ends exactly on the next power of two.
+  const HdrConfig cfg{1.5, 3, 6};
+  const HdrHistogram h(cfg);
+  const std::size_t subs = std::size_t{1} << cfg.sub_bucket_bits;
+  for (int k = 0; k < cfg.octaves; ++k) {
+    const std::size_t last = (static_cast<std::size_t>(k) + 1) * subs - 1;
+    EXPECT_DOUBLE_EQ(h.bucket_upper(last), std::ldexp(cfg.lowest, k + 1))
+        << "octave " << k;
+  }
+  EXPECT_DOUBLE_EQ(h.bucket_lower(h.bucket_count() - 1),
+                   std::ldexp(cfg.lowest, cfg.octaves));
 }
 
 TEST_F(ObsMetrics, SnapshotAndReset) {
   counter("snap.c").add(3);
   gauge("snap.g").set(2.5);
-  histogram("snap.h", {1.0}).observe(0.5);
+  hdr("snap.h").record(0.5);
   auto snap = MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counters.at("snap.c"), 3u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("snap.g"), 2.5);
-  EXPECT_EQ(snap.histograms.at("snap.h").count, 1u);
+  EXPECT_EQ(snap.hdrs.at("snap.h").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.hdrs.at("snap.h").sum, 0.5);
 
   MetricsRegistry::instance().reset();
   snap = MetricsRegistry::instance().snapshot();
   EXPECT_EQ(snap.counters.at("snap.c"), 0u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("snap.g"), 0.0);
-  EXPECT_EQ(snap.histograms.at("snap.h").count, 0u);
+  EXPECT_EQ(snap.hdrs.at("snap.h").count, 0u);
+  EXPECT_DOUBLE_EQ(snap.gauges.at("snap.h.p50"), 0.0);
 }
 
 TEST_F(ObsTrace, DisabledModeRecordsNothing) {
@@ -227,7 +247,7 @@ TEST_F(ObsReport, MetricsJsonSchemaRoundTrip) {
     run.config("alpha", 1.5);
     run.config("mode", "fast");
     counter("unit.count").add(7);
-    histogram("unit.hist", {1.0, 2.0}).observe(1.5);
+    hdr("unit.hist").record(1.5);
   }  // destructor writes the report
 
   std::ifstream in(path);
@@ -240,12 +260,17 @@ TEST_F(ObsReport, MetricsJsonSchemaRoundTrip) {
   EXPECT_EQ(doc.at("config").at("mode").as_string(), "fast");
   EXPECT_GE(doc.at("wall_ms").as_number(), 0.0);
   EXPECT_DOUBLE_EQ(doc.at("counters").at("unit.count").as_number(), 7.0);
-  const json::Value& hist = doc.at("histograms").at("unit.hist");
-  ASSERT_EQ(hist.at("bounds").size(), 2u);
-  ASSERT_EQ(hist.at("counts").size(), 3u);
-  EXPECT_DOUBLE_EQ(hist.at("counts")[1].as_number(), 1.0);
+  const json::Value& hist = doc.at("hdr").at("unit.hist");
   EXPECT_DOUBLE_EQ(hist.at("count").as_number(), 1.0);
   EXPECT_DOUBLE_EQ(hist.at("sum").as_number(), 1.5);
+  EXPECT_GE(hist.at("p50").as_number(), 1.5);
+  EXPECT_LE(hist.at("p50").as_number(), 1.5 * (1.0 + 1.0 / 32.0));
+  EXPECT_DOUBLE_EQ(hist.at("max").as_number(), 1.5);
+  EXPECT_FALSE(doc.has("histograms"));
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"bench", "config", "wall_ms",
+                                            "counters", "gauges", "hdr"}));
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "runner/thread_pool.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -191,17 +192,28 @@ void expect_run_stats_eq(const core::Session::RunStats& x,
 // bit-identical whether the sweep runs serially or on 2 or 8 workers.
 TEST(RunSweep, ResultsInvariantAcrossWorkerCounts) {
   const auto tasks = sweep_fixture(6);
+  // Workers share the obs counters; their totals are exact too.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
 
   SweepOptions serial;
   serial.jobs = 1;
+  reg.reset();
   const SweepResult base = run_sweep(tasks, serial);
+  const obs::MetricsSnapshot base_counts = reg.snapshot();
   EXPECT_EQ(base.jobs, 1u);
   EXPECT_EQ(base.per_task.size(), tasks.size());
+  EXPECT_EQ(base_counts.counters.at("runner.tasks"), tasks.size());
+  EXPECT_GT(base_counts.counters.at("session.rounds"), 0u);
 
   for (const std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
     SweepOptions opts;
     opts.jobs = jobs;
+    reg.reset();
     const SweepResult got = run_sweep(tasks, opts);
+    const obs::MetricsSnapshot counts = reg.snapshot();
+    EXPECT_EQ(counts.counters.at("runner.tasks"), tasks.size());
+    EXPECT_EQ(counts.counters.at("session.rounds"),
+              base_counts.counters.at("session.rounds"));
     EXPECT_EQ(got.jobs, std::min(jobs, tasks.size()));
     ASSERT_EQ(got.per_task.size(), base.per_task.size());
     for (std::size_t i = 0; i < base.per_task.size(); ++i) {

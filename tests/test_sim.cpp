@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/city.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/interference.hpp"
@@ -158,11 +160,34 @@ Essence essence(const sim::CityResult& r) {
 TEST(SimCityDeterminism, IdenticalAcrossWorkerCounts) {
   sim::CityConfig cfg = small_city();
   cfg.n_shards = 4;
-  const Essence j1 = essence(sim::run_city(cfg, 1));
-  const Essence j2 = essence(sim::run_city(cfg, 2));
-  const Essence j8 = essence(sim::run_city(cfg, 8));
-  EXPECT_EQ(j1, j2);
-  EXPECT_EQ(j1, j8);
+  // Every worker bumps the same obs counters; their totals must come
+  // out exact at any job count, not only the CityResult.
+  struct Run {
+    Essence essence;
+    std::uint64_t processed, exchanges, rounds;
+  };
+  const auto run = [&cfg](std::size_t jobs) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::instance();
+    reg.reset();
+    const sim::CityResult r = sim::run_city(cfg, jobs);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    const std::uint64_t processed = snap.counters.at("sim.events.processed");
+    EXPECT_EQ(processed, snap.counters.at("sim.events")) << "jobs " << jobs;
+    EXPECT_EQ(processed, r.events) << "jobs " << jobs;
+    return Run{essence(r), processed, snap.counters.at("session.exchanges"),
+               snap.counters.at("session.rounds")};
+  };
+  const Run j1 = run(1);
+  const Run j2 = run(2);
+  const Run j8 = run(8);
+  EXPECT_EQ(j1.essence, j2.essence);
+  EXPECT_EQ(j1.essence, j8.essence);
+  EXPECT_GT(j1.rounds, 0u);
+  for (const Run* other : {&j2, &j8}) {
+    EXPECT_EQ(other->processed, j1.processed);
+    EXPECT_EQ(other->exchanges, j1.exchanges);
+    EXPECT_EQ(other->rounds, j1.rounds);
+  }
 }
 
 TEST(SimCityDeterminism, IdenticalAcrossShardCounts) {

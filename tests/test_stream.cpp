@@ -258,7 +258,7 @@ TEST_F(TelemetryStream, ConcurrentProducersExactSpanAccounting) {
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([] {
         for (int i = 0; i < kPerThread; ++i) {
-          sharded_counter("stream.stress").add(1);
+          counter("stream.stress").add(1);
           instant_arg("stress_ev", "i", static_cast<double>(i));
         }
       });
@@ -278,8 +278,9 @@ TEST_F(TelemetryStream, ConcurrentProducersExactSpanAccounting) {
       total = rec.at("counters").at("stream.stress").as_number();
     }
   }
-  // Sharded cells fold to the exact total, and every recorded span is
-  // either written or counted as dropped — nothing vanishes silently.
+  // Every worker's adds land in the exact total, and every recorded
+  // span is either written or counted as dropped — nothing vanishes
+  // silently.
   EXPECT_DOUBLE_EQ(total, static_cast<double>(kThreads * kPerThread));
   EXPECT_GE(dropped, 0.0);
   EXPECT_EQ(static_cast<double>(spans) + dropped,

@@ -114,7 +114,7 @@ const std::vector<IwyuEntry>& iwyu_map() {
         "WITAG_REQUIRE/ENSURE");
     add(R"(\butil\s*::\s*(?:Db|Dbm|Watts|Hertz|Meters|Micros|Seconds)\b)",
         "util/units.hpp", false, "util units types");
-    add(R"(\bobs\s*::\s*(?:counter|gauge|sharded_counter|histogram|hdr)\s*\(|\bWITAG_(?:SPAN|SPAN_CAT|EVENT\d?|COUNT|COUNT_HOT|HIST|HDR|HDR_CFG)\b)",
+    add(R"(\bobs\s*::\s*(?:counter|gauge|hdr)\s*\(|\bWITAG_(?:SPAN|SPAN_CAT|EVENT\d?|COUNT|HDR)\b)",
         "obs/obs.hpp", false, "obs registry/macros");
     return m;
   }();

@@ -56,8 +56,15 @@ void run_rngflow_pass(const std::vector<SourceFile>& files,
 
   for (const SourceFile& f : files) {
     if (f.module.empty()) continue;
+    // Last non-blank character of the previous code line: a line that
+    // follows '(', ',' or '=' continues that expression, so a
+    // derive_seed call starting it is an argument or an initializer.
+    char prev_end = ';';
     for (std::size_t i = 0; i < f.code.size(); ++i) {
       const std::string& line = f.code[i];
+      const char continues_from = prev_end;
+      const std::size_t last = line.find_last_not_of(" \t\r");
+      if (last != std::string::npos) prev_end = line[last];
       if (line.find("Rng") == std::string::npos &&
           line.find("derive_seed") == std::string::npos) {
         continue;
@@ -101,7 +108,8 @@ void run_rngflow_pass(const std::vector<SourceFile>& files,
       }
 
       if (want_seed && !f.line_allows(i + 1, "seed-discard") &&
-          std::regex_search(line, kSeedDiscard)) {
+          continues_from != '(' && continues_from != ',' &&
+          continues_from != '=' && std::regex_search(line, kSeedDiscard)) {
         out.push_back(
             {f.display, i + 1, "seed-discard",
              "derive_seed result is discarded: the derivation has no "

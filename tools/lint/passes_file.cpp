@@ -273,12 +273,12 @@ void check_hot_alloc(const SourceFile& f, std::vector<Finding>& out) {
 
 void check_hot_lookup(const SourceFile& f, std::vector<Finding>& out) {
   static const std::regex kRegistryLookup(
-      R"(\bobs\s*::\s*(?:counter|gauge|sharded_counter|histogram|hdr)\s*\()");
+      R"(\bobs\s*::\s*(?:counter|gauge|hdr)\s*\()");
   check_loop_pattern(f, "hot-lookup", kRegistryLookup,
                      /*skip_static=*/true,
                      "metric registry lookup inside a per-step loop "
-                     "re-hashes the name every iteration; cache the "
-                     "handle with a WITAG_* macro or a function-local "
+                     "takes the registry mutex every iteration; cache "
+                     "the handle with a WITAG_* macro or a function-local "
                      "static outside the loop",
                      out);
 }

@@ -54,12 +54,29 @@ std::string strip_view(const std::string& src, bool keep_comments) {
   // everything else (code, literals, the // and /* markers) is blanked.
   const auto code_char = [&](char c) { return keep_comments ? ' ' : c; };
   const auto comment_char = [&](char c) { return keep_comments ? c : ' '; };
+  const auto ident_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  // Inside a numeric literal, where ' is a digit separator (1'000,
+  // 0xF022'0001), not the start of a character literal. A digit that
+  // continues an identifier (u8'x', x1) does not start one.
+  bool in_number = false;
   for (std::size_t i = 0; i < src.size(); ++i) {
     const char c = src[i];
     const char next = i + 1 < src.size() ? src[i + 1] : '\0';
+    if (state != State::kCode) {
+      in_number = false;
+    } else if (in_number) {
+      in_number = ident_char(c) || c == '.' || c == '\'';
+    } else {
+      in_number = std::isdigit(static_cast<unsigned char>(c)) != 0 &&
+                  (i == 0 || !ident_char(src[i - 1]));
+    }
     switch (state) {
       case State::kCode:
-        if (c == '/' && next == '/') {
+        if (c == '\'' && in_number) {
+          out += code_char(c);
+        } else if (c == '/' && next == '/') {
           state = State::kLineComment;
           out += "  ";
           ++i;

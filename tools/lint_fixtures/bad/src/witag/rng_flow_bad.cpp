@@ -13,8 +13,9 @@ double draw_by_value(util::Rng rng_in) { return rng_in.uniform(0.0, 1.0); }
 double fork_and_discard(util::Rng& rng) {
   // rng-copy: copy-init from an lvalue forks the stream.
   util::Rng fork = rng;
-  // seed-discard: the derived child seed is never used.
-  util::Rng::derive_seed(7u, 3u);
+  // seed-discard: the derived child seed is never used. (Its digit
+  // separators must not read as character-literal quotes.)
+  util::Rng::derive_seed(0x0123'4567'89AB'CDEFull, 3u);
   return fork.uniform(0.0, 1.0);
 }
 

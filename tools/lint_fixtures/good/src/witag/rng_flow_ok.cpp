@@ -17,4 +17,10 @@ double fork_properly(util::Rng& rng) {
   return child.uniform(0.0, 1.0) + derived.uniform(0.0, 1.0);
 }
 
+// A derive_seed on a continuation line feeds the enclosing call.
+std::uint64_t nested_seed(std::uint64_t address, std::uint64_t sequence) {
+  return util::Rng::derive_seed(
+      util::Rng::derive_seed(0xD2'0917ull, address), sequence);
+}
+
 }  // namespace witag
