@@ -84,16 +84,14 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
   return sizes;
 }
 
-/// Reads option `name` with `get`: a value std::stol / stod / stoull
-/// rejects (whose message is just "stol") becomes a UsageError naming
-/// the option.
+/// Reads an option with `get`: a value util::Args rejects becomes a
+/// UsageError carrying its message, which names the option and value.
 template <typename Get>
-auto read_option(const util::Args& args, const std::string& name, Get get) {
+auto read_option(Get get) {
   try {
     return get();
-  } catch (const std::logic_error&) {
-    throw UsageError("--" + name + ": '" + args.get_string(name, "") +
-                     "' is not a number");
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(e.what());
   }
 }
 
@@ -102,7 +100,7 @@ auto read_option(const util::Args& args, const std::string& name, Get get) {
 unsigned count_option(const util::Args& args, const std::string& name,
                       unsigned fallback) {
   const long v =
-      read_option(args, name, [&] { return args.get_int(name, fallback); });
+      read_option([&] { return args.get_int(name, fallback); });
   if (v < 0 || v > long{std::numeric_limits<unsigned>::max()}) {
     throw UsageError("--" + name + ": " + std::to_string(v) +
                      " is out of range");
@@ -113,8 +111,7 @@ unsigned count_option(const util::Args& args, const std::string& name,
 /// Real-valued option `name`; its range is CityConfig::validate's.
 double real_option(const util::Args& args, const std::string& name,
                    double fallback) {
-  return read_option(args, name,
-                     [&] { return args.get_double(name, fallback); });
+  return read_option([&] { return args.get_double(name, fallback); });
 }
 
 int run(const util::Args& args) {
@@ -136,10 +133,10 @@ int run(const util::Args& args) {
   const double coupling = real_option(args, "coupling", 0.02);
   const bool supervised = args.has("supervised");
   const std::uint64_t seed =
-      read_option(args, "seed", [&] { return args.get_u64("seed", 1234); });
+      read_option([&] { return args.get_u64("seed", 1234); });
   const std::string csv_path = args.get_string("csv", "");
   std::size_t jobs =
-      read_option(args, "jobs", [&] { return runner::jobs_from_args(args); });
+      read_option([&] { return runner::jobs_from_args(args); });
   if (jobs == 0) jobs = runner::default_jobs();
 
   // Every deployment shares this config but for its cell count, and

@@ -378,6 +378,19 @@ void BM_PpduTransmit(benchmark::State& state) {
 }
 BENCHMARK(BM_PpduTransmit);
 
+// One perfbench link_long query: the 6,656-byte MCS5 PSDU (64 x 104-byte
+// subframes, 257 data symbols). Unpinned.
+void BM_PpduTransmitExchange(benchmark::State& state) {
+  util::Rng rng(3);
+  const util::ByteVec psdu = rng.bytes(6656);
+  phy::TxConfig cfg;
+  cfg.mcs_index = 5;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(phy::transmit(psdu, cfg));
+  }
+}
+BENCHMARK(BM_PpduTransmitExchange);
+
 void BM_PpduReceive(benchmark::State& state) {
   util::Rng rng(4);
   const util::ByteVec psdu = rng.bytes(3328);

@@ -85,6 +85,7 @@ ChannelModel::ChannelModel(const RadioConfig& radio, LinkGeometry geometry,
 std::size_t ChannelModel::add_tag(const TagPathConfig& tag) {
   tags_.push_back(tag);
   cache_valid_ = false;
+  tags_valid_ = false;
   return tags_.size() - 1;
 }
 
@@ -109,6 +110,7 @@ void ChannelModel::set_tag(std::optional<TagPathConfig> tag) {
     tags_.front() = *tag;
   }
   cache_valid_ = false;
+  tags_valid_ = false;
 }
 
 void ChannelModel::rebuild_cache() const {
@@ -127,34 +129,44 @@ void ChannelModel::rebuild_cache() const {
   // added one at a time over all bins, and every bin still sums them in
   // the same order (direct, room reflectors, scatterers, tags), so each
   // bin's value is the same double as a per-bin loop over the paths.
-  h_base_.fill(Cx{});
-  tag_delta_.assign(tags_.size(), phy::FreqSymbol{});
-  const PathTerms direct = direct_terms(util::Meters{distance(tx, rx)}, fc);
-  const double direct_factor = loss_factor(direct_loss);
-  for (const UsedBin& u : used_bins()) {
-    h_base_[u.bin] = direct.gain(fc, u.offset) * direct_factor;
-  }
-  const auto add_reflectors = [&](std::span<const StaticReflector> refl) {
-    for (const StaticReflector& r : refl) {
+  // Only the scatterers move: the direct-plus-reflector prefix is
+  // recomputed when the direct path's loss factor changes (blocked or
+  // clear), and each tag's coupling when the tags do.
+  const auto add_paths = [&](phy::FreqSymbol& h,
+                             std::span<const StaticReflector> paths) {
+    for (const StaticReflector& r : paths) {
       const TwoHopPath path =
           two_hop_path(tx, r.position, rx, r.strength, geometry_.plan, fc);
-      for (const UsedBin& u : used_bins()) {
-        h_base_[u.bin] += path.gain(fc, u.offset);
-      }
+      for (const UsedBin& u : used_bins()) h[u.bin] += path.gain(fc, u.offset);
     }
   };
-  add_reflectors(geometry_.reflectors);
-  add_reflectors(fading_.scatterers());
-  for (std::size_t t = 0; t < tags_.size(); ++t) {
-    const TagPathConfig& tag = tags_[t];
-    const TwoHopPath path =
-        two_hop_path(tx, tag.position, rx, tag.strength, geometry_.plan, fc);
-    const Cx gamma_off = tag_gamma(tag.mode, false);
-    const Cx delta_gamma = tag_gamma(tag.mode, true) - gamma_off;
+  const double direct_factor = loss_factor(direct_loss);
+  if (direct_factor != static_factor_) {
+    const PathTerms direct = direct_terms(util::Meters{distance(tx, rx)}, fc);
     for (const UsedBin& u : used_bins()) {
-      const Cx coupling = path.gain(fc, u.offset);
-      h_base_[u.bin] += gamma_off * coupling;
-      tag_delta_[t][u.bin] = amp_scale_ * delta_gamma * coupling;
+      h_static_[u.bin] = direct.gain(fc, u.offset) * direct_factor;
+    }
+    add_paths(h_static_, geometry_.reflectors);
+    static_factor_ = direct_factor;
+  }
+  if (!tags_valid_) {
+    tag_coupling_.assign(tags_.size(), phy::FreqSymbol{});
+    for (std::size_t t = 0; t < tags_.size(); ++t) {
+      const TagPathConfig& tag = tags_[t];
+      const TwoHopPath path =
+          two_hop_path(tx, tag.position, rx, tag.strength, geometry_.plan, fc);
+      for (const UsedBin& u : used_bins()) {
+        tag_coupling_[t][u.bin] = path.gain(fc, u.offset);
+      }
+    }
+    tags_valid_ = true;
+  }
+  h_base_ = h_static_;
+  add_paths(h_base_, fading_.scatterers());
+  for (std::size_t t = 0; t < tags_.size(); ++t) {
+    const Cx gamma_off = tag_gamma(tags_[t].mode, false);
+    for (const UsedBin& u : used_bins()) {
+      h_base_[u.bin] += gamma_off * tag_coupling_[t][u.bin];
     }
   }
   for (const UsedBin& u : used_bins()) {
@@ -163,14 +175,18 @@ void ChannelModel::rebuild_cache() const {
   cache_valid_ = true;
 }
 
+void ChannelModel::add_tag_delta(std::size_t t, phy::FreqSymbol& h) const {
+  const Cx delta_gamma =
+      tag_gamma(tags_[t].mode, true) - tag_gamma(tags_[t].mode, false);
+  for (const UsedBin& u : used_bins()) {
+    h[u.bin] += amp_scale_ * delta_gamma * tag_coupling_[t][u.bin];
+  }
+}
+
 phy::FreqSymbol ChannelModel::cfr(bool tag_asserted) const {
   if (!cache_valid_) rebuild_cache();
   phy::FreqSymbol h = h_base_;
-  if (tag_asserted && !tags_.empty()) {
-    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-      h[bin] += tag_delta_[0][bin];
-    }
-  }
+  if (tag_asserted && !tags_.empty()) add_tag_delta(0, h);
   return h;
 }
 
@@ -270,10 +286,7 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
     if (slot == composed_masks.size()) {
       phy::FreqSymbol h = h_base_;
       for (std::size_t t = 0; t < levels_per_tag.size(); ++t) {
-        if ((mask >> t & 1u) == 0) continue;
-        for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-          h[bin] += tag_delta_[t][bin];
-        }
+        if ((mask >> t & 1u) != 0) add_tag_delta(t, h);
       }
       composed_masks.push_back(mask);
       composed.push_back(h);
@@ -305,12 +318,14 @@ util::Db ChannelModel::mean_snr_db() const {
 util::Db ChannelModel::tag_perturbation_db() const {
   WITAG_REQUIRE(!tags_.empty());
   if (!cache_valid_) rebuild_cache();
+  phy::FreqSymbol delta{};
+  add_tag_delta(0, delta);
   double acc = 0.0;
   unsigned used = 0;
   for (const UsedBin& u : used_bins()) {
     const double denom = std::norm(h_base_[u.bin]);
     if (denom <= 0.0) continue;
-    acc += std::norm(tag_delta_[0][u.bin]) / denom;
+    acc += std::norm(delta[u.bin]) / denom;
     ++used;
   }
   return util::linear_to_db(acc / used);

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -131,6 +132,9 @@ class ChannelModel {
 
  private:
   void rebuild_cache() const;
+  /// Adds tag t's asserted delta, amp_scale * (gamma_on - gamma_off) *
+  /// coupling, to the used bins of `h`.
+  void add_tag_delta(std::size_t t, phy::FreqSymbol& h) const;
   /// Per-symbol extra noise variance from interference bursts over a
   /// PPDU of `n_symbols` symbols.
   std::vector<double> draw_interference(std::size_t n_symbols);
@@ -147,8 +151,13 @@ class ChannelModel {
   mutable bool cache_valid_ = false;
   /// Static channel (direct + reflectors + fading + every tag resting).
   mutable phy::FreqSymbol h_base_{};
-  /// Per-tag delta when asserted: (gamma_on - gamma_off) * coupling.
-  mutable std::vector<phy::FreqSymbol> tag_delta_;
+  /// Unscaled direct path + room reflectors, built at direct-path loss
+  /// factor static_factor_ (NaN: not yet), and each tag's two-hop
+  /// coupling, rebuilt after add_tag()/set_tag().
+  mutable phy::FreqSymbol h_static_{};
+  mutable double static_factor_ = std::numeric_limits<double>::quiet_NaN();
+  mutable bool tags_valid_ = false;
+  mutable std::vector<phy::FreqSymbol> tag_coupling_;
 };
 
 }  // namespace witag::channel

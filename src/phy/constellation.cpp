@@ -1,11 +1,11 @@
 #include "phy/constellation.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "phy/simd.hpp"
 #include "util/require.hpp"
@@ -138,21 +138,6 @@ const simd::DemapAxes& axes_for(Modulation mod) {
   return axes[0];
 }
 
-// Maps consecutive groups of N bits (LSB first) to table points. Each
-// index is built as one expression over N compile-time shifts, about
-// twice as fast as a loop over a run-time bit count.
-template <unsigned N>
-void map_groups(const std::uint8_t* bits, const CxVec& table,
-                std::span<Cx> out) {
-  for (std::size_t p = 0; p < out.size(); ++p, bits += N) {
-    const unsigned index =
-        [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
-          return ((static_cast<unsigned>(bits[B] & 1u) << B) | ...);
-        }(std::make_integer_sequence<unsigned, N>{});
-    out[p] = table[index];
-  }
-}
-
 }  // namespace
 
 std::span<const Cx> constellation_points(Modulation mod) {
@@ -160,23 +145,18 @@ std::span<const Cx> constellation_points(Modulation mod) {
 }
 
 CxVec map_bits(std::span<const std::uint8_t> bits, Modulation mod) {
-  CxVec points(bits.size() / bits_per_symbol(mod));
-  map_bits_into(bits, mod, points);
-  return points;
-}
-
-void map_bits_into(std::span<const std::uint8_t> bits, Modulation mod,
-                   std::span<Cx> out) {
   const unsigned n = bits_per_symbol(mod);
-  WITAG_REQUIRE(bits.size() % n == 0 && out.size() == bits.size() / n);
+  WITAG_REQUIRE(bits.size() % n == 0);
   const CxVec& table = table_for(mod);
-  switch (mod) {
-    case Modulation::kBpsk: return map_groups<1>(bits.data(), table, out);
-    case Modulation::kQpsk: return map_groups<2>(bits.data(), table, out);
-    case Modulation::kQam16: return map_groups<4>(bits.data(), table, out);
-    case Modulation::kQam64: return map_groups<6>(bits.data(), table, out);
+  CxVec points(bits.size() / n);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    unsigned index = 0;
+    for (unsigned b = 0; b < n; ++b) {
+      index |= static_cast<unsigned>(bits[p * n + b] & 1u) << b;
+    }
+    points[p] = table[index];
   }
-  WITAG_ENSURE(false);
+  return points;
 }
 
 util::BitVec demap_hard(std::span<const Cx> points, Modulation mod) {

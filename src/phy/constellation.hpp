@@ -19,11 +19,6 @@ namespace witag::phy {
 /// Requires bits.size() to be a multiple of bits_per_symbol(mod).
 util::CxVec map_bits(std::span<const std::uint8_t> bits, Modulation mod);
 
-/// Allocation-free variant: writes the points into `out`, which must hold
-/// bits.size() / bits_per_symbol(mod) elements.
-void map_bits_into(std::span<const std::uint8_t> bits, Modulation mod,
-                   std::span<util::Cx> out);
-
 /// Hard-decision demap: nearest constellation point back to bits.
 util::BitVec demap_hard(std::span<const util::Cx> points, Modulation mod);
 

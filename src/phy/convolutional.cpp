@@ -1,5 +1,6 @@
 #include "phy/convolutional.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -21,19 +22,21 @@ constexpr std::uint8_t parity(std::uint32_t v) {
   return static_cast<std::uint8_t>(static_cast<unsigned>(std::popcount(v)) & 1u);
 }
 
-// Bit-parity LUT over the 7-bit register: entry f holds the output pair
-// (A, B) as two bytes, laid out like the coded stream, so one 2-byte
-// copy replaces two popcounts per input bit.
-constexpr std::array<std::array<std::uint8_t, 2>, 128> make_encoder_lut() {
-  std::array<std::array<std::uint8_t, 2>, 128> lut{};
-  for (std::uint32_t f = 0; f < 128; ++f) {
-    lut[f] = {parity(f & kGenPolyA), parity(f & kGenPolyB)};
-  }
-  return lut;
+// Encodes the eight input bits at x into a[0..8) and b[0..8), one
+// 64-bit XOR per tap; x[-6..8) must be readable. The taps XOR whole
+// bytes and never shift across them, so byte order does not matter.
+inline void encode8(const std::uint8_t* x, std::uint8_t* a,
+                    std::uint8_t* b) {
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
+  std::array<std::uint64_t, 7> w;  // w[k] holds x[-k .. 8-k)
+#pragma GCC unroll 7
+  for (std::size_t k = 0; k < w.size(); ++k) std::memcpy(&w[k], x - k, 8);
+  const std::uint64_t shared = w[0] ^ w[2] ^ w[3] ^ w[6];
+  const std::uint64_t wa = (shared ^ w[5]) & kLowBits;
+  const std::uint64_t wb = (shared ^ w[1]) & kLowBits;
+  std::memcpy(a, &wa, 8);
+  std::memcpy(b, &wb, 8);
 }
-
-constexpr std::array<std::array<std::uint8_t, 2>, 128> kEncoderLut =
-    make_encoder_lut();
 
 // Walks mother-rate positions [0, n) in order, one puncturing period at a
 // time, calling keep(i, k) for each position i the pattern keeps and
@@ -89,38 +92,46 @@ std::span<const std::uint8_t> puncture_pattern(CodeRate rate) {
 }
 
 util::BitVec convolutional_encode(std::span<const std::uint8_t> bits) {
-  util::BitVec out(bits.size() * 2);
-  convolutional_encode_into(bits, out);
+  const std::size_t n = bits.size();
+  util::BitVec streams(2 * n);
+  convolutional_streams_into(bits, std::span(streams).first(n),
+                             std::span(streams).subspan(n));
+  util::BitVec out(2 * n);
+  for (std::size_t j = 0; j < 2 * n; ++j) out[j] = streams[j % 2 * n + j / 2];
   return out;
 }
 
-void convolutional_encode_into(std::span<const std::uint8_t> bits,
-                               std::span<std::uint8_t> out) {
-  WITAG_REQUIRE(out.size() == 2 * bits.size());
-  // 7-bit register with the newest input at bit 6 and the oldest at bit 0,
-  // matching the MSB-first octal tap constants (133, 171).
-  std::uint32_t shift = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    shift = (shift >> 1) | (static_cast<std::uint32_t>(bits[i] & 1u) << 6);
-    std::memcpy(out.data() + 2 * i, kEncoderLut[shift].data(), 2);
+void convolutional_streams_into(std::span<const std::uint8_t> bits,
+                                std::span<std::uint8_t> a,
+                                std::span<std::uint8_t> b) {
+  const std::size_t n = bits.size();
+  WITAG_REQUIRE(a.size() == n && b.size() == n);
+  for (std::size_t i = 0; i < n; i += 8) {
+    if (i >= 6 && i + 8 <= n) {
+      encode8(bits.data() + i, a.data() + i, b.data() + i);
+      continue;
+    }
+    // The first word (x[i < 0] = 0) and a partial last one: padded copies.
+    const std::size_t count = std::min<std::size_t>(8, n - i);
+    const std::size_t lead = std::min<std::size_t>(i, 6);
+    std::array<std::uint8_t, 14> in{};
+    std::array<std::uint8_t, 16> ab{};
+    std::copy_n(bits.data() + i - lead, lead + count, in.data() + 6 - lead);
+    encode8(in.data() + 6, ab.data(), ab.data() + 8);
+    std::copy_n(ab.data(), count, a.data() + i);
+    std::copy_n(ab.data() + 8, count, b.data() + i);
   }
 }
 
 util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate) {
   util::BitVec out(punctured_length(coded.size(), rate));
-  puncture_into(coded, rate, out);
-  return out;
-}
-
-void puncture_into(std::span<const std::uint8_t> coded, CodeRate rate,
-                   std::span<std::uint8_t> out) {
-  WITAG_REQUIRE(out.size() == punctured_length(coded.size(), rate));
   walk_pattern(
       rate, coded.size(),
       [src = coded.data(), dst = out.data()](std::size_t i, std::size_t k) {
         dst[k] = src[i];
       },
       [](std::size_t, std::size_t) {});
+  return out;
 }
 
 std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {

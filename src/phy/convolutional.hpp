@@ -23,21 +23,17 @@ inline constexpr std::uint8_t kGenPolyB = 0x79;  // 171 octal
 /// bits to terminate the trellis (the PPDU layer does this).
 util::BitVec convolutional_encode(std::span<const std::uint8_t> bits);
 
-/// Allocation-free variant: writes the coded pairs into `out`, which
-/// must hold exactly 2 * bits.size() elements.
-void convolutional_encode_into(std::span<const std::uint8_t> bits,
-                               std::span<std::uint8_t> out);
+/// The two mother-rate streams from their tap equations, eight input
+/// bits per 64-bit XOR: a[i] = x[i]^x[i-2]^x[i-3]^x[i-5]^x[i-6] (133
+/// octal) and b[i] = x[i]^x[i-1]^x[i-2]^x[i-3]^x[i-6] (171 octal), with
+/// x[i < 0] = 0. `a` and `b` must each hold bits.size() elements.
+void convolutional_streams_into(std::span<const std::uint8_t> bits,
+                                std::span<std::uint8_t> a,
+                                std::span<std::uint8_t> b);
 
 /// Punctures rate-1/2 output to the given rate by deleting bits in the
 /// standard pattern. Identity for rate 1/2.
 util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate);
-
-/// Allocation-free variant: writes the kept bits into `out`, which must
-/// hold exactly punctured_length(coded.size(), rate) elements. `out` may
-/// start at coded.data(): bit i is read before any write past index i,
-/// so the transmitter punctures its coded buffer in place.
-void puncture_into(std::span<const std::uint8_t> coded, CodeRate rate,
-                   std::span<std::uint8_t> out);
 
 /// Inserts zero erasures where `puncture` deleted bits, restoring the
 /// mother-rate int8 LLR stream for the Viterbi decoder: writes all
@@ -56,7 +52,7 @@ std::span<const std::uint8_t> puncture_pattern(CodeRate rate);
 namespace detail {
 
 /// The original popcount-per-bit encoder, kept as the specification the
-/// LUT-driven convolutional_encode is parity-tested against.
+/// word-wide convolutional_encode is parity-tested against.
 util::BitVec convolutional_encode_reference(std::span<const std::uint8_t> bits);
 
 }  // namespace detail

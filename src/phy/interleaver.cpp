@@ -57,17 +57,12 @@ std::vector<std::size_t> interleave_map(unsigned n_cbps, unsigned n_bpsc) {
 }
 
 util::BitVec interleave(std::span<const std::uint8_t> bits, Modulation mod) {
-  util::BitVec out(n_cbps_for(mod));
-  interleave_into(bits, mod, out);
-  return out;
-}
-
-void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
-                     std::span<std::uint8_t> out) {
   const unsigned n_cbps = n_cbps_for(mod);
-  WITAG_REQUIRE(bits.size() == n_cbps && out.size() == n_cbps);
+  WITAG_REQUIRE(bits.size() == n_cbps);
   const auto& map = cached_map(mod);
+  util::BitVec out(n_cbps);
   for (unsigned k = 0; k < n_cbps; ++k) out.data()[map[k]] = bits[k];
+  return out;
 }
 
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod) {

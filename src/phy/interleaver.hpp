@@ -22,12 +22,6 @@ std::vector<std::size_t> interleave_map(unsigned n_cbps, unsigned n_bpsc);
 /// Requires bits.size() == n_cbps for the modulation.
 util::BitVec interleave(std::span<const std::uint8_t> bits, Modulation mod);
 
-/// Allocation-free variant: writes the interleaved bits into `out`, which
-/// must hold n_cbps elements and must not overlap `bits` (the
-/// transmitter interleaves into a per-symbol stack buffer).
-void interleave_into(std::span<const std::uint8_t> bits, Modulation mod,
-                     std::span<std::uint8_t> out);
-
 /// Inverse of `interleave` (on bits).
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
 

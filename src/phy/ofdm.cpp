@@ -62,6 +62,15 @@ std::array<Cx, kNumPilots> pilot_values(std::size_t symbol_index) {
   return out;
 }
 
+std::span<const unsigned> data_bins() { return kDataBins; }
+
+void set_pilots(FreqSymbol& symbol, std::size_t symbol_index) {
+  const auto pilots = pilot_values(symbol_index);
+  for (std::size_t i = 0; i < kNumPilots; ++i) {
+    symbol[kPilotBins[i]] = pilots[i];
+  }
+}
+
 FreqSymbol assemble_data_symbol(std::span<const Cx> points,
                                 std::size_t symbol_index) {
   WITAG_REQUIRE(points.size() == kDataBins.size());
@@ -69,10 +78,7 @@ FreqSymbol assemble_data_symbol(std::span<const Cx> points,
   for (std::size_t i = 0; i < kDataBins.size(); ++i) {
     symbol[kDataBins[i]] = points[i];
   }
-  const auto pilots = pilot_values(symbol_index);
-  for (std::size_t i = 0; i < kNumPilots; ++i) {
-    symbol[kPilotBins[i]] = pilots[i];
-  }
+  set_pilots(symbol, symbol_index);
   return symbol;
 }
 

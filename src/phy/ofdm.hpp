@@ -40,6 +40,12 @@ std::span<const int> pilot_subcarriers();
 /// sequence p_{symbol_index+1} (p_0 belongs to the SIG field).
 std::array<util::Cx, kNumPilots> pilot_values(std::size_t symbol_index);
 
+/// FFT bins of the 52 data subcarriers, in logical order.
+std::span<const unsigned> data_bins();
+
+/// Writes the pilots of data symbol `symbol_index` into their bins.
+void set_pilots(FreqSymbol& symbol, std::size_t symbol_index);
+
 /// Builds a frequency-domain data symbol from 52 constellation points
 /// plus pilots; unused bins are zero. Requires points.size() == 52.
 FreqSymbol assemble_data_symbol(std::span<const util::Cx> points,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <type_traits>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "phy/constellation.hpp"
@@ -36,7 +38,7 @@ std::size_t vec_capacity_bytes(const std::vector<T>& v) {
 // timeline and no Session owns a transmit buffer.
 struct TxWorkspace {
   util::BitVec data;   ///< Service + PSDU + tail + pad, scrambled in place.
-  util::BitVec coded;  ///< Mother-rate code bits, punctured in place.
+  util::BitVec coded;  ///< The field's A stream, then its B stream.
 };
 
 TxWorkspace& tx_workspace() {
@@ -44,33 +46,67 @@ TxWorkspace& tx_workspace() {
   return ws;
 }
 
-// Encodes `bits` (already scrambled where applicable) into OFDM data
-// symbols appended to `out`. The whole field is encoded and punctured in
-// the thread's coded buffer; each symbol is then interleaved and mapped
-// through stack buffers. `bits` must fill a whole number of symbols
-// after encoding. `first_symbol_index` sets pilot polarity.
-void encode_field(std::span<const std::uint8_t> bits, Modulation mod,
-                  CodeRate rate, std::size_t first_symbol_index,
-                  std::vector<FreqSymbol>& out) {
-  util::BitVec& coded_buf = tx_workspace().coded;
-  coded_buf.resize(2 * bits.size());
-  const std::span<std::uint8_t> mother(coded_buf);
-  convolutional_encode_into(bits, mother);
-  const std::span<std::uint8_t> coded =
-      mother.first(punctured_length(mother.size(), rate));
-  puncture_into(mother, rate, coded);
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
-  WITAG_REQUIRE(coded.size() % n_cbps == 0);
-
-  std::array<std::uint8_t, kMaxCodedBitsPerSymbol> interleaved{};
-  std::array<util::Cx, kDataSubcarriers> points{};
-  const std::span<std::uint8_t> symbol_bits(interleaved.data(), n_cbps);
-  for (std::size_t off = 0; off < coded.size(); off += n_cbps) {
-    interleave_into(coded.subspan(off, n_cbps), mod, symbol_bits);
-    map_bits_into(symbol_bits, mod, points);
-    out.push_back(
-        assemble_data_symbol(points, first_symbol_index + off / n_cbps));
+// One MCS's gather table (detail::tx_gather_table).
+std::vector<std::uint16_t> gather_table_for(const McsParams& m) {
+  const std::vector<std::size_t> map = interleave_map(m.n_cbps, m.n_bpsc);
+  const std::span<const std::uint8_t> pattern = puncture_pattern(m.rate);
+  std::vector<std::uint16_t> table(m.n_cbps);
+  // The k-th bit the puncturer keeps in a symbol's span is the
+  // interleaver's input bit k, which it moves to position map[k].
+  std::size_t k = 0;
+  for (std::size_t pos = 0; k < m.n_cbps; ++pos) {
+    if (pattern[pos % pattern.size()]) {
+      table[map[k++]] = static_cast<std::uint16_t>(pos);
+    }
   }
+  return table;
+}
+
+// Encodes `bits` (scrambled where applicable), whole symbols at MCS
+// `m`, into OFDM symbols appended to `out`: the A and B streams into the
+// thread's coded buffer, then each symbol in place through the MCS's
+// gather table. `first_symbol_index` sets pilot polarity.
+void encode_field(std::span<const std::uint8_t> bits, const McsParams& m,
+                  std::size_t first_symbol_index,
+                  std::vector<FreqSymbol>& out) {
+  const std::size_t n = bits.size();
+  WITAG_REQUIRE(n % m.n_dbps == 0);
+  util::BitVec& coded = tx_workspace().coded;
+  coded.resize(2 * n);
+  convolutional_streams_into(bits, std::span(coded).first(n),
+                             std::span(coded).subspan(n));
+  // The table's mother-rate positions 2i + stream, resolved into the
+  // coded buffer, whose B stream starts n bytes after its A stream.
+  const std::span<const std::uint16_t> table = detail::tx_gather_table(m.index);
+  std::array<std::uint32_t, kMaxCodedBitsPerSymbol> at{};
+  for (std::size_t j = 0; j < table.size(); ++j) {
+    at[j] = static_cast<std::uint32_t>((table[j] >> 1) + (table[j] & 1u) * n);
+  }
+  const std::span<const util::Cx> points = constellation_points(m.modulation);
+  const auto encode_symbols = [&](auto n_bpsc) {
+    constexpr unsigned kBits = decltype(n_bpsc)::value;
+    for (std::size_t s = 0; s < n / m.n_dbps; ++s) {
+      FreqSymbol& symbol = out.emplace_back();
+      const std::uint8_t* base = coded.data() + s * m.n_dbps;
+      const std::uint32_t* entry = at.data();
+      for (const unsigned bin : data_bins()) {
+        const unsigned index =
+            [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
+              return ((static_cast<unsigned>(base[entry[B]]) << B) | ...);
+            }(std::make_integer_sequence<unsigned, kBits>{});
+        symbol[bin] = points[index];
+        entry += kBits;
+      }
+      set_pilots(symbol, first_symbol_index + s);
+    }
+  };
+  switch (m.n_bpsc) {
+    case 1: return encode_symbols(std::integral_constant<unsigned, 1>{});
+    case 2: return encode_symbols(std::integral_constant<unsigned, 2>{});
+    case 4: return encode_symbols(std::integral_constant<unsigned, 4>{});
+    case 6: return encode_symbols(std::integral_constant<unsigned, 6>{});
+  }
+  WITAG_ENSURE(false);
 }
 
 // Inverse of encode_field: equalize, soft-demap and deinterleave each
@@ -136,6 +172,16 @@ void decode_ppdu(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
 }  // namespace
 
 namespace detail {
+
+std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index) {
+  static const std::array<std::vector<std::uint16_t>, kNumMcs> kTables = [] {
+    std::array<std::vector<std::uint16_t>, kNumMcs> tables;
+    for (unsigned i = 0; i < kNumMcs; ++i) tables[i] = gather_table_for(mcs(i));
+    return tables;
+  }();
+  WITAG_REQUIRE(mcs_index < kNumMcs);
+  return kTables[mcs_index];
+}
 
 double llr_scale(const ChannelEstimate& est, Modulation mod) {
   if (!(est.mean_gain > simd::kEqualizeMinGain)) return 0.0;
@@ -223,8 +269,7 @@ TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
   for (std::size_t i = 0; i < kLtfSlots; ++i) ppdu.symbols.push_back(ltf_symbol());
 
   // SIG field: BPSK rate 1/2, symbol indices 0..1 for pilot polarity.
-  encode_field(encode_sig(ppdu.sig), Modulation::kBpsk, CodeRate::kHalf, 0,
-               ppdu.symbols);
+  encode_field(encode_sig(ppdu.sig), mcs(0), 0, ppdu.symbols);
   WITAG_ENSURE(ppdu.symbols.size() == kHeaderSlots);
 
   // DATA field: service + PSDU + tail, padded to whole symbols, written
@@ -242,7 +287,7 @@ TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
   std::fill_n(bits.begin() + static_cast<std::ptrdiff_t>(tail_at),
               kTailBits, std::uint8_t{0});
 
-  encode_field(bits, m.modulation, m.rate, kSigSymbols, ppdu.symbols);
+  encode_field(bits, m, kSigSymbols, ppdu.symbols);
   ppdu.n_data_symbols = ppdu.symbols.size() - kHeaderSlots;
   WITAG_ENSURE(ppdu.n_data_symbols == n_sym);
   return ppdu;
@@ -276,11 +321,12 @@ void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
 }
 
 util::CxVec to_samples(const TxPpdu& ppdu) {
-  util::CxVec samples;
-  samples.reserve(ppdu.symbols.size() * kSamplesPerSymbol);
-  for (const FreqSymbol& sym : ppdu.symbols) {
-    const util::CxVec block = to_time(sym);
-    samples.insert(samples.end(), block.begin(), block.end());
+  util::CxVec samples(ppdu.symbols.size() * kSamplesPerSymbol);
+  util::CxVec work;
+  for (std::size_t slot = 0; slot < ppdu.symbols.size(); ++slot) {
+    to_time_into(ppdu.symbols[slot], work,
+                 std::span(samples).subspan(slot * kSamplesPerSymbol,
+                                            kSamplesPerSymbol));
   }
   return samples;
 }

@@ -78,10 +78,10 @@ struct TxConfig {
 };
 
 /// Builds the PPDU carrying `psdu`. Requires a non-empty PSDU smaller
-/// than 65536 bytes and a valid MCS. One pass per field: the data bits
-/// are written, scrambled, encoded and punctured in place in per-thread
-/// buffers, then each OFDM symbol is interleaved and mapped through
-/// stack buffers into the returned timeline, which is reserved once.
+/// than 65536 bytes and a valid MCS. Per field, the bits are encoded
+/// word-wide into a per-thread buffer, then each OFDM symbol is written
+/// in place in the timeline (reserved once) through one gather table
+/// that punctures, interleaves and maps.
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg);
 
 /// Receiver options.
@@ -131,6 +131,13 @@ RxResult receive_samples(std::span<const util::Cx> samples,
                          const RxConfig& cfg, DecodeScratch& scratch);
 
 namespace detail {
+
+/// The transmitter's gather table for `mcs_index` (the SIG field uses
+/// MCS0's), from puncture_pattern() and interleave_map(): entry j of
+/// n_cbps is the mother-rate position 2i + stream (A = 0, B = 1) of the
+/// coded bit put on data subcarrier j / n_bpsc as bit j % n_bpsc, i the
+/// input bit within the symbol. Symbol s uses it at input bit s * n_dbps.
+std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index);
 
 /// What a clean weakest bit on an average-gain subcarrier quantizes to.
 inline constexpr double kLlrFullScale = 32.0;

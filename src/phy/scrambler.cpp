@@ -1,5 +1,6 @@
 #include "phy/scrambler.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -16,47 +17,49 @@ constexpr std::uint8_t lfsr_step(std::uint8_t& state) {
   return out;
 }
 
-// Byte-at-a-time tables: the keystream is a function of the LFSR state
-// alone (the data never feeds back), so eight steps collapse into one
-// lookup. keystream[s][i] is the output of step i from state s, one bit
-// per byte like the data; next_state[s] is the state after those eight
-// steps.
-struct ScramblerTables {
-  std::array<std::array<std::uint8_t, 8>, 128> keystream{};
-  std::array<std::uint8_t, 128> next_state{};
-};
+// The keystream depends on the LFSR state alone (the data never feeds
+// back) and repeats every 127 bits, so one block of lcm(127, 8) = 1,016
+// bits, built per call from the seed, covers any field: every 64-bit
+// word of the field XORs a whole word of the block, and no step waits
+// on the one before it.
+constexpr std::size_t kPeriod = 127;
+constexpr std::size_t kBlockBits = 8 * kPeriod;
 
-constexpr ScramblerTables make_scrambler_tables() {
-  ScramblerTables t;
-  for (std::uint32_t s = 0; s < 128; ++s) {
-    std::uint8_t state = static_cast<std::uint8_t>(s);
-    for (unsigned i = 0; i < 8; ++i) t.keystream[s][i] = lfsr_step(state);
-    t.next_state[s] = state;
-  }
-  return t;
-}
-
-constexpr ScramblerTables kScrTables = make_scrambler_tables();
-
-// XORs the keystream from `state` onto bits[0..n), eight bits per table
-// lookup, leaving `state` advanced past the tail. Each group of eight
-// is one 64-bit XOR and mask: byte-wise, so the byte order of the word
-// does not matter.
+// XORs the keystream from `state` onto bits[0..n), one bit per byte,
+// eight bytes per 64-bit XOR and mask: byte-wise, so the byte order of
+// the word does not matter. Reads bit i before it writes bit i, so
+// in == out is safe.
 void apply_keystream(const std::uint8_t* in, std::uint8_t* out,
-                     std::size_t n, std::uint8_t& state) {
+                     std::size_t n, std::uint8_t state) {
   constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t data = 0;
-    std::uint64_t ks = 0;
-    std::memcpy(&data, in + i, 8);
-    std::memcpy(&ks, kScrTables.keystream[state].data(), 8);
-    data = (data ^ ks) & kLowBits;
-    std::memcpy(out + i, &data, 8);
-    state = kScrTables.next_state[state];
+  // The state holds the last seven outputs, newest in bit 0, and output
+  // k is s[k - 7] ^ s[k - 4]; seq[j] is s[j - 7], so one period follows
+  // from the state by byte XORs and three doublings fill the block.
+  std::array<std::uint8_t, 7 + kBlockBits> seq;
+  for (unsigned j = 0; j < 7; ++j) {
+    seq[j] = static_cast<std::uint8_t>((state >> (6 - j)) & 1u);
   }
-  for (; i < n; ++i) {
-    out[i] = static_cast<std::uint8_t>((in[i] ^ lfsr_step(state)) & 1u);
+  for (std::size_t j = 7; j < 7 + kPeriod; ++j) {
+    seq[j] = seq[j - 7] ^ seq[j - 4];
+  }
+  std::uint8_t* const ks = seq.data() + 7;
+  for (std::size_t len = kPeriod; len < kBlockBits; len *= 2) {
+    std::memcpy(ks + len, ks, len);
+  }
+  for (std::size_t base = 0; base < n; base += kBlockBits) {
+    const std::size_t len = std::min(kBlockBits, n - base);
+    std::size_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+      std::uint64_t data = 0;
+      std::uint64_t key = 0;
+      std::memcpy(&data, in + base + i, 8);
+      std::memcpy(&key, ks + i, 8);
+      data = (data ^ key) & kLowBits;
+      std::memcpy(out + base + i, &data, 8);
+    }
+    for (; i < len; ++i) {
+      out[base + i] = static_cast<std::uint8_t>((in[base + i] ^ ks[i]) & 1u);
+    }
   }
 }
 
@@ -72,10 +75,7 @@ void scramble_into(std::span<const std::uint8_t> bits, std::uint8_t seed,
                    std::span<std::uint8_t> out) {
   WITAG_REQUIRE(seed >= 1 && seed <= 127);
   WITAG_REQUIRE(out.size() == bits.size());
-  std::uint8_t state = seed;
-  // apply_keystream reads bit i before it writes bit i, so in == out is
-  // safe.
-  apply_keystream(bits.data(), out.data(), bits.size(), state);
+  apply_keystream(bits.data(), out.data(), bits.size(), seed);
 }
 
 util::BitVec descramble_recover(std::span<const std::uint8_t> bits) {

@@ -40,8 +40,8 @@ const std::array<int, 127>& pilot_polarity_sequence();
 
 namespace detail {
 
-/// Bit-serial originals, kept as the specification the byte-at-a-time
-/// table implementations are parity-tested against.
+/// Bit-serial originals, kept as the specification the keystream-block
+/// implementations are parity-tested against.
 util::BitVec scramble_reference(std::span<const std::uint8_t> bits,
                                 std::uint8_t seed);
 util::BitVec descramble_recover_reference(std::span<const std::uint8_t> bits);

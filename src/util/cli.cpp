@@ -1,12 +1,36 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 #include <cstddef>
 
 #include "util/require.hpp"
 
 namespace witag::util {
+namespace {
+
+// Parses all of `value` as a T. from_chars stops at the first character
+// it cannot use, so a token it leaves unread (`12abc`, `2m`, `1e3` for
+// an integer) throws, as does a sign on an unsigned option.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& value) {
+  const char* const last = value.data() + value.size();
+  T out{};
+  const auto [stop, ec] = std::from_chars(value.data(), last, out);
+  if (ec != std::errc{} || stop != last) {
+    throw std::invalid_argument(
+        "--" + name + ": '" + value + "' is not " +
+        (std::is_floating_point_v<T> ? "a number"
+         : std::is_signed_v<T>       ? "an integer"
+                                     : "a non-negative integer"));
+  }
+  return out;
+}
+
+}  // namespace
 
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -26,25 +50,19 @@ Args::Args(int argc, const char* const* argv) {
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  used_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stod(it->second);
+  const std::string value = get_string(name, "");
+  return value.empty() ? fallback : parse_whole<double>(name, value);
 }
 
 long Args::get_int(const std::string& name, long fallback) const {
-  used_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stol(it->second);
+  const std::string value = get_string(name, "");
+  return value.empty() ? fallback : parse_whole<long>(name, value);
 }
 
 std::uint64_t Args::get_u64(const std::string& name,
                             std::uint64_t fallback) const {
-  used_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return std::stoull(it->second);
+  const std::string value = get_string(name, "");
+  return value.empty() ? fallback : parse_whole<std::uint64_t>(name, value);
 }
 
 std::string Args::get_string(const std::string& name,

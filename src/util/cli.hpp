@@ -25,7 +25,9 @@ class Args {
   /// (an option missing its value).
   Args(int argc, const char* const* argv);
 
-  /// Typed getters with defaults. Throws on unparsable values.
+  /// Typed getters with defaults. A value must parse whole (decimal for
+  /// the integers): trailing characters, or a sign on get_u64, throw
+  /// std::invalid_argument naming the option and the value.
   double get_double(const std::string& name, double fallback) const;
   long get_int(const std::string& name, long fallback) const;
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;

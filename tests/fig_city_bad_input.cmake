@@ -10,7 +10,8 @@ set(bad_invocations
   "--sizes 0"
   "--sizes abc"
   "--subframes 0"
-  "--epoch-us -5")
+  "--epoch-us -5"
+  "--epochs 3x")
 foreach(invocation IN LISTS bad_invocations)
   separate_arguments(args UNIX_COMMAND "${invocation} --no-metrics")
   execute_process(

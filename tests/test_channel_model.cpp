@@ -311,28 +311,47 @@ TEST(ChannelModel, CfrMatchesPerBinPathLoopBitExact) {
     ASSERT_GT(geo.plan.penetration_loss_db(tag.position, geo.rx), 0.0);
   }
 
-  const FadingConfig fading;  // the default 3 moving scatterers
+  // The default 3 moving scatterers, with blocking frequent enough that
+  // the direct path toggles between blocked and clear across the run,
+  // so the model's cached direct-plus-reflector sum is rebuilt both ways.
+  FadingConfig fading;
   ASSERT_EQ(fading.n_scatterers, 3u);
+  fading.blocking_rate_hz = util::Hertz{1.0};
+  fading.blocking_mean_s = util::Seconds{0.5};
   const std::uint64_t seed = 21;
   ChannelModel ch(radio(), geo, tags[0], fading, seed);
   ASSERT_EQ(ch.add_tag(tags[1]), 1u);
   // The model's fading process, replayed in step from the same seed.
   FadingProcess replay(fading, util::Rng(seed));
 
-  for (int advances = 0; advances <= 5; ++advances) {
-    if (advances > 0) {
-      ch.advance(util::Seconds{0.7});
-      replay.advance(util::Seconds{0.7});
-    }
-    if (advances != 0 && advances != 5) continue;
-    const PerBinCfr want = per_bin_cfr(radio(), geo, replay, tags);
-    expect_bit_exact(ch.cfr(false), want.base, "cfr(false)", advances);
+  const auto expect_cfr = [&](const std::vector<TagPathConfig>& want_tags,
+                              const char* what, int advances) {
+    const PerBinCfr want = per_bin_cfr(radio(), geo, replay, want_tags);
+    expect_bit_exact(ch.cfr(false), want.base, what, advances);
     phy::FreqSymbol asserted = want.base;
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
       asserted[bin] += want.delta[0][bin];
     }
-    expect_bit_exact(ch.cfr(true), asserted, "cfr(true)", advances);
+    expect_bit_exact(ch.cfr(true), asserted, what, advances);
+  };
+  int blocked = 0;
+  int clear = 0;
+  for (int advances = 0; advances <= 12; ++advances) {
+    if (advances > 0) {
+      ch.advance(util::Seconds{0.7});
+      replay.advance(util::Seconds{0.7});
+    }
+    ++(replay.direct_excess_loss_db().value() > 0.0 ? blocked : clear);
+    expect_cfr(tags, "cfr", advances);
   }
+  EXPECT_GE(blocked, 1);
+  EXPECT_GE(clear, 1);
+
+  // Moving tag 0 rebuilds the tag terms.
+  std::vector<TagPathConfig> moved = tags;
+  moved[0].position = {5.0, 3.0};
+  ch.set_tag(moved[0]);
+  expect_cfr(moved, "cfr after set_tag", 12);
 }
 
 TEST(ChannelModel, ApplyChecksLevelSize) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -41,6 +43,43 @@ TEST(Args, BareFlags) {
 
 TEST(Args, RejectsPositional) {
   EXPECT_THROW(parse({"positional"}), std::invalid_argument);
+}
+
+TEST(Args, RejectsPartialParses) {
+  const Args args = parse({"--runs", "12abc", "--seed", "1e3", "--pos", "2m",
+                           "--n", "3 ", "--x", "0x1F"});
+  EXPECT_THROW(args.get_int("runs", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("seed", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("pos", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("x", 0), std::invalid_argument);
+}
+
+TEST(Args, RejectsSignOnUnsignedAndOutOfRange) {
+  const Args args = parse({"--seed", "-1", "--big", "18446744073709551616",
+                           "--n", "-1"});
+  EXPECT_THROW(args.get_u64("seed", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_u64("big", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("n", 0), -1);
+}
+
+TEST(Args, ErrorNamesOptionAndValue) {
+  const Args args = parse({"--epochs", "3x"});
+  try {
+    args.get_int("epochs", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--epochs: '3x' is not an integer");
+  }
+}
+
+TEST(Args, ParsesWholeTokens) {
+  const Args args = parse({"--faults", "31", "--x", "-2.5e-3", "--n", "-7",
+                           "--seed", "18446744073709551615"});
+  EXPECT_EQ(args.get_int("faults", 0), 31);
+  EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), -2.5e-3);
+  EXPECT_EQ(args.get_int("n", 0), -7);
+  EXPECT_EQ(args.get_u64("seed", 0), 18446744073709551615u);
 }
 
 TEST(Args, TracksUnusedOptions) {

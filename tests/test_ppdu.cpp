@@ -160,6 +160,25 @@ TEST_P(PpduAllMcs, TransmitMatchesReferenceChain) {
   }
 }
 
+// One symbol's span of 2 * n_dbps mother-rate positions: the table must
+// pick each position the puncturer keeps exactly once and no other.
+TEST_P(PpduAllMcs, GatherTableHitsEveryKeptPositionOnce) {
+  const McsParams& m = mcs(GetParam());
+  const std::span<const std::uint16_t> table =
+      detail::tx_gather_table(GetParam());
+  ASSERT_EQ(table.size(), m.n_cbps);
+  const std::span<const std::uint8_t> pattern = puncture_pattern(m.rate);
+  std::vector<int> hits(2 * m.n_dbps, 0);
+  for (const std::uint16_t pos : table) {
+    ASSERT_LT(pos, hits.size());
+    ++hits[pos];
+  }
+  for (std::size_t pos = 0; pos < hits.size(); ++pos) {
+    EXPECT_EQ(hits[pos], pattern[pos % pattern.size()] ? 1 : 0)
+        << "position " << pos;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMcs, PpduAllMcs,
                          ::testing::Range(0u, kNumMcs));
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -126,6 +127,17 @@ TEST(ViterbiEquiv, WorkspaceReusesWithoutGrowing) {
 }
 
 TEST(DecodePipelineParity, ScramblerTableMatchesBitSerial) {
+  const auto check = [](const BitVec& bits, std::uint8_t seed,
+                        const std::string& label) {
+    EXPECT_EQ(phy::scramble(bits, seed),
+              phy::detail::scramble_reference(bits, seed))
+        << label;
+    const BitVec expect = phy::detail::descramble_recover_reference(bits);
+    EXPECT_EQ(phy::descramble_recover(bits), expect) << label;
+    BitVec out;
+    phy::descramble_recover_into(bits, out);
+    EXPECT_EQ(out, expect) << label;
+  };
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     util::Rng rng(0x5C'4A + trial);
     const std::size_t n = 7 + rng.uniform_int(2000);
@@ -133,27 +145,36 @@ TEST(DecodePipelineParity, ScramblerTableMatchesBitSerial) {
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(2));
     const auto seed =
         static_cast<std::uint8_t>(1 + rng.uniform_int(127));
-
-    EXPECT_EQ(phy::scramble(bits, seed),
-              phy::detail::scramble_reference(bits, seed))
-        << "trial " << trial;
-    const BitVec expect = phy::detail::descramble_recover_reference(bits);
-    EXPECT_EQ(phy::descramble_recover(bits), expect) << "trial " << trial;
-    BitVec out;
-    phy::descramble_recover_into(bits, out);
-    EXPECT_EQ(out, expect) << "trial " << trial;
+    check(bits, seed, "trial " + std::to_string(trial));
+  }
+  // Every seed on both sides of the 1,016-bit keystream block.
+  util::Rng rng(0x5C'4B);
+  for (const std::size_t n : {7u, 1015u, 1016u, 1017u, 2040u}) {
+    BitVec bits(n);
+    for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(2));
+    for (unsigned seed = 1; seed <= 127; ++seed) {
+      check(bits, static_cast<std::uint8_t>(seed),
+            "length " + std::to_string(n) + " seed " + std::to_string(seed));
+    }
   }
 }
 
 TEST(DecodePipelineParity, EncoderLutMatchesBitSerial) {
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    util::Rng rng(0xEC'0D + trial);
-    BitVec bits(1 + rng.uniform_int(1200));
+  const auto check = [](util::Rng& rng, std::size_t n) {
+    BitVec bits(n);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(2));
     EXPECT_EQ(phy::convolutional_encode(bits),
               phy::detail::convolutional_encode_reference(bits))
-        << "trial " << trial;
+        << "length " << n;
+  };
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    util::Rng rng(0xEC'0D + trial);
+    check(rng, 1 + rng.uniform_int(1200));
   }
+  // The word loop's first word and its tail at every residue mod 8.
+  util::Rng rng(0xEC'0E);
+  for (std::size_t n = 0; n <= 64; ++n) check(rng, n);
+  for (std::size_t n = 4089; n <= 4097; ++n) check(rng, n);
 }
 
 TEST(DecodePipelineParity, Crc32SlicingMatchesBytewise) {

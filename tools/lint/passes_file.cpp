@@ -29,14 +29,19 @@ bool determinism_applies(const std::string& path) {
   return true;
 }
 
-/// Hot-alloc applies to the files holding the per-step decode loops
-/// and the city simulator's event loop, where the zero-alloc contract
-/// is load-bearing for throughput (pooled calendar nodes in sim/).
+/// Hot-alloc applies to the files holding the per-step decode and
+/// transmit loops, the channel's per-symbol loops and the city
+/// simulator's event loop, where the zero-alloc contract is
+/// load-bearing for throughput (pooled calendar nodes in sim/).
 bool hot_alloc_applies(const std::string& path) {
-  return path.find("phy/viterbi.cpp") != std::string::npos ||
-         path.find("phy/ofdm.cpp") != std::string::npos ||
-         path.find("sim/event_queue.cpp") != std::string::npos ||
-         path.find("sim/city_run.cpp") != std::string::npos;
+  for (const char* hot :
+       {"phy/viterbi.cpp", "phy/ofdm.cpp", "phy/ppdu.cpp",
+        "phy/convolutional.cpp", "phy/scrambler.cpp",
+        "channel/channel_model.cpp", "sim/event_queue.cpp",
+        "sim/city_run.cpp"}) {
+    if (path.find(hot) != std::string::npos) return true;
+  }
+  return false;
 }
 
 /// Hot-lookup adds the session exchange loop: its per-round work is
