@@ -33,9 +33,8 @@ struct FecOutcome {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const util::Args args(argc, argv);
   const auto polls = static_cast<std::size_t>(args.get_int("polls", 30));
   const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
   const double pos = args.get_double("pos", 4.0);
@@ -133,4 +132,8 @@ int main(int argc, char** argv) {
                "choice depends on where the tag sits — exactly why the "
                "paper leaves error control as a deployment decision.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("ablation_fec", argc, argv, bench_main);
 }

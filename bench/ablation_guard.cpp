@@ -21,9 +21,8 @@
 #include "util/csv.hpp"
 #include "witag/session.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const util::Args args(argc, argv);
   const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 25));
   const std::uint64_t seed = args.get_u64("seed", 909);
   const std::string csv_path = args.get_string("csv", "");
@@ -93,4 +92,8 @@ int main(int argc, char** argv) {
                "corruptions -> BER ~0.5). The coarser clock shifts the "
                "whole tradeoff because window edges quantize to ticks.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("ablation_guard", argc, argv, bench_main);
 }

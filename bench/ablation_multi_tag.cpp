@@ -34,9 +34,8 @@ struct TagOutcome {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const util::Args args(argc, argv);
   const auto n_tags =
       static_cast<unsigned>(std::clamp<long>(args.get_int("tags", 4), 1, 4));
   const auto polls = static_cast<std::size_t>(args.get_int("polls", 12));
@@ -156,4 +155,8 @@ int main(int argc, char** argv) {
                "intact-payload check that proves tags never answer "
                "queries addressed to others.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("ablation_multi_tag", argc, argv, bench_main);
 }

@@ -21,8 +21,7 @@ constexpr std::size_t kRounds = 15;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("fig3_channel_change", args);
   obs_run.config("rounds", static_cast<double>(kRounds));
   args.warn_unused(std::cerr);
@@ -68,4 +67,8 @@ int main(int argc, char** argv) {
                "corruptions) while the phase-flip tag holds the paper's "
                "low-BER profile.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("fig3_channel_change", argc, argv, bench_main);
 }

@@ -26,8 +26,7 @@
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   using namespace witag;
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 4));
   const auto rounds =
@@ -122,4 +121,8 @@ int main(int argc, char** argv) {
                "stable across positions with a small mid-link dip (paper: "
                "40 -> 39 Kbps).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("fig5_ber_throughput", argc, argv, bench_main);
 }

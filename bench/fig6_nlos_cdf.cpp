@@ -40,8 +40,7 @@ void print_cdf(const char* name, const std::vector<double>& bers) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   using namespace witag;
   const auto measurements =
       static_cast<std::size_t>(args.get_int("measurements", 60));
@@ -99,4 +98,8 @@ int main(int argc, char** argv) {
             << (cdf_b.quantile(0.5) >= cdf_a.quantile(0.5) ? "yes" : "NO")
             << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("fig6_nlos_cdf", argc, argv, bench_main);
 }

@@ -17,14 +17,13 @@
 // Options: see kUsage (--help). A bad value prints one line,
 // "fig_city: <reason>", to stderr and exits with status 2 before any
 // stdout.
-#include <charconv>
 #include <cstddef>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -56,11 +55,6 @@ constexpr const char* kUsage =
     "  --jobs N           worker threads, 0 = all cores (0)\n"
     "  plus --metrics-out PATH, --no-metrics, --trace-out PATH, --help\n";
 
-/// A bad option value: main prints "fig_city: <what>" and exits 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 std::vector<std::size_t> parse_sizes(const std::string& spec) {
   std::vector<std::size_t> sizes;
   std::size_t pos = 0;
@@ -69,52 +63,36 @@ std::vector<std::size_t> parse_sizes(const std::string& spec) {
     const std::string tok =
         spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
     if (!tok.empty()) {
-      std::size_t nodes = 0;
-      const char* end = tok.data() + tok.size();
-      const auto [stop, ec] = std::from_chars(tok.data(), end, nodes);
-      if (ec != std::errc{} || stop != end || nodes == 0) {
-        throw UsageError("--sizes: '" + tok + "' is not a positive node count");
+      const std::optional<std::size_t> nodes =
+          util::parse_whole<std::size_t>(tok);
+      if (!nodes || *nodes == 0) {
+        throw std::invalid_argument("--sizes: '" + tok +
+                                    "' is not a positive node count");
       }
-      sizes.push_back(nodes);
+      sizes.push_back(*nodes);
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  if (sizes.empty()) throw UsageError("--sizes: no deployment size given");
+  if (sizes.empty()) {
+    throw std::invalid_argument("--sizes: no deployment size given");
+  }
   return sizes;
 }
 
-/// Reads an option with `get`: a value util::Args rejects becomes a
-/// UsageError carrying its message, which names the option and value.
-template <typename Get>
-auto read_option(Get get) {
-  try {
-    return get();
-  } catch (const std::invalid_argument& e) {
-    throw UsageError(e.what());
-  }
-}
-
 /// Integer option `name`, 0 or more: a value that would wrap in the
-/// unsigned config fields is a UsageError too.
+/// unsigned config fields is rejected too.
 unsigned count_option(const util::Args& args, const std::string& name,
                       unsigned fallback) {
-  const long v =
-      read_option([&] { return args.get_int(name, fallback); });
+  const long v = args.get_int(name, fallback);
   if (v < 0 || v > long{std::numeric_limits<unsigned>::max()}) {
-    throw UsageError("--" + name + ": " + std::to_string(v) +
-                     " is out of range");
+    throw std::invalid_argument("--" + name + ": " + std::to_string(v) +
+                                " is out of range");
   }
   return static_cast<unsigned>(v);
 }
 
-/// Real-valued option `name`; its range is CityConfig::validate's.
-double real_option(const util::Args& args, const std::string& name,
-                   double fallback) {
-  return read_option([&] { return args.get_double(name, fallback); });
-}
-
-int run(const util::Args& args) {
+int bench_main(const util::Args& args) {
   if (args.has("help")) {
     std::cout << kUsage;
     return 0;
@@ -122,21 +100,19 @@ int run(const util::Args& args) {
   const std::vector<std::size_t> sizes =
       parse_sizes(args.get_string("sizes", "96,384,960,2496"));
   const std::size_t epochs = count_option(args, "epochs", 3);
-  const double epoch_us = real_option(args, "epoch-us", 1500.0);
+  const double epoch_us = args.get_double("epoch-us", 1500.0);
   const unsigned subframes = count_option(args, "subframes", 8);
   const unsigned mcs = count_option(args, "mcs", 5);
   const std::size_t shards = count_option(args, "shards", 8);
-  const double pos = real_option(args, "pos", 2.0);
-  const double spacing = real_option(args, "spacing", 25.0);
+  const double pos = args.get_double("pos", 2.0);
+  const double spacing = args.get_double("spacing", 25.0);
   // Default coupling models a channel-planned deployment (1-in-3 reuse
   // plus adjacent-channel leakage); 1.0 is raw same-channel physics.
-  const double coupling = real_option(args, "coupling", 0.02);
+  const double coupling = args.get_double("coupling", 0.02);
   const bool supervised = args.has("supervised");
-  const std::uint64_t seed =
-      read_option([&] { return args.get_u64("seed", 1234); });
+  const std::uint64_t seed = args.get_u64("seed", 1234);
   const std::string csv_path = args.get_string("csv", "");
-  std::size_t jobs =
-      read_option([&] { return runner::jobs_from_args(args); });
+  std::size_t jobs = runner::jobs_from_args(args);
   if (jobs == 0) jobs = runner::default_jobs();
 
   // Every deployment shares this config but for its cell count, and
@@ -154,7 +130,7 @@ int run(const util::Args& args) {
   base.coupling_scale = coupling;
   base.seed = seed;
   if (const std::string why = base.validate(); !why.empty()) {
-    throw UsageError(why);
+    throw std::invalid_argument(why);
   }
   obs::RunScope obs_run("fig_city", args);
   obs_run.config("epochs", static_cast<double>(epochs));
@@ -265,10 +241,5 @@ int run(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(util::Args(argc, argv));
-  } catch (const UsageError& e) {
-    std::cerr << "fig_city: " << e.what() << '\n';
-    return 2;
-  }
+  return util::run_main("fig_city", argc, argv, bench_main);
 }

@@ -76,8 +76,7 @@ struct TaskOutcome {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int bench_main(const util::Args& args) {
   const auto polls = static_cast<std::size_t>(args.get_int("polls", 12));
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
   const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
@@ -234,4 +233,8 @@ int main(int argc, char** argv) {
                "(salted frame CRC, then payload CRC) must keep it at "
                "zero.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main("fig_rateless", argc, argv, bench_main);
 }

@@ -65,8 +65,7 @@ util::ByteVec sequenced_payload(std::uint64_t sequence) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int bench_main(const util::Args& args) {
   const auto polls = static_cast<std::size_t>(args.get_int("polls", 16));
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
   const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
@@ -230,4 +229,8 @@ int main(int argc, char** argv) {
                "but not in all: one small table like this one can still "
                "show the plain reader ahead in a cell.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main("fig_robustness", argc, argv, bench_main);
 }

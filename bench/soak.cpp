@@ -57,8 +57,7 @@ std::uint64_t rss_kb() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int bench_main(const util::Args& args) {
   const auto chunks = static_cast<std::size_t>(args.get_int("chunks", 400));
   const auto runs = static_cast<std::size_t>(args.get_int("runs", 8));
   const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 45));
@@ -162,4 +161,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return util::run_main("soak", argc, argv, bench_main);
 }

@@ -11,8 +11,7 @@
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_comparison", args);
   args.warn_unused(std::cerr);
   using namespace witag;
@@ -62,4 +61,8 @@ int main(int argc, char** argv) {
                "(HitchHike/FreeRider) or fall far below (MOXcatter, one "
                "bit per packet), matching the paper's 1-300 Kbps framing.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("tab_comparison", argc, argv, bench_main);
 }

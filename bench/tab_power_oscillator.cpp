@@ -12,8 +12,7 @@
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_power_oscillator", args);
   args.warn_unused(std::cerr);
   using namespace witag;
@@ -83,4 +82,8 @@ int main(int argc, char** argv) {
                  "off target).\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("tab_power_oscillator", argc, argv, bench_main);
 }

@@ -46,8 +46,7 @@ double analytic_rate_kbps(const core::QueryLayout& layout) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_throughput_model", args);
   args.warn_unused(std::cerr);
   std::cout << "=== Section 4.1: throughput model ===\n"
@@ -102,4 +101,8 @@ int main(int argc, char** argv) {
                "the rate to ~16 Kbps — an honest cost the paper defers to "
                "future work.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("tab_throughput_model", argc, argv, bench_main);
 }

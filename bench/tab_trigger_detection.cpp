@@ -22,8 +22,7 @@ constexpr std::size_t kRounds = 20;
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const witag::util::Args args(argc, argv);
+int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_trigger_detection", args);
   obs_run.config("rounds", static_cast<double>(kRounds));
   args.warn_unused(std::cerr);
@@ -119,4 +118,8 @@ int main(int argc, char** argv) {
                "operating range exactly as the paper's discussion "
                "anticipates.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("tab_trigger_detection", argc, argv, bench_main);
 }

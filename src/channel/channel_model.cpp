@@ -252,6 +252,15 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
     std::span<const phy::FreqSymbol> tx,
     std::span<const std::vector<std::uint8_t>> levels_per_tag,
     std::span<const double> extra_noise) {
+  std::vector<phy::FreqSymbol> rx;
+  apply_multi_into(tx, levels_per_tag, extra_noise, rx);
+  return rx;
+}
+
+void ChannelModel::apply_multi_into(
+    std::span<const phy::FreqSymbol> tx,
+    std::span<const std::vector<std::uint8_t>> levels_per_tag,
+    std::span<const double> extra_noise, std::vector<phy::FreqSymbol>& rx) {
   WITAG_SPAN_CAT("channel.apply", "channel");
   WITAG_COUNT("channel.apply.calls", 1);
   WITAG_COUNT("channel.apply.symbols", tx.size());
@@ -272,7 +281,7 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
   std::vector<std::uint64_t> composed_masks{0};
   std::vector<phy::FreqSymbol> composed{h_base_};
 
-  std::vector<phy::FreqSymbol> rx(tx.size());
+  rx.resize(tx.size());
   for (std::size_t s = 0; s < tx.size(); ++s) {
     std::uint64_t mask = 0;
     for (std::size_t t = 0; t < levels_per_tag.size(); ++t) {
@@ -299,12 +308,14 @@ std::vector<phy::FreqSymbol> ChannelModel::apply_multi(
     // symbol; real part drawn first, as Rng::complex_normal does.
     const double sigma = std::sqrt(var / 2.0);
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-      if (h[bin] == Cx{} && tx[s][bin] == Cx{}) continue;
+      if (h[bin] == Cx{} && tx[s][bin] == Cx{}) {
+        rx[s][bin] = Cx{};  // `rx` may hold an earlier PPDU
+        continue;
+      }
       const double re = sigma * rng_.normal();
       rx[s][bin] = h[bin] * tx[s][bin] + Cx{re, sigma * rng_.normal()};
     }
   }
-  return rx;
 }
 
 util::Db ChannelModel::mean_snr_db() const {

@@ -114,6 +114,14 @@ class ChannelModel {
       std::span<const std::vector<std::uint8_t>> levels_per_tag,
       std::span<const double> extra_noise);
 
+  /// apply_multi into `rx`, resized to `tx` and reusing its capacity;
+  /// every bin is written, the ones carrying neither signal nor channel
+  /// with zero. `rx` must not alias `tx`.
+  void apply_multi_into(
+      std::span<const phy::FreqSymbol> tx,
+      std::span<const std::vector<std::uint8_t>> levels_per_tag,
+      std::span<const double> extra_noise, std::vector<phy::FreqSymbol>& rx);
+
   /// Mean received SNR per subcarrier with the tag deasserted.
   util::Db mean_snr_db() const;
 

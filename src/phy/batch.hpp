@@ -1,14 +1,14 @@
-// The session-owned single-PPDU decoder: one DecodeScratch and one
-// reused RxResult around phy::receive_into(), the one receive pipeline.
-// witag::Session decodes every exchange through decode_one(), and the
-// end-to-end benchmark (perfbench/replay.cpp) checks its staged replay
-// against decode_one() as the production path.
+// A single-PPDU decoder: one DecodeScratch and one reused RxResult
+// around phy::receive_into(), the one receive pipeline. Only the
+// end-to-end benchmark's staged replay (perfbench/replay.cpp), which
+// checks itself against decode_one(), and the tests still use it:
+// witag::Session decodes through its per-thread exchange workspace
+// (session.cpp) instead. This header goes when the benchmark's traced
+// mode runs the real Session and its replay is deleted.
 //
 // The name is historical: this class once decoded several PPDUs in
 // lockstep lanes over structure-of-arrays staging, which cost as much
 // per PPDU as receive() and held ~150 KB per session (DESIGN.md §14.3).
-// The class and this header keep their names until the benchmark
-// harness that includes them next changes.
 //
 // Both buffers are grow-only, so steady-state decode allocates nothing;
 // receive_into() counts each decode that grew nothing in

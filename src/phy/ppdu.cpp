@@ -34,8 +34,8 @@ std::size_t vec_capacity_bytes(const std::vector<T>& v) {
 
 // Transmit intermediates, one set per thread like viterbi_decode's
 // workspace: each buffer grows to the largest field the thread has
-// encoded and is then reused, so transmit() allocates only the returned
-// timeline and no Session owns a transmit buffer.
+// encoded and is then reused, so transmit_into() allocates only when the
+// caller's timeline grows and no Session owns a transmit buffer.
 struct TxWorkspace {
   util::BitVec data;   ///< Service + PSDU + tail + pad, scrambled in place.
   util::BitVec coded;  ///< The field's A stream, then its B stream.
@@ -254,14 +254,21 @@ SlotKind TxPpdu::kind(std::size_t slot) const {
 }
 
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
+  TxPpdu ppdu;
+  transmit_into(psdu, cfg, ppdu);
+  return ppdu;
+}
+
+void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
+                   TxPpdu& ppdu) {
   WITAG_SPAN_CAT("phy.transmit", "phy");
   WITAG_REQUIRE(!psdu.empty());
   WITAG_REQUIRE(psdu.size() < 65536);
   const McsParams& m = mcs(cfg.mcs_index);
   const std::size_t n_sym = data_symbols_for(psdu.size(), m);
 
-  TxPpdu ppdu;
   ppdu.sig = HtSig{cfg.mcs_index, psdu.size()};
+  ppdu.symbols.clear();
   ppdu.symbols.reserve(kHeaderSlots + n_sym);
 
   // Preamble.
@@ -290,7 +297,6 @@ TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg) {
   encode_field(bits, m, kSigSymbols, ppdu.symbols);
   ppdu.n_data_symbols = ppdu.symbols.size() - kHeaderSlots;
   WITAG_ENSURE(ppdu.n_data_symbols == n_sym);
-  return ppdu;
 }
 
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg) {

@@ -28,11 +28,13 @@ namespace witag::phy {
 /// Reusable buffers for the receive pipeline. One scratch serves any
 /// number of sequential decodes; each buffer grows to the largest PPDU
 /// seen and is then reused, so steady-state decode of an A-MPDU stream
-/// (and of successive Reader rounds — the Session owns one scratch)
 /// performs no per-subframe heap allocation; receive_into() bumps the
 /// `phy.decode.scratch_reuses` counter on every decode that grew
-/// nothing. Not thread-safe: use one scratch per thread (the sweep
-/// runner's per-worker Sessions each own theirs).
+/// nothing. Not thread-safe: use one scratch per thread. witag::Session
+/// decodes through one scratch per thread, shared by every session the
+/// thread runs (session.cpp's exchange workspace), so a session holds
+/// none; only perfbench's staged replay and the tests still wrap one in
+/// phy::BatchDecoder (phy/batch.hpp).
 struct DecodeScratch {
   ViterbiWorkspace viterbi;
   EqualizedSymbol eq;              ///< Per-symbol equalizer output.
@@ -77,11 +79,16 @@ struct TxConfig {
   std::uint8_t scrambler_seed = 0x5D;
 };
 
-/// Builds the PPDU carrying `psdu`. Requires a non-empty PSDU smaller
-/// than 65536 bytes and a valid MCS. Per field, the bits are encoded
-/// word-wide into a per-thread buffer, then each OFDM symbol is written
-/// in place in the timeline (reserved once) through one gather table
-/// that punctures, interleaves and maps.
+/// Builds the PPDU carrying `psdu` into `out`, reusing the capacity of
+/// its timeline; every field of `out` is overwritten. Requires a
+/// non-empty PSDU smaller than 65536 bytes and a valid MCS. Per field,
+/// the bits are encoded word-wide into a per-thread buffer, then each
+/// OFDM symbol is written in place in the timeline (reserved once)
+/// through one gather table that punctures, interleaves and maps.
+void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
+                   TxPpdu& out);
+
+/// transmit_into() into a fresh PPDU.
 TxPpdu transmit(std::span<const std::uint8_t> psdu, const TxConfig& cfg);
 
 /// Receiver options.

@@ -18,12 +18,18 @@ EnvelopeDetector::EnvelopeDetector(const EnvelopeConfig& cfg) {
 
 std::vector<double> EnvelopeDetector::process(
     std::span<const util::Cx> samples) {
-  std::vector<double> out(samples.size());
+  std::vector<double> out;
+  process_into(samples, out);
+  return out;
+}
+
+void EnvelopeDetector::process_into(std::span<const util::Cx> samples,
+                                    std::vector<double>& out) {
+  out.resize(samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     state_ += alpha_ * (std::abs(samples[i]) - state_);
     out[i] = state_;
   }
-  return out;
 }
 
 void EnvelopeDetector::reset() { state_ = 0.0; }
@@ -43,7 +49,14 @@ Comparator::Comparator(const EnvelopeConfig& cfg)
 
 std::vector<std::uint8_t> Comparator::process(
     std::span<const double> envelope) {
-  std::vector<std::uint8_t> out(envelope.size());
+  std::vector<std::uint8_t> out;
+  process_into(envelope, out);
+  return out;
+}
+
+void Comparator::process_into(std::span<const double> envelope,
+                              std::vector<std::uint8_t>& out) {
+  out.resize(envelope.size());
   for (std::size_t i = 0; i < envelope.size(); ++i) {
     peak_ = std::max(envelope[i], peak_ * peak_decay_);
     if (state_ == 0 && envelope[i] > threshold_fraction_ * peak_) {
@@ -53,7 +66,6 @@ std::vector<std::uint8_t> Comparator::process(
     }
     out[i] = state_;
   }
-  return out;
 }
 
 void Comparator::reset() {

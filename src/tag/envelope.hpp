@@ -35,7 +35,11 @@ class EnvelopeDetector {
  public:
   explicit EnvelopeDetector(const EnvelopeConfig& cfg);
 
-  /// Filters a block of baseband samples to envelope values.
+  /// Filters a block of baseband samples to envelope values, one per
+  /// sample, into `out` (resized, reusing its capacity).
+  void process_into(std::span<const util::Cx> samples,
+                    std::vector<double>& out);
+  /// process_into() into a fresh vector.
   std::vector<double> process(std::span<const util::Cx> samples);
 
   void reset();
@@ -51,6 +55,10 @@ class Comparator {
  public:
   explicit Comparator(const EnvelopeConfig& cfg);
 
+  /// Slices `envelope` into `out` (resized, reusing its capacity).
+  void process_into(std::span<const double> envelope,
+                    std::vector<std::uint8_t>& out);
+  /// process_into() into a fresh vector.
   std::vector<std::uint8_t> process(std::span<const double> envelope);
 
   void reset();

@@ -1,9 +1,9 @@
 #include "util/cli.hpp"
 
-#include <charconv>
+#include <iostream>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <system_error>
 #include <type_traits>
 #include <cstddef>
 
@@ -12,22 +12,16 @@
 namespace witag::util {
 namespace {
 
-// Parses all of `value` as a T. from_chars stops at the first character
-// it cannot use, so a token it leaves unread (`12abc`, `2m`, `1e3` for
-// an integer) throws, as does a sign on an unsigned option.
+// Option `name`'s value as a T (parse_whole), or an
+// std::invalid_argument naming the option and the value.
 template <typename T>
-T parse_whole(const std::string& name, const std::string& value) {
-  const char* const last = value.data() + value.size();
-  T out{};
-  const auto [stop, ec] = std::from_chars(value.data(), last, out);
-  if (ec != std::errc{} || stop != last) {
-    throw std::invalid_argument(
-        "--" + name + ": '" + value + "' is not " +
-        (std::is_floating_point_v<T> ? "a number"
-         : std::is_signed_v<T>       ? "an integer"
-                                     : "a non-negative integer"));
-  }
-  return out;
+T parse_option(const std::string& name, const std::string& value) {
+  if (const std::optional<T> out = parse_whole<T>(value)) return *out;
+  throw std::invalid_argument(
+      "--" + name + ": '" + value + "' is not " +
+      (std::is_floating_point_v<T> ? "a number"
+       : std::is_signed_v<T>       ? "an integer"
+                                   : "a non-negative integer"));
 }
 
 }  // namespace
@@ -36,7 +30,7 @@ Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     require(arg.rfind("--", 0) == 0,
-            "Args: options must start with -- (positional args unsupported)");
+            "'" + arg + "' is not an option (options start with --)");
     const std::string name = arg.substr(2);
     require(!name.empty(), "Args: empty option name");
     // A following token that is not itself an option is this option's
@@ -51,18 +45,18 @@ Args::Args(int argc, const char* const* argv) {
 
 double Args::get_double(const std::string& name, double fallback) const {
   const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_whole<double>(name, value);
+  return value.empty() ? fallback : parse_option<double>(name, value);
 }
 
 long Args::get_int(const std::string& name, long fallback) const {
   const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_whole<long>(name, value);
+  return value.empty() ? fallback : parse_option<long>(name, value);
 }
 
 std::uint64_t Args::get_u64(const std::string& name,
                             std::uint64_t fallback) const {
   const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_whole<std::uint64_t>(name, value);
+  return value.empty() ? fallback : parse_option<std::uint64_t>(name, value);
 }
 
 std::string Args::get_string(const std::string& name,
@@ -92,6 +86,16 @@ std::size_t Args::warn_unused(std::ostream& os) const {
     os << "warning: unknown option --" << name << '\n';
   }
   return names.size();
+}
+
+int run_main(const char* binary, int argc, const char* const* argv,
+             int (*body)(const Args&)) {
+  try {
+    return body(Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << binary << ": " << e.what() << '\n';
+    return 2;
+  }
 }
 
 }  // namespace witag::util

@@ -1,6 +1,6 @@
 // Minimal command-line option parser for the bench and example binaries:
 // `--name value` options and `--flag` switches, with typed getters and
-// defaults. Unknown arguments are an error so typos fail loudly.
+// defaults, and run_main(), the bench binaries' shared main.
 //
 // Every bench binary also understands the standard observability flags
 // (consumed by obs::RunScope, see obs/report.hpp):
@@ -10,19 +10,37 @@
 //                          when the path ends in ".jsonl")
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <cstddef>
 
 namespace witag::util {
 
+/// All of `text` as a T (decimal for the integers), or nullopt.
+/// from_chars stops at the first character it cannot use, so a token it
+/// leaves unread (`12abc`, `2m`, `1e3` for an integer) is rejected, as
+/// are a sign on an unsigned T and a value out of range. Every numeric
+/// input (options, environment variables, tool flags) parses this way.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  const char* const last = text.data() + text.size();
+  T out{};
+  const auto [stop, ec] = std::from_chars(text.data(), last, out);
+  if (ec != std::errc{} || stop != last) return std::nullopt;
+  return out;
+}
+
 class Args {
  public:
-  /// Parses argv. Throws std::invalid_argument on malformed input
-  /// (an option missing its value).
+  /// Parses argv. Throws std::invalid_argument on malformed input (a
+  /// positional argument or an empty option name).
   Args(int argc, const char* const* argv);
 
   /// Typed getters with defaults. A value must parse whole (decimal for
@@ -49,5 +67,14 @@ class Args {
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> used_;
 };
+
+/// A bench binary's main: parses argv and returns body(args). Bad input
+/// (a std::invalid_argument out of the parse or out of `body`: a
+/// malformed value, a positional argument, a value a config check
+/// rejects) prints one "<binary>: <reason>" line on stderr and returns
+/// 2 instead of reaching std::terminate. A body that reads every option
+/// before its first line of output leaves stdout empty on bad input.
+int run_main(const char* binary, int argc, const char* const* argv,
+             int (*body)(const Args&));
 
 }  // namespace witag::util

@@ -107,6 +107,13 @@ QueryLayout plan_query(const QueryConfig& cfg, unsigned mcs_index,
 
 QueryFrame build_query(const QueryLayout& layout, mac::Client& client,
                        double trigger_low_scale) {
+  QueryFrame frame;
+  build_query_into(layout, client, trigger_low_scale, frame);
+  return frame;
+}
+
+void build_query_into(const QueryLayout& layout, mac::Client& client,
+                      double trigger_low_scale, QueryFrame& frame) {
   WITAG_REQUIRE(trigger_low_scale > 0.0 && trigger_low_scale < 1.0);
 
   // Subframe payloads: deterministic filler (content is irrelevant to
@@ -117,14 +124,13 @@ QueryFrame build_query(const QueryLayout& layout, mac::Client& client,
                        static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF)));
   }
 
-  QueryFrame frame;
   frame.layout = layout;
   const util::ByteVec psdu = client.build_ampdu(payloads);
   WITAG_ENSURE(psdu.size() == layout.subframe_bytes * layout.n_subframes);
 
   phy::TxConfig tx_cfg;
   tx_cfg.mcs_index = layout.mcs_index;
-  frame.ppdu = phy::transmit(psdu, tx_cfg);
+  phy::transmit_into(psdu, tx_cfg, frame.ppdu);
 
   // Trigger envelope pattern: HIGH, LOW, HIGH, then a LOW region of
   // (1 + trigger_code) subframes, then HIGH to the end of the trigger
@@ -140,7 +146,6 @@ QueryFrame build_query(const QueryLayout& layout, mac::Client& client,
   };
   set_low(1);
   for (unsigned k = 0; k <= layout.trigger_code; ++k) set_low(3 + k);
-  return frame;
 }
 
 }  // namespace witag::core

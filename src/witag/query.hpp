@@ -62,7 +62,12 @@ struct QueryFrame {
 };
 
 /// Builds one query through the client station (sequence numbers and
-/// encryption advance in `client`).
+/// encryption advance in `client`) into `out`, reusing the capacity of
+/// its timeline and slot scales; every field of `out` is overwritten.
+void build_query_into(const QueryLayout& layout, mac::Client& client,
+                      double trigger_low_scale, QueryFrame& out);
+
+/// build_query_into() into a fresh frame.
 QueryFrame build_query(const QueryLayout& layout, mac::Client& client,
                        double trigger_low_scale);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 #include <cstddef>
 
@@ -9,7 +11,10 @@
 #include "obs/obs.hpp"
 #include "mac/airtime.hpp"
 #include "mac/rate_ctrl.hpp"
+#include "phy/ofdm.hpp"
+#include "phy/ppdu.hpp"
 #include "tag/envelope.hpp"
+#include "util/complexvec.hpp"
 #include "util/require.hpp"
 #include "util/units.hpp"
 
@@ -17,6 +22,29 @@ namespace witag::core {
 namespace {
 
 constexpr double kIdleNoisePrefixUs = 20.0;  // quiet air before the PPDU
+
+// Every buffer of an exchange whose size grows with the PPDU, one set per
+// thread like phy::transmit's workspace: each grows to the largest
+// exchange the thread has run and is then reused by every Session on that
+// thread. A city worker runs hundreds of sessions round-robin, so a
+// per-Session copy would be paid once per session and stay cold between
+// its exchanges. Nothing in here outlives the exchange that filled it.
+struct ExchangeWorkspace {
+  QueryFrame frame;                    ///< The query and its tx timeline.
+  std::vector<phy::FreqSymbol> rx;     ///< The channel's received timeline.
+  phy::DecodeScratch decode;
+  phy::RxResult decoded;
+  util::CxVec rendered;   ///< Header + trigger region at 20 Msps.
+  util::CxVec fft_work;   ///< to_time_into's transform buffer.
+  util::CxVec heard;      ///< `rendered` as one tag hears it, with noise.
+  std::vector<double> envelope;
+  std::vector<std::uint8_t> comparator_bits;
+};
+
+ExchangeWorkspace& exchange_workspace() {
+  thread_local ExchangeWorkspace ws;
+  return ws;
+}
 
 }  // namespace
 
@@ -116,7 +144,7 @@ const QueryLayout& Session::layout_for(unsigned address) {
 
 std::optional<tag::QueryTiming> Session::tag_timing(
     const QueryFrame& frame, const TagUnit& unit,
-    std::span<const util::CxVec> td_blocks) {
+    std::span<const util::Cx> rendered) {
   if (cfg_.trigger_mode == TriggerMode::kIdeal) {
     // A real tag only reacts to queries carrying its address; the ideal
     // mode applies the same filter without the envelope render.
@@ -130,29 +158,31 @@ std::optional<tag::QueryTiming> Session::tag_timing(
   const std::size_t prefix =
       static_cast<std::size_t>(kIdleNoisePrefixUs * phy::kSampleRateHz / 1e6);
 
-  util::CxVec samples;
-  samples.reserve(prefix + td_blocks.size() * phy::kSamplesPerSymbol);
+  ExchangeWorkspace& ws = exchange_workspace();
+  util::CxVec& heard = ws.heard;
+  heard.clear();
+  heard.reserve(prefix + rendered.size());
   for (std::size_t i = 0; i < prefix; ++i) {
-    samples.push_back(rng_.complex_normal(tag_noise_var_));
+    heard.push_back(rng_.complex_normal(tag_noise_var_));
   }
-  for (std::size_t s = 0; s < td_blocks.size(); ++s) {
-    for (const util::Cx& x : td_blocks[s]) {
-      samples.push_back(x * frame.slot_scale[s] * unit.link_amp +
-                        rng_.complex_normal(tag_noise_var_));
-    }
+  for (std::size_t i = 0; i < rendered.size(); ++i) {
+    const double scale = frame.slot_scale[i / phy::kSamplesPerSymbol];
+    heard.push_back(rendered[i] * scale * unit.link_amp +
+                    rng_.complex_normal(tag_noise_var_));
   }
 
   tag::EnvelopeConfig env_cfg;
   env_cfg.sample_rate_hz = util::Hertz{phy::kSampleRateHz};
   tag::EnvelopeDetector detector(env_cfg);
   tag::Comparator comparator(env_cfg);
-  const auto envelope = detector.process(samples);
-  const auto bits = comparator.process(envelope);
+  detector.process_into(heard, ws.envelope);
+  comparator.process_into(ws.envelope, ws.comparator_bits);
 
   tag::TriggerConfig trig_cfg;
   trig_cfg.n_trigger_subframes = frame.layout.n_trigger;
   trig_cfg.accept_code = static_cast<int>(unit.address);
-  auto timing = tag::detect_trigger(bits, phy::kSampleRateHz, trig_cfg);
+  auto timing =
+      tag::detect_trigger(ws.comparator_bits, phy::kSampleRateHz, trig_cfg);
   if (!timing) return std::nullopt;
   // Re-reference from stream start to PPDU start.
   timing->align_edge_us -= kIdleNoisePrefixUs;
@@ -162,8 +192,10 @@ std::optional<tag::QueryTiming> Session::tag_timing(
 
 Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   WITAG_COUNT("session.exchanges", 1);
-  QueryFrame frame =
-      build_query(layout_for(address), client_, cfg_.query.trigger_low_scale);
+  ExchangeWorkspace& ws = exchange_workspace();
+  QueryFrame& frame = ws.frame;
+  build_query_into(layout_for(address), client_,
+                   cfg_.query.trigger_low_scale, frame);
 
   RoundResult result;
 
@@ -197,7 +229,7 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
     // One time-domain render of the header + trigger region, shared by
     // every tag's envelope detector (hoisted out of tag_timing: the
     // per-tag link gain applies per sample, not per render).
-    std::vector<util::CxVec> td_blocks;
+    ws.rendered.clear();
     if (cfg_.trigger_mode == TriggerMode::kEnvelope) {
       const std::size_t slots_needed =
           phy::kHeaderSlots +
@@ -205,13 +237,16 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
               frame.layout.symbols_per_subframe;
       const std::size_t count =
           std::min(slots_needed, frame.ppdu.symbols.size());
-      td_blocks.reserve(count);
+      ws.rendered.resize(count * phy::kSamplesPerSymbol);
       for (std::size_t s = 0; s < count; ++s) {
-        td_blocks.push_back(phy::to_time(frame.ppdu.symbols[s]));
+        phy::to_time_into(frame.ppdu.symbols[s], ws.fft_work,
+                          std::span(ws.rendered)
+                              .subspan(s * phy::kSamplesPerSymbol,
+                                       phy::kSamplesPerSymbol));
       }
     }
     for (std::size_t t = 0; t < tags_.size(); ++t) {
-      auto timing = tag_timing(frame, tags_[t], td_blocks);
+      auto timing = tag_timing(frame, tags_[t], ws.rendered);
       // Fault hook 2 (trigger + clock): exactly one trigger-stream draw
       // per tag per round, then brownout vetoes any response.
       if (faults_.active()) {
@@ -259,10 +294,10 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
     }
   }
 
-  // Air: per-symbol channel application with the trigger envelope scale.
-  // The query's timeline moves into the channel; nothing reads it after.
+  // Air: per-symbol channel application with the trigger envelope scale,
+  // applied in place; nothing reads the unscaled timeline after.
   const util::Micros ppdu_us{frame.ppdu.duration_us()};
-  std::vector<phy::FreqSymbol> tx = std::move(frame.ppdu.symbols);
+  std::vector<phy::FreqSymbol>& tx = frame.ppdu.symbols;
   for (std::size_t s = 0; s < tx.size(); ++s) {
     if (frame.slot_scale[s] == 1.0) continue;
     for (auto& bin : tx[s]) bin *= frame.slot_scale[s];
@@ -299,12 +334,13 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
                    static_cast<double>(hit), "faults");
     }
   }
-  const auto rx_syms = channel_->apply_multi(tx, levels, extra_noise);
+  channel_->apply_multi_into(tx, levels, extra_noise, ws.rx);
 
   // AP side: PHY receive, deaggregate, FCS-check, block ack.
   phy::RxConfig rx_cfg;
   rx_cfg.cpe_correction = cfg_.cpe_correction;
-  const phy::RxResult& rx = batch_decoder_.decode_one(rx_syms, rx_cfg);
+  phy::receive_into(ws.rx, rx_cfg, ws.decode, ws.decoded);
+  const phy::RxResult& rx = ws.decoded;
 
   std::optional<mac::BlockAck> ba;
   if (rx.sig_ok) {

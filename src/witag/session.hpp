@@ -15,7 +15,6 @@
 #include "channel/channel_model.hpp"
 #include "faults/injectors.hpp"
 #include "mac/station.hpp"
-#include "phy/batch.hpp"
 #include "phy/ppdu.hpp"
 #include "util/complexvec.hpp"
 #include "tag/device.hpp"
@@ -112,15 +111,18 @@ class Session {
     double link_amp = 0.0;  ///< Client->tag amplitude for envelope mode.
   };
 
+  /// One query/block-ack exchange. Its PPDU-sized buffers (query
+  /// timeline, received timeline, decode scratch, envelope render) live
+  /// in a per-thread workspace in session.cpp, not in the Session.
   RoundResult exchange(bool tag_active, unsigned address);
   util::Micros draw_backoff_us();
-  /// `td_blocks` holds the query's header+trigger region rendered to
-  /// time-domain once per exchange (to_time() is tag-independent; each
-  /// tag applies its own flat link gain per sample), so multi-tag
-  /// envelope runs share a single render.
+  /// `rendered` holds the query's header+trigger region in time domain,
+  /// 80 samples per slot, rendered once per exchange (the render is
+  /// tag-independent; each tag applies its own flat link gain per
+  /// sample), so multi-tag envelope runs share a single render.
   std::optional<tag::QueryTiming> tag_timing(
       const QueryFrame& frame, const TagUnit& unit,
-      std::span<const util::CxVec> td_blocks);
+      std::span<const util::Cx> rendered);
   const QueryLayout& layout_for(unsigned address);
   double link_amp_to(channel::Point2 tag_pos) const;
 
@@ -135,11 +137,6 @@ class Session {
   /// Layout cache for addressed queries (index = trigger code).
   std::vector<std::optional<QueryLayout>> layout_cache_;
   double tag_noise_var_ = 0.0;      ///< Noise at the tag detector [W].
-  /// PHY decoder reused across every exchange this session runs (the
-  /// Reader drives many rounds through one Session, so A-MPDU decode is
-  /// allocation-free in steady state). An exchange decodes its whole
-  /// A-MPDU as one PPDU through phy::receive_into().
-  phy::BatchDecoder batch_decoder_;
 };
 
 }  // namespace witag::core

@@ -1,4 +1,4 @@
-// Session decoder tests: phy::BatchDecoder, the session-owned decoder
+// Reused-decoder tests: phy::BatchDecoder, one scratch and one result
 // around phy::receive_into(), must equal a fresh receive() PPDU for
 // PPDU — across MCS/length mixes, noisy channels and broken PPDUs
 // (corrupted SIG, truncated captures) decoded back to back through one

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "phy/ppdu.hpp"
 #include "util/rng.hpp"
@@ -352,6 +354,27 @@ TEST(ChannelModel, CfrMatchesPerBinPathLoopBitExact) {
   moved[0].position = {5.0, 3.0};
   ch.set_tag(moved[0]);
   expect_cfr(moved, "cfr after set_tag", 12);
+}
+
+TEST(ChannelModel, ApplyMultiIntoOverwritesEveryBinOfAReusedTimeline) {
+  // Two channels in the same state: one writes a fresh timeline, the
+  // other into a longer one full of garbage, as a reused buffer would be.
+  ChannelModel fresh(radio(), los_link(), mid_tag(), no_fading(), 15);
+  ChannelModel reused(radio(), los_link(), mid_tag(), no_fading(), 15);
+  util::Rng rng(16);
+  const phy::TxPpdu ppdu = phy::transmit(rng.bytes(120), phy::TxConfig{});
+  const std::vector<std::vector<std::uint8_t>> levels{
+      std::vector<std::uint8_t>(ppdu.size(), 1)};
+  std::vector<phy::FreqSymbol> rx(ppdu.size() + 7);
+  for (auto& symbol : rx) symbol.fill(util::Cx{3.0, -5.0});
+  reused.apply_multi_into(ppdu.symbols, levels, {}, rx);
+  const auto want = fresh.apply_multi(ppdu.symbols, levels, {});
+  ASSERT_EQ(rx.size(), want.size());
+  for (std::size_t s = 0; s < rx.size(); ++s) {
+    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+      ASSERT_EQ(rx[s][bin], want[s][bin]) << "symbol " << s << " bin " << bin;
+    }
+  }
 }
 
 TEST(ChannelModel, ApplyChecksLevelSize) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "claims.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
@@ -80,6 +81,23 @@ TEST(Args, ParsesWholeTokens) {
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), -2.5e-3);
   EXPECT_EQ(args.get_int("n", 0), -7);
   EXPECT_EQ(args.get_u64("seed", 0), 18446744073709551615u);
+}
+
+TEST(ClaimsSeedBase, ParsesWholeDecimalTokens) {
+  EXPECT_EQ(claims::parse_seed_base("90000"), 90000u);
+  EXPECT_EQ(claims::parse_seed_base("18446744073709551615"),
+            18446744073709551615u);
+  for (const char* bad : {"12abc", "-1", "+1", "18446744073709551616", "0x10",
+                          " 7", "7 ", ""}) {
+    EXPECT_THROW(claims::parse_seed_base(bad), std::invalid_argument) << bad;
+  }
+  try {
+    claims::parse_seed_base("12abc");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "WITAG_CLAIMS_SEED_BASE: '12abc' is not a non-negative integer");
+  }
 }
 
 TEST(Args, TracksUnusedOptions) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "tag/envelope.hpp"
 #include "tag/trigger.hpp"
@@ -54,6 +56,26 @@ TEST(Envelope, ComparatorSlicesHighLow) {
   EXPECT_EQ(bits[300], 1);
   EXPECT_EQ(bits[700], 0);
   EXPECT_EQ(bits[1100], 1);
+}
+
+TEST(Envelope, ProcessIntoReusedBuffersEqualsProcess) {
+  EnvelopeConfig cfg;
+  util::Rng rng(5);
+  util::CxVec samples(500);
+  for (auto& x : samples) x = rng.complex_normal(1.0);
+  EnvelopeDetector fresh_detector(cfg);
+  Comparator fresh_comparator(cfg);
+  const auto envelope = fresh_detector.process(samples);
+  const auto bits = fresh_comparator.process(envelope);
+
+  EnvelopeDetector detector(cfg);
+  Comparator comparator(cfg);
+  std::vector<double> reused_envelope(900, 7.0);
+  std::vector<std::uint8_t> reused_bits(900, 1);
+  detector.process_into(samples, reused_envelope);
+  comparator.process_into(reused_envelope, reused_bits);
+  EXPECT_EQ(reused_envelope, envelope);
+  EXPECT_EQ(reused_bits, bits);
 }
 
 TEST(Envelope, ResetClearsState) {

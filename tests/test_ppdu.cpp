@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "phy/constellation.hpp"
@@ -181,6 +182,24 @@ TEST_P(PpduAllMcs, GatherTableHitsEveryKeptPositionOnce) {
 
 INSTANTIATE_TEST_SUITE_P(AllMcs, PpduAllMcs,
                          ::testing::Range(0u, kNumMcs));
+
+TEST(Ppdu, TransmitIntoAReusedPpduEqualsAFreshOne) {
+  // A long MCS0 PPDU, then a short MCS7 one, then a long one again, all
+  // into one TxPpdu: each must equal transmit() of the same PSDU.
+  util::Rng rng(29);
+  phy::TxPpdu reused;
+  for (const auto& [mcs, bytes] :
+       {std::pair{0u, 900}, std::pair{7u, 40}, std::pair{3u, 600}}) {
+    const util::ByteVec psdu = rng.bytes(static_cast<std::size_t>(bytes));
+    phy::TxConfig cfg;
+    cfg.mcs_index = mcs;
+    phy::transmit_into(psdu, cfg, reused);
+    const phy::TxPpdu fresh = phy::transmit(psdu, cfg);
+    EXPECT_EQ(reused.sig, fresh.sig) << "MCS " << mcs;
+    EXPECT_EQ(reused.n_data_symbols, fresh.n_data_symbols) << "MCS " << mcs;
+    EXPECT_TRUE(reused.symbols == fresh.symbols) << "MCS " << mcs;
+  }
+}
 
 TEST(Ppdu, SlotKindsFollowLayout) {
   util::Rng rng(1);

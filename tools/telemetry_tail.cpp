@@ -18,7 +18,10 @@
 //          session.exchanges), --expect-metrics N (exit 1 unless at
 //          least N metrics/final records were seen — CI smoke
 //          assertion), --timeout-s S (follow gives up when no final
-//          record arrives in time; 0 = wait forever)
+//          record arrives in time; 0 = wait forever). A numeric value
+//          must parse whole, N as a non-negative integer, or the tool
+//          exits 2 with "telemetry_tail: <flag>: '<value>' is not a
+//          number".
 //
 // Exit codes: 0 ok, 1 expectation failed / timeout, 2 usage or I/O.
 #include <chrono>
@@ -29,11 +32,13 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -193,6 +198,17 @@ bool consume_line(TailState& st, const std::string& line,
   return true;
 }
 
+/// All of `value` as a T (util::parse_whole), or exit 2 naming `flag`.
+template <typename T>
+T number(const char* flag, const std::string& value) {
+  if (const std::optional<T> out = witag::util::parse_whole<T>(value)) {
+    return *out;
+  }
+  std::cerr << "telemetry_tail: " << flag << ": '" << value
+            << "' is not a number\n";
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,7 +216,7 @@ int main(int argc, char** argv) {
   bool follow = false;
   double interval_ms = 200.0;
   std::string headline = "session.exchanges";
-  long expect_metrics = -1;
+  std::optional<std::uint64_t> expect_metrics;
   double timeout_s = 0.0;
 
   for (int i = 1; i < argc; ++i) {
@@ -219,13 +235,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--in") {
       path = next("--in");
     } else if (arg == "--interval-ms") {
-      interval_ms = std::stod(next("--interval-ms"));
+      interval_ms = number<double>("--interval-ms", next("--interval-ms"));
     } else if (arg == "--counter") {
       headline = next("--counter");
     } else if (arg == "--expect-metrics") {
-      expect_metrics = std::stol(next("--expect-metrics"));
+      expect_metrics =
+          number<std::uint64_t>("--expect-metrics", next("--expect-metrics"));
     } else if (arg == "--timeout-s") {
-      timeout_s = std::stod(next("--timeout-s"));
+      timeout_s = number<double>("--timeout-s", next("--timeout-s"));
     } else if (!arg.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -293,10 +310,9 @@ int main(int argc, char** argv) {
               << " s\n";
     return 1;
   }
-  if (expect_metrics >= 0 &&
-      st.metrics_records < static_cast<std::uint64_t>(expect_metrics)) {
+  if (expect_metrics && st.metrics_records < *expect_metrics) {
     std::cerr << "[tail] FAIL: saw " << st.metrics_records
-              << " metrics records, expected at least " << expect_metrics
+              << " metrics records, expected at least " << *expect_metrics
               << "\n";
     return 1;
   }
