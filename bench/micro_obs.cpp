@@ -18,7 +18,9 @@
 //
 // Options: --threads N (default 8), --iters N (per thread, default
 //          2000000), --repeats N (best-of, default 3),
-//          --assert-speedup X (default 0 = report only)
+//          --assert-speedup X (default 0 = report only). A malformed
+//          value prints "micro_obs: <reason>" and exits 2
+//          (util::run_main).
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -71,10 +73,7 @@ double best_ns_per_op(std::size_t repeats, std::size_t threads,
   return best;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+int bench_main(const util::Args& args) {
   const auto threads = static_cast<std::size_t>(args.get_int("threads", 8));
   const auto iters =
       static_cast<std::size_t>(args.get_int("iters", 2'000'000));
@@ -134,4 +133,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return witag::util::run_main("micro_obs", argc, argv, bench_main);
 }

@@ -3,7 +3,9 @@
 // experiment harness can simulate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -327,6 +329,36 @@ void BM_QuantizeQam64(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeQam64);
 
+// The receiver's front end on one 64-QAM data symbol at the best tier:
+// the equalizer's per-field plan, the points-only equalize, the fused
+// demap-and-quantize into 312 air-order soft bits
+// (detail::field_llrs_into), then their placement at MCS5's mother-rate
+// positions through the transmitter's table, the loop
+// detail::field_bits_from_llrs runs before its Viterbi decode. It
+// replaces BM_Equalize + BM_DemapQam64 + BM_QuantizeQam64 +
+// BM_Deinterleave and a depuncture. Unpinned.
+void BM_RxFrontQam64(benchmark::State& state) {
+  phy::FreqSymbol rx{};
+  phy::ChannelEstimate est;
+  equalize_bench_inputs(rx, est);
+  const std::vector<phy::FreqSymbol> field{rx};
+  const std::span<const std::uint16_t> table = phy::detail::tx_gather_table(5);
+  phy::DecodeScratch scratch;
+  std::vector<std::int8_t> mother(2 * phy::mcs(5).n_dbps);
+  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    phy::detail::field_llrs_into(field, est, phy::Modulation::kQam64, 1,
+                                 /*cpe_correction=*/true, scratch);
+    std::fill(mother.begin(), mother.end(), std::int8_t{0});
+    for (std::size_t j = 0; j < table.size(); ++j) {
+      mother[table[j]] = scratch.llrs[j];
+    }
+    benchmark::DoNotOptimize(mother.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_RxFrontQam64);
+
 // Table-driven (byte-at-a-time keystream) vs bit-serial scrambler over
 // one max-rate data field's worth of bits.
 void BM_Scramble(benchmark::State& state) {
@@ -543,6 +575,19 @@ class ObsReporter : public benchmark::ConsoleReporter {
   }
 };
 
+// Runs the benchmarks under a RunScope read from the obs flags; a
+// malformed one reaches util::run_main as std::invalid_argument.
+int bench_main(const util::Args& args) {
+  obs::RunScope obs_run("micro_phy", args);
+  // Which kernels produced the gauges: the dispatched tier differs
+  // between AVX2-only and AVX-512 hosts.
+  obs_run.config("simd_tier", phy::simd::tier_name(phy::simd::active_tier()));
+  ObsReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -553,9 +598,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--trace-out" || arg == "--metrics-out" ||
-        arg == "--no-metrics") {
+        arg == "--no-metrics" || arg == "--ledger") {
       obs_argv.push_back(argv[i]);
-      if (arg != "--no-metrics" && i + 1 < argc) obs_argv.push_back(argv[++i]);
+      const bool takes_value = arg == "--trace-out" || arg == "--metrics-out";
+      if (takes_value && i + 1 < argc) obs_argv.push_back(argv[++i]);
     } else {
       bench_argv.push_back(argv[i]);
     }
@@ -566,15 +612,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const witag::util::Args args(static_cast<int>(obs_argv.size()),
-                               obs_argv.data());
-  witag::obs::RunScope obs_run("micro_phy", args);
-  // Which kernels produced the gauges: the dispatched tier differs
-  // between AVX2-only and AVX-512 hosts.
-  obs_run.config("simd_tier", witag::phy::simd::tier_name(
-                                  witag::phy::simd::active_tier()));
-  ObsReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return 0;
+  return witag::util::run_main("micro_phy", static_cast<int>(obs_argv.size()),
+                               obs_argv.data(), bench_main);
 }

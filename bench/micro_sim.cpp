@@ -105,6 +105,16 @@ class ObsReporter : public benchmark::ConsoleReporter {
   }
 };
 
+// Runs the benchmarks under a RunScope read from the obs flags; a
+// malformed one reaches util::run_main as std::invalid_argument.
+int bench_main(const util::Args& args) {
+  obs::RunScope obs_run("micro_sim", args);
+  ObsReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -115,9 +125,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--trace-out" || arg == "--metrics-out" ||
-        arg == "--no-metrics") {
+        arg == "--no-metrics" || arg == "--ledger") {
       obs_argv.push_back(argv[i]);
-      if (arg != "--no-metrics" && i + 1 < argc) obs_argv.push_back(argv[++i]);
+      const bool takes_value = arg == "--trace-out" || arg == "--metrics-out";
+      if (takes_value && i + 1 < argc) obs_argv.push_back(argv[++i]);
     } else {
       bench_argv.push_back(argv[i]);
     }
@@ -128,11 +139,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const witag::util::Args args(static_cast<int>(obs_argv.size()),
-                               obs_argv.data());
-  witag::obs::RunScope obs_run("micro_sim", args);
-  ObsReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return 0;
+  return witag::util::run_main("micro_sim", static_cast<int>(obs_argv.size()),
+                               obs_argv.data(), bench_main);
 }

@@ -1,5 +1,6 @@
 #include "mac/station.hpp"
 
+#include "obs/obs.hpp"
 #include "util/require.hpp"
 #include <cstddef>
 #include "util/bits.hpp"
@@ -16,6 +17,7 @@ AccessPoint::AccessPoint(MacAddress address, SecurityConfig security)
 
 AccessPoint::PsduResult AccessPoint::receive_psdu(
     std::span<const std::uint8_t> psdu) {
+  WITAG_SPAN_CAT("mac.receive_psdu", "mac");
   PsduResult result;
   std::optional<BlockAck> ba;
 

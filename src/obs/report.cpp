@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stream.hpp"
 #include "obs/trace.hpp"
@@ -117,9 +118,15 @@ RunScope::RunScope(std::string bench, const util::Args& args)
   if (args.has("no-metrics")) metrics_path_.clear();
   trace_path_ = args.get_string("trace-out", "");
   stream_path_ = args.get_string("stream-out", "");
+  ledger_ = args.has("ledger");
+  if (ledger_ && !stream_path_.empty()) {
+    throw std::invalid_argument(
+        "--ledger reads the buffered spans and cannot be combined with "
+        "--stream-out");
+  }
 
   MetricsRegistry::instance().reset();
-  if (!trace_path_.empty() || !stream_path_.empty()) {
+  if (!trace_path_.empty() || !stream_path_.empty() || ledger_) {
     Tracer::instance().clear();
     Tracer::instance().set_enabled(true);
   }
@@ -188,6 +195,12 @@ void RunScope::finish() {
     Tracer::instance().set_enabled(false);
     Tracer::instance().write_file(trace_path_);
     std::cerr << "[obs] trace written to " << trace_path_ << '\n';
+  }
+  if (ledger_) {
+    Tracer::instance().set_enabled(false);
+    const Ledger ledger = build_ledger(Tracer::instance().events());
+    print_ledger(ledger, std::cerr);
+    export_ledger(ledger);
   }
   if (!metrics_path_.empty()) {
     const json::Value doc = build_report(

@@ -21,6 +21,11 @@
 //      --stream-period-ms N  flush period (default 250)
 //      --stream-ring N       per-thread span-ring capacity
 //                            (default 8192; overflow drops oldest)
+//      --ledger              enable tracing (buffered) and, on exit,
+//                            print the exchange ledger (obs/ledger.hpp)
+//                            on stderr and export it as ledger.*
+//                            gauges; not with --stream-out, whose
+//                            flusher drains the spans it reads
 //  * on destruction writes the metrics report:
 //      {"bench": ..., "config": {...}, "wall_ms": ...,
 //       "counters": {...}, "gauges": {...},
@@ -111,6 +116,7 @@ class RunScope {
   std::string metrics_path_;
   std::string trace_path_;
   std::string stream_path_;
+  bool ledger_ = false;
   std::vector<std::pair<std::string, json::Value>> config_;
   std::unique_ptr<TelemetryStreamer> streamer_;
   double start_us_ = 0.0;

@@ -39,21 +39,6 @@ Cx estimate_cpe(const FreqSymbol& rx, const ChannelEstimate& est,
   return Cx{1.0, 0.0};
 }
 
-// FFT-bin index of each data subcarrier, in demap order. Built once;
-// equalize_into gathers through this table every symbol.
-const std::array<unsigned, kFftSize>& data_bin_table() {
-  static const std::array<unsigned, kFftSize> table = [] {
-    std::array<unsigned, kFftSize> t{};
-    const auto sc = data_subcarriers();
-    WITAG_REQUIRE(sc.size() <= kFftSize);
-    for (std::size_t i = 0; i < sc.size(); ++i) {
-      t[i] = bin_index(sc[i]);
-    }
-    return t;
-  }();
-  return table;
-}
-
 }  // namespace
 
 ChannelEstimate estimate_channel(std::span<const FreqSymbol> ltf_rx) {
@@ -100,40 +85,60 @@ EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
   return out;
 }
 
+void plan_equalizer(const ChannelEstimate& est, EqualizerPlan& plan) {
+  const std::span<const unsigned> bins = data_bins();
+  WITAG_REQUIRE(bins.size() == kDataSubcarriers);
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    plan.hr[i] = est.h[bins[i]].real();
+    plan.hi[i] = est.h[bins[i]].imag();
+  }
+  // Loops over the gathered arrays with no branch in them, so the
+  // compiler can run the divides several bins per instruction (the same
+  // IEEE operations per lane). A dead bin's quotient is computed, then
+  // replaced, as the equalize kernel does its points.
+  const double noise_floor = std::max(est.noise_var, 1e-12);
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    plan.gain[i] = plan.hr[i] * plan.hr[i] + plan.hi[i] * plan.hi[i];
+    plan.noise_vars[i] = noise_floor / plan.gain[i];
+  }
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    if (plan.gain[i] < simd::kEqualizeMinGain) {
+      plan.noise_vars[i] = simd::kEqualizeDeadNoise;
+    }
+  }
+}
+
+void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
+                     const EqualizerPlan& plan, std::size_t symbol_index,
+                     bool cpe_correction, double* re, double* im) {
+  const Cx cpe = cpe_correction ? estimate_cpe(rx, est, symbol_index)
+                                : Cx{1.0, 0.0};
+  // Gather the received data bins into stack SoA staging for the
+  // tier-dispatched divide: equalize_points runs once per OFDM symbol
+  // and must not allocate.
+  const std::span<const unsigned> bins = data_bins();
+  alignas(32) std::array<double, kDataSubcarriers> rr, ri;
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    rr[i] = rx[bins[i]].real();
+    ri[i] = rx[bins[i]].imag();
+  }
+  simd::equalize_for(simd::active_tier())(
+      plan.hr.data(), plan.hi.data(), plan.gain.data(), rr.data(), ri.data(),
+      cpe.real(), cpe.imag(), kDataSubcarriers, re, im);
+}
+
 void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
                    std::size_t symbol_index, bool cpe_correction,
                    EqualizedSymbol& out) {
-  WITAG_SPAN_CAT("phy.equalize", "phy");
-  WITAG_COUNT("phy.equalize.calls", 1);
-  const Cx cpe = cpe_correction ? estimate_cpe(rx, est, symbol_index)
-                                : Cx{1.0, 0.0};
-
-  const auto data_sc = data_subcarriers();
-  const std::size_t n = data_sc.size();
-  out.points.resize(n);
-  out.noise_vars.resize(n);
-
-  // Gather h and rx into SoA staging buffers over the data-bin table,
-  // run the tier-dispatched divide, scatter back. The buffers live on
-  // the stack: equalize_into is on the per-symbol hot path and must not
-  // allocate beyond the (capacity-reused) output vectors.
-  const auto& bins = data_bin_table();
-  alignas(32) std::array<double, kFftSize> hr, hi, rr, ri, zr, zi, nv;
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned bin = bins[i];
-    hr[i] = est.h[bin].real();
-    hi[i] = est.h[bin].imag();
-    rr[i] = rx[bin].real();
-    ri[i] = rx[bin].imag();
-  }
-  const double noise_floor = std::max(est.noise_var, 1e-12);
-  simd::equalize_for(simd::active_tier())(hr.data(), hi.data(), rr.data(),
-                                          ri.data(), cpe.real(), cpe.imag(),
-                                          noise_floor, n, zr.data(), zi.data(),
-                                          nv.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    out.points[i] = Cx{zr[i], zi[i]};
-    out.noise_vars[i] = nv[i];
+  EqualizerPlan plan;
+  plan_equalizer(est, plan);
+  alignas(32) std::array<double, kDataSubcarriers> re, im;
+  equalize_points(rx, est, plan, symbol_index, cpe_correction, re.data(),
+                  im.data());
+  out.points.resize(kDataSubcarriers);
+  out.noise_vars.assign(plan.noise_vars.begin(), plan.noise_vars.end());
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    out.points[i] = Cx{re[i], im[i]};
   }
 }
 

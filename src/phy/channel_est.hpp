@@ -9,10 +9,12 @@
 // per-subcarrier error the tag induces.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 #include <cstddef>
 
+#include "phy/mcs.hpp"
 #include "phy/ofdm.hpp"
 #include "util/complexvec.hpp"
 
@@ -36,6 +38,30 @@ struct EqualizedSymbol {
   std::vector<double> noise_vars;  ///< Post-equalization noise per point.
 };
 
+/// The equalizer's per-estimate terms over the 52 data subcarriers, in
+/// demap order: the estimate h as parallel arrays, its gain |h|^2 and
+/// each bin's post-equalization noise variance max(noise_var, 1e-12) /
+/// |h|^2 (simd::kEqualizeDeadNoise on a dead bin). None of them changes
+/// within a field, so the receiver builds one plan per field and then
+/// only runs equalize_points() per symbol.
+struct EqualizerPlan {
+  alignas(32) std::array<double, kDataSubcarriers> hr;
+  alignas(32) std::array<double, kDataSubcarriers> hi;
+  alignas(32) std::array<double, kDataSubcarriers> gain;
+  alignas(32) std::array<double, kDataSubcarriers> noise_vars;
+};
+
+/// Fills every entry of `plan` from `est`.
+void plan_equalizer(const ChannelEstimate& est, EqualizerPlan& plan);
+
+/// Equalizes the data points of one received symbol into `re` and `im`
+/// (kDataSubcarriers each): the pilot-based common phase error when
+/// `cpe_correction` is set, then the phy::simd equalize kernel over
+/// `plan` (bit-identical at every dispatch tier). No allocation.
+void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
+                     const EqualizerPlan& plan, std::size_t symbol_index,
+                     bool cpe_correction, double* re, double* im);
+
 /// Equalizes a received data symbol: divides by the channel estimate,
 /// optionally removes common phase error using the pilots, and reports
 /// the per-subcarrier post-equalization noise variance (noise_var/|h|^2)
@@ -44,15 +70,15 @@ EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
                          std::size_t symbol_index, bool cpe_correction = true);
 
 /// Allocation-reusing variant: writes into `out` (vectors resized;
-/// capacity reused). The hot decode path threads one EqualizedSymbol
-/// through phy::DecodeScratch so per-symbol buffers persist.
+/// capacity reused). It plans the estimate and runs equalize_points();
+/// the receiver itself plans once per field instead
+/// (detail::field_llrs_into).
 ///
-/// The per-subcarrier divide runs through the phy::simd equalize kernel
-/// (bit-identical at every dispatch tier): points are computed as
-/// y * conj(h) / |h|^2 in separable real arithmetic instead of the
-/// reference's std::complex division (libgcc's scaled Smith algorithm).
-/// The two agree to ~1 ULP on finite channels — see
-/// detail::equalize_reference and the parity test in test_simd.cpp.
+/// The per-subcarrier divide computes points as y * conj(h) / |h|^2 in
+/// separable real arithmetic instead of the reference's std::complex
+/// division (libgcc's scaled Smith algorithm). The two agree to ~1 ULP
+/// on finite channels — see detail::equalize_reference and the parity
+/// test in test_simd.cpp.
 void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
                    std::size_t symbol_index, bool cpe_correction,
                    EqualizedSymbol& out);

@@ -124,7 +124,13 @@ simd::DemapAxes make_axes(Modulation mod) {
   return ax;
 }
 
-const simd::DemapAxes& axes_for(Modulation mod) {
+}  // namespace
+
+std::span<const Cx> constellation_points(Modulation mod) {
+  return table_for(mod);
+}
+
+const simd::DemapAxes& demap_axes(Modulation mod) {
   static const std::array<simd::DemapAxes, 4> axes{
       make_axes(Modulation::kBpsk), make_axes(Modulation::kQpsk),
       make_axes(Modulation::kQam16), make_axes(Modulation::kQam64)};
@@ -136,12 +142,6 @@ const simd::DemapAxes& axes_for(Modulation mod) {
   }
   WITAG_ENSURE(false);
   return axes[0];
-}
-
-}  // namespace
-
-std::span<const Cx> constellation_points(Modulation mod) {
-  return table_for(mod);
 }
 
 CxVec map_bits(std::span<const std::uint8_t> bits, Modulation mod) {
@@ -199,7 +199,7 @@ void demap_soft_into(std::span<const Cx> points, Modulation mod,
                      std::span<const double> noise_vars,
                      std::vector<double>& out) {
   WITAG_REQUIRE(points.size() == noise_vars.size());
-  const simd::DemapAxes& ax = axes_for(mod);
+  const simd::DemapAxes& ax = demap_axes(mod);
   out.resize(points.size() * ax.n_bits);
   const simd::DemapBlockFn kernel =
       simd::demap_block_for(simd::active_tier());

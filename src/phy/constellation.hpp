@@ -14,6 +14,10 @@
 
 namespace witag::phy {
 
+namespace simd {
+struct DemapAxes;
+}  // namespace simd
+
 /// Maps `bits` (group of n_bpsc per point, first bit = I-axis LSB-first
 /// per the standard's bit ordering) to constellation points.
 /// Requires bits.size() to be a multiple of bits_per_symbol(mod).
@@ -47,6 +51,10 @@ void demap_soft_into(std::span<const util::Cx> points, Modulation mod,
 /// The (normalized) points of a constellation in bit-pattern order:
 /// entry i is the point whose bits, LSB-first, encode i.
 std::span<const util::Cx> constellation_points(Modulation mod);
+
+/// The per-axis view of a constellation that the phy::simd demap
+/// kernels take (simd::DemapAxes), built once per modulation.
+const simd::DemapAxes& demap_axes(Modulation mod);
 
 namespace detail {
 

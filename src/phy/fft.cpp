@@ -190,13 +190,11 @@ std::size_t fft_plan_count() {
 }  // namespace detail
 
 void fft_inplace(std::span<Cx> data) {
-  WITAG_SPAN_CAT("phy.fft", "phy");
   WITAG_COUNT("phy.fft.calls", 1);
   transform(data, false);
 }
 
 void ifft_inplace(std::span<Cx> data) {
-  WITAG_SPAN_CAT("phy.ifft", "phy");
   WITAG_COUNT("phy.ifft.calls", 1);
   transform(data, true);
 }

@@ -114,7 +114,6 @@ FreqSymbol from_time(std::span<const Cx> samples) {
 
 void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
                   std::span<Cx> out) {
-  WITAG_SPAN_CAT("phy.ofdm.to_time", "phy");
   WITAG_COUNT("phy.ofdm.to_time.calls", 1);
   WITAG_REQUIRE(out.size() == kSamplesPerSymbol);
   work.assign(symbol.begin(), symbol.end());
@@ -126,7 +125,6 @@ void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
 
 void from_time_into(std::span<const Cx> samples, util::CxVec& work,
                     FreqSymbol& out) {
-  WITAG_SPAN_CAT("phy.ofdm.from_time", "phy");
   WITAG_COUNT("phy.ofdm.from_time.calls", 1);
   WITAG_REQUIRE(samples.size() == kSamplesPerSymbol);
   work.assign(samples.begin() + kCpLen, samples.end());

@@ -12,20 +12,28 @@ constexpr std::size_t kFieldBits = 24;  // mcs(7) + length(16) + reserved(1)
 }  // namespace
 
 util::BitVec encode_sig(const HtSig& sig) {
+  const std::array<std::uint8_t, kSigBits> bits = encode_sig_bits(sig);
+  return util::BitVec(bits.begin(), bits.end());
+}
+
+std::array<std::uint8_t, kSigBits> encode_sig_bits(const HtSig& sig) {
   WITAG_REQUIRE(sig.mcs_index < 128);
   WITAG_REQUIRE(sig.length < 65536);
-
-  util::BitWriter w;
-  w.write(sig.mcs_index, 7);
-  w.write(sig.length, 16);
-  w.write_bit(false);  // reserved
-
-  const util::ByteVec packed = util::bits_to_bytes(w.bits());
-  w.write(util::crc8(packed), 8);
-  w.write(0, 6);  // tail bits terminate the SIG's own trellis segment
-
-  util::BitVec bits = w.take();
-  bits.resize(kSigBits, 0);
+  // The fields LSB-first: mcs (7 bits), length (16), reserved (1, 0).
+  const auto fields = static_cast<std::uint32_t>(
+      sig.mcs_index | sig.length << 7);
+  // Their CRC-8 over the three bytes they pack into, LSB-first.
+  const std::array<std::uint8_t, 3> packed{
+      static_cast<std::uint8_t>(fields), static_cast<std::uint8_t>(fields >> 8),
+      static_cast<std::uint8_t>(fields >> 16)};
+  const std::uint32_t word = fields | std::uint32_t{util::crc8(packed)}
+                                          << kFieldBits;
+  // The 6 tail bits, which terminate the SIG's own trellis segment, and
+  // the pad stay zero.
+  std::array<std::uint8_t, kSigBits> bits{};
+  for (std::size_t i = 0; i < kFieldBits + 8; ++i) {
+    bits[i] = static_cast<std::uint8_t>(word >> i & 1u);
+  }
   return bits;
 }
 

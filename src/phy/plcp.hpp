@@ -4,6 +4,7 @@
 // HT-SIG1/HT-SIG2 (field layout simplified; see DESIGN.md).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -31,6 +32,10 @@ inline constexpr std::size_t kSigSymbols = 2;
 /// Serializes the SIG to its 52 uncoded bits (fields + CRC-8 + tail +
 /// zero pad). Requires mcs_index < 128 and length < 65536.
 util::BitVec encode_sig(const HtSig& sig);
+
+/// encode_sig() into a fixed-size array, which the transmitter encodes
+/// without a heap allocation.
+std::array<std::uint8_t, kSigBits> encode_sig_bits(const HtSig& sig);
 
 /// Parses 52 decoded bits back to a SIG; nullopt when the CRC fails.
 std::optional<HtSig> decode_sig(std::span<const std::uint8_t> bits);

@@ -62,6 +62,16 @@ std::vector<std::uint16_t> gather_table_for(const McsParams& m) {
   return table;
 }
 
+// The MCS a field's modulation and code rate name (the SIG field is
+// MCS0's BPSK at rate 1/2).
+unsigned mcs_index_for(Modulation mod, CodeRate rate) {
+  for (unsigned i = 0; i < kNumMcs; ++i) {
+    if (mcs(i).modulation == mod && mcs(i).rate == rate) return i;
+  }
+  WITAG_REQUIRE(false);
+  return 0;
+}
+
 // Encodes `bits` (scrambled where applicable), whole symbols at MCS
 // `m`, into OFDM symbols appended to `out`: the A and B streams into the
 // thread's coded buffer, then each symbol in place through the MCS's
@@ -109,8 +119,9 @@ void encode_field(std::span<const std::uint8_t> bits, const McsParams& m,
   WITAG_ENSURE(false);
 }
 
-// Inverse of encode_field: equalize, soft-demap and deinterleave each
-// symbol, then depuncture and Viterbi-decode the concatenated stream.
+// Inverse of encode_field: equalize, demap and quantize each symbol,
+// then place the soft bits through the transmitter's table and
+// Viterbi-decode the field.
 void decode_field(std::span<const FreqSymbol> symbols,
                   const ChannelEstimate& est, Modulation mod, CodeRate rate,
                   std::size_t first_symbol_index, bool cpe_correction,
@@ -197,45 +208,65 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,
                      DecodeScratch& scratch) {
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(mod);
+  WITAG_COUNT("phy.equalize.calls", symbols.size());
+  const simd::DemapAxes& ax = demap_axes(mod);
+  const std::size_t n_cbps = std::size_t{kDataSubcarriers} * ax.n_bits;
   const double scale = llr_scale(est, mod);
-  const simd::QuantizeFn quantize = simd::quantize_for(simd::active_tier());
-  std::array<std::int8_t, kMaxCodedBitsPerSymbol> quantized{};
-  const std::span<const std::int8_t> symbol(quantized.data(), n_cbps);
+  EqualizerPlan plan;
+  plan_equalizer(est, plan);
+  if (!symbols.empty()) {
+    for (const double nv : plan.noise_vars) WITAG_REQUIRE(nv > 0.0);
+  }
+  const simd::DemapQuantizeFn demap =
+      simd::demap_quantize_for(simd::active_tier());
+  scratch.modulation = mod;
   // resize, not assign: every slot is written below, one symbol's
-  // deinterleaved LLRs at a time.
+  // air-order LLRs at a time.
   scratch.llrs.resize(symbols.size() * n_cbps);
-  const std::span<std::int8_t> field(scratch.llrs);
+  alignas(32) std::array<double, kDataSubcarriers> re, im;
   for (std::size_t s = 0; s < symbols.size(); ++s) {
-    equalize_into(symbols[s], est, first_symbol_index + s, cpe_correction,
-                  scratch.eq);
-    demap_soft_into(scratch.eq.points, mod, scratch.eq.noise_vars,
-                    scratch.sym_llrs);
-    quantize(scratch.sym_llrs.data(), n_cbps, scale, quantized.data());
-    deinterleave_llrs_into(symbol, mod, field.subspan(s * n_cbps, n_cbps));
+    equalize_points(symbols[s], est, plan, first_symbol_index + s,
+                    cpe_correction, re.data(), im.data());
+    demap(re.data(), im.data(), plan.noise_vars.data(), kDataSubcarriers, ax,
+          scale, scratch.llrs.data() + s * n_cbps);
   }
 }
 
 void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
                           DecodeScratch& scratch) {
-  const auto frac = rate_fraction(rate);
-  // llrs.size() punctured bits carry llrs.size() * num / den info bits at
-  // the mother rate.
-  const std::size_t n_info = scratch.llrs.size() * frac.num / frac.den;
-  depuncture_into(scratch.llrs, rate, 2 * n_info, scratch.mother);
+  const McsParams& m = mcs(mcs_index_for(scratch.modulation, rate));
+  const std::span<const std::uint16_t> table = tx_gather_table(m.index);
+  WITAG_REQUIRE(scratch.llrs.size() % m.n_cbps == 0);
+  const std::size_t n_sym = scratch.llrs.size() / m.n_cbps;
+  // Each symbol carries n_dbps information bits, 2 * n_dbps mother-rate
+  // LLRs: those its table names, and erasures where the puncturer cut.
+  const std::size_t span = 2 * std::size_t{m.n_dbps};
+  std::size_t n_info = n_sym * m.n_dbps;
   if (n_info_bits != 0) {
     WITAG_REQUIRE(n_info_bits <= n_info);
-    scratch.mother.resize(2 * n_info_bits);
+    n_info = n_info_bits;
   }
+  // Only the symbols that hold the first n_info bits are placed.
+  const std::size_t placed = (2 * n_info + span - 1) / span;
+  scratch.mother.resize(placed * span);
+  std::int8_t* mother = scratch.mother.data();
+  if (rate != CodeRate::kHalf) {
+    std::fill(scratch.mother.begin(), scratch.mother.end(), std::int8_t{0});
+  }
+  const std::int8_t* llrs = scratch.llrs.data();
+  for (std::size_t s = 0; s < placed; ++s) {
+    const std::int8_t* in = llrs + s * m.n_cbps;
+    std::int8_t* out = mother + s * span;
+    for (std::size_t j = 0; j < table.size(); ++j) out[table[j]] = in[j];
+  }
+  scratch.mother.resize(2 * n_info);
   viterbi_decode(scratch.mother, scratch.viterbi, scratch.bits);
 }
 
 }  // namespace detail
 
 std::size_t DecodeScratch::capacity_bytes() const {
-  return viterbi.capacity_bytes() + vec_capacity_bytes(eq.points) +
-         vec_capacity_bytes(eq.noise_vars) + vec_capacity_bytes(sym_llrs) +
-         vec_capacity_bytes(llrs) +
+  return viterbi.capacity_bytes() + vec_capacity_bytes(llrs) +
          vec_capacity_bytes(mother) + vec_capacity_bytes(bits) +
          vec_capacity_bytes(plain) + vec_capacity_bytes(symbols) +
          vec_capacity_bytes(fft_work);
@@ -276,7 +307,7 @@ void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
   for (std::size_t i = 0; i < kLtfSlots; ++i) ppdu.symbols.push_back(ltf_symbol());
 
   // SIG field: BPSK rate 1/2, symbol indices 0..1 for pilot polarity.
-  encode_field(encode_sig(ppdu.sig), mcs(0), 0, ppdu.symbols);
+  encode_field(encode_sig_bits(ppdu.sig), mcs(0), 0, ppdu.symbols);
   WITAG_ENSURE(ppdu.symbols.size() == kHeaderSlots);
 
   // DATA field: service + PSDU + tail, padded to whole symbols, written
@@ -313,7 +344,7 @@ RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
 
 void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
                   DecodeScratch& scratch, RxResult& out) {
-  WITAG_SPAN_CAT("phy.receive", "phy");
+  WITAG_SPAN_CAT("phy.rx_front", "phy");
   const std::size_t capacity_before = scratch.capacity_bytes();
   decode_ppdu(symbols, cfg, scratch, out);
   // Counted after every decode, a dropped header or a truncated capture

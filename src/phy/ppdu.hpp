@@ -37,10 +37,11 @@ namespace witag::phy {
 /// phy::BatchDecoder (phy/batch.hpp).
 struct DecodeScratch {
   ViterbiWorkspace viterbi;
-  EqualizedSymbol eq;              ///< Per-symbol equalizer output.
-  std::vector<double> sym_llrs;    ///< Per-symbol soft demap output.
-  std::vector<std::int8_t> llrs;   ///< Quantized field LLRs, slot/symbol.
-  std::vector<std::int8_t> mother; ///< Depunctured mother-rate LLRs.
+  /// The last field's modulation: with the back half's code rate it
+  /// names the MCS whose table places the LLRs.
+  Modulation modulation = Modulation::kBpsk;
+  std::vector<std::int8_t> llrs;   ///< Quantized field LLRs, air order.
+  std::vector<std::int8_t> mother; ///< Mother-rate LLRs, erasures 0.
   util::BitVec bits;               ///< Viterbi output bits.
   util::BitVec plain;              ///< Descrambled field bits.
   std::vector<FreqSymbol> symbols; ///< receive_samples staging.
@@ -110,10 +111,10 @@ struct RxResult {
 /// Decodes a received symbol timeline (same layout as TxPpdu::symbols)
 /// into `out`, reusing the buffers of `scratch` and `out`. This is the
 /// one receive pipeline: channel estimate, SIG, then the data field
-/// through equalize, soft demap, deinterleave, depuncture, Viterbi and
-/// descramble. Every field of `out` is overwritten, so a result reused
-/// across PPDUs never keeps a stale header. Requires at least the
-/// header slots.
+/// (each field through detail::field_llrs_into and
+/// detail::field_bits_from_llrs), then descramble. Every field of `out`
+/// is overwritten, so a result reused across PPDUs never keeps a stale
+/// header. Requires at least the header slots.
 void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
                   DecodeScratch& scratch, RxResult& out);
 
@@ -144,6 +145,7 @@ namespace detail {
 /// n_cbps is the mother-rate position 2i + stream (A = 0, B = 1) of the
 /// coded bit put on data subcarrier j / n_bpsc as bit j % n_bpsc, i the
 /// input bit within the symbol. Symbol s uses it at input bit s * n_dbps.
+/// The receiver places its soft bits through the same table.
 std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index);
 
 /// What a clean weakest bit on an average-gain subcarrier quantizes to.
@@ -155,20 +157,26 @@ inline constexpr double kLlrFullScale = 32.0;
 /// mean_gain <= simd::kEqualizeMinGain (nothing to decode).
 double llr_scale(const ChannelEstimate& est, Modulation mod);
 
-/// Front half of a field decode: equalize, soft-demap, quantize at the
-/// field's llr_scale() and deinterleave each symbol straight into its
-/// slot of `scratch.llrs` (resized to the field). receive_into() runs
-/// this and the back half below once per field; they are exposed so a
-/// profiler can time each half.
+/// Front half of a field decode, one pass per OFDM symbol: the
+/// equalizer's plan is built once for the field, then each symbol is
+/// equalized (points only) and demapped and quantized at the field's
+/// llr_scale() in one kernel (simd::demap_quantize_for), straight into
+/// its slot of `scratch.llrs` in air order (resized to the field).
+/// Records `mod` in `scratch.modulation`. receive_into() runs this and
+/// the back half below once per field; they are exposed so a profiler
+/// can time each half.
 void field_llrs_into(std::span<const FreqSymbol> symbols,
                      const ChannelEstimate& est, Modulation mod,
                      std::size_t first_symbol_index, bool cpe_correction,
                      DecodeScratch& scratch);
 
-/// Back half: depunctures `scratch.llrs` at `rate`, truncates to
-/// `n_info_bits` information bits (0 = decode everything; the data
-/// field stops at the tail where the trellis terminates) and
-/// Viterbi-decodes into `scratch.bits`.
+/// Back half: places each of `scratch.llrs` at its mother-rate position
+/// in `scratch.mother` through the tx_gather_table() of the MCS with
+/// `scratch.modulation` and `rate`, zeroes the erasures the puncturer
+/// made, truncates to `n_info_bits` information bits (0 = decode
+/// everything; the data field stops at the tail where the trellis
+/// terminates) and Viterbi-decodes into `scratch.bits`. The table's one
+/// pass replaces a deinterleave per symbol and a depuncture per field.
 void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
                           DecodeScratch& scratch);
 

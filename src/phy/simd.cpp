@@ -104,82 +104,95 @@ void acs_block_scalar(const std::int8_t* llrs, std::size_t n_steps,
   if (cur != metrics) std::copy(cur, cur + kNumStates, metrics);
 }
 
-void demap_block_scalar(const double* re, const double* im, const double* nv,
-                        std::size_t count, const DemapAxes& ax, double* out) {
+// Max-log LLRs of one point: per-axis squared distances, their minima
+// overall and split by each index bit, then the I-part + Q-part
+// addition and final division of the reference's (min1 - min0) /
+// noise_var over full distances. The demap math of the scalar tier;
+// its two kernels below differ only in the store.
+void demap_point_scalar(double yr, double yi, double noise_var,
+                        const DemapAxes& ax, double* llr) {
   const unsigned ni = 1u << ax.i_bits;
   const unsigned nq = 1u << ax.q_bits;  // q_bits == 0 -> one level (0.0)
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < count; ++p) {
-    const double yr = re[p];
-    const double yi = im[p];
-    const double noise_var = nv[p];
-    // Squared per-axis distances: the same subtract and multiply the
-    // reference performs inside std::norm(y - table[i]).
-    double di2[8];
-    double dq2[8];
-    for (unsigned j = 0; j < ni; ++j) {
-      const double d = yr - ax.i_levels[j];
-      di2[j] = d * d;
-    }
-    for (unsigned q = 0; q < nq; ++q) {
-      const double d = yi - ax.q_levels[q];
-      dq2[q] = d * d;
-    }
-    // Per-axis minima, overall and split by each index bit.
-    double min_i = kInf, min_q = kInf;
-    double min0_i[4], min1_i[4], min0_q[4], min1_q[4];
-    for (unsigned b = 0; b < ax.i_bits; ++b) min0_i[b] = min1_i[b] = kInf;
-    for (unsigned b = 0; b < ax.q_bits; ++b) min0_q[b] = min1_q[b] = kInf;
-    for (unsigned j = 0; j < ni; ++j) {
-      min_i = std::min(min_i, di2[j]);
-      for (unsigned b = 0; b < ax.i_bits; ++b) {
-        if ((j >> b) & 1u) {
-          min1_i[b] = std::min(min1_i[b], di2[j]);
-        } else {
-          min0_i[b] = std::min(min0_i[b], di2[j]);
-        }
-      }
-    }
-    for (unsigned q = 0; q < nq; ++q) {
-      min_q = std::min(min_q, dq2[q]);
-      for (unsigned b = 0; b < ax.q_bits; ++b) {
-        if ((q >> b) & 1u) {
-          min1_q[b] = std::min(min1_q[b], dq2[q]);
-        } else {
-          min0_q[b] = std::min(min0_q[b], dq2[q]);
-        }
-      }
-    }
-    // Max-log LLRs, same I-part + Q-part addition and final division as
-    // the reference's (min1 - min0) / noise_var over full distances.
-    double* llr = out + p * ax.n_bits;
+  // Squared per-axis distances: the same subtract and multiply the
+  // reference performs inside std::norm(y - table[i]).
+  double di2[8];
+  double dq2[8];
+  for (unsigned j = 0; j < ni; ++j) {
+    const double d = yr - ax.i_levels[j];
+    di2[j] = d * d;
+  }
+  for (unsigned q = 0; q < nq; ++q) {
+    const double d = yi - ax.q_levels[q];
+    dq2[q] = d * d;
+  }
+  double min_i = kInf, min_q = kInf;
+  double min0_i[4], min1_i[4], min0_q[4], min1_q[4];
+  for (unsigned b = 0; b < ax.i_bits; ++b) min0_i[b] = min1_i[b] = kInf;
+  for (unsigned b = 0; b < ax.q_bits; ++b) min0_q[b] = min1_q[b] = kInf;
+  for (unsigned j = 0; j < ni; ++j) {
+    min_i = std::min(min_i, di2[j]);
     for (unsigned b = 0; b < ax.i_bits; ++b) {
-      llr[b] = ((min1_i[b] + min_q) - (min0_i[b] + min_q)) / noise_var;
+      if ((j >> b) & 1u) {
+        min1_i[b] = std::min(min1_i[b], di2[j]);
+      } else {
+        min0_i[b] = std::min(min0_i[b], di2[j]);
+      }
     }
+  }
+  for (unsigned q = 0; q < nq; ++q) {
+    min_q = std::min(min_q, dq2[q]);
     for (unsigned b = 0; b < ax.q_bits; ++b) {
-      llr[ax.i_bits + b] =
-          ((min_i + min1_q[b]) - (min_i + min0_q[b])) / noise_var;
+      if ((q >> b) & 1u) {
+        min1_q[b] = std::min(min1_q[b], dq2[q]);
+      } else {
+        min0_q[b] = std::min(min0_q[b], dq2[q]);
+      }
+    }
+  }
+  for (unsigned b = 0; b < ax.i_bits; ++b) {
+    llr[b] = ((min1_i[b] + min_q) - (min0_i[b] + min_q)) / noise_var;
+  }
+  for (unsigned b = 0; b < ax.q_bits; ++b) {
+    llr[ax.i_bits + b] =
+        ((min_i + min1_q[b]) - (min_i + min0_q[b])) / noise_var;
+  }
+}
+
+void demap_block_scalar(const double* re, const double* im, const double* nv,
+                        std::size_t count, const DemapAxes& ax, double* out) {
+  for (std::size_t p = 0; p < count; ++p) {
+    demap_point_scalar(re[p], im[p], nv[p], ax, out + p * ax.n_bits);
+  }
+}
+
+void demap_quantize_scalar(const double* re, const double* im,
+                           const double* nv, std::size_t count,
+                           const DemapAxes& ax, double scale,
+                           std::int8_t* out) {
+  double llr[8];
+  for (std::size_t p = 0; p < count; ++p) {
+    demap_point_scalar(re[p], im[p], nv[p], ax, llr);
+    for (unsigned b = 0; b < ax.n_bits; ++b) {
+      out[p * ax.n_bits + b] = quantize_llr(llr[b], scale);
     }
   }
 }
 
 void equalize_block_scalar(const double* hr, const double* hi,
-                           const double* rr, const double* ri, double cr,
-                           double ci, double noise_floor, std::size_t count,
-                           double* zr, double* zi, double* nv) {
+                           const double* g, const double* rr,
+                           const double* ri, double cr, double ci,
+                           std::size_t count, double* zr, double* zi) {
   for (std::size_t i = 0; i < count; ++i) {
-    const double g = hr[i] * hr[i] + hi[i] * hi[i];
     const double yr = rr[i] * cr + ri[i] * ci;
     const double yi = ri[i] * cr - rr[i] * ci;
     // Compute-then-select, exactly like the vector blend: a dead bin's
     // quotient is produced (possibly NaN) and discarded.
-    const double qr = (yr * hr[i] + yi * hi[i]) / g;
-    const double qi = (yi * hr[i] - yr * hi[i]) / g;
-    const double qn = noise_floor / g;
-    const bool dead = g < kEqualizeMinGain;
+    const double qr = (yr * hr[i] + yi * hi[i]) / g[i];
+    const double qi = (yi * hr[i] - yr * hi[i]) / g[i];
+    const bool dead = g[i] < kEqualizeMinGain;
     zr[i] = dead ? 0.0 : qr;
     zi[i] = dead ? 0.0 : qi;
-    nv[i] = dead ? kEqualizeDeadNoise : qn;
   }
 }
 
@@ -263,10 +276,13 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                     std::uint64_t* decisions, std::int16_t* metrics);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv);
+void demap_quantize_avx2(const double* re, const double* im, const double* nv,
+                         std::size_t count, const DemapAxes& ax, double scale,
+                         std::int8_t* out);
+void equalize_block_avx2(const double* hr, const double* hi, const double* g,
+                         const double* rr, const double* ri, double cr,
+                         double ci, std::size_t count, double* zr,
+                         double* zi);
 void quantize_avx2(const double* in, std::size_t n, double scale,
                    std::int8_t* out);
 void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
@@ -348,6 +364,10 @@ AcsBlockFn acs_block_for(Tier t) {
 
 DemapBlockFn demap_block_for(Tier t) {
   return use_avx2(t) ? kernels::demap_block_avx2 : demap_block_scalar;
+}
+
+DemapQuantizeFn demap_quantize_for(Tier t) {
+  return use_avx2(t) ? kernels::demap_quantize_avx2 : demap_quantize_scalar;
 }
 
 EqualizeFn equalize_for(Tier t) {

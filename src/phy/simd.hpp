@@ -1,6 +1,7 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft demap, equalize, LLR
-// quantize, deinterleave, radix-4 FFT passes) and one non-PHY kernel,
+// kernels (Viterbi add-compare-select, soft demap with or without the
+// LLR quantizer, equalize, LLR quantize, deinterleave, radix-4 FFT
+// passes) and one non-PHY kernel,
 // CCMP's AES block cipher. There are three tiers: the portable scalar
 // kernels; AVX2 + AES-NI, with a kernel for each of those; and
 // AVX-512 (F + BW), which carries one kernel of its own, a
@@ -145,6 +146,22 @@ using DemapBlockFn = void (*)(const double* re, const double* im,
 /// The demap kernel for a tier (always non-null).
 DemapBlockFn demap_block_for(Tier t);
 
+/// The receiver's demap: the same LLRs, each quantized as
+/// quantize_llr(llr, scale), so out[p * n_bits + b] holds point p's bit b
+/// in air order (before deinterleaving). Per tier it shares the demap
+/// math with demap_block_for's kernel and differs only in the store. A
+/// vector tier may take the per-axis minima in any order: a point's
+/// squared distances on one axis are either all >= +0, where min is
+/// exact in any order, or all NaN, and a NaN LLR quantizes to 127
+/// whichever NaN it is.
+using DemapQuantizeFn = void (*)(const double* re, const double* im,
+                                 const double* nv, std::size_t count,
+                                 const DemapAxes& ax, double scale,
+                                 std::int8_t* out);
+
+/// The demap-and-quantize kernel for a tier (always non-null).
+DemapQuantizeFn demap_quantize_for(Tier t);
+
 // ---------------------------------------------------------------------
 // Equalize (separable complex divide over gathered data subcarriers).
 // ---------------------------------------------------------------------
@@ -154,30 +171,33 @@ DemapBlockFn demap_block_for(Tier t);
 inline constexpr double kEqualizeMinGain = 1e-18;
 inline constexpr double kEqualizeDeadNoise = 1e18;
 
-/// Equalizes `count` data points given as parallel arrays: channel
-/// estimate (hr/hi), received points (rr/ri), the common-phase-error
-/// rotation (cr, ci) and the noise floor max(noise_var, 1e-12). Writes
-/// equalized points (zr/zi) and post-equalization noise variances (nv).
-/// Per point, in this exact association (every tier performs the same
-/// IEEE-754 operations, so all tiers are bit-identical):
-///   g  = hr*hr + hi*hi
+/// Equalizes `count` data points given as parallel arrays: the channel
+/// estimate (hr/hi) and its gain g = hr*hr + hi*hi, both fixed for the
+/// field, the received points (rr/ri) and the common-phase-error
+/// rotation (cr, ci). Writes the equalized points (zr/zi). Per point,
+/// in this exact association (every tier performs the same IEEE-754
+/// operations, so all tiers are bit-identical):
 ///   yr = rr*cr + ri*ci          (rx * conj(cpe))
 ///   yi = ri*cr - rr*ci
 ///   zr = (yr*hr + yi*hi) / g    (y * conj(h) / |h|^2)
 ///   zi = (yi*hr - yr*hi) / g
-///   nv = noise_floor / g
-/// with g < kEqualizeMinGain selecting {0, 0, kEqualizeDeadNoise}.
+/// with g < kEqualizeMinGain selecting {0, 0}. The post-equalization
+/// noise variance, noise_floor / g (kEqualizeDeadNoise for a dead bin),
+/// does not change within a field, so the field's plan holds it
+/// (phy::EqualizerPlan).
 using EqualizeFn = void (*)(const double* hr, const double* hi,
-                            const double* rr, const double* ri, double cr,
-                            double ci, double noise_floor, std::size_t count,
-                            double* zr, double* zi, double* nv);
+                            const double* g, const double* rr,
+                            const double* ri, double cr, double ci,
+                            std::size_t count, double* zr, double* zi);
 
 /// The equalize kernel for a tier (always non-null).
 EqualizeFn equalize_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Quantize (double LLRs to int8 soft bits) and deinterleave (a pure
-// byte permutation of them).
+// byte permutation of them). The receiver quantizes inside
+// demap_quantize_for's kernel and places its soft bits through the
+// transmitter's table, so only tests and micro benches run these two.
 // ---------------------------------------------------------------------
 
 /// Quantizes one LLR: v = llr * scale, clamped to [-127, 127] as

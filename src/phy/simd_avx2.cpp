@@ -1,8 +1,9 @@
 // AVX2 + AES-NI tier: the int16 Viterbi add-compare-select (sixteen
 // metrics per vector), the int8 deinterleave gather, the AES-NI block
 // cipher and, four doubles / two complex doubles per vector, the
-// separable soft demap, the equalizer, the LLR quantizer and the fused
-// radix-4 FFT passes. This TU is compiled with -mavx2 -maes (and
+// separable soft demap (with a double or a quantized int8 store), the
+// equalizer, the LLR quantizer and the fused radix-4 FFT passes. This
+// TU is compiled with -mavx2 -maes (and
 // deliberately WITHOUT -mfma: the scalar code the double kernels must
 // match bit for bit is built with no contraction, so the kernels stick
 // to packed mul/add/sub — an FMA here would round differently). When
@@ -13,7 +14,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 
 #include "phy/trellis.hpp"
 
@@ -23,6 +23,7 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
+#include <type_traits>
 #endif
 
 namespace witag::phy::simd::kernels {
@@ -135,14 +136,13 @@ namespace {
 
 // The demap loops below all have compile-time trip counts, but -O2 (the
 // default RelWithDebInfo build) does not unroll them completely on its
-// own; `#pragma GCC unroll` does, which is what lets the per-bit minima
-// and the LLR transpose live in registers instead of on the stack.
+// own; `#pragma GCC unroll` does, and always_inline keeps each helper
+// inside its kernel's loop, which is what lets the per-bit minima and
+// the LLRs live in registers instead of on the stack.
 
-/// One axis of the separable demap, four points at a time: the squared
-/// distances from y to the axis's 2^Bits levels reduced to their overall
-/// minimum and, per index bit, the minima over the levels with that bit
-/// clear (zero) and set (one). The scalar kernel's per-axis loop, in its
-/// order.
+/// One axis of the separable demap, four points at a time: the minimum
+/// of the axis's 2^Bits squared distances and, per index bit, the minima
+/// over the levels with that bit clear (zero) and set (one).
 template <unsigned Bits>
 struct AxisMinima {
   __m256d all;
@@ -150,82 +150,225 @@ struct AxisMinima {
   __m256d one[Bits > 0 ? Bits : 1];
 };
 
+/// Minimum of v[0 .. N) as a balanced tree of N - 1 mins.
+template <unsigned N>
+[[gnu::always_inline]]
+inline __m256d min_reduce(const __m256d* v) {
+  if constexpr (N == 1) {
+    return v[0];
+  } else {
+    return _mm256_min_pd(min_reduce<N / 2>(v), min_reduce<N / 2>(v + N / 2));
+  }
+}
+
+/// The per-bit minima of sq[0 .. 2^Bits) as one shared min tree: levels
+/// 2k and 2k + 1 differ only in bit 0, so their pairwise minima are the
+/// same problem one bit smaller for bits 1 and up, and bit 0 reduces the
+/// even and the odd levels. 15 mins for 64-QAM's eight levels, where a
+/// running minimum per set takes 32. Exact in any order (simd.hpp,
+/// DemapQuantizeFn).
 template <unsigned Bits>
-inline AxisMinima<Bits> axis_minima(__m256d y,
-                                    const std::array<double, 8>& levels,
-                                    __m256d inf) {
+[[gnu::always_inline]]
+inline AxisMinima<Bits> minima_tree(const __m256d* sq) {
   AxisMinima<Bits> m;
-  m.all = inf;
-#pragma GCC unroll 8
-  for (unsigned b = 0; b < Bits; ++b) m.zero[b] = m.one[b] = inf;
-#pragma GCC unroll 8
-  for (unsigned j = 0; j < (1u << Bits); ++j) {
-    const __m256d d = _mm256_sub_pd(y, _mm256_set1_pd(levels[j]));
-    const __m256d sq = _mm256_mul_pd(d, d);
-    m.all = _mm256_min_pd(m.all, sq);
-#pragma GCC unroll 8
-    for (unsigned b = 0; b < Bits; ++b) {
-      if ((j >> b) & 1u) {
-        m.one[b] = _mm256_min_pd(m.one[b], sq);
-      } else {
-        m.zero[b] = _mm256_min_pd(m.zero[b], sq);
-      }
+  if constexpr (Bits == 0) {
+    m.all = sq[0];
+  } else {
+    constexpr unsigned kHalf = 1u << (Bits - 1);
+    __m256d pair[kHalf];
+    __m256d even[kHalf];
+    __m256d odd[kHalf];
+#pragma GCC unroll 4
+    for (unsigned k = 0; k < kHalf; ++k) {
+      even[k] = sq[2 * k];
+      odd[k] = sq[2 * k + 1];
+      pair[k] = _mm256_min_pd(even[k], odd[k]);
     }
+    const AxisMinima<Bits - 1> up = minima_tree<Bits - 1>(pair);
+    m.all = up.all;
+#pragma GCC unroll 2
+    for (unsigned b = 1; b < Bits; ++b) {
+      m.zero[b] = up.zero[b - 1];
+      m.one[b] = up.one[b - 1];
+    }
+    m.zero[0] = min_reduce<kHalf>(even);
+    m.one[0] = min_reduce<kHalf>(odd);
   }
   return m;
 }
 
-/// The soft demap for one modulation: the axis bit counts, level counts
-/// and LLR layout are compile-time constants. The operations and their
-/// order are the scalar kernel's, four points at a time; the last
-/// count % 4 points go through the scalar kernel itself.
+/// The squared distances from y to an axis's 2^Bits levels, the same
+/// subtract and multiply as the scalar kernel, then their minima.
+template <unsigned Bits>
+[[gnu::always_inline]]
+inline AxisMinima<Bits> axis_minima(__m256d y,
+                                    const std::array<double, 8>& levels) {
+  __m256d sq[1u << Bits];
+#pragma GCC unroll 8
+  for (unsigned j = 0; j < (1u << Bits); ++j) {
+    const __m256d d = _mm256_sub_pd(y, _mm256_set1_pd(levels[j]));
+    sq[j] = _mm256_mul_pd(d, d);
+  }
+  return minima_tree<Bits>(sq);
+}
+
+/// The demap math of this tier: four points' LLRs, bit-major (llr[b]
+/// holds bit b of points p .. p + 3), with the scalar kernel's I-part +
+/// Q-part addition and final division.
 template <unsigned IBits, unsigned QBits>
-void demap_block_avx2_for(const double* re, const double* im,
-                          const double* nv, std::size_t count,
-                          const DemapAxes& ax, double* out) {
-  constexpr unsigned kBits = IBits + QBits;
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+[[gnu::always_inline]]
+inline void demap4(const double* re, const double* im, const double* nv,
+                   const DemapAxes& ax, __m256d* llr) {
+  // SoA spans land at arbitrary lane offsets inside vector-owned
+  // storage, so these loads cannot assume 32-byte alignment.
+  const __m256d yr = _mm256_loadu_pd(re);  // witag-lint: allow(simd-unaligned)
+  const __m256d yi = _mm256_loadu_pd(im);  // witag-lint: allow(simd-unaligned)
+  const __m256d noise =
+      _mm256_loadu_pd(nv);  // witag-lint: allow(simd-unaligned)
+  const AxisMinima<IBits> mi = axis_minima<IBits>(yr, ax.i_levels);
+  const AxisMinima<QBits> mq = axis_minima<QBits>(yi, ax.q_levels);
+#pragma GCC unroll 8
+  for (unsigned b = 0; b < IBits; ++b) {
+    const __m256d m1 = _mm256_add_pd(mi.one[b], mq.all);
+    const __m256d m0 = _mm256_add_pd(mi.zero[b], mq.all);
+    llr[b] = _mm256_div_pd(_mm256_sub_pd(m1, m0), noise);
+  }
+#pragma GCC unroll 8
+  for (unsigned b = 0; b < QBits; ++b) {
+    const __m256d m1 = _mm256_add_pd(mi.all, mq.one[b]);
+    const __m256d m0 = _mm256_add_pd(mi.all, mq.zero[b]);
+    llr[IBits + b] = _mm256_div_pd(_mm256_sub_pd(m1, m0), noise);
+  }
+}
+
+/// Four LLRs quantized as quantize_llr does: the same multiply, the
+/// same min/max operand order (a NaN becomes 127), and cvtpd2dq's
+/// rounding, nearest with ties to even like the scalar tier.
+[[gnu::always_inline]]
+inline __m128i quantize4(__m256d llr, __m256d scale) {
+  return _mm256_cvtpd_epi32(_mm256_max_pd(
+      _mm256_min_pd(_mm256_mul_pd(llr, scale), _mm256_set1_pd(127.0)),
+      _mm256_set1_pd(-127.0)));
+}
+
+/// pshufb indices that move the bit-major bytes of four points (byte
+/// 4 * (b % 4) + p of register b / 4) to air order (byte p * Bits + b),
+/// for output bytes 16 * half .. 16 * half + 15; -1 (zero) where the
+/// byte comes from the other register or lies past 4 * Bits.
+template <unsigned Bits>
+constexpr std::array<std::int8_t, 16> air_order_shuffle(unsigned reg,
+                                                        unsigned half) {
+  std::array<std::int8_t, 16> idx{};
+  for (unsigned o = 0; o < 16; ++o) {
+    const unsigned at = 16 * half + o;
+    const unsigned p = at / Bits;
+    const unsigned b = at % Bits;
+    idx[o] = (at < 4 * Bits && b / 4 == reg)
+                 ? static_cast<std::int8_t>(4 * (b % 4) + p)
+                 : std::int8_t{-1};
+  }
+  return idx;
+}
+
+/// Bytes of register Reg (0: bits 0-3, 1: bits 4-7) that belong in
+/// output bytes 16 * Half .. 16 * Half + 15, in place; zero elsewhere.
+template <unsigned Bits, unsigned Reg, unsigned Half>
+[[gnu::always_inline]]
+inline __m128i shuffle_from(__m128i bytes) {
+  alignas(16) static constexpr std::array<std::int8_t, 16> kIdx =
+      air_order_shuffle<Bits>(Reg, Half);
+  return _mm_shuffle_epi8(
+      bytes, _mm_load_si128(reinterpret_cast<const __m128i*>(kIdx.data())));
+}
+
+/// The double store: LLRs transposed into the point-major output.
+template <unsigned Bits>
+[[gnu::always_inline]]
+inline void store_llrs(const __m256d* llr, double* out) {
+  alignas(32) double lanes[Bits][4];
+#pragma GCC unroll 8
+  for (unsigned b = 0; b < Bits; ++b) _mm256_store_pd(lanes[b], llr[b]);
+#pragma GCC unroll 4
+  for (unsigned lane = 0; lane < 4; ++lane) {
+#pragma GCC unroll 8
+    for (unsigned b = 0; b < Bits; ++b) out[lane * Bits + b] = lanes[b][lane];
+  }
+}
+
+/// The int8 store: each LLR vector quantized to four int32, packed
+/// (saturating, exact on ±127) to bytes bit-major, then shuffled into
+/// air order, 4 * Bits bytes.
+template <unsigned Bits>
+[[gnu::always_inline]]
+inline void store_quantized(const __m256d* llr, __m256d scale,
+                            std::int8_t* out) {
+  __m128i q[8];
+#pragma GCC unroll 8
+  for (unsigned b = 0; b < Bits; ++b) q[b] = quantize4(llr[b], scale);
+#pragma GCC unroll 8
+  for (unsigned b = Bits; b < 8; ++b) q[b] = _mm_setzero_si128();
+  const __m128i lo = _mm_packs_epi16(_mm_packs_epi32(q[0], q[1]),
+                                     _mm_packs_epi32(q[2], q[3]));
+  if constexpr (Bits == 1) {
+    const int word = _mm_cvtsi128_si32(lo);
+    std::memcpy(out, &word, 4);
+  } else if constexpr (Bits == 2) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                     shuffle_from<Bits, 0, 0>(lo));
+  } else if constexpr (Bits == 4) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     shuffle_from<Bits, 0, 0>(lo));
+  } else {
+    static_assert(Bits == 6);
+    const __m128i hi = _mm_packs_epi16(_mm_packs_epi32(q[4], q[5]),
+                                       _mm_setzero_si128());
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
+                     _mm_or_si128(shuffle_from<Bits, 0, 0>(lo),
+                                  shuffle_from<Bits, 1, 0>(hi)));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + 16),
+                     _mm_or_si128(shuffle_from<Bits, 0, 1>(lo),
+                                  shuffle_from<Bits, 1, 1>(hi)));
+  }
+}
+
+/// Both demap kernels for one modulation, four points at a time through
+/// demap4 and then `store`; the last count % 4 points go through the
+/// scalar tier's kernel (`tail`), whose per-point math is identical.
+template <unsigned IBits, unsigned QBits, typename Store, typename Tail>
+[[gnu::always_inline]]
+inline void demap_blocks(const double* re, const double* im,
+                         const double* nv, std::size_t count,
+                         const DemapAxes& ax, Store store, Tail tail) {
   std::size_t p = 0;
   for (; p + 4 <= count; p += 4) {
-    // SoA spans land at arbitrary lane offsets inside vector-owned
-    // storage, so these loads cannot assume 32-byte alignment.
-    const __m256d yr =
-        _mm256_loadu_pd(re + p);  // witag-lint: allow(simd-unaligned)
-    const __m256d yi =
-        _mm256_loadu_pd(im + p);  // witag-lint: allow(simd-unaligned)
-    const __m256d noise =
-        _mm256_loadu_pd(nv + p);  // witag-lint: allow(simd-unaligned)
-    const AxisMinima<IBits> mi = axis_minima<IBits>(yr, ax.i_levels, inf);
-    const AxisMinima<QBits> mq = axis_minima<QBits>(yi, ax.q_levels, inf);
-    // LLRs bit-major, then transposed into the point-major output.
-    alignas(32) double lanes[kBits][4];
-#pragma GCC unroll 8
-    for (unsigned b = 0; b < IBits; ++b) {
-      const __m256d m1 = _mm256_add_pd(mi.one[b], mq.all);
-      const __m256d m0 = _mm256_add_pd(mi.zero[b], mq.all);
-      _mm256_store_pd(lanes[b], _mm256_div_pd(_mm256_sub_pd(m1, m0), noise));
-    }
-#pragma GCC unroll 8
-    for (unsigned b = 0; b < QBits; ++b) {
-      const __m256d m1 = _mm256_add_pd(mi.all, mq.one[b]);
-      const __m256d m0 = _mm256_add_pd(mi.all, mq.zero[b]);
-      _mm256_store_pd(lanes[IBits + b],
-                      _mm256_div_pd(_mm256_sub_pd(m1, m0), noise));
-    }
-#pragma GCC unroll 4
-    for (unsigned lane = 0; lane < 4; ++lane) {
-#pragma GCC unroll 8
-      for (unsigned b = 0; b < kBits; ++b) {
-        out[(p + lane) * kBits + b] = lanes[b][lane];
-      }
-    }
+    __m256d llr[IBits + QBits];
+    demap4<IBits, QBits>(re + p, im + p, nv + p, ax, llr);
+    store(llr, p);
   }
-  if (p < count) {
-    // Tail through the scalar kernel: per-point math is identical, so
-    // chunk boundaries never change results.
-    demap_block_for(Tier::kScalar)(re + p, im + p, nv + p, count - p, ax,
-                                   out + p * kBits);
+  if (p < count) tail(p);
+}
+
+/// Calls f with the axis bit counts of `ax` as compile-time constants
+/// (BPSK, QPSK, 16-QAM, 64-QAM; constellation.cpp builds no other
+/// axes); false for any other shape.
+template <typename F>
+bool with_axes(const DemapAxes& ax, F f) {
+  using std::integral_constant;
+  switch (ax.i_bits * 4 + ax.q_bits) {
+    case 1 * 4 + 0:
+      f(integral_constant<unsigned, 1>{}, integral_constant<unsigned, 0>{});
+      return true;
+    case 1 * 4 + 1:
+      f(integral_constant<unsigned, 1>{}, integral_constant<unsigned, 1>{});
+      return true;
+    case 2 * 4 + 2:
+      f(integral_constant<unsigned, 2>{}, integral_constant<unsigned, 2>{});
+      return true;
+    case 3 * 4 + 3:
+      f(integral_constant<unsigned, 3>{}, integral_constant<unsigned, 3>{});
+      return true;
+    default:
+      return false;
   }
 }
 
@@ -233,20 +376,41 @@ void demap_block_avx2_for(const double* re, const double* im,
 
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out) {
-  // One body per modulation, selected once per call (BPSK, QPSK,
-  // 16-QAM, 64-QAM); constellation.cpp builds no other axes.
-  switch (ax.i_bits * 4 + ax.q_bits) {
-    case 1 * 4 + 0:
-      return demap_block_avx2_for<1, 0>(re, im, nv, count, ax, out);
-    case 1 * 4 + 1:
-      return demap_block_avx2_for<1, 1>(re, im, nv, count, ax, out);
-    case 2 * 4 + 2:
-      return demap_block_avx2_for<2, 2>(re, im, nv, count, ax, out);
-    case 3 * 4 + 3:
-      return demap_block_avx2_for<3, 3>(re, im, nv, count, ax, out);
-    default:
-      return demap_block_for(Tier::kScalar)(re, im, nv, count, ax, out);
-  }
+  const DemapBlockFn scalar = demap_block_for(Tier::kScalar);
+  const bool done = with_axes(ax, [&](auto i_bits, auto q_bits) {
+    constexpr unsigned kBits =
+        decltype(i_bits)::value + decltype(q_bits)::value;
+    demap_blocks<decltype(i_bits)::value, decltype(q_bits)::value>(
+        re, im, nv, count, ax,
+        [&](const __m256d* llr, std::size_t p) {
+          store_llrs<kBits>(llr, out + p * kBits);
+        },
+        [&](std::size_t p) {
+          scalar(re + p, im + p, nv + p, count - p, ax, out + p * kBits);
+        });
+  });
+  if (!done) scalar(re, im, nv, count, ax, out);
+}
+
+void demap_quantize_avx2(const double* re, const double* im, const double* nv,
+                         std::size_t count, const DemapAxes& ax, double scale,
+                         std::int8_t* out) {
+  const DemapQuantizeFn scalar = demap_quantize_for(Tier::kScalar);
+  const __m256d s = _mm256_set1_pd(scale);
+  const bool done = with_axes(ax, [&](auto i_bits, auto q_bits) {
+    constexpr unsigned kBits =
+        decltype(i_bits)::value + decltype(q_bits)::value;
+    demap_blocks<decltype(i_bits)::value, decltype(q_bits)::value>(
+        re, im, nv, count, ax,
+        [&](const __m256d* llr, std::size_t p) {
+          store_quantized<kBits>(llr, s, out + p * kBits);
+        },
+        [&](std::size_t p) {
+          scalar(re + p, im + p, nv + p, count - p, ax, scale,
+                 out + p * kBits);
+        });
+  });
+  if (!done) scalar(re, im, nv, count, ax, scale, out);
 }
 
 namespace {
@@ -362,15 +526,13 @@ void fft_scale_avx2(Cx* data, std::size_t n, double scale) {
   for (; i < n; ++i) data[i] *= scale;
 }
 
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv) {
+void equalize_block_avx2(const double* hr, const double* hi, const double* g,
+                         const double* rr, const double* ri, double cr,
+                         double ci, std::size_t count, double* zr,
+                         double* zi) {
   const __m256d cr_v = _mm256_set1_pd(cr);
   const __m256d ci_v = _mm256_set1_pd(ci);
-  const __m256d nf_v = _mm256_set1_pd(noise_floor);
   const __m256d min_gain = _mm256_set1_pd(kEqualizeMinGain);
-  const __m256d dead_nv = _mm256_set1_pd(kEqualizeDeadNoise);
   std::size_t i = 0;
   for (; i + 4 <= count; i += 4) {
     // Callers may hand arbitrarily-offset slices, so loads/stores stay
@@ -379,62 +541,46 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
         _mm256_loadu_pd(hr + i);  // witag-lint: allow(simd-unaligned)
     const __m256d h_i =
         _mm256_loadu_pd(hi + i);  // witag-lint: allow(simd-unaligned)
+    const __m256d gain =
+        _mm256_loadu_pd(g + i);  // witag-lint: allow(simd-unaligned)
     const __m256d r_r =
         _mm256_loadu_pd(rr + i);  // witag-lint: allow(simd-unaligned)
     const __m256d r_i =
         _mm256_loadu_pd(ri + i);  // witag-lint: allow(simd-unaligned)
     // Same association as the scalar kernel; packed mul/add/sub/div
     // only, no FMA (this TU is compiled without -mfma on purpose).
-    const __m256d g =
-        _mm256_add_pd(_mm256_mul_pd(h_r, h_r), _mm256_mul_pd(h_i, h_i));
     const __m256d yr =
         _mm256_add_pd(_mm256_mul_pd(r_r, cr_v), _mm256_mul_pd(r_i, ci_v));
     const __m256d yi =
         _mm256_sub_pd(_mm256_mul_pd(r_i, cr_v), _mm256_mul_pd(r_r, ci_v));
     const __m256d qr = _mm256_div_pd(
-        _mm256_add_pd(_mm256_mul_pd(yr, h_r), _mm256_mul_pd(yi, h_i)), g);
+        _mm256_add_pd(_mm256_mul_pd(yr, h_r), _mm256_mul_pd(yi, h_i)), gain);
     const __m256d qi = _mm256_div_pd(
-        _mm256_sub_pd(_mm256_mul_pd(yi, h_r), _mm256_mul_pd(yr, h_i)), g);
-    const __m256d qn = _mm256_div_pd(nf_v, g);
-    const __m256d dead = _mm256_cmp_pd(g, min_gain, _CMP_LT_OQ);
-    _mm256_storeu_pd(zr + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_andnot_pd(dead, qr));
-    _mm256_storeu_pd(zi + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_andnot_pd(dead, qi));
-    _mm256_storeu_pd(nv + i,  // witag-lint: allow(simd-unaligned)
-                     _mm256_blendv_pd(qn, dead_nv, dead));
+        _mm256_sub_pd(_mm256_mul_pd(yi, h_r), _mm256_mul_pd(yr, h_i)), gain);
+    const __m256d dead = _mm256_cmp_pd(gain, min_gain, _CMP_LT_OQ);
+    _mm256_storeu_pd(zr + i, _mm256_andnot_pd(dead, qr));
+    _mm256_storeu_pd(zi + i, _mm256_andnot_pd(dead, qi));
   }
   if (i < count) {
-    equalize_for(Tier::kScalar)(hr + i, hi + i, rr + i, ri + i, cr, ci,
-                                noise_floor, count - i, zr + i, zi + i,
-                                nv + i);
+    equalize_for(Tier::kScalar)(hr + i, hi + i, g + i, rr + i, ri + i, cr, ci,
+                                count - i, zr + i, zi + i);
   }
 }
-
-namespace {
-
-/// Four LLRs quantized as quantize_llr does: the same multiply, the
-/// same min/max operand order (a NaN becomes 127), and cvtpd2dq's
-/// rounding, nearest with ties to even like the scalar tier.
-inline __m128i quantize4(const double* in, __m256d scale) {
-  const __m256d v = _mm256_loadu_pd(in);  // witag-lint: allow(simd-unaligned)
-  return _mm256_cvtpd_epi32(_mm256_max_pd(
-      _mm256_min_pd(_mm256_mul_pd(v, scale), _mm256_set1_pd(127.0)),
-      _mm256_set1_pd(-127.0)));
-}
-
-}  // namespace
 
 void quantize_avx2(const double* in, std::size_t n, double scale,
                    std::int8_t* out) {
   const __m256d s = _mm256_set1_pd(scale);
   std::size_t k = 0;
   // Sixteen per store; ±127 packs through int16 to int8 exactly.
+  // The LLR arrays carry no alignment contract.
+  const auto load4 = [&](std::size_t at) {
+    return _mm256_loadu_pd(in + at);  // witag-lint: allow(simd-unaligned)
+  };
   for (; k + 16 <= n; k += 16) {
-    const __m128i w0 =
-        _mm_packs_epi32(quantize4(in + k, s), quantize4(in + k + 4, s));
-    const __m128i w1 =
-        _mm_packs_epi32(quantize4(in + k + 8, s), quantize4(in + k + 12, s));
+    const __m128i w0 = _mm_packs_epi32(quantize4(load4(k), s),
+                                       quantize4(load4(k + 4), s));
+    const __m128i w1 = _mm_packs_epi32(quantize4(load4(k + 8), s),
+                                       quantize4(load4(k + 12), s));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
                      _mm_packs_epi16(w0, w1));
   }
@@ -505,12 +651,17 @@ void demap_block_avx2(const double* re, const double* im, const double* nv,
   demap_block_for(Tier::kScalar)(re, im, nv, count, ax, out);
 }
 
-void equalize_block_avx2(const double* hr, const double* hi, const double* rr,
-                         const double* ri, double cr, double ci,
-                         double noise_floor, std::size_t count, double* zr,
-                         double* zi, double* nv) {
-  equalize_for(Tier::kScalar)(hr, hi, rr, ri, cr, ci, noise_floor, count, zr,
-                              zi, nv);
+void demap_quantize_avx2(const double* re, const double* im, const double* nv,
+                         std::size_t count, const DemapAxes& ax, double scale,
+                         std::int8_t* out) {
+  demap_quantize_for(Tier::kScalar)(re, im, nv, count, ax, scale, out);
+}
+
+void equalize_block_avx2(const double* hr, const double* hi, const double* g,
+                         const double* rr, const double* ri, double cr,
+                         double ci, std::size_t count, double* zr,
+                         double* zi) {
+  equalize_for(Tier::kScalar)(hr, hi, g, rr, ri, cr, ci, count, zr, zi);
 }
 
 void quantize_avx2(const double* in, std::size_t n, double scale,

@@ -4,6 +4,7 @@
 #include "mac/ccmp.hpp"
 #include "mac/mpdu.hpp"
 #include "mac/wep.hpp"
+#include "obs/obs.hpp"
 #include "phy/mcs.hpp"
 #include "util/require.hpp"
 #include <cstdint>
@@ -114,18 +115,20 @@ QueryFrame build_query(const QueryLayout& layout, mac::Client& client,
 
 void build_query_into(const QueryLayout& layout, mac::Client& client,
                       double trigger_low_scale, QueryFrame& frame) {
+  WITAG_SPAN_CAT("witag.build_query", "witag");
   WITAG_REQUIRE(trigger_low_scale > 0.0 && trigger_low_scale < 1.0);
 
   // Subframe payloads: deterministic filler (content is irrelevant to
-  // the protocol; it only has to survive encryption size accounting).
-  std::vector<util::ByteVec> payloads(layout.n_subframes);
-  for (std::size_t i = 0; i < payloads.size(); ++i) {
-    payloads[i].assign(layout.payload_bytes,
-                       static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF)));
+  // the protocol; it only has to survive encryption size accounting),
+  // written over the frame's own so a warm frame allocates none.
+  frame.payloads.resize(layout.n_subframes);
+  for (std::size_t i = 0; i < frame.payloads.size(); ++i) {
+    frame.payloads[i].assign(layout.payload_bytes,
+                             static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF)));
   }
 
   frame.layout = layout;
-  const util::ByteVec psdu = client.build_ampdu(payloads);
+  const util::ByteVec psdu = client.build_ampdu(frame.payloads);
   WITAG_ENSURE(psdu.size() == layout.subframe_bytes * layout.n_subframes);
 
   phy::TxConfig tx_cfg;

@@ -18,6 +18,7 @@
 #include "mac/station.hpp"
 #include "phy/ppdu.hpp"
 #include "tag/trigger.hpp"
+#include "util/bits.hpp"
 #include "util/units.hpp"
 #include "witag/config.hpp"
 
@@ -53,17 +54,21 @@ QueryLayout plan_query(const QueryConfig& cfg, unsigned mcs_index,
                        mac::Security security, util::Micros tag_tick,
                        util::Micros tag_guard);
 
-/// A fully built query: the PSDU, the PPDU and the per-symbol-slot
-/// envelope scale implementing the trigger pattern.
+/// A fully built query: the subframe payloads, the PPDU and the
+/// per-symbol-slot envelope scale implementing the trigger pattern.
 struct QueryFrame {
   QueryLayout layout;
+  /// Filler payloads, one per subframe. They depend only on the layout,
+  /// so a reused frame overwrites them in place.
+  std::vector<util::ByteVec> payloads;
   phy::TxPpdu ppdu;
   std::vector<double> slot_scale;  ///< One per PPDU symbol slot.
 };
 
 /// Builds one query through the client station (sequence numbers and
 /// encryption advance in `client`) into `out`, reusing the capacity of
-/// its timeline and slot scales; every field of `out` is overwritten.
+/// its payloads, timeline and slot scales; every field of `out` is
+/// overwritten.
 void build_query_into(const QueryLayout& layout, mac::Client& client,
                       double trigger_low_scale, QueryFrame& out);
 

@@ -226,6 +226,10 @@ Session::RoundResult Session::exchange(bool tag_active, unsigned address) {
   std::vector<std::vector<std::uint8_t>> levels(tags_.size());
   bool addressed_tag_heard = false;
   if (tag_active) {
+    // The tag stage, one span per exchange: the render, each tag's
+    // trigger detection and fault draws, and its response plan (the
+    // `tag.respond` span nests inside).
+    WITAG_SPAN_CAT("tag.trigger", "tag");
     // One time-domain render of the header + trigger region, shared by
     // every tag's envelope detector (hoisted out of tag_timing: the
     // per-tag link gain applies per sample, not per render).

@@ -1,8 +1,8 @@
 # Bad-input check for the bench binaries, run via `cmake -P` from CTest:
 # a positional argument, given to each binary below, and a malformed
-# value (fig5_ber_throughput --runs 12abc) must each exit with status 2,
-# print nothing on stdout and exactly one line, "<binary>: <reason>", on
-# stderr (util::run_main).
+# value (fig5_ber_throughput --runs 12abc, micro_obs --threads 2x) must
+# each exit with status 2, print nothing on stdout and exactly one line,
+# "<binary>: <reason>", on stderr (util::run_main).
 #
 # Input: BENCH_DIR (the directory holding the bench binaries).
 
@@ -17,6 +17,7 @@ foreach(bench IN LISTS benches)
   list(APPEND invocations "${bench} stray")
 endforeach()
 list(APPEND invocations "fig5_ber_throughput --runs 12abc")
+list(APPEND invocations "micro_obs --threads 2x")
 
 foreach(invocation IN LISTS invocations)
   separate_arguments(args UNIX_COMMAND "${invocation} --no-metrics")

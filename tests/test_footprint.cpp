@@ -15,7 +15,9 @@
 #include <new>
 #include <vector>
 
+#include "mac/station.hpp"
 #include "witag/config.hpp"
+#include "witag/query.hpp"
 #include "witag/session.hpp"
 
 namespace {
@@ -25,6 +27,7 @@ constexpr std::size_t kLargeBytes = 16 * 1024;
 
 std::atomic<std::int64_t> g_live_bytes{0};
 std::atomic<std::uint64_t> g_large_allocs{0};
+std::atomic<std::uint64_t> g_allocs{0};
 
 // Each block records its size in the word just before the pointer handed
 // out. The header is one alignment unit long, so the pointer keeps the
@@ -43,6 +46,7 @@ void* counted_new(std::size_t size, std::size_t align, bool nothrow) {
   }
   std::memcpy(base + header - sizeof size, &size, sizeof size);
   g_live_bytes.fetch_add(static_cast<std::int64_t>(size));
+  g_allocs.fetch_add(1);
   if (size >= kLargeBytes) g_large_allocs.fetch_add(1);
   return base + header;
 }
@@ -174,6 +178,36 @@ TEST(Footprint, SteadyStateExchangeMakesNoLargeAllocation) {
   envelope_ccmp.security.mode = mac::Security::kCcmp;
   EXPECT_EQ(large_allocs_when_warm(envelope_ccmp, 4), 0u)
       << "envelope trigger, CCMP";
+}
+
+TEST(Footprint, WarmQueryBuildAllocatesNoMoreThanTheAmpdu) {
+  // A reused frame keeps its filler payloads, so once warm the query
+  // build allocates only what Client::build_ampdu does on the same
+  // payloads (its returned PSDU, and CCMP's per-subframe buffers).
+  for (const mac::Security mode : {mac::Security::kOpen,
+                                   mac::Security::kCcmp}) {
+    SessionConfig cfg = link_config(64, 9);
+    cfg.security.mode = mode;
+    const Session session(cfg);
+    const QueryLayout& layout = session.layout();
+    mac::Client client(mac::make_address(0x01), mac::make_address(0x02),
+                       cfg.security);
+    QueryFrame frame;
+    for (int i = 0; i < 2; ++i) {
+      build_query_into(layout, client, cfg.query.trigger_low_scale, frame);
+    }
+    const std::uint64_t before_query = g_allocs.load();
+    build_query_into(layout, client, cfg.query.trigger_low_scale, frame);
+    const std::uint64_t query_allocs = g_allocs.load() - before_query;
+    const std::uint64_t before_ampdu = g_allocs.load();
+    const util::ByteVec psdu = client.build_ampdu(frame.payloads);
+    const std::uint64_t ampdu_allocs = g_allocs.load() - before_ampdu;
+    std::cout << "[footprint] warm 64-subframe query build: " << query_allocs
+              << " allocations, build_ampdu alone: " << ampdu_allocs << "\n";
+    EXPECT_LE(query_allocs, ampdu_allocs)
+        << (mode == mac::Security::kOpen ? "open" : "CCMP");
+    EXPECT_FALSE(psdu.empty());
+  }
 }
 
 }  // namespace

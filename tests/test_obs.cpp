@@ -290,19 +290,19 @@ TEST_F(ObsSession, SpanCountsMatchLinkMetrics) {
 
   std::size_t round_spans = 0;
   std::size_t transmit_spans = 0;
-  std::size_t receive_spans = 0;
+  std::size_t rx_front_spans = 0;
   std::size_t subframe_events = 0;
   for (const TraceEvent& ev : Tracer::instance().events()) {
     const std::string_view name = ev.name;
     if (name == "session.round" && ev.ph == 'X') ++round_spans;
     if (name == "phy.transmit" && ev.ph == 'X') ++transmit_spans;
-    if (name == "phy.receive" && ev.ph == 'X') ++receive_spans;
+    if (name == "phy.rx_front" && ev.ph == 'X') ++rx_front_spans;
     if (name == "session.subframe" && ev.ph == 'i') ++subframe_events;
   }
   EXPECT_EQ(round_spans, stats.metrics.rounds());
   // Each round builds one query PPDU and decodes it once at the AP.
   EXPECT_EQ(transmit_spans, stats.metrics.rounds());
-  EXPECT_EQ(receive_spans, stats.metrics.rounds());
+  EXPECT_EQ(rx_front_spans, stats.metrics.rounds());
   EXPECT_EQ(subframe_events, stats.metrics.bits());
 
   // The always-on counters agree with LinkMetrics too.

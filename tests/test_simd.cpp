@@ -102,6 +102,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
   const auto& k512 = phy::simd::fft_kernels_for(Tier::kAvx512);
   EXPECT_EQ(phy::simd::demap_block_for(Tier::kAvx512),
             phy::simd::demap_block_for(Tier::kAvx2));
+  EXPECT_EQ(phy::simd::demap_quantize_for(Tier::kAvx512),
+            phy::simd::demap_quantize_for(Tier::kAvx2));
   EXPECT_EQ(phy::simd::equalize_for(Tier::kAvx512),
             phy::simd::equalize_for(Tier::kAvx2));
   EXPECT_EQ(phy::simd::deinterleave_for(Tier::kAvx512),
@@ -116,6 +118,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
     const auto& k0 = phy::simd::fft_kernels_for(Tier::kScalar);
     EXPECT_NE(phy::simd::demap_block_for(Tier::kAvx2),
               phy::simd::demap_block_for(Tier::kScalar));
+    EXPECT_NE(phy::simd::demap_quantize_for(Tier::kAvx2),
+              phy::simd::demap_quantize_for(Tier::kScalar));
     EXPECT_NE(phy::simd::equalize_for(Tier::kAvx2),
               phy::simd::equalize_for(Tier::kScalar));
     EXPECT_NE(phy::simd::deinterleave_for(Tier::kAvx2),
