@@ -47,7 +47,7 @@ int bench_main(const witag::util::Args& args) {
   obs_run.config("rounds", static_cast<double>(budget));
   obs_run.config("pos", pos);
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Ablation: tag-link FEC at a marginal placement ===\n"
             << "Tag " << pos << " m from the client (mid-link = weakest "

@@ -30,7 +30,7 @@ int bench_main(const witag::util::Args& args) {
   obs::RunScope obs_run("ablation_guard", args);
   obs_run.config("rounds", static_cast<double>(rounds));
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Ablation: guard bands x tag clock ===\n"
             << "Tag 1 m from the client; 16 us subframes at MCS5; "

@@ -47,7 +47,7 @@ int bench_main(const witag::util::Args& args) {
   obs_run.config("tags", static_cast<double>(n_tags));
   obs_run.config("polls", static_cast<double>(polls));
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Extension: multi-tag polling by trigger code ===\n"
             << static_cast<int>(n_tags) << " tags on the 8 m LOS link, "

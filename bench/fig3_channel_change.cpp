@@ -24,7 +24,7 @@ constexpr std::size_t kRounds = 15;
 int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("fig3_channel_change", args);
   obs_run.config("rounds", static_cast<double>(kRounds));
-  args.warn_unused(std::cerr);
+  args.check();
   using namespace witag;
 
   std::cout << "=== Figure 3 study: open/short vs 0/180-degree phase flip ==="

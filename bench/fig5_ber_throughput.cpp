@@ -38,7 +38,7 @@ int bench_main(const witag::util::Args& args) {
   obs_run.config("runs_per_position", static_cast<double>(runs));
   obs_run.config("rounds_per_run", static_cast<double>(rounds));
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Figure 5: BER and throughput vs tag position ===\n"
             << "Client and AP 8 m apart (LOS); tag between them.\n"

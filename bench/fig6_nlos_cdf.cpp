@@ -49,7 +49,7 @@ int bench_main(const witag::util::Args& args) {
   obs::RunScope obs_run("fig6_nlos_cdf", args);
   obs_run.config("measurements", static_cast<double>(measurements));
   obs_run.config("rounds_per_measurement", static_cast<double>(rounds));
-  args.warn_unused(std::cerr);
+  args.check();
   std::cout << "=== Figure 6: BER CDF, non-line-of-sight locations ===\n"
             << measurements << " measurements per location, tag 1 m from "
             << "the client, people moving.\n"

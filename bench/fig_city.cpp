@@ -140,7 +140,7 @@ int bench_main(const util::Args& args) {
   obs_run.config("shards", static_cast<double>(shards));
   obs_run.config("coupling", coupling);
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== City scale: goodput and tag latency vs deployment size "
                "===\n"

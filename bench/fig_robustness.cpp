@@ -83,7 +83,7 @@ int bench_main(const util::Args& args) {
   obs_run.config("pos", pos);
   obs_run.config("seed", static_cast<double>(seed));
   obs_run.config("faults", static_cast<double>(fault_mask));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Robustness: goodput vs fault intensity ===\n"
             << "Tag " << pos << " m from the client; " << polls

@@ -79,7 +79,7 @@ int bench_main(const util::Args& args) {
       static_cast<std::size_t>(args.get_int("iters", 2'000'000));
   const auto repeats = static_cast<std::size_t>(args.get_int("repeats", 3));
   const double assert_speedup = args.get_double("assert-speedup", 0.0);
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::mutex map_mu;
   std::map<std::string, std::uint64_t> named_counts;

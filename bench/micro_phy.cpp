@@ -333,7 +333,7 @@ BENCHMARK(BM_QuantizeQam64);
 // the equalizer's per-field plan, the points-only equalize, the fused
 // demap-and-quantize into 312 air-order soft bits
 // (detail::field_llrs_into), then their placement at MCS5's mother-rate
-// positions through the transmitter's table, the loop
+// positions through simd::place_for, the kernel
 // detail::field_bits_from_llrs runs before its Viterbi decode. It
 // replaces BM_Equalize + BM_DemapQam64 + BM_QuantizeQam64 +
 // BM_Deinterleave and a depuncture. Unpinned.
@@ -342,22 +342,45 @@ void BM_RxFrontQam64(benchmark::State& state) {
   phy::ChannelEstimate est;
   equalize_bench_inputs(rx, est);
   const std::vector<phy::FreqSymbol> field{rx};
-  const std::span<const std::uint16_t> table = phy::detail::tx_gather_table(5);
+  const phy::simd::PlacePlan& plan = phy::detail::place_plan(5);
   phy::DecodeScratch scratch;
-  std::vector<std::int8_t> mother(2 * phy::mcs(5).n_dbps);
+  std::vector<std::int8_t> mother(plan.span);
   const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
+  const phy::simd::PlaceFn place =
+      phy::simd::place_for(phy::simd::detect_best_tier());
   for (auto _ : state) {
     phy::detail::field_llrs_into(field, est, phy::Modulation::kQam64, 1,
                                  /*cpe_correction=*/true, scratch);
-    std::fill(mother.begin(), mother.end(), std::int8_t{0});
-    for (std::size_t j = 0; j < table.size(); ++j) {
-      mother[table[j]] = scratch.llrs[j];
-    }
+    place(scratch.llrs.data(), 1, plan, mother.data());
     benchmark::DoNotOptimize(mother.data());
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RxFrontQam64);
+
+// The placement alone over a link_long-sized field: 257 MCS5 (64-QAM,
+// rate 2/3) symbols of air-order soft bits to their mother-rate
+// positions, erasures zeroed, at the best tier (AVX-512 VBMI permutes
+// bytes through the MCS's plan; the other tiers run the table loop).
+// Unpinned.
+void BM_PlaceQam64(benchmark::State& state) {
+  constexpr std::size_t kSymbols = 257;
+  const phy::simd::PlacePlan& plan = phy::detail::place_plan(5);
+  util::Rng rng(10);
+  std::vector<std::int8_t> llrs(kSymbols * plan.table.size());
+  for (auto& v : llrs) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(255)) - 127);
+  }
+  std::vector<std::int8_t> mother(kSymbols * plan.span);
+  const phy::simd::PlaceFn place =
+      phy::simd::place_for(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    place(llrs.data(), kSymbols, plan, mother.data());
+    benchmark::DoNotOptimize(mother.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PlaceQam64);
 
 // Table-driven (byte-at-a-time keystream) vs bit-serial scrambler over
 // one max-rate data field's worth of bits.

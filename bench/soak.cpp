@@ -81,7 +81,7 @@ int bench_main(const util::Args& args) {
   obs_run.config("intensity", intensity);
   obs_run.config("faults", static_cast<double>(fault_mask));
   obs_run.config("seed", static_cast<double>(seed));
-  args.warn_unused(std::cerr);
+  args.check();
 
   std::cout << "=== Soak: " << chunks << " chunks x " << runs << " runs x "
             << rounds << " rounds, intensity "

@@ -13,7 +13,7 @@
 
 int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_comparison", args);
-  args.warn_unused(std::cerr);
+  args.check();
   using namespace witag;
 
   std::cout << "=== Sections 1-2: backscatter system comparison ===\n\n";

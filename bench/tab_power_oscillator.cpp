@@ -14,7 +14,7 @@
 
 int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_power_oscillator", args);
-  args.warn_unused(std::cerr);
+  args.check();
   using namespace witag;
 
   std::cout << "=== Section 7: oscillator power and temperature ===\n\n";

@@ -48,7 +48,7 @@ double analytic_rate_kbps(const core::QueryLayout& layout) {
 
 int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_throughput_model", args);
-  args.warn_unused(std::cerr);
+  args.check();
   std::cout << "=== Section 4.1: throughput model ===\n"
             << "One tag bit per subframe; 64-subframe queries; subframe "
                "duration bounded below by the tag clock.\n"

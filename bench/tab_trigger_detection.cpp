@@ -25,7 +25,7 @@ constexpr std::size_t kRounds = 20;
 int bench_main(const witag::util::Args& args) {
   witag::obs::RunScope obs_run("tab_trigger_detection", args);
   obs_run.config("rounds", static_cast<double>(kRounds));
-  args.warn_unused(std::cerr);
+  args.check();
   using namespace witag;
 
   std::cout << "=== Section 7: trigger detection (envelope mode) ===\n"

@@ -26,10 +26,12 @@ CcmNonce make_nonce(const MacHeader& header, std::uint64_t pn) {
 // Additional authenticated data: the MAC header with the protected bit
 // forced on (both sides derive it identically; simplification relative
 // to 802.11's FC-masking rules noted in DESIGN.md).
-util::ByteVec make_aad(const MacHeader& header) {
+std::array<std::uint8_t, kQosHeaderBytes> make_aad(const MacHeader& header) {
   MacHeader h = header;
   h.protected_frame = true;
-  return serialize_header(h);
+  std::array<std::uint8_t, kQosHeaderBytes> aad;
+  serialize_header_into(h, aad);
+  return aad;
 }
 
 Block ctr_block(const CcmNonce& nonce, std::uint16_t counter) {
@@ -53,24 +55,34 @@ std::array<std::uint8_t, kCcmpMicBytes> cbc_mac(
   b0[15] = static_cast<std::uint8_t>(msg.size() & 0xFF);
 
   Block x = aes.encrypt(b0);
+  // XORs bytes into the chain, encrypting each block as it fills;
+  // close() zero-pads a partial block and encrypts it.
+  std::size_t filled = 0;
   auto absorb = [&](std::span<const std::uint8_t> chunk) {
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      x[i % 16] = static_cast<std::uint8_t>(x[i % 16] ^ chunk[i]);
-      if (i % 16 == 15) x = aes.encrypt(x);
+    for (const std::uint8_t byte : chunk) {
+      x[filled] = static_cast<std::uint8_t>(x[filled] ^ byte);
+      if (++filled == 16) {
+        x = aes.encrypt(x);
+        filled = 0;
+      }
     }
-    if (chunk.size() % 16 != 0) x = aes.encrypt(x);
+  };
+  auto close = [&] {
+    if (filled != 0) x = aes.encrypt(x);
+    filled = 0;
   };
 
   if (!aad.empty()) {
     // AAD is prefixed with its 16-bit length, then zero-padded.
-    util::ByteVec aad_block;
-    aad_block.reserve(2 + aad.size());
-    aad_block.push_back(static_cast<std::uint8_t>(aad.size() >> 8));
-    aad_block.push_back(static_cast<std::uint8_t>(aad.size() & 0xFF));
-    aad_block.insert(aad_block.end(), aad.begin(), aad.end());
-    absorb(aad_block);
+    const std::array<std::uint8_t, 2> length{
+        static_cast<std::uint8_t>(aad.size() >> 8),
+        static_cast<std::uint8_t>(aad.size() & 0xFF)};
+    absorb(length);
+    absorb(aad);
+    close();
   }
   absorb(msg);
+  close();
 
   std::array<std::uint8_t, kCcmpMicBytes> tag{};
   std::copy_n(x.begin(), kCcmpMicBytes, tag.begin());
@@ -91,20 +103,31 @@ void ctr_crypt(const Aes128& aes, const CcmNonce& nonce,
   }
 }
 
+// ccm_encrypt in place: `sealed` holds the plaintext followed by
+// kCcmpMicBytes bytes of room, and ends up holding ciphertext || MIC.
+void ccm_encrypt_in_place(const Aes128& aes, const CcmNonce& nonce,
+                          std::span<const std::uint8_t> aad,
+                          std::span<std::uint8_t> sealed) {
+  WITAG_REQUIRE(sealed.size() >= kCcmpMicBytes);
+  const std::span<std::uint8_t> text =
+      sealed.first(sealed.size() - kCcmpMicBytes);
+  WITAG_REQUIRE(text.size() < 65536);
+  const auto mic = cbc_mac(aes, nonce, aad, text);
+  ctr_crypt(aes, nonce, text);
+  const Block a0 = aes.encrypt(ctr_block(nonce, 0));
+  for (std::size_t i = 0; i < kCcmpMicBytes; ++i) {
+    sealed[text.size() + i] = static_cast<std::uint8_t>(mic[i] ^ a0[i]);
+  }
+}
+
 }  // namespace
 
 util::ByteVec ccm_encrypt(const Aes128& aes, const CcmNonce& nonce,
                           std::span<const std::uint8_t> aad,
                           std::span<const std::uint8_t> plaintext) {
-  WITAG_REQUIRE(plaintext.size() < 65536);
-  const auto mic = cbc_mac(aes, nonce, aad, plaintext);
-
-  util::ByteVec out(plaintext.begin(), plaintext.end());
-  ctr_crypt(aes, nonce, out);
-  const Block a0 = aes.encrypt(ctr_block(nonce, 0));
-  for (std::size_t i = 0; i < kCcmpMicBytes; ++i) {
-    out.push_back(static_cast<std::uint8_t>(mic[i] ^ a0[i]));
-  }
+  util::ByteVec out(plaintext.size() + kCcmpMicBytes);
+  std::copy(plaintext.begin(), plaintext.end(), out.begin());
+  ccm_encrypt_in_place(aes, nonce, aad, out);
   return out;
 }
 
@@ -130,26 +153,31 @@ std::optional<util::ByteVec> ccm_decrypt(const Aes128& aes,
 
 CcmpSession::CcmpSession(const AesKey& temporal_key) : aes_(temporal_key) {}
 
-util::ByteVec CcmpSession::encrypt(const MacHeader& header,
-                                   std::span<const std::uint8_t> plaintext) {
-  WITAG_REQUIRE(plaintext.size() < 2048);
+void CcmpSession::encrypt_in_place(const MacHeader& header,
+                                   std::span<std::uint8_t> body) {
+  WITAG_REQUIRE(body.size() >= kCcmpHeaderBytes + kCcmpMicBytes);
+  WITAG_REQUIRE(body.size() - kCcmpHeaderBytes - kCcmpMicBytes < 2048);
   const std::uint64_t pn = pn_++;
   const CcmNonce nonce = make_nonce(header, pn);
-  const util::ByteVec aad = make_aad(header);
+  const std::array<std::uint8_t, kQosHeaderBytes> aad = make_aad(header);
 
-  util::ByteVec body;
-  body.reserve(kCcmpHeaderBytes + plaintext.size() + kCcmpMicBytes);
   // CCMP header: PN0 PN1 rsvd (ExtIV|KeyID) PN2 PN3 PN4 PN5.
-  body.push_back(static_cast<std::uint8_t>(pn & 0xFF));
-  body.push_back(static_cast<std::uint8_t>((pn >> 8) & 0xFF));
-  body.push_back(0x00);
-  body.push_back(0x20);  // ExtIV set, key id 0
-  for (int i = 2; i < 6; ++i) {
-    body.push_back(static_cast<std::uint8_t>((pn >> (8 * i)) & 0xFF));
+  body[0] = static_cast<std::uint8_t>(pn & 0xFF);
+  body[1] = static_cast<std::uint8_t>((pn >> 8) & 0xFF);
+  body[2] = 0x00;
+  body[3] = 0x20;  // ExtIV set, key id 0
+  for (std::size_t i = 2; i < 6; ++i) {
+    body[2 + i] = static_cast<std::uint8_t>((pn >> (8 * i)) & 0xFF);
   }
+  ccm_encrypt_in_place(aes_, nonce, aad, body.subspan(kCcmpHeaderBytes));
+}
 
-  const util::ByteVec sealed = ccm_encrypt(aes_, nonce, aad, plaintext);
-  body.insert(body.end(), sealed.begin(), sealed.end());
+util::ByteVec CcmpSession::encrypt(const MacHeader& header,
+                                   std::span<const std::uint8_t> plaintext) {
+  util::ByteVec body(kCcmpHeaderBytes + plaintext.size() + kCcmpMicBytes);
+  std::copy(plaintext.begin(), plaintext.end(),
+            body.begin() + static_cast<std::ptrdiff_t>(kCcmpHeaderBytes));
+  encrypt_in_place(header, body);
   return body;
 }
 
@@ -166,7 +194,7 @@ std::optional<util::ByteVec> CcmpSession::decrypt(
           << (8 * i);
   }
   const CcmNonce nonce = make_nonce(header, pn);
-  const util::ByteVec aad = make_aad(header);
+  const std::array<std::uint8_t, kQosHeaderBytes> aad = make_aad(header);
   return ccm_decrypt(aes_, nonce, aad, body.subspan(kCcmpHeaderBytes));
 }
 

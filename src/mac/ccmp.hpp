@@ -51,6 +51,11 @@ class CcmpSession {
   util::ByteVec encrypt(const MacHeader& header,
                         std::span<const std::uint8_t> plaintext);
 
+  /// encrypt() in place: `body` is the frame body with the plaintext
+  /// after kCcmpHeaderBytes of room and kCcmpMicBytes of room after it;
+  /// writes the CCMP header, the ciphertext and the MIC over it.
+  void encrypt_in_place(const MacHeader& header, std::span<std::uint8_t> body);
+
   /// Decrypts a frame body produced by `encrypt`. Returns the plaintext
   /// or nullopt when the body is malformed or the MIC check fails.
   std::optional<util::ByteVec> decrypt(const MacHeader& header,

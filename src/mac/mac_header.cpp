@@ -26,29 +26,33 @@ MacAddress make_address(std::uint8_t tail) {
   return MacAddress{{0x02, 0x57, 0x69, 0x54, 0x41, tail}};  // 02:57:69:54:41:xx
 }
 
-util::ByteVec serialize_header(const MacHeader& h) {
+void serialize_header_into(const MacHeader& h,
+                           std::span<std::uint8_t, kQosHeaderBytes> out) {
   WITAG_REQUIRE(h.type == FrameType::kQosData);
   WITAG_REQUIRE(h.sequence < 4096);
   WITAG_REQUIRE(h.tid < 16);
 
-  util::ByteVec out;
-  out.reserve(kQosHeaderBytes);
-  out.push_back(kFcVersionTypeSubtypeQosData);
   std::uint8_t flags = 0;
   if (h.to_ds) flags |= kFcFlagToDs;
   if (h.protected_frame) flags |= kFcFlagProtected;
-  out.push_back(flags);
-  out.push_back(0);  // duration (filled by real NICs; unused here)
-  out.push_back(0);
-  for (const auto& addr : {h.addr1, h.addr2, h.addr3}) {
-    out.insert(out.end(), addr.octets.begin(), addr.octets.end());
+  out[0] = kFcVersionTypeSubtypeQosData;
+  out[1] = flags;
+  out[2] = 0;  // duration (filled by real NICs; unused here)
+  out[3] = 0;
+  auto at = out.begin() + 4;
+  for (const MacAddress* addr : {&h.addr1, &h.addr2, &h.addr3}) {
+    at = std::copy(addr->octets.begin(), addr->octets.end(), at);
   }
   const std::uint16_t seq_ctrl = static_cast<std::uint16_t>(h.sequence << 4);
-  out.push_back(static_cast<std::uint8_t>(seq_ctrl & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(seq_ctrl >> 8));
-  out.push_back(h.tid);  // QoS control low byte
-  out.push_back(0);      // QoS control high byte
-  WITAG_ENSURE(out.size() == kQosHeaderBytes);
+  out[22] = static_cast<std::uint8_t>(seq_ctrl & 0xFF);
+  out[23] = static_cast<std::uint8_t>(seq_ctrl >> 8);
+  out[24] = h.tid;  // QoS control low byte
+  out[25] = 0;      // QoS control high byte
+}
+
+util::ByteVec serialize_header(const MacHeader& h) {
+  util::ByteVec out(kQosHeaderBytes);
+  serialize_header_into(h, std::span<std::uint8_t, kQosHeaderBytes>(out));
   return out;
 }
 

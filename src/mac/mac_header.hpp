@@ -47,8 +47,12 @@ struct MacHeader {
 /// Serialized QoS data header size in bytes.
 inline constexpr std::size_t kQosHeaderBytes = 26;
 
-/// Serializes a QoS data header (26 bytes).
+/// Serializes a QoS data header (26 bytes) into `out`.
 /// Requires type == kQosData, sequence < 4096 and tid < 16.
+void serialize_header_into(const MacHeader& h,
+                           std::span<std::uint8_t, kQosHeaderBytes> out);
+
+/// serialize_header_into() into a fresh buffer.
 util::ByteVec serialize_header(const MacHeader& h);
 
 /// Parses a QoS data header; nullopt when the buffer is too short or the

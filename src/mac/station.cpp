@@ -1,10 +1,13 @@
 #include "mac/station.hpp"
 
-#include "obs/obs.hpp"
-#include "util/require.hpp"
+#include <algorithm>
 #include <cstddef>
-#include "util/bits.hpp"
 #include <cstdint>
+
+#include "obs/obs.hpp"
+#include "util/bits.hpp"
+#include "util/crc.hpp"
+#include "util/require.hpp"
 
 namespace witag::mac {
 
@@ -62,39 +65,80 @@ Client::Client(MacAddress address, MacAddress ap_address,
 }
 
 util::ByteVec Client::build_ampdu(std::span<const util::ByteVec> payloads) {
+  util::ByteVec psdu;
+  build_ampdu_into(payloads, psdu);
+  return psdu;
+}
+
+void Client::build_ampdu_into(std::span<const util::ByteVec> payloads,
+                              util::ByteVec& psdu) {
   WITAG_REQUIRE(!payloads.empty() && payloads.size() <= kMaxSubframes);
   last_seqs_.clear();
-  std::vector<util::ByteVec> mpdus;
-  mpdus.reserve(payloads.size());
+  psdu.clear();
 
   for (const util::ByteVec& payload : payloads) {
-    Mpdu mpdu;
-    mpdu.header.type = FrameType::kQosData;
-    mpdu.header.addr1 = ap_address_;
-    mpdu.header.addr2 = address_;
-    mpdu.header.addr3 = ap_address_;
-    mpdu.header.sequence = next_seq_;
-    mpdu.header.tid = 0;
+    MacHeader header;
+    header.type = FrameType::kQosData;
+    header.addr1 = ap_address_;
+    header.addr2 = address_;
+    header.addr3 = ap_address_;
+    header.sequence = next_seq_;
+    header.tid = 0;
     last_seqs_.push_back(next_seq_);
     next_seq_ = static_cast<std::uint16_t>((next_seq_ + 1) % 4096);
 
+    // WEP's body is built apart (and allocates); the other modes write
+    // theirs in place below.
+    util::ByteVec wep_body;
+    std::size_t body_bytes = payload.size();
     switch (security_.mode) {
       case Security::kOpen:
-        mpdu.body = payload;
         break;
       case Security::kCcmp:
-        mpdu.header.protected_frame = true;
-        mpdu.body = ccmp_->encrypt(mpdu.header, payload);
+        header.protected_frame = true;
+        body_bytes += kCcmpHeaderBytes + kCcmpMicBytes;
         break;
       case Security::kWep:
-        mpdu.header.protected_frame = true;
-        mpdu.body = wep_encrypt(security_.wep_key,
-                                next_wep_iv_++ & 0xFFFFFFu, payload);
+        header.protected_frame = true;
+        wep_body = wep_encrypt(security_.wep_key, next_wep_iv_++ & 0xFFFFFFu,
+                               payload);
+        body_bytes = wep_body.size();
         break;
     }
-    mpdus.push_back(serialize_mpdu(mpdu));
+
+    // One subframe: delimiter, header, body, FCS, then zeros to the next
+    // 4-byte boundary (aggregate() of serialize_mpdu(), byte for byte).
+    const std::size_t mpdu_bytes = kQosHeaderBytes + body_bytes + kFcsBytes;
+    const std::size_t at = psdu.size();
+    psdu.resize(at + (kDelimiterBytes + mpdu_bytes + 3) / 4 * 4);
+    const std::span<std::uint8_t> subframe =
+        std::span(psdu).subspan(at, kDelimiterBytes + mpdu_bytes);
+    const auto delimiter = make_delimiter(mpdu_bytes);
+    std::copy(delimiter.begin(), delimiter.end(), subframe.begin());
+    const std::span<std::uint8_t> mpdu = subframe.subspan(kDelimiterBytes);
+    serialize_header_into(header, mpdu.first<kQosHeaderBytes>());
+    const std::span<std::uint8_t> body =
+        mpdu.subspan(kQosHeaderBytes, body_bytes);
+    switch (security_.mode) {
+      case Security::kOpen:
+        std::copy(payload.begin(), payload.end(), body.begin());
+        break;
+      case Security::kCcmp:
+        std::copy(payload.begin(), payload.end(),
+                  body.begin() + static_cast<std::ptrdiff_t>(kCcmpHeaderBytes));
+        ccmp_->encrypt_in_place(header, body);
+        break;
+      case Security::kWep:
+        std::copy(wep_body.begin(), wep_body.end(), body.begin());
+        break;
+    }
+    const std::uint32_t fcs =
+        util::crc32(mpdu.first(kQosHeaderBytes + body_bytes));
+    for (std::size_t i = 0; i < kFcsBytes; ++i) {
+      mpdu[kQosHeaderBytes + body_bytes + i] =
+          static_cast<std::uint8_t>((fcs >> (8 * i)) & 0xFF);
+    }
   }
-  return aggregate(mpdus);
 }
 
 std::uint16_t Client::last_seq(std::size_t i) const {

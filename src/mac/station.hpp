@@ -62,8 +62,15 @@ class Client {
   Client(MacAddress address, MacAddress ap_address, SecurityConfig security);
 
   /// Builds an A-MPDU from per-subframe payloads, assigning consecutive
-  /// sequence numbers and encrypting bodies per the BSS security mode.
-  /// Requires 1..64 payloads.
+  /// sequence numbers and encrypting bodies per the BSS security mode,
+  /// into `psdu`, reusing its capacity: each subframe's delimiter,
+  /// header, body (CCMP seals it in place), FCS and padding are written
+  /// straight into it, so a warm open or CCMP build allocates nothing
+  /// (WEP still builds each body apart). Requires 1..64 payloads.
+  void build_ampdu_into(std::span<const util::ByteVec> payloads,
+                        util::ByteVec& psdu);
+
+  /// build_ampdu_into() into a fresh PSDU.
   util::ByteVec build_ampdu(std::span<const util::ByteVec> payloads);
 
   /// Sequence number of subframe `i` in the last built A-MPDU.

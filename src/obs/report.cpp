@@ -118,6 +118,9 @@ RunScope::RunScope(std::string bench, const util::Args& args)
   if (args.has("no-metrics")) metrics_path_.clear();
   trace_path_ = args.get_string("trace-out", "");
   stream_path_ = args.get_string("stream-out", "");
+  const double stream_period_ms = args.get_double("stream-period-ms", 250.0);
+  const auto stream_ring =
+      static_cast<std::size_t>(args.get_u64("stream-ring", 8192));
   ledger_ = args.has("ledger");
   if (ledger_ && !stream_path_.empty()) {
     throw std::invalid_argument(
@@ -134,9 +137,8 @@ RunScope::RunScope(std::string bench, const util::Args& args)
     StreamerConfig scfg;
     scfg.jsonl_path = stream_path_;
     scfg.chrome_path = trace_path_;  // incremental when both are given
-    scfg.period_ms = args.get_double("stream-period-ms", 250.0);
-    scfg.ring_capacity = static_cast<std::size_t>(
-        args.get_u64("stream-ring", 8192));
+    scfg.period_ms = stream_period_ms;
+    scfg.ring_capacity = stream_ring;
     scfg.bench = bench_;
     streamer_ = std::make_unique<TelemetryStreamer>(scfg);
   }
@@ -215,6 +217,12 @@ void RunScope::finish() {
 }
 
 RunScope::~RunScope() {
+  if (std::uncaught_exceptions() > uncaught_) {
+    RunScope* self = this;
+    g_active_scope.compare_exchange_strong(self, nullptr,
+                                           std::memory_order_acq_rel);
+    return;
+  }
   try {
     finish();
   } catch (const std::exception& e) {

@@ -44,6 +44,7 @@
 // changes here must keep that round-trip green.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <string>
 #include <utility>
@@ -107,6 +108,9 @@ class RunScope {
   /// want the path printed before their own epilogue).
   void finish();
 
+  /// Calls finish(), unless an exception is unwinding through the scope
+  /// (bad input or --help, which util::run_main answers): a run that
+  /// never ran writes no report.
   ~RunScope();
 
  private:
@@ -121,6 +125,7 @@ class RunScope {
   std::unique_ptr<TelemetryStreamer> streamer_;
   double start_us_ = 0.0;
   bool finished_ = false;
+  int uncaught_ = std::uncaught_exceptions();
 };
 
 }  // namespace witag::obs

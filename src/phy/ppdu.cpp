@@ -194,6 +194,19 @@ std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index) {
   return kTables[mcs_index];
 }
 
+const simd::PlacePlan& place_plan(unsigned mcs_index) {
+  static const std::array<simd::PlacePlan, kNumMcs> kPlans = [] {
+    std::array<simd::PlacePlan, kNumMcs> plans;
+    for (unsigned i = 0; i < kNumMcs; ++i) {
+      plans[i] = simd::make_place_plan(tx_gather_table(i),
+                                       2 * std::size_t{mcs(i).n_dbps});
+    }
+    return plans;
+  }();
+  WITAG_REQUIRE(mcs_index < kNumMcs);
+  return kPlans[mcs_index];
+}
+
 double llr_scale(const ChannelEstimate& est, Modulation mod) {
   if (!(est.mean_gain > simd::kEqualizeMinGain)) return 0.0;
   // Squared distance between adjacent levels of each normalized
@@ -235,7 +248,6 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
 void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
                           DecodeScratch& scratch) {
   const McsParams& m = mcs(mcs_index_for(scratch.modulation, rate));
-  const std::span<const std::uint16_t> table = tx_gather_table(m.index);
   WITAG_REQUIRE(scratch.llrs.size() % m.n_cbps == 0);
   const std::size_t n_sym = scratch.llrs.size() / m.n_cbps;
   // Each symbol carries n_dbps information bits, 2 * n_dbps mother-rate
@@ -249,16 +261,9 @@ void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
   // Only the symbols that hold the first n_info bits are placed.
   const std::size_t placed = (2 * n_info + span - 1) / span;
   scratch.mother.resize(placed * span);
-  std::int8_t* mother = scratch.mother.data();
-  if (rate != CodeRate::kHalf) {
-    std::fill(scratch.mother.begin(), scratch.mother.end(), std::int8_t{0});
-  }
-  const std::int8_t* llrs = scratch.llrs.data();
-  for (std::size_t s = 0; s < placed; ++s) {
-    const std::int8_t* in = llrs + s * m.n_cbps;
-    std::int8_t* out = mother + s * span;
-    for (std::size_t j = 0; j < table.size(); ++j) out[table[j]] = in[j];
-  }
+  simd::place_for(simd::active_tier())(scratch.llrs.data(), placed,
+                                       place_plan(m.index),
+                                       scratch.mother.data());
   scratch.mother.resize(2 * n_info);
   viterbi_decode(scratch.mother, scratch.viterbi, scratch.bits);
 }

@@ -25,6 +25,10 @@
 
 namespace witag::phy {
 
+namespace simd {
+struct PlacePlan;
+}  // namespace simd
+
 /// Reusable buffers for the receive pipeline. One scratch serves any
 /// number of sequential decodes; each buffer grows to the largest PPDU
 /// seen and is then reused, so steady-state decode of an A-MPDU stream
@@ -148,6 +152,11 @@ namespace detail {
 /// The receiver places its soft bits through the same table.
 std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index);
 
+/// The placement plan of `mcs_index`: its tx_gather_table() over the
+/// 2 × n_dbps mother-rate positions of a symbol, built once per process
+/// (simd::make_place_plan; the eight plans take under 8 KB).
+const simd::PlacePlan& place_plan(unsigned mcs_index);
+
 /// What a clean weakest bit on an average-gain subcarrier quantizes to.
 inline constexpr double kLlrFullScale = 32.0;
 
@@ -171,12 +180,13 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
                      DecodeScratch& scratch);
 
 /// Back half: places each of `scratch.llrs` at its mother-rate position
-/// in `scratch.mother` through the tx_gather_table() of the MCS with
-/// `scratch.modulation` and `rate`, zeroes the erasures the puncturer
-/// made, truncates to `n_info_bits` information bits (0 = decode
-/// everything; the data field stops at the tail where the trellis
-/// terminates) and Viterbi-decodes into `scratch.bits`. The table's one
-/// pass replaces a deinterleave per symbol and a depuncture per field.
+/// in `scratch.mother` through the place_plan() of the MCS with
+/// `scratch.modulation` and `rate` (simd::place_for; the erasures the
+/// puncturer made read 0), truncates to `n_info_bits` information bits
+/// (0 = decode everything; the data field stops at the tail where the
+/// trellis terminates) and Viterbi-decodes into `scratch.bits`. The
+/// table's one pass replaces a deinterleave per symbol and a depuncture
+/// per field.
 void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
                           DecodeScratch& scratch);
 

@@ -1,8 +1,9 @@
 // Tier detection, the WITAG_SIMD override, and the scalar kernels: the
 // only tier on non-x86 hosts and on x86 hosts without AVX2 or AES-NI,
 // and the one WITAG_SIMD=off forces. The vector kernels live in
-// simd_avx2.cpp (every hot kernel and the AES-NI block cipher) and
-// simd_avx512.cpp (the Viterbi ACS only); this TU owns
+// simd_avx2.cpp (every hot kernel but the placement, and the AES-NI
+// block cipher) and simd_avx512.cpp (the Viterbi ACS and the soft-bit
+// placement); this TU owns
 // the dispatch, so a build without AVX2 or AVX-512 support (or a non-x86
 // target) runs the lower tiers without any caller noticing.
 
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "phy/trellis.hpp"
@@ -102,6 +104,20 @@ void acs_block_scalar(const std::int8_t* llrs, std::size_t n_steps,
     }
   }
   if (cur != metrics) std::copy(cur, cur + kNumStates, metrics);
+}
+
+// The table loop: erasures zeroed, then one byte store per soft bit.
+void place_scalar(const std::int8_t* llrs, std::size_t n_symbols,
+                  const PlacePlan& plan, std::int8_t* out) {
+  const std::span<const std::uint16_t> table = plan.table;
+  if (plan.span != table.size()) {
+    std::fill_n(out, n_symbols * plan.span, std::int8_t{0});
+  }
+  for (std::size_t s = 0; s < n_symbols; ++s) {
+    const std::int8_t* in = llrs + s * table.size();
+    std::int8_t* at = out + s * plan.span;
+    for (std::size_t j = 0; j < table.size(); ++j) at[table[j]] = in[j];
+  }
 }
 
 // Max-log LLRs of one point: per-axis squared distances, their minima
@@ -274,6 +290,8 @@ void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
                       std::uint64_t* decisions, std::int16_t* metrics);
 void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                     std::uint64_t* decisions, std::int16_t* metrics);
+void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
+                  const PlacePlan& plan, std::int8_t* out);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void demap_quantize_avx2(const double* re, const double* im, const double* nv,
@@ -360,6 +378,39 @@ AcsBlockFn acs_block_for(Tier t) {
     return kernels::acs_block_avx512;
   }
   return use_avx2(t) ? kernels::acs_block_avx2 : acs_block_scalar;
+}
+
+PlacePlan make_place_plan(std::span<const std::uint16_t> table,
+                          std::size_t span) {
+  constexpr std::size_t kChunk = 64;
+  constexpr std::size_t kWindow = 128;
+  PlacePlan plan;
+  plan.table = table;
+  plan.span = span;
+  plan.windows = (table.size() + kWindow - 1) / kWindow;
+  const std::size_t steps = (span + kChunk - 1) / kChunk * plan.windows;
+  plan.index.resize(steps);
+  plan.lanes.assign(steps, 0);
+  for (std::size_t j = 0; j < table.size(); ++j) {
+    WITAG_REQUIRE(table[j] < span);
+    const std::size_t chunk = table[j] / kChunk;
+    const std::size_t lane = table[j] % kChunk;
+    for (std::size_t w = 0; w < plan.windows; ++w) {
+      WITAG_REQUIRE(((plan.lanes[chunk * plan.windows + w] >> lane) & 1u) ==
+                    0);
+    }
+    const std::size_t step = chunk * plan.windows + j / kWindow;
+    plan.index[step].bytes[lane] = static_cast<std::uint8_t>(j % kWindow);
+    plan.lanes[step] |= std::uint64_t{1} << lane;
+  }
+  return plan;
+}
+
+PlaceFn place_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::place_avx512;
+  }
+  return place_scalar;
 }
 
 DemapBlockFn demap_block_for(Tier t) {

@@ -1,13 +1,16 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft demap with or without the
-// LLR quantizer, equalize, LLR quantize, deinterleave, radix-4 FFT
-// passes) and one non-PHY kernel,
+// kernels (Viterbi add-compare-select, soft-bit placement, soft demap
+// with or without the LLR quantizer, equalize, LLR quantize,
+// deinterleave, radix-4 FFT passes) and one non-PHY kernel,
 // CCMP's AES block cipher. There are three tiers: the portable scalar
-// kernels; AVX2 + AES-NI, with a kernel for each of those; and
-// AVX-512 (F + BW), which carries one kernel of its own, a
-// register-resident Viterbi ACS, and runs the AVX2 kernels for
+// kernels; AVX2 + AES-NI, with a kernel for each of those but the
+// placement; and AVX-512 (F + BW + VBMI), which carries two kernels of
+// its own, a register-resident Viterbi ACS and the soft-bit placement,
+// both moving bytes with vpermt2b, and runs the AVX2 kernels for
 // everything else. Both vector tiers are selected at run time on x86
-// hosts that have them (AVX2 without AES-NI runs the scalar tier).
+// hosts that have them (AVX2 without AES-NI runs the scalar tier;
+// AVX-512 F + BW without VBMI, as on Skylake-SP and Cascade Lake, runs
+// the AVX2 tier).
 //
 // Every kernel here is bit-identical to its scalar counterpart. The
 // Viterbi back end (int8 LLRs, int16 path metrics, saturating adds) is
@@ -36,7 +39,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "util/complexvec.hpp"
 
@@ -49,7 +54,7 @@ enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
 /// kAvx2 needs AVX2 and AES-NI; AVX-512 needs both of those plus
-/// AVX-512F and AVX-512BW.
+/// AVX-512F, AVX-512BW and AVX-512VBMI.
 Tier detect_best_tier();
 
 /// Parses a WITAG_SIMD value into the tier it caps dispatch at:
@@ -114,9 +119,57 @@ inline constexpr std::int16_t kAcsStartBound = 16384;
 using AcsBlockFn = void (*)(const std::int8_t* llrs, std::size_t n_steps,
                             std::uint64_t* decisions, std::int16_t* metrics);
 
-/// The ACS kernel for a tier (always non-null). The only kernel with an
-/// AVX-512 implementation.
+/// The ACS kernel for a tier (always non-null). One of the two kernels
+/// with an AVX-512 implementation (the other is place_for's).
 AcsBlockFn acs_block_for(Tier t);
+
+// ---------------------------------------------------------------------
+// Soft-bit placement (air-order int8 LLRs to mother-rate positions).
+// ---------------------------------------------------------------------
+
+/// 64 byte indices of a vpermt2b, on their own cache line.
+struct alignas(64) PlaceIndex {
+  std::array<std::uint8_t, 64> bytes{};
+};
+
+/// Where one MCS puts each of a symbol's `table.size()` (n_cbps) soft
+/// bits among its `span` (2 × n_dbps) mother-rate positions: air bit j
+/// goes to position table[j], and a position no entry names is an
+/// erasure (the puncturer cut it) and reads 0. phy::detail::place_plan
+/// builds one per MCS, once per process, from the transmitter's gather
+/// table.
+///
+/// The AVX-512 kernel reads the rest. It cuts the span into 64-byte
+/// chunks and the symbol's air bytes into 128-byte windows (the two
+/// registers one vpermt2b reads); step c × windows + w holds, for
+/// chunk c and window w, the window-relative source byte of every chunk
+/// lane in `index` and, in `lanes`, the lanes whose source lies in that
+/// window.
+struct PlacePlan {
+  std::span<const std::uint16_t> table;
+  std::size_t span = 0;
+  std::size_t windows = 0;
+  std::vector<PlaceIndex> index;
+  std::vector<std::uint64_t> lanes;
+};
+
+/// The plan of `table` over `span` positions (each entry < span, none
+/// repeated).
+PlacePlan make_place_plan(std::span<const std::uint16_t> table,
+                          std::size_t span);
+
+/// Places `n_symbols` consecutive symbols of air-order LLRs (n_cbps
+/// each, at `llrs`) into `n_symbols` × span bytes at `out`:
+/// out[s × span + table[j]] = llrs[s × n_cbps + j], and every other byte
+/// of those spans is 0. Reads and writes nothing outside the two ranges,
+/// so a reused `out` may hold anything on entry.
+using PlaceFn = void (*)(const std::int8_t* llrs, std::size_t n_symbols,
+                         const PlacePlan& plan, std::int8_t* out);
+
+/// The placement kernel for a tier (always non-null): AVX-512 permutes
+/// bytes through the plan; the scalar and AVX2 tiers run the table
+/// loop.
+PlaceFn place_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Soft demap (separable Gray-QAM, SoA inputs).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 
@@ -23,14 +24,20 @@ constexpr auto kBitsOf = [] {
   return table;
 }();
 
-// Packs the low bits of b[0..8) LSB-first into one byte. Written out,
-// with no branch on the data: decoded PSDUs (CCMP ciphertext) are
-// random bits.
+// Packs the low bits of b[0..8) LSB-first into one byte, word-wide and
+// with no branch on the data (decoded PSDUs, CCMP ciphertext, are random
+// bits). Read little-endian, b[i]'s low bit sits at bit 8i of the word;
+// the multiply adds it at bit 8i + 7j + 7 for each multiplier bit j, and
+// lands it at 56 + i exactly when j = 7 - i. Every product bit receives
+// at most one term, so no carry reaches the top byte, which is the
+// packed byte.
 std::uint8_t pack_byte(const std::uint8_t* b) {
+  static_assert(std::endian::native == std::endian::little,
+                "pack_byte reads eight bits as one little-endian word");
+  std::uint64_t word;
+  std::memcpy(&word, b, sizeof word);
   return static_cast<std::uint8_t>(
-      (b[0] & 1u) | (b[1] & 1u) << 1 | (b[2] & 1u) << 2 | (b[3] & 1u) << 3 |
-      (b[4] & 1u) << 4 | (b[5] & 1u) << 5 | (b[6] & 1u) << 6 |
-      (b[7] & 1u) << 7);
+      ((word & 0x0101010101010101u) * 0x0102040810204080u) >> 56);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <iostream>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <cstddef>
 
 #include "util/require.hpp"
@@ -43,33 +46,43 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Args::read(const std::string& name,
+                              std::optional<std::string> fallback) const {
+  if (used_.insert(name).second) read_.push_back({name, std::move(fallback)});
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 double Args::get_double(const std::string& name, double fallback) const {
-  const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_option<double>(name, value);
+  std::ostringstream shown;
+  shown << fallback;
+  const std::string* value = read(name, shown.str());
+  return !value || value->empty() ? fallback
+                                  : parse_option<double>(name, *value);
 }
 
 long Args::get_int(const std::string& name, long fallback) const {
-  const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_option<long>(name, value);
+  const std::string* value = read(name, std::to_string(fallback));
+  return !value || value->empty() ? fallback
+                                  : parse_option<long>(name, *value);
 }
 
 std::uint64_t Args::get_u64(const std::string& name,
                             std::uint64_t fallback) const {
-  const std::string value = get_string(name, "");
-  return value.empty() ? fallback : parse_option<std::uint64_t>(name, value);
+  const std::string* value = read(name, std::to_string(fallback));
+  return !value || value->empty()
+             ? fallback
+             : parse_option<std::uint64_t>(name, *value);
 }
 
 std::string Args::get_string(const std::string& name,
                              const std::string& fallback) const {
-  used_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end() || it->second.empty()) return fallback;
-  return it->second;
+  const std::string* value = read(name, fallback);
+  return !value || value->empty() ? fallback : *value;
 }
 
 bool Args::has(const std::string& name) const {
-  used_.insert(name);
-  return values_.contains(name);
+  return read(name, std::nullopt) != nullptr;
 }
 
 std::set<std::string> Args::unused() const {
@@ -88,10 +101,41 @@ std::size_t Args::warn_unused(std::ostream& os) const {
   return names.size();
 }
 
+void Args::check() const {
+  if (has("help")) throw HelpRequested{options_text()};
+  const std::set<std::string> names = unused();
+  if (names.empty()) return;
+  std::string message = "unknown option";
+  const char* separator = " --";
+  for (const std::string& name : names) {
+    message += separator + name;
+    separator = ", --";
+  }
+  throw std::invalid_argument(message);
+}
+
+std::string Args::options_text() const {
+  std::ostringstream os;
+  for (const ReadOption& opt : read_) {
+    std::string line = "  --" + opt.name;
+    if (opt.fallback) {
+      line += " VALUE";
+      line.resize(std::max<std::size_t>(line.size() + 2, 32), ' ');
+      line += opt.fallback->empty() ? "(default: none)"
+                                    : "(default: " + *opt.fallback + ")";
+    }
+    os << line << '\n';
+  }
+  return os.str();
+}
+
 int run_main(const char* binary, int argc, const char* const* argv,
              int (*body)(const Args&)) {
   try {
     return body(Args(argc, argv));
+  } catch (const HelpRequested& help) {
+    std::cout << "usage: " << binary << " [options]\n" << help.options;
+    return 0;
   } catch (const std::invalid_argument& e) {
     std::cerr << binary << ": " << e.what() << '\n';
     return 2;

@@ -128,12 +128,13 @@ void build_query_into(const QueryLayout& layout, mac::Client& client,
   }
 
   frame.layout = layout;
-  const util::ByteVec psdu = client.build_ampdu(frame.payloads);
-  WITAG_ENSURE(psdu.size() == layout.subframe_bytes * layout.n_subframes);
+  client.build_ampdu_into(frame.payloads, frame.psdu);
+  WITAG_ENSURE(frame.psdu.size() ==
+               layout.subframe_bytes * layout.n_subframes);
 
   phy::TxConfig tx_cfg;
   tx_cfg.mcs_index = layout.mcs_index;
-  phy::transmit_into(psdu, tx_cfg, frame.ppdu);
+  phy::transmit_into(frame.psdu, tx_cfg, frame.ppdu);
 
   // Trigger envelope pattern: HIGH, LOW, HIGH, then a LOW region of
   // (1 + trigger_code) subframes, then HIGH to the end of the trigger

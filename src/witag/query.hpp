@@ -61,14 +61,16 @@ struct QueryFrame {
   /// Filler payloads, one per subframe. They depend only on the layout,
   /// so a reused frame overwrites them in place.
   std::vector<util::ByteVec> payloads;
+  util::ByteVec psdu;  ///< The A-MPDU the PPDU carries.
   phy::TxPpdu ppdu;
   std::vector<double> slot_scale;  ///< One per PPDU symbol slot.
 };
 
 /// Builds one query through the client station (sequence numbers and
 /// encryption advance in `client`) into `out`, reusing the capacity of
-/// its payloads, timeline and slot scales; every field of `out` is
-/// overwritten.
+/// its payloads, PSDU, timeline and slot scales; every field of `out` is
+/// overwritten. A warm frame on an open or CCMP network allocates
+/// nothing.
 void build_query_into(const QueryLayout& layout, mac::Client& client,
                       double trigger_low_scale, QueryFrame& out);
 

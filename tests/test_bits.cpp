@@ -47,6 +47,38 @@ TEST(Bits, PackUsesOnlyBitZeroAtEverySize) {
   }
 }
 
+TEST(Bits, WordPackEqualsBytewisePackForEveryPattern) {
+  // The pack reads eight bits as one word and multiplies; it must equal
+  // the byte-at-a-time pack for all 256 low-bit patterns, whatever the
+  // seven high bits of each input byte hold (0, all ones, random).
+  const auto bytewise = [](const std::uint8_t* b) {
+    unsigned v = 0;
+    for (unsigned i = 0; i < 8; ++i) v |= (b[i] & 1u) << i;
+    return static_cast<std::uint8_t>(v);
+  };
+  Rng rng(0xB175);
+  BitVec bits(8 * 256 * 3);
+  for (std::size_t k = 0; k < bits.size() / 8; ++k) {
+    const unsigned pattern = k % 256;
+    const unsigned high = k / 256;  // 0: zero, 1: ones, 2: random
+    for (unsigned i = 0; i < 8; ++i) {
+      const unsigned noise = high == 0   ? 0u
+                             : high == 1 ? 0xFEu
+                                         : static_cast<unsigned>(
+                                               rng.uniform_int(256)) & 0xFEu;
+      bits[8 * k + i] =
+          static_cast<std::uint8_t>(noise | ((pattern >> i) & 1u));
+    }
+  }
+  ByteVec out;
+  bits_to_bytes_into(bits, out);
+  ASSERT_EQ(out.size(), bits.size() / 8);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    ASSERT_EQ(out[k], bytewise(bits.data() + 8 * k)) << "byte " << k;
+    ASSERT_EQ(out[k], k % 256) << "byte " << k;
+  }
+}
+
 TEST(Bits, BytesToBitsIntoFillsExactSpan) {
   const ByteVec bytes{0xA5, 0x3C};
   BitVec bits(16, 7);

@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "claims.hpp"
 #include "util/cli.hpp"
@@ -221,6 +223,86 @@ TEST(Args, WarnUnusedWritesOneLinePerTypo) {
   const std::string out = os.str();
   EXPECT_NE(out.find("--typo"), std::string::npos);
   EXPECT_NE(out.find("--oops"), std::string::npos);
+}
+
+TEST(Args, CheckRejectsAnOptionNothingRead) {
+  const Args args = parse({"--runs", "2", "--rnus", "64"});
+  args.get_int("runs", 4);
+  try {
+    args.check();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown option --rnus");
+  }
+  const Args two = parse({"--b", "--a", "1"});
+  try {
+    two.check();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown option --a, --b");
+  }
+  const Args clean = parse({"--runs", "2", "--verbose"});
+  clean.get_int("runs", 4);
+  static_cast<void>(clean.has("verbose"));
+  EXPECT_NO_THROW(clean.check());
+}
+
+TEST(Args, HelpListsEveryReadOptionWithItsDefault) {
+  // --help wins over an unknown option, and lists the options in the
+  // order the binary first read them, each once.
+  const Args args = parse({"--help", "--rnus", "64"});
+  args.get_int("runs", 4);
+  args.get_double("pos", 2.5);
+  args.get_u64("seed", 1000);
+  args.get_string("csv", "");
+  static_cast<void>(args.has("supervised"));
+  args.get_string("out", "a.json");
+  args.get_int("runs", 4);
+  try {
+    args.check();
+    FAIL() << "expected HelpRequested";
+  } catch (const HelpRequested& help) {
+    EXPECT_EQ(help.options,
+              "  --runs VALUE                  (default: 4)\n"
+              "  --pos VALUE                   (default: 2.5)\n"
+              "  --seed VALUE                  (default: 1000)\n"
+              "  --csv VALUE                   (default: none)\n"
+              "  --supervised\n"
+              "  --out VALUE                   (default: a.json)\n"
+              "  --help\n");
+  }
+}
+
+int help_body(const Args& args) {
+  args.get_int("runs", 4);
+  args.check();
+  std::cout << "ran\n";
+  return 7;
+}
+
+TEST(Args, RunMainAnswersHelpAndUnknownOptions) {
+  const std::vector<const char*> help{"prog", "--help"};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main("prog", 2, help.data(), help_body), 0);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "usage: prog [options]\n"
+            "  --runs VALUE                  (default: 4)\n"
+            "  --help\n");
+
+  const std::vector<const char*> typo{"prog", "--rnus", "64"};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main("prog", 3, typo.data(), help_body), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: unknown option --rnus\n");
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+
+  const std::vector<const char*> good{"prog", "--runs", "3"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_main("prog", 3, good.data(), help_body), 7);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "ran\n");
 }
 
 TEST(Csv, RejectsUnwritablePath) {

@@ -210,5 +210,29 @@ TEST(Footprint, WarmQueryBuildAllocatesNoMoreThanTheAmpdu) {
   }
 }
 
+TEST(Footprint, WarmQueryBuildAllocatesNothing) {
+  // The A-MPDU is written into the frame's own PSDU and CCMP seals each
+  // body in place, so once warm a 64-subframe query build allocates
+  // nothing at all, on an open network and under CCMP.
+  for (const mac::Security mode : {mac::Security::kOpen,
+                                   mac::Security::kCcmp}) {
+    SessionConfig cfg = link_config(64, 10);
+    cfg.security.mode = mode;
+    const Session session(cfg);
+    mac::Client client(mac::make_address(0x01), mac::make_address(0x02),
+                       cfg.security);
+    QueryFrame frame;
+    for (int i = 0; i < 2; ++i) {
+      build_query_into(session.layout(), client,
+                       cfg.query.trigger_low_scale, frame);
+    }
+    const std::uint64_t before = g_allocs.load();
+    build_query_into(session.layout(), client, cfg.query.trigger_low_scale,
+                     frame);
+    EXPECT_EQ(g_allocs.load() - before, 0u)
+        << (mode == mac::Security::kOpen ? "open" : "CCMP");
+  }
+}
+
 }  // namespace
 }  // namespace witag::core

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <optional>
 #include <span>
@@ -42,6 +43,24 @@ using test::runnable_tiers;
 
 TEST(SimdDispatch, ActiveTierNeverExceedsDetected) {
   EXPECT_LE(phy::simd::active_tier(), phy::simd::detect_best_tier());
+}
+
+TEST(SimdDispatch, ReportsDetectedTier) {
+  // CI's simd-dispatch job runs this first: hosted runners' CPUs vary,
+  // so the log says whether the run exercised the AVX-512 kernels. A
+  // host without AVX-512 VBMI (Skylake-SP, Cascade Lake) runs AVX2.
+  const Tier best = phy::simd::detect_best_tier();
+  std::cout << "[simd] detected tier " << phy::simd::tier_name(best) << ": "
+            << (best == Tier::kAvx512
+                    ? "the AVX-512 ACS and placement kernels run"
+                    : "no AVX-512 kernel runs (it needs AVX-512 F, BW and "
+                      "VBMI)")
+            << "\n";
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  if (__builtin_cpu_supports("avx512vbmi") == 0) {
+    EXPECT_LT(best, Tier::kAvx512);
+  }
+#endif
 }
 
 TEST(SimdDispatch, ScopedTierOverridesAndRestores) {
@@ -94,10 +113,11 @@ TEST(SimdDispatchDeathTest, UnknownWitagSimdExitsWithStatus2) {
 }
 
 TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
-  // Only the ACS has an AVX-512 kernel; at that tier every other kernel
-  // must stay on AVX2. A dispatch that tests `tier == kAvx2` would send
-  // them back to scalar instead, and the outputs would still be
-  // byte-identical, so no parity test would notice.
+  // Only the ACS and the soft-bit placement have AVX-512 kernels; at that
+  // tier every other kernel must stay on AVX2. A dispatch that tests
+  // `tier == kAvx2` would send them back to scalar instead, and the
+  // outputs would still be byte-identical, so no parity test would
+  // notice. The placement has no AVX2 kernel: AVX2 runs the scalar one.
   const auto& k2 = phy::simd::fft_kernels_for(Tier::kAvx2);
   const auto& k512 = phy::simd::fft_kernels_for(Tier::kAvx512);
   EXPECT_EQ(phy::simd::demap_block_for(Tier::kAvx512),
@@ -113,6 +133,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
   EXPECT_EQ(k512.radix4_pass, k2.radix4_pass);
   EXPECT_EQ(k512.len2_pass, k2.len2_pass);
   EXPECT_EQ(k512.scale, k2.scale);
+  EXPECT_EQ(phy::simd::place_for(Tier::kAvx2),
+            phy::simd::place_for(Tier::kScalar));
   if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
     // ... and AVX2 really is a vector kernel on hosts that have it.
     const auto& k0 = phy::simd::fft_kernels_for(Tier::kScalar);
@@ -133,6 +155,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
   if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx512),
               phy::simd::acs_block_for(Tier::kAvx2));
+    EXPECT_NE(phy::simd::place_for(Tier::kAvx512),
+              phy::simd::place_for(Tier::kAvx2));
   }
 }
 
@@ -333,10 +357,11 @@ TEST(SimdParity, AcsBlockEveryTierBitIdentical) {
   // wrong metric, would still pass them. Here every tier's raw kernel
   // must match the scalar kernel word for word and metric for metric.
   // The counts cover empty, single-step and every remainder around the
-  // 16-step renormalization period, up to one 64-subframe MCS5
+  // 16-step renormalization period (the AVX-512 kernel's unrolled
+  // blocks end at 16, 32 and 48 steps), up to one 64-subframe MCS5
   // exchange; regimes 5-8 are the full-scale ±127 streams.
-  constexpr std::size_t kSteps[] = {0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 4097,
-                                    53270};
+  constexpr std::size_t kSteps[] = {0,  1,  2,  3,  7,  8,  9,    15, 16,
+                                    17, 31, 32, 33, 47, 48, 49, 4097, 53270};
   const std::vector<Tier> tiers = runnable_tiers();
   const phy::simd::AcsBlockFn scalar =
       phy::simd::acs_block_for(Tier::kScalar);
@@ -727,6 +752,110 @@ TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
         for (unsigned k = 0; k < n_cbps; ++k) {
           ASSERT_EQ(got[k], llrs[map[k]])
               << "trial " << trial << " mod " << n_bpsc << " bpsc, k " << k
+              << " tier " << phy::simd::tier_name(t);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Soft-bit placement.
+// ---------------------------------------------------------------------
+
+/// Random soft bits over the whole int8 range, with runs of the
+/// extremes (-128, -127 and 127) the quantizer never makes but a kernel
+/// must still move unchanged.
+void fill_soft_bits(util::Rng& rng, std::vector<std::int8_t>& llrs) {
+  for (auto& v : llrs) {
+    switch (rng.uniform_int(4)) {
+      case 0:
+        v = -128;
+        break;
+      case 1:
+        v = rng.uniform_int(2) == 0 ? std::int8_t{127} : std::int8_t{-127};
+        break;
+      default:
+        v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) -
+                                     128);
+    }
+  }
+}
+
+TEST(SimdParity, PlaceEveryTierMatchesTableLoop) {
+  // Every tier's placement kernel against a table loop written here from
+  // the transmitter's gather table alone, on every MCS: fields of 1, 2,
+  // 3 and 257 symbols, placed whole and short by one symbol, into a
+  // dirty reused buffer whose bytes past the placed spans must survive.
+  constexpr std::int8_t kDirt = 0x5A;
+  constexpr std::size_t kGuard = 200;
+  const std::vector<Tier> tiers = runnable_tiers();
+  std::vector<std::int8_t> llrs, expect, got;
+  for (unsigned i = 0; i < phy::kNumMcs; ++i) {
+    const phy::McsParams& m = phy::mcs(i);
+    const std::span<const std::uint16_t> table =
+        phy::detail::tx_gather_table(i);
+    const phy::simd::PlacePlan& plan = phy::detail::place_plan(i);
+    const std::size_t span = 2 * std::size_t{m.n_dbps};
+    ASSERT_EQ(plan.span, span) << "mcs " << i;
+    ASSERT_EQ(plan.table.size(), std::size_t{m.n_cbps}) << "mcs " << i;
+    for (const std::size_t n_sym : {1u, 2u, 3u, 257u}) {
+      util::Rng rng(0x91'AC'00 + 1000 * i + n_sym);
+      llrs.resize(n_sym * m.n_cbps);
+      fill_soft_bits(rng, llrs);
+      for (const std::size_t placed : {n_sym, n_sym - 1}) {
+        expect.assign(placed * span + kGuard, kDirt);
+        std::fill_n(expect.begin(), placed * span, std::int8_t{0});
+        for (std::size_t s = 0; s < placed; ++s) {
+          for (std::size_t j = 0; j < table.size(); ++j) {
+            expect[s * span + table[j]] = llrs[s * m.n_cbps + j];
+          }
+        }
+        for (const Tier t : tiers) {
+          got.assign(expect.size(), kDirt);
+          phy::simd::place_for(t)(llrs.data(), placed, plan, got.data());
+          ASSERT_TRUE(got == expect)
+              << "mcs " << i << " symbols " << n_sym << " placed " << placed
+              << " tier " << phy::simd::tier_name(t);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParity, FieldBitsFromLlrsEqualAcrossTiers) {
+  // The decoder's back half (placement, then the Viterbi decode) gives
+  // the same mother-rate soft bits and decoded bits at every tier, for a
+  // whole field and for one decoded short of it, through one scratch
+  // reused dirty across tiers, MCSs and field sizes.
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::DecodeScratch scratch;
+  std::vector<std::int8_t> llrs, expect_mother;
+  BitVec expect_bits;
+  for (unsigned i = 0; i < phy::kNumMcs; ++i) {
+    const phy::McsParams& m = phy::mcs(i);
+    for (const std::size_t n_sym : {1u, 3u, 257u}) {
+      util::Rng rng(0xF1'E1'00 + 1000 * i + n_sym);
+      llrs.resize(n_sym * m.n_cbps);
+      fill_soft_bits(rng, llrs);
+      const std::size_t whole = n_sym * m.n_dbps;
+      for (const std::size_t n_info : {std::size_t{0}, whole - m.n_dbps / 2}) {
+        for (const Tier t : tiers) {
+          const phy::simd::ScopedTier pin(t);
+          scratch.modulation = m.modulation;
+          scratch.llrs = llrs;
+          phy::detail::field_bits_from_llrs(m.rate, n_info, scratch);
+          if (t == Tier::kScalar) {
+            expect_mother = scratch.mother;
+            expect_bits = scratch.bits;
+            ASSERT_EQ(expect_bits.size(), n_info == 0 ? whole : n_info);
+            continue;
+          }
+          ASSERT_TRUE(scratch.mother == expect_mother)
+              << "mcs " << i << " symbols " << n_sym << " info " << n_info
+              << " tier " << phy::simd::tier_name(t);
+          ASSERT_TRUE(scratch.bits == expect_bits)
+              << "mcs " << i << " symbols " << n_sym << " info " << n_info
               << " tier " << phy::simd::tier_name(t);
         }
       }

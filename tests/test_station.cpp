@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "mac/ampdu.hpp"
+#include "mac/mpdu.hpp"
 #include "util/rng.hpp"
 
 namespace witag::mac {
@@ -145,10 +150,60 @@ TEST(Station, WepDecryptFailureCountsButStillAcks) {
   ASSERT_TRUE(result.block_ack.has_value());
 }
 
+TEST_P(StationSecurity, AmpduIntoEqualsAggregateOfSerializedMpdus) {
+  // build_ampdu_into writes each subframe straight into the PSDU; it
+  // must equal the A-MPDU the framing functions build one MPDU at a
+  // time, over several keys, payload counts and sizes (odd sizes need
+  // padding), with the PSDU buffer reused dirty from the last build.
+  util::ByteVec psdu;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(0xA3'D0 + seed);
+    SecurityConfig sec = config();
+    for (auto& b : sec.ccmp_key) b = rng.bytes(1)[0];
+    for (auto& b : sec.wep_key) b = rng.bytes(1)[0];
+    const MacAddress me = make_address(static_cast<std::uint8_t>(seed));
+    const MacAddress ap = make_address(0x80);
+    Client client(me, ap, sec);
+    std::optional<CcmpSession> ccmp;
+    if (sec.mode == Security::kCcmp) ccmp.emplace(sec.ccmp_key);
+    std::uint32_t wep_iv = 1;
+    std::uint16_t seq = 0;
+    for (int round = 0; round < 3; ++round) {
+      std::vector<util::ByteVec> bodies(1 + rng.uniform_int(kMaxSubframes));
+      for (auto& body : bodies) body = rng.bytes(rng.uniform_int(97));
+      client.build_ampdu_into(bodies, psdu);
+
+      std::vector<util::ByteVec> mpdus;
+      for (const util::ByteVec& body : bodies) {
+        Mpdu mpdu;
+        mpdu.header.addr1 = ap;
+        mpdu.header.addr2 = me;
+        mpdu.header.addr3 = ap;
+        mpdu.header.sequence = seq++;
+        mpdu.header.protected_frame = sec.mode != Security::kOpen;
+        switch (sec.mode) {
+          case Security::kOpen: mpdu.body = body; break;
+          case Security::kCcmp:
+            mpdu.body = ccmp->encrypt(mpdu.header, body);
+            break;
+          case Security::kWep:
+            mpdu.body = wep_encrypt(sec.wep_key, wep_iv++, body);
+            break;
+        }
+        mpdus.push_back(serialize_mpdu(mpdu));
+      }
+      EXPECT_EQ(psdu, aggregate(mpdus)) << "seed " << seed << " round "
+                                        << round;
+    }
+  }
+}
+
 TEST(Station, BuildAmpduValidatesCount) {
   Client client(make_address(1), make_address(2), open_net());
   EXPECT_THROW(client.build_ampdu({}), std::invalid_argument);
   EXPECT_THROW(client.build_ampdu(payloads(65, 1)), std::invalid_argument);
+  util::ByteVec psdu;
+  EXPECT_THROW(client.build_ampdu_into({}, psdu), std::invalid_argument);
 }
 
 }  // namespace
