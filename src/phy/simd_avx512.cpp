@@ -1,6 +1,6 @@
 // AVX-512 tier: two kernels, the Viterbi add-compare-select and the
-// soft-bit placement, both moving bytes with vpermt2b (one uop over the
-// 128 bytes of a register pair). Thirty-two int16 metrics per register
+// soft-bit placement, both moving bytes with vpermt2b (one instruction
+// over the 128 bytes of a register pair). Thirty-two int16 metrics per register
 // hold all 64 path metrics in two zmm registers for the whole trellis,
 // so an ACS step reads and writes no memory except its two LLRs and its
 // decision word. Every other kernel runs its AVX2 version at this tier
