@@ -56,7 +56,7 @@ std::array<std::uint8_t, kCcmpMicBytes> cbc_mac(
 
   Block x = aes.encrypt(b0);
   // XORs bytes into the chain, encrypting each block as it fills;
-  // close() zero-pads a partial block and encrypts it.
+  // end_block() zero-pads a partial block and encrypts it.
   std::size_t filled = 0;
   auto absorb = [&](std::span<const std::uint8_t> chunk) {
     for (const std::uint8_t byte : chunk) {
@@ -67,7 +67,7 @@ std::array<std::uint8_t, kCcmpMicBytes> cbc_mac(
       }
     }
   };
-  auto close = [&] {
+  auto end_block = [&] {
     if (filled != 0) x = aes.encrypt(x);
     filled = 0;
   };
@@ -79,10 +79,10 @@ std::array<std::uint8_t, kCcmpMicBytes> cbc_mac(
         static_cast<std::uint8_t>(aad.size() & 0xFF)};
     absorb(length);
     absorb(aad);
-    close();
+    end_block();
   }
   absorb(msg);
-  close();
+  end_block();
 
   std::array<std::uint8_t, kCcmpMicBytes> tag{};
   std::copy_n(x.begin(), kCcmpMicBytes, tag.begin());

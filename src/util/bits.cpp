@@ -34,7 +34,7 @@ constexpr auto kBitsOf = [] {
 std::uint8_t pack_byte(const std::uint8_t* b) {
   static_assert(std::endian::native == std::endian::little,
                 "pack_byte reads eight bits as one little-endian word");
-  std::uint64_t word;
+  std::uint64_t word = 0;
   std::memcpy(&word, b, sizeof word);
   return static_cast<std::uint8_t>(
       ((word & 0x0101010101010101u) * 0x0102040810204080u) >> 56);

@@ -108,7 +108,8 @@ void Args::check() const {
   std::string message = "unknown option";
   const char* separator = " --";
   for (const std::string& name : names) {
-    message += separator + name;
+    message += separator;
+    message += name;
     separator = ", --";
   }
   throw std::invalid_argument(message);
@@ -117,12 +118,14 @@ void Args::check() const {
 std::string Args::options_text() const {
   std::ostringstream os;
   for (const ReadOption& opt : read_) {
-    std::string line = "  --" + opt.name;
+    std::string line = "  --";
+    line += opt.name;
     if (opt.fallback) {
       line += " VALUE";
       line.resize(std::max<std::size_t>(line.size() + 2, 32), ' ');
-      line += opt.fallback->empty() ? "(default: none)"
-                                    : "(default: " + *opt.fallback + ")";
+      line += "(default: ";
+      line += opt.fallback->empty() ? "none" : *opt.fallback;
+      line += ')';
     }
     os << line << '\n';
   }
