@@ -35,8 +35,8 @@ struct FecOutcome {
 
 int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const auto polls = static_cast<std::size_t>(args.get_int("polls", 30));
-  const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
+  const std::size_t polls = args.get_u64("polls", 30);
+  const std::size_t budget = args.get_u64("rounds", 16);
   const double pos = args.get_double("pos", 4.0);
   const std::uint64_t seed = args.get_u64("seed", 808);
   const std::string csv_path = args.get_string("csv", "");

@@ -23,7 +23,7 @@
 
 int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 25));
+  const std::size_t rounds = args.get_u64("rounds", 25);
   const std::uint64_t seed = args.get_u64("seed", 909);
   const std::string csv_path = args.get_string("csv", "");
   const std::size_t jobs = runner::jobs_from_args(args);

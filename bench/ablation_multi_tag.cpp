@@ -11,9 +11,9 @@
 // longer starts where tag t-1's polling left off.
 //
 // Options: --tags N (1..4), --polls N, --seed S, --csv PATH, --jobs N
-#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -36,18 +36,22 @@ struct TagOutcome {
 
 int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const auto n_tags =
-      static_cast<unsigned>(std::clamp<long>(args.get_int("tags", 4), 1, 4));
-  const auto polls = static_cast<std::size_t>(args.get_int("polls", 12));
+  const std::uint64_t tags = args.get_u64("tags", 4);
+  const std::size_t polls = args.get_u64("polls", 12);
   const std::uint64_t seed = args.get_u64("seed", 515);
   const std::string csv_path = args.get_string("csv", "");
   std::size_t jobs = runner::jobs_from_args(args);
   if (jobs == 0) jobs = runner::default_jobs();
   obs::RunScope obs_run("ablation_multi_tag", args);
-  obs_run.config("tags", static_cast<double>(n_tags));
+  obs_run.config("tags", static_cast<double>(tags));
   obs_run.config("polls", static_cast<double>(polls));
   obs_run.config("seed", static_cast<double>(seed));
   args.check();
+  if (tags < 1 || tags > 4) {
+    throw std::invalid_argument("--tags: " + std::to_string(tags) +
+                                " is outside 1-4");
+  }
+  const auto n_tags = static_cast<unsigned>(tags);
 
   std::cout << "=== Extension: multi-tag polling by trigger code ===\n"
             << static_cast<int>(n_tags) << " tags on the 8 m LOS link, "

@@ -28,9 +28,8 @@
 
 int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const auto runs = static_cast<std::size_t>(args.get_int("runs", 4));
-  const auto rounds =
-      static_cast<std::size_t>(args.get_int("rounds", 45));  // 59 bits each
+  const std::size_t runs = args.get_u64("runs", 4);
+  const std::size_t rounds = args.get_u64("rounds", 45);  // 59 bits each
   const std::uint64_t seed = args.get_u64("seed", 1000);
   const std::string csv_path = args.get_string("csv", "");
   const std::size_t jobs = runner::jobs_from_args(args);

@@ -12,6 +12,7 @@
 // Options: --measurements N (per location), --rounds N,
 //          --jobs N (0 = hardware concurrency, 1 = serial)
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "runner/parallel_sweep.hpp"
@@ -42,14 +43,17 @@ void print_cdf(const char* name, const std::vector<double>& bers) {
 
 int bench_main(const witag::util::Args& args) {
   using namespace witag;
-  const auto measurements =
-      static_cast<std::size_t>(args.get_int("measurements", 60));
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 40));
+  const std::size_t measurements = args.get_u64("measurements", 60);
+  const std::size_t rounds = args.get_u64("rounds", 40);
   const std::size_t jobs = runner::jobs_from_args(args);
   obs::RunScope obs_run("fig6_nlos_cdf", args);
   obs_run.config("measurements", static_cast<double>(measurements));
   obs_run.config("rounds_per_measurement", static_cast<double>(rounds));
   args.check();
+  if (measurements == 0) {
+    throw std::invalid_argument("--measurements: 0 is out of range (at "
+                                "least 1)");
+  }
   std::cout << "=== Figure 6: BER CDF, non-line-of-sight locations ===\n"
             << measurements << " measurements per location, tag 1 m from "
             << "the client, people moving.\n"

@@ -77,9 +77,9 @@ struct TaskOutcome {
 }  // namespace
 
 int bench_main(const util::Args& args) {
-  const auto polls = static_cast<std::size_t>(args.get_int("polls", 12));
-  const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
-  const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
+  const std::size_t polls = args.get_u64("polls", 12);
+  const std::size_t runs = args.get_u64("runs", 1);
+  const std::size_t budget = args.get_u64("rounds", 16);
   const double pos = args.get_double("pos", 3.0);
   const std::uint64_t seed = args.get_u64("seed", 4242);
   const auto fault_mask =

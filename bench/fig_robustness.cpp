@@ -24,6 +24,7 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
@@ -66,9 +67,9 @@ util::ByteVec sequenced_payload(std::uint64_t sequence) {
 }  // namespace
 
 int bench_main(const util::Args& args) {
-  const auto polls = static_cast<std::size_t>(args.get_int("polls", 16));
-  const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
-  const auto budget = static_cast<std::size_t>(args.get_int("rounds", 16));
+  const std::size_t polls = args.get_u64("polls", 16);
+  const std::size_t runs = args.get_u64("runs", 1);
+  const std::size_t budget = args.get_u64("rounds", 16);
   const double pos = args.get_double("pos", 3.0);
   const std::uint64_t seed = args.get_u64("seed", 4242);
   const auto fault_mask =
@@ -84,6 +85,10 @@ int bench_main(const util::Args& args) {
   obs_run.config("seed", static_cast<double>(seed));
   obs_run.config("faults", static_cast<double>(fault_mask));
   args.check();
+  if (!(pos > 0.0 && pos < 8.0)) {
+    throw std::invalid_argument("--pos: " + core::Table::num(pos, 2) +
+                                " m is not strictly between 0 and 8 m");
+  }
 
   std::cout << "=== Robustness: goodput vs fault intensity ===\n"
             << "Tag " << pos << " m from the client; " << polls

@@ -74,10 +74,9 @@ double best_ns_per_op(std::size_t repeats, std::size_t threads,
 }
 
 int bench_main(const util::Args& args) {
-  const auto threads = static_cast<std::size_t>(args.get_int("threads", 8));
-  const auto iters =
-      static_cast<std::size_t>(args.get_int("iters", 2'000'000));
-  const auto repeats = static_cast<std::size_t>(args.get_int("repeats", 3));
+  const std::size_t threads = args.get_u64("threads", 8);
+  const std::size_t iters = args.get_u64("iters", 2'000'000);
+  const std::size_t repeats = args.get_u64("repeats", 3);
   const double assert_speedup = args.get_double("assert-speedup", 0.0);
   args.check();
 

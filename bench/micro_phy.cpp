@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -15,10 +16,8 @@
 #include "obs/report.hpp"
 #include "util/cli.hpp"
 #include "phy/channel_est.hpp"
-#include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/fft.hpp"
-#include "phy/interleaver.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/ppdu.hpp"
 #include "phy/scrambler.hpp"
@@ -220,29 +219,32 @@ void equalize_bench_inputs(phy::FreqSymbol& rx, phy::ChannelEstimate& est) {
   est.mean_gain = 1.0;
 }
 
-void BM_Equalize(benchmark::State& state) {
+// One symbol through the receiver's equalizer calls at `tier`: the
+// plan of the estimate, then the points-only equalize.
+void equalize_bench(benchmark::State& state, phy::simd::Tier tier) {
   phy::FreqSymbol rx{};
   phy::ChannelEstimate est;
   equalize_bench_inputs(rx, est);
-  phy::EqualizedSymbol out;
-  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
+  phy::EqualizerPlan plan;
+  alignas(32) std::array<double, phy::kDataSubcarriers> re, im;
+  const phy::simd::ScopedTier pin(tier);
   for (auto _ : state) {
-    phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, out);
-    benchmark::DoNotOptimize(out.points.data());
+    phy::plan_equalizer(est, plan);
+    phy::equalize_points(rx, est, plan, 1, /*cpe_correction=*/true,
+                         re.data(), im.data());
+    benchmark::DoNotOptimize(re.data());
+    benchmark::DoNotOptimize(im.data());
+    benchmark::ClobberMemory();
   }
+}
+
+void BM_Equalize(benchmark::State& state) {
+  equalize_bench(state, phy::simd::detect_best_tier());
 }
 BENCHMARK(BM_Equalize);
 
 void BM_EqualizeScalar(benchmark::State& state) {
-  phy::FreqSymbol rx{};
-  phy::ChannelEstimate est;
-  equalize_bench_inputs(rx, est);
-  phy::EqualizedSymbol out;
-  const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
-  for (auto _ : state) {
-    phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, out);
-    benchmark::DoNotOptimize(out.points.data());
-  }
+  equalize_bench(state, phy::simd::Tier::kScalar);
 }
 BENCHMARK(BM_EqualizeScalar);
 
@@ -257,86 +259,13 @@ void BM_EqualizeReference(benchmark::State& state) {
 }
 BENCHMARK(BM_EqualizeReference);
 
-// 64-QAM soft demap of one equalized data symbol (52 points, 312 LLRs)
-// at the best tier: the widest demap body, and most of the receive
-// front half's time per symbol.
-void BM_DemapQam64(benchmark::State& state) {
-  phy::FreqSymbol rx{};
-  phy::ChannelEstimate est;
-  equalize_bench_inputs(rx, est);
-  phy::EqualizedSymbol eq;
-  phy::equalize_into(rx, est, 1, /*cpe_correction=*/true, eq);
-  std::vector<double> llrs;
-  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
-  for (auto _ : state) {
-    phy::demap_soft_into(eq.points, phy::Modulation::kQam64, eq.noise_vars,
-                         llrs);
-    benchmark::DoNotOptimize(llrs.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_DemapQam64);
-
-// Int8 LLR deinterleave over one 64-QAM symbol (312 soft bits, the
-// widest map): dispatched gather kernel at the best tier vs pinned
-// scalar.
-std::vector<std::int8_t> deinterleave_bench_llrs() {
-  util::Rng rng(10);
-  std::vector<std::int8_t> llrs(phy::kDataSubcarriers *
-                                phy::bits_per_symbol(phy::Modulation::kQam64));
-  for (auto& v : llrs) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(255)) - 127);
-  }
-  return llrs;
-}
-
-void BM_Deinterleave(benchmark::State& state) {
-  const std::vector<std::int8_t> llrs = deinterleave_bench_llrs();
-  std::vector<std::int8_t> out(llrs.size());
-  const phy::simd::ScopedTier pin(phy::simd::detect_best_tier());
-  for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Deinterleave);
-
-void BM_DeinterleaveScalar(benchmark::State& state) {
-  const std::vector<std::int8_t> llrs = deinterleave_bench_llrs();
-  std::vector<std::int8_t> out(llrs.size());
-  const phy::simd::ScopedTier pin(phy::simd::Tier::kScalar);
-  for (auto _ : state) {
-    phy::deinterleave_llrs_into(llrs, phy::Modulation::kQam64, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_DeinterleaveScalar);
-
-// The quantizer the receiver runs on each symbol's demap output before
-// the deinterleave above: 312 64-QAM LLRs to int8 at the best tier.
-void BM_QuantizeQam64(benchmark::State& state) {
-  util::Rng rng(10);
-  std::vector<double> llrs(phy::kDataSubcarriers *
-                           phy::bits_per_symbol(phy::Modulation::kQam64));
-  for (auto& v : llrs) v = rng.uniform(-20.0, 20.0);
-  std::vector<std::int8_t> out(llrs.size());
-  const phy::simd::QuantizeFn quantize =
-      phy::simd::quantize_for(phy::simd::detect_best_tier());
-  for (auto _ : state) {
-    quantize(llrs.data(), llrs.size(), 3.0, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_QuantizeQam64);
-
 // The receiver's front end on one 64-QAM data symbol at the best tier:
 // the equalizer's per-field plan, the points-only equalize, the fused
 // demap-and-quantize into 312 air-order soft bits
 // (detail::field_llrs_into), then their placement at MCS5's mother-rate
 // positions through simd::place_for, the kernel
-// detail::field_bits_from_llrs runs before its Viterbi decode. It
-// replaces BM_Equalize + BM_DemapQam64 + BM_QuantizeQam64 +
-// BM_Deinterleave and a depuncture. Unpinned.
+// detail::field_bits_from_llrs runs before its Viterbi decode.
+// Unpinned.
 void BM_RxFrontQam64(benchmark::State& state) {
   phy::FreqSymbol rx{};
   phy::ChannelEstimate est;

@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,18 +59,16 @@ std::uint64_t rss_kb() {
 }  // namespace
 
 int bench_main(const util::Args& args) {
-  const auto chunks = static_cast<std::size_t>(args.get_int("chunks", 400));
-  const auto runs = static_cast<std::size_t>(args.get_int("runs", 8));
-  const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 45));
+  const std::size_t chunks = args.get_u64("chunks", 400);
+  const std::size_t runs = args.get_u64("runs", 8);
+  const std::size_t rounds = args.get_u64("rounds", 45);
   const double pos = args.get_double("pos", 3.0);
   const double intensity = args.get_double("intensity", 0.5);
   const auto fault_mask = static_cast<unsigned>(args.get_int("faults", 0x1F));
   const std::uint64_t seed = args.get_u64("seed", 20260807);
-  const auto warmup =
-      static_cast<std::size_t>(args.get_int("warmup-chunks", 20));
+  const std::size_t warmup = args.get_u64("warmup-chunks", 20);
   const double rss_limit_mb = args.get_double("assert-rss-growth-mb", 0.0);
-  const auto progress_every =
-      static_cast<std::size_t>(args.get_int("progress-every", 50));
+  const std::size_t progress_every = args.get_u64("progress-every", 50);
   runner::SweepOptions opts;
   opts.jobs = runner::jobs_from_args(args);
 
@@ -82,6 +81,11 @@ int bench_main(const util::Args& args) {
   obs_run.config("faults", static_cast<double>(fault_mask));
   obs_run.config("seed", static_cast<double>(seed));
   args.check();
+  if (!(intensity >= 0.0 && intensity <= 1.0)) {
+    throw std::invalid_argument("--intensity: " +
+                                core::Table::num(intensity, 2) +
+                                " is outside [0, 1]");
+  }
 
   std::cout << "=== Soak: " << chunks << " chunks x " << runs << " runs x "
             << rounds << " rounds, intensity "

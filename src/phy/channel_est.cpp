@@ -78,13 +78,6 @@ ChannelEstimate estimate_channel(std::span<const FreqSymbol> ltf_rx) {
   return est;
 }
 
-EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
-                         std::size_t symbol_index, bool cpe_correction) {
-  EqualizedSymbol out;
-  equalize_into(rx, est, symbol_index, cpe_correction, out);
-  return out;
-}
-
 void plan_equalizer(const ChannelEstimate& est, EqualizerPlan& plan) {
   const std::span<const unsigned> bins = data_bins();
   WITAG_REQUIRE(bins.size() == kDataSubcarriers);
@@ -125,21 +118,6 @@ void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
   simd::equalize_for(simd::active_tier())(
       plan.hr.data(), plan.hi.data(), plan.gain.data(), rr.data(), ri.data(),
       cpe.real(), cpe.imag(), kDataSubcarriers, re, im);
-}
-
-void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
-                   std::size_t symbol_index, bool cpe_correction,
-                   EqualizedSymbol& out) {
-  EqualizerPlan plan;
-  plan_equalizer(est, plan);
-  alignas(32) std::array<double, kDataSubcarriers> re, im;
-  equalize_points(rx, est, plan, symbol_index, cpe_correction, re.data(),
-                  im.data());
-  out.points.resize(kDataSubcarriers);
-  out.noise_vars.assign(plan.noise_vars.begin(), plan.noise_vars.end());
-  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
-    out.points[i] = Cx{re[i], im[i]};
-  }
 }
 
 namespace detail {

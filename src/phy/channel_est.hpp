@@ -32,7 +32,9 @@ struct ChannelEstimate {
 /// two or more are available. Requires at least one symbol.
 ChannelEstimate estimate_channel(std::span<const FreqSymbol> ltf_rx);
 
-/// Result of equalizing one data symbol.
+/// One equalized data symbol as detail::equalize_reference returns it
+/// (the receiver keeps its points as the parallel arrays of
+/// equalize_points() and its noise variances in the EqualizerPlan).
 struct EqualizedSymbol {
   util::CxVec points;              ///< 52 equalized data points.
   std::vector<double> noise_vars;  ///< Post-equalization noise per point.
@@ -58,30 +60,15 @@ void plan_equalizer(const ChannelEstimate& est, EqualizerPlan& plan);
 /// (kDataSubcarriers each): the pilot-based common phase error when
 /// `cpe_correction` is set, then the phy::simd equalize kernel over
 /// `plan` (bit-identical at every dispatch tier). No allocation.
-void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
-                     const EqualizerPlan& plan, std::size_t symbol_index,
-                     bool cpe_correction, double* re, double* im);
-
-/// Equalizes a received data symbol: divides by the channel estimate,
-/// optionally removes common phase error using the pilots, and reports
-/// the per-subcarrier post-equalization noise variance (noise_var/|h|^2)
-/// the soft demapper needs.
-EqualizedSymbol equalize(const FreqSymbol& rx, const ChannelEstimate& est,
-                         std::size_t symbol_index, bool cpe_correction = true);
-
-/// Allocation-reusing variant: writes into `out` (vectors resized;
-/// capacity reused). It plans the estimate and runs equalize_points();
-/// the receiver itself plans once per field instead
-/// (detail::field_llrs_into).
 ///
 /// The per-subcarrier divide computes points as y * conj(h) / |h|^2 in
 /// separable real arithmetic instead of the reference's std::complex
 /// division (libgcc's scaled Smith algorithm). The two agree to ~1 ULP
 /// on finite channels — see detail::equalize_reference and the parity
 /// test in test_simd.cpp.
-void equalize_into(const FreqSymbol& rx, const ChannelEstimate& est,
-                   std::size_t symbol_index, bool cpe_correction,
-                   EqualizedSymbol& out);
+void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
+                     const EqualizerPlan& plan, std::size_t symbol_index,
+                     bool cpe_correction, double* re, double* im);
 
 namespace detail {
 

@@ -107,7 +107,7 @@ const CxVec& table_for(Modulation mod) {
 // (x ≤ y ⇒ round(x) ≤ round(y)) and the joint minimizer (argmin_j,
 // argmin_q) lies in the set — so min over the set of
 // round(dI² + dQ²) equals round(min dI² + min dQ²) exactly, down to the
-// last bit. The kernels below compute precisely that (simd.hpp).
+// last bit. The phy::simd demap kernels compute precisely that.
 simd::DemapAxes make_axes(Modulation mod) {
   const CxVec& table = table_for(mod);
   const unsigned n = bits_per_symbol(mod);
@@ -179,46 +179,6 @@ util::BitVec demap_hard(std::span<const Cx> points, Modulation mod) {
     }
   }
   return bits;
-}
-
-std::vector<double> demap_soft(std::span<const Cx> points, Modulation mod,
-                               double noise_var) {
-  WITAG_REQUIRE(noise_var > 0.0);
-  const std::vector<double> vars(points.size(), noise_var);
-  return demap_soft(points, mod, vars);
-}
-
-std::vector<double> demap_soft(std::span<const Cx> points, Modulation mod,
-                               std::span<const double> noise_vars) {
-  std::vector<double> llrs;
-  demap_soft_into(points, mod, noise_vars, llrs);
-  return llrs;
-}
-
-void demap_soft_into(std::span<const Cx> points, Modulation mod,
-                     std::span<const double> noise_vars,
-                     std::vector<double>& out) {
-  WITAG_REQUIRE(points.size() == noise_vars.size());
-  const simd::DemapAxes& ax = demap_axes(mod);
-  out.resize(points.size() * ax.n_bits);
-  const simd::DemapBlockFn kernel =
-      simd::demap_block_for(simd::active_tier());
-  // Split the interleaved points into SoA chunks for the kernel; the
-  // per-point math is chunk-independent, so any chunk size gives the
-  // same LLRs.
-  constexpr std::size_t kChunk = 64;
-  std::array<double, kChunk> re;
-  std::array<double, kChunk> im;
-  for (std::size_t base = 0; base < points.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, points.size() - base);
-    for (std::size_t c = 0; c < count; ++c) {
-      re[c] = points[base + c].real();
-      im[c] = points[base + c].imag();
-      WITAG_REQUIRE(noise_vars[base + c] > 0.0);
-    }
-    kernel(re.data(), im.data(), noise_vars.data() + base, count, ax,
-           out.data() + base * ax.n_bits);
-  }
 }
 
 namespace detail {

@@ -26,28 +26,6 @@ util::CxVec map_bits(std::span<const std::uint8_t> bits, Modulation mod);
 /// Hard-decision demap: nearest constellation point back to bits.
 util::BitVec demap_hard(std::span<const util::Cx> points, Modulation mod);
 
-/// Soft demap to max-log LLRs. Positive LLR means bit 0 is more likely
-/// (the Viterbi decoder consumes this convention). `noise_var` is the
-/// complex noise variance per symbol; it scales the LLR magnitude.
-/// Requires noise_var > 0.
-std::vector<double> demap_soft(std::span<const util::Cx> points,
-                               Modulation mod, double noise_var);
-
-/// Soft demap with a per-point noise variance (post-equalization noise
-/// differs per subcarrier). Requires noise_vars.size() == points.size()
-/// and all variances > 0.
-std::vector<double> demap_soft(std::span<const util::Cx> points,
-                               Modulation mod,
-                               std::span<const double> noise_vars);
-
-/// Allocation-reusing variant of the per-point soft demap: writes the
-/// LLRs into `out` (resized; capacity reused) for the hot decode path.
-/// Dispatches to the separable SIMD kernels (phy/simd.hpp), which are
-/// bit-identical to detail::demap_soft_reference.
-void demap_soft_into(std::span<const util::Cx> points, Modulation mod,
-                     std::span<const double> noise_vars,
-                     std::vector<double>& out);
-
 /// The (normalized) points of a constellation in bit-pattern order:
 /// entry i is the point whose bits, LSB-first, encode i.
 std::span<const util::Cx> constellation_points(Modulation mod);
@@ -58,8 +36,12 @@ const simd::DemapAxes& demap_axes(Modulation mod);
 
 namespace detail {
 
-/// The original full-table-scan max-log demap (O(points · bits ·
-/// table)), kept as the specification the separable kernels are
+/// Soft demap to max-log LLRs by a full table scan (O(points · bits ·
+/// table)). Positive LLR means bit 0 is more likely (the Viterbi decoder
+/// consumes this convention); noise_vars[p] is point p's complex noise
+/// variance and scales its LLR magnitude. Requires noise_vars.size() ==
+/// points.size() and all variances > 0. The specification the separable
+/// kernels (simd::demap_block_for, simd::demap_quantize_for) are
 /// parity-fuzzed against in tests/test_simd.cpp.
 std::vector<double> demap_soft_reference(std::span<const util::Cx> points,
                                          Modulation mod,

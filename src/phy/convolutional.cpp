@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
-#include <utility>
 
 #include "util/require.hpp"
 
@@ -38,57 +37,17 @@ inline void encode8(const std::uint8_t* x, std::uint8_t* a,
   std::memcpy(b, &wb, 8);
 }
 
-// Walks mother-rate positions [0, n) in order, one puncturing period at a
-// time, calling keep(i, k) for each position i the pattern keeps and
-// drop(i, k) for each it deletes, where k counts the kept positions
-// before i (the punctured index). A whole period expands at compile time
-// over the constant pattern into straight-line code: no `%` and no
-// per-bit branch on the pattern. The callbacks carry no mutable state,
-// so byte stores in them cannot alias a counter the compiler would then
-// have to reload.
-template <std::size_t N, typename Keep, typename Drop>
-void walk_pattern(const std::array<std::uint8_t, N>& pattern, std::size_t n,
-                  Keep keep, Drop drop) {
-  std::size_t i = 0;
-  std::size_t kept = 0;
-  for (; i + N <= n; i += N) {
-    [&]<std::size_t... J>(std::index_sequence<J...>) {
-      ((pattern[J] ? keep(i + J, kept++) : drop(i + J, kept)), ...);
-    }(std::make_index_sequence<N>{});
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) {
-    pattern[j] ? keep(i, kept++) : drop(i, kept);
-  }
-}
-
-// Calls f with the keep-mask of `rate` as its std::array, whose size is
-// then a compile-time constant.
-template <typename F>
-decltype(auto) with_pattern(CodeRate rate, F f) {
-  switch (rate) {
-    case CodeRate::kHalf: return f(kPattern12);
-    case CodeRate::kTwoThirds: return f(kPattern23);
-    case CodeRate::kThreeQuarters: return f(kPattern34);
-    case CodeRate::kFiveSixths: return f(kPattern56);
-  }
-  WITAG_ENSURE(false);
-  return f(kPattern12);
-}
-
-// walk_pattern with the keep-mask of `rate`.
-template <typename Keep, typename Drop>
-void walk_pattern(CodeRate rate, std::size_t n, Keep keep, Drop drop) {
-  with_pattern(rate, [&](const auto& pattern) {
-    walk_pattern(pattern, n, keep, drop);
-  });
-}
-
 }  // namespace
 
 std::span<const std::uint8_t> puncture_pattern(CodeRate rate) {
-  return with_pattern(rate, [](const auto& pattern) {
-    return std::span<const std::uint8_t>(pattern);
-  });
+  switch (rate) {
+    case CodeRate::kHalf: return kPattern12;
+    case CodeRate::kTwoThirds: return kPattern23;
+    case CodeRate::kThreeQuarters: return kPattern34;
+    case CodeRate::kFiveSixths: return kPattern56;
+  }
+  WITAG_ENSURE(false);
+  return kPattern12;
 }
 
 util::BitVec convolutional_encode(std::span<const std::uint8_t> bits) {
@@ -124,13 +83,11 @@ void convolutional_streams_into(std::span<const std::uint8_t> bits,
 }
 
 util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate) {
-  util::BitVec out(punctured_length(coded.size(), rate));
-  walk_pattern(
-      rate, coded.size(),
-      [src = coded.data(), dst = out.data()](std::size_t i, std::size_t k) {
-        dst[k] = src[i];
-      },
-      [](std::size_t, std::size_t) {});
+  const std::span<const std::uint8_t> pattern = puncture_pattern(rate);
+  util::BitVec out;
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    if (pattern[i % pattern.size()]) out.push_back(coded[i]);
+  }
   return out;
 }
 
@@ -144,22 +101,6 @@ std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {
     len += pattern[p];
   }
   return len;
-}
-
-void depuncture_into(std::span<const std::int8_t> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<std::int8_t>& out) {
-  WITAG_REQUIRE(n_coded_bits % 2 == 0);
-  // One length check up front, so the loop needs no per-bit bounds check.
-  WITAG_REQUIRE(llrs.size() == punctured_length(n_coded_bits, rate));
-  // resize, not assign: the walk writes every slot, 0 into each
-  // erasure, so a reused buffer keeps no stale value.
-  out.resize(n_coded_bits);
-  walk_pattern(
-      rate, n_coded_bits,
-      [src = llrs.data(), dst = out.data()](std::size_t i, std::size_t k) {
-        dst[i] = src[k];
-      },
-      [dst = out.data()](std::size_t i, std::size_t) { dst[i] = 0; });
 }
 
 namespace detail {

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 #include <cstddef>
 
 #include "phy/mcs.hpp"
@@ -32,15 +31,10 @@ void convolutional_streams_into(std::span<const std::uint8_t> bits,
                                 std::span<std::uint8_t> b);
 
 /// Punctures rate-1/2 output to the given rate by deleting bits in the
-/// standard pattern. Identity for rate 1/2.
+/// standard pattern: coded[i] survives iff pattern[i % period]. Identity
+/// for rate 1/2. The transmitter folds the pattern into its gather table
+/// instead (detail::tx_gather_table).
 util::BitVec puncture(std::span<const std::uint8_t> coded, CodeRate rate);
-
-/// Inserts zero erasures where `puncture` deleted bits, restoring the
-/// mother-rate int8 LLR stream for the Viterbi decoder: writes all
-/// `n_coded_bits` (even) slots of `out` (resized; capacity reused) from
-/// exactly punctured_length(n_coded_bits, rate) `llrs`.
-void depuncture_into(std::span<const std::int8_t> llrs, CodeRate rate,
-                     std::size_t n_coded_bits, std::vector<std::int8_t>& out);
 
 /// Mother-rate coded length -> punctured length for a code rate.
 std::size_t punctured_length(std::size_t mother_bits, CodeRate rate);

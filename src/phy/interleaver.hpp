@@ -18,18 +18,12 @@ namespace witag::phy {
 /// one OFDM symbol of `n_cbps` coded bits at `n_bpsc` bits/subcarrier.
 std::vector<std::size_t> interleave_map(unsigned n_cbps, unsigned n_bpsc);
 
-/// Interleaves one symbol's worth of coded bits.
+/// Interleaves one symbol's worth of coded bits through interleave_map()
+/// (the transmitter folds the map into its gather table instead).
 /// Requires bits.size() == n_cbps for the modulation.
 util::BitVec interleave(std::span<const std::uint8_t> bits, Modulation mod);
 
 /// Inverse of `interleave` (on bits).
 util::BitVec deinterleave(std::span<const std::uint8_t> bits, Modulation mod);
-
-/// Deinterleaves one symbol's quantized soft values, a pure byte
-/// permutation. Requires llrs.size() == out.size() == n_cbps; the
-/// receiver passes its slot of the field's int8 buffer as `out`. No
-/// allocation.
-void deinterleave_llrs_into(std::span<const std::int8_t> llrs, Modulation mod,
-                            std::span<std::int8_t> out);
 
 }  // namespace witag::phy

@@ -185,8 +185,7 @@ void field_llrs_into(std::span<const FreqSymbol> symbols,
 /// puncturer made read 0), truncates to `n_info_bits` information bits
 /// (0 = decode everything; the data field stops at the tail where the
 /// trellis terminates) and Viterbi-decodes into `scratch.bits`. The
-/// table's one pass replaces a deinterleave per symbol and a depuncture
-/// per field.
+/// table's one pass both deinterleaves and depunctures.
 void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
                           DecodeScratch& scratch);
 

@@ -1,11 +1,11 @@
 // Tier detection, the WITAG_SIMD override, and the scalar kernels: the
 // only tier on non-x86 hosts and on x86 hosts without AVX2 or AES-NI,
 // and the one WITAG_SIMD=off forces. The vector kernels live in
-// simd_avx2.cpp (every hot kernel but the placement, and the AES-NI
-// block cipher) and simd_avx512.cpp (the Viterbi ACS and the soft-bit
-// placement); this TU owns
-// the dispatch, so a build without AVX2 or AVX-512 support (or a non-x86
-// target) runs the lower tiers without any caller noticing.
+// simd_avx2.cpp (the ACS, demap, equalize and FFT kernels, and the
+// AES-NI block cipher) and simd_avx512.cpp (the Viterbi ACS and the
+// soft-bit placement); this TU owns the dispatch, so a build without
+// AVX2 or AVX-512 support (or a non-x86 target) runs the lower tiers
+// without any caller noticing.
 
 #include "phy/simd.hpp"
 
@@ -212,16 +212,6 @@ void equalize_block_scalar(const double* hr, const double* hi,
   }
 }
 
-void quantize_scalar(const double* in, std::size_t n, double scale,
-                     std::int8_t* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = quantize_llr(in[k], scale);
-}
-
-void deinterleave_scalar(const std::int8_t* in, const std::int32_t* map,
-                         std::size_t n, std::int8_t* out) {
-  for (std::size_t k = 0; k < n; ++k) out[k] = in[map[k]];
-}
-
 using util::Cx;
 
 void fft_radix4_pass_scalar(Cx* data, std::size_t n, std::size_t h,
@@ -301,10 +291,6 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* g,
                          const double* rr, const double* ri, double cr,
                          double ci, std::size_t count, double* zr,
                          double* zi);
-void quantize_avx2(const double* in, std::size_t n, double scale,
-                   std::int8_t* out);
-void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
-                       std::size_t n, std::int8_t* out);
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,
                           const util::Cx* w1, const util::Cx* w2);
 void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
@@ -423,14 +409,6 @@ DemapQuantizeFn demap_quantize_for(Tier t) {
 
 EqualizeFn equalize_for(Tier t) {
   return use_avx2(t) ? kernels::equalize_block_avx2 : equalize_block_scalar;
-}
-
-QuantizeFn quantize_for(Tier t) {
-  return use_avx2(t) ? kernels::quantize_avx2 : quantize_scalar;
-}
-
-DeinterleaveFn deinterleave_for(Tier t) {
-  return use_avx2(t) ? kernels::deinterleave_avx2 : deinterleave_scalar;
 }
 
 const FftKernels& fft_kernels_for(Tier t) {

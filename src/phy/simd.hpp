@@ -1,9 +1,10 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
 // kernels (Viterbi add-compare-select, soft-bit placement, soft demap
-// with or without the LLR quantizer, equalize, LLR quantize,
-// deinterleave, radix-4 FFT passes) and one non-PHY kernel,
-// CCMP's AES block cipher. There are three tiers: the portable scalar
-// kernels; AVX2 + AES-NI, with a kernel for each of those but the
+// with or without the LLR quantizer, equalize, radix-4 FFT passes) and
+// one non-PHY kernel, CCMP's AES block cipher. Each runs on a hot path,
+// except the double-precision demap (demap_block_for), which the parity
+// tests compare with the reference. There are three tiers: the portable
+// scalar kernels; AVX2 + AES-NI, with a kernel for each of those but the
 // placement; and AVX-512 (F + BW + VBMI), which carries two kernels of
 // its own, a register-resident Viterbi ACS and the soft-bit placement,
 // both moving bytes with vpermt2b, and runs the AVX2 kernels for
@@ -199,6 +200,13 @@ using DemapBlockFn = void (*)(const double* re, const double* im,
 /// The demap kernel for a tier (always non-null).
 DemapBlockFn demap_block_for(Tier t);
 
+/// Quantizes one LLR (double to int8 soft bit): v = llr * scale, clamped
+/// to [-127, 127] as v = v < 127 ? v : 127 then v = v > -127 ? v : -127
+/// (so a NaN reads 127), then rounded to nearest, ties to even. Every
+/// tier performs this same multiply, clamp and rounding, with no libm
+/// call.
+std::int8_t quantize_llr(double llr, double scale);
+
 /// The receiver's demap: the same LLRs, each quantized as
 /// quantize_llr(llr, scale), so out[p * n_bits + b] holds point p's bit b
 /// in air order (before deinterleaving). Per tier it shares the demap
@@ -245,32 +253,6 @@ using EqualizeFn = void (*)(const double* hr, const double* hi,
 
 /// The equalize kernel for a tier (always non-null).
 EqualizeFn equalize_for(Tier t);
-
-// ---------------------------------------------------------------------
-// Quantize (double LLRs to int8 soft bits) and deinterleave (a pure
-// byte permutation of them). The receiver quantizes inside
-// demap_quantize_for's kernel and places its soft bits through the
-// transmitter's table, so only tests and micro benches run these two.
-// ---------------------------------------------------------------------
-
-/// Quantizes one LLR: v = llr * scale, clamped to [-127, 127] as
-/// v = v < 127 ? v : 127 then v = v > -127 ? v : -127 (so a NaN reads
-/// 127), then rounded to nearest, ties to even. Every tier performs this
-/// same multiply, clamp and rounding, with no libm call.
-std::int8_t quantize_llr(double llr, double scale);
-
-/// out[k] = quantize_llr(in[k], scale) for k in [0, n).
-using QuantizeFn = void (*)(const double* in, std::size_t n, double scale,
-                            std::int8_t* out);
-QuantizeFn quantize_for(Tier t);
-
-/// out[k] = in[map[k]] for k in [0, n): pure data movement, so every
-/// tier is trivially identical; AVX2 gathers eight at a time over the
-/// int32 index table.
-using DeinterleaveFn = void (*)(const std::int8_t* in,
-                                const std::int32_t* map, std::size_t n,
-                                std::int8_t* out);
-DeinterleaveFn deinterleave_for(Tier t);
 
 // ---------------------------------------------------------------------
 // FFT passes (decimation-in-time, fused radix-4). See fft.cpp for the

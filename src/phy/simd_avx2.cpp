@@ -1,9 +1,8 @@
 // AVX2 + AES-NI tier: the int16 Viterbi add-compare-select (sixteen
-// metrics per vector), the int8 deinterleave gather, the AES-NI block
-// cipher and, four doubles / two complex doubles per vector, the
-// separable soft demap (with a double or a quantized int8 store), the
-// equalizer, the LLR quantizer and the fused radix-4 FFT passes. This
-// TU is compiled with -mavx2 -maes (and
+// metrics per vector), the AES-NI block cipher and, four doubles / two
+// complex doubles per vector, the separable soft demap (with a double or
+// a quantized int8 store), the equalizer and the fused radix-4 FFT
+// passes. This TU is compiled with -mavx2 -maes (and
 // deliberately WITHOUT -mfma: the scalar code the double kernels must
 // match bit for bit is built with no contraction, so the kernels stick
 // to packed mul/add/sub — an FMA here would round differently). When
@@ -567,61 +566,6 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* g,
   }
 }
 
-void quantize_avx2(const double* in, std::size_t n, double scale,
-                   std::int8_t* out) {
-  const __m256d s = _mm256_set1_pd(scale);
-  std::size_t k = 0;
-  // Sixteen per store; ±127 packs through int16 to int8 exactly.
-  // The LLR arrays carry no alignment contract.
-  const auto load4 = [&](std::size_t at) {
-    return _mm256_loadu_pd(in + at);  // witag-lint: allow(simd-unaligned)
-  };
-  for (; k + 16 <= n; k += 16) {
-    const __m128i w0 = _mm_packs_epi32(quantize4(load4(k), s),
-                                       quantize4(load4(k + 4), s));
-    const __m128i w1 = _mm_packs_epi32(quantize4(load4(k + 8), s),
-                                       quantize4(load4(k + 12), s));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + k),
-                     _mm_packs_epi16(w0, w1));
-  }
-  for (; k < n; ++k) out[k] = quantize_llr(in[k], scale);
-}
-
-void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
-                       std::size_t n, std::int8_t* out) {
-  // A dword gather at byte offset map[k] reads in[map[k]] and the three
-  // bytes after it, so the input goes through a copy with four bytes of
-  // slack (a symbol is at most 312 bytes).
-  alignas(32) std::array<std::int8_t, 320> padded;
-  if (n + 4 > padded.size()) {
-    return deinterleave_for(Tier::kScalar)(in, map, n, out);
-  }
-  std::memcpy(padded.data(), in, n);
-  std::memset(padded.data() + n, 0, 4);
-  const int* base = reinterpret_cast<const int*>(padded.data());
-  // Byte 0 of each dword to the low four bytes of its lane, then the
-  // two lanes' dwords side by side.
-  const __m256i low_bytes = _mm256_setr_epi8(
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,  //
-      0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
-  const __m256i join = _mm256_setr_epi32(0, 4, 1, 1, 1, 1, 1, 1);
-  std::size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    const __m256i idx =
-        _mm256_loadu_si256(  // witag-lint: allow(simd-unaligned)
-            reinterpret_cast<const __m256i*>(map + k));
-    // The all-ones masked form does the same eight loads; its defined
-    // zero pass-through keeps GCC's self-initialized undefined vector
-    // out of -Wmaybe-uninitialized.
-    const __m256i v = _mm256_mask_i32gather_epi32(
-        _mm256_setzero_si256(), base, idx, _mm256_set1_epi32(-1), 1);
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + k),
-                     _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
-                         _mm256_shuffle_epi8(v, low_bytes), join)));
-  }
-  for (; k < n; ++k) out[k] = in[map[k]];
-}
-
 void aes_encrypt_aesni(const std::uint8_t* round_keys, const std::uint8_t* in,
                        std::uint8_t* out) {
   const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
@@ -662,16 +606,6 @@ void equalize_block_avx2(const double* hr, const double* hi, const double* g,
                          double ci, std::size_t count, double* zr,
                          double* zi) {
   equalize_for(Tier::kScalar)(hr, hi, g, rr, ri, cr, ci, count, zr, zi);
-}
-
-void quantize_avx2(const double* in, std::size_t n, double scale,
-                   std::int8_t* out) {
-  quantize_for(Tier::kScalar)(in, n, scale, out);
-}
-
-void deinterleave_avx2(const std::int8_t* in, const std::int32_t* map,
-                       std::size_t n, std::int8_t* out) {
-  deinterleave_for(Tier::kScalar)(in, map, n, out);
 }
 
 void fft_radix4_pass_avx2(util::Cx* data, std::size_t n, std::size_t h,

@@ -93,14 +93,6 @@ std::set<std::string> Args::unused() const {
   return out;
 }
 
-std::size_t Args::warn_unused(std::ostream& os) const {
-  const auto names = unused();
-  for (const auto& name : names) {
-    os << "warning: unknown option --" << name << '\n';
-  }
-  return names.size();
-}
-
 void Args::check() const {
   if (has("help")) throw HelpRequested{options_text()};
   const std::set<std::string> names = unused();

@@ -14,7 +14,6 @@
 
 #include <charconv>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <set>
@@ -66,13 +65,9 @@ class Args {
   /// True when `--name` appeared (with or without a value).
   bool has(const std::string& name) const;
 
-  /// Names that were parsed but never queried (typo detection); call
-  /// after all getters to warn the user.
+  /// Names that were parsed but never queried (typo detection; check()
+  /// rejects them). Call after all getters.
   std::set<std::string> unused() const;
-
-  /// Writes one "unknown option --name" warning line per unused option
-  /// to `os`; returns how many there were. Call after all getters.
-  std::size_t warn_unused(std::ostream& os) const;
 
   /// Ends option handling: call after every getter and before any
   /// output. With --help, throws HelpRequested carrying options_text();

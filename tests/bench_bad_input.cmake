@@ -1,9 +1,12 @@
 # Bad-input check for the bench binaries, run via `cmake -P` from CTest:
 # a positional argument, given to each binary below, a malformed value
-# (fig5_ber_throughput --runs 12abc, micro_obs --threads 2x) and an
-# unknown option (fig5_ber_throughput --rnus 64) must each exit with
-# status 2, print nothing on stdout and exactly one line,
-# "<binary>: <reason>", on stderr (util::run_main).
+# (fig5_ber_throughput --runs 12abc, micro_obs --threads 2x), a negative
+# count (fig5_ber_throughput --runs -1 or --rounds -3), a value out of
+# range (fig_robustness --pos 99, soak --intensity 7, fig6_nlos_cdf
+# --measurements 0, ablation_multi_tag --tags 0 or 5) and an unknown
+# option (fig5_ber_throughput --rnus 64) must each exit with status 2,
+# print nothing on stdout and exactly one line, "<binary>: <reason>",
+# on stderr (util::run_main).
 #
 # Input: BENCH_DIR (the directory holding the bench binaries).
 
@@ -19,6 +22,13 @@ foreach(bench IN LISTS benches)
 endforeach()
 list(APPEND invocations "fig5_ber_throughput --runs 12abc")
 list(APPEND invocations "fig5_ber_throughput --rnus 64")
+list(APPEND invocations "fig5_ber_throughput --runs -1")
+list(APPEND invocations "fig5_ber_throughput --runs 1 --rounds -3")
+list(APPEND invocations "fig_robustness --pos 99")
+list(APPEND invocations "soak --intensity 7")
+list(APPEND invocations "fig6_nlos_cdf --measurements 0")
+list(APPEND invocations "ablation_multi_tag --tags 0")
+list(APPEND invocations "ablation_multi_tag --tags 5")
 list(APPEND invocations "micro_obs --threads 2x")
 
 foreach(invocation IN LISTS invocations)

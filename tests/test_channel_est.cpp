@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "phy/constellation.hpp"
 #include "phy/preamble.hpp"
@@ -19,6 +21,23 @@ FreqSymbol through(const FreqSymbol& x, const FreqSymbol& h) {
   FreqSymbol y{};
   for (unsigned bin = 0; bin < kFftSize; ++bin) y[bin] = h[bin] * x[bin];
   return y;
+}
+
+// Equalizes data symbol 0 through the receiver's own calls: the plan
+// of `est`, then the symbol's points, with the plan's noise variances.
+EqualizedSymbol equalize_symbol(const FreqSymbol& rx,
+                                const ChannelEstimate& est,
+                                bool cpe_correction) {
+  EqualizerPlan plan;
+  plan_equalizer(est, plan);
+  std::array<double, kDataSubcarriers> re, im;
+  equalize_points(rx, est, plan, 0, cpe_correction, re.data(), im.data());
+  EqualizedSymbol out;
+  for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
+    out.points.emplace_back(re[i], im[i]);
+  }
+  out.noise_vars.assign(plan.noise_vars.begin(), plan.noise_vars.end());
+  return out;
 }
 
 FreqSymbol random_channel(util::Rng& rng) {
@@ -100,7 +119,7 @@ TEST(ChannelEst, EqualizeRecoversConstellation) {
   const FreqSymbol ltf_rx = through(ltf_symbol(), h);
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
-  const EqualizedSymbol eq = equalize(rx, est, 0);
+  const EqualizedSymbol eq = equalize_symbol(rx, est, true);
   ASSERT_EQ(eq.points.size(), 52u);
   EXPECT_EQ(demap_hard(eq.points, Modulation::kQpsk), bits);
 }
@@ -119,10 +138,10 @@ TEST(ChannelEst, CpeCorrectionRemovesCommonRotation) {
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
 
-  const EqualizedSymbol with = equalize(rx, est, 0, true);
+  const EqualizedSymbol with = equalize_symbol(rx, est, true);
   EXPECT_EQ(demap_hard(with.points, Modulation::kQpsk), bits);
 
-  const EqualizedSymbol without = equalize(rx, est, 0, false);
+  const EqualizedSymbol without = equalize_symbol(rx, est, false);
   // 40 degrees pushes QPSK close to/over decision boundaries; the
   // uncorrected points must be measurably worse.
   double err_with = 0.0;
@@ -150,7 +169,7 @@ TEST(ChannelEst, StaleEstimateBreaksEqualization) {
   const FreqSymbol ltf_rx = through(ltf_symbol(), h_est);
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
-  const EqualizedSymbol eq = equalize(rx, est, 0, false);
+  const EqualizedSymbol eq = equalize_symbol(rx, est, false);
   EXPECT_NE(demap_hard(eq.points, Modulation::kQam64), bits);
 }
 
@@ -160,7 +179,7 @@ TEST(ChannelEst, DeadBinGetsHugeNoise) {
   ChannelEstimate est;
   est.h = h;
   est.noise_var = 1e-9;
-  const EqualizedSymbol eq = equalize(rx, est, 0, false);
+  const EqualizedSymbol eq = equalize_symbol(rx, est, false);
   for (const double v : eq.noise_vars) {
     EXPECT_GE(v, 1e17);
   }

@@ -215,16 +215,6 @@ TEST(Csv, EscapingRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Args, WarnUnusedWritesOneLinePerTypo) {
-  const Args args = parse({"--used", "1", "--typo", "2", "--oops", "3"});
-  args.get_int("used", 0);
-  std::ostringstream os;
-  EXPECT_EQ(args.warn_unused(os), 2u);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("--typo"), std::string::npos);
-  EXPECT_NE(out.find("--oops"), std::string::npos);
-}
-
 TEST(Args, CheckRejectsAnOptionNothingRead) {
   const Args args = parse({"--runs", "2", "--rnus", "64"});
   args.get_int("runs", 4);

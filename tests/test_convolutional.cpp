@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "phy/viterbi.hpp"
@@ -27,13 +26,6 @@ std::vector<std::int8_t> to_llrs(const util::BitVec& coded) {
     llrs[i] = coded[i] ? -32 : 32;
   }
   return llrs;
-}
-
-std::vector<std::int8_t> depuncture(std::span<const std::int8_t> llrs,
-                                    CodeRate rate, std::size_t n_coded) {
-  std::vector<std::int8_t> out;
-  depuncture_into(llrs, rate, n_coded, out);
-  return out;
 }
 
 TEST(Convolutional, ImpulseResponseMatchesGenerators) {
@@ -85,51 +77,8 @@ TEST_P(PunctureRates, LengthMatchesRate) {
   EXPECT_EQ(punctured_length(mother, GetParam()), punct.size());
 }
 
-TEST_P(PunctureRates, DepunctureRestoresPositions) {
-  const auto frac = rate_fraction(GetParam());
-  const std::size_t mother = 2 * frac.num * 20;
-  util::Rng rng(4);
-  const util::BitVec coded = rng.bits(mother);
-  const util::BitVec punct = puncture(coded, GetParam());
-  std::vector<std::int8_t> llrs(punct.size());
-  for (std::size_t i = 0; i < punct.size(); ++i) {
-    llrs[i] = punct[i] ? -1 : 1;
-  }
-  const auto restored = depuncture(llrs, GetParam(), mother);
-  ASSERT_EQ(restored.size(), mother);
-  std::size_t erasures = 0;
-  std::size_t src = 0;
-  for (std::size_t i = 0; i < mother; ++i) {
-    if (restored[i] == 0) {
-      ++erasures;
-    } else {
-      EXPECT_EQ(restored[i] < 0, punct[src] == 1);
-      ++src;
-    }
-  }
-  EXPECT_EQ(erasures, mother - punct.size());
-}
-
-TEST_P(PunctureRates, EndToEndWithViterbi) {
-  util::Rng rng(5);
-  const auto frac = rate_fraction(GetParam());
-  // Whole number of puncture periods after the tail.
-  const std::size_t n_info = 2 * frac.num * 25 / 2 - 6;
-  const util::BitVec info = rng.bits(n_info);
-  const util::BitVec tailed = with_tail(info);
-  const util::BitVec mother = convolutional_encode(tailed);
-  const util::BitVec punct = puncture(mother, GetParam());
-  const std::vector<std::int8_t> llrs = to_llrs(punct);
-  const auto restored = depuncture(llrs, GetParam(), mother.size());
-  const util::BitVec decoded = viterbi_decode(restored);
-  ASSERT_EQ(decoded.size(), tailed.size());
-  for (std::size_t i = 0; i < n_info; ++i) {
-    EXPECT_EQ(decoded[i], info[i]) << "bit " << i;
-  }
-}
-
-// `%`-indexed puncture and depuncture, the specification the
-// period-walking implementations are checked against.
+// `%`-indexed puncture, the specification puncture() is checked
+// against, and the depuncture that inverts it with zero erasures.
 util::BitVec modulo_puncture(const util::BitVec& coded, CodeRate rate) {
   const auto pattern = puncture_pattern(rate);
   util::BitVec out;
@@ -150,6 +99,24 @@ std::vector<std::int8_t> modulo_depuncture(
   return out;
 }
 
+TEST_P(PunctureRates, EndToEndWithViterbi) {
+  util::Rng rng(5);
+  const auto frac = rate_fraction(GetParam());
+  // Whole number of puncture periods after the tail.
+  const std::size_t n_info = 2 * frac.num * 25 / 2 - 6;
+  const util::BitVec info = rng.bits(n_info);
+  const util::BitVec tailed = with_tail(info);
+  const util::BitVec mother = convolutional_encode(tailed);
+  const util::BitVec punct = puncture(mother, GetParam());
+  const std::vector<std::int8_t> llrs = to_llrs(punct);
+  const auto restored = modulo_depuncture(llrs, GetParam(), mother.size());
+  const util::BitVec decoded = viterbi_decode(restored);
+  ASSERT_EQ(decoded.size(), tailed.size());
+  for (std::size_t i = 0; i < n_info; ++i) {
+    EXPECT_EQ(decoded[i], info[i]) << "bit " << i;
+  }
+}
+
 TEST_P(PunctureRates, PartialPeriodsMatchModuloReference) {
   util::Rng rng(11);
   for (std::size_t mother = 2; mother <= 64; ++mother) {
@@ -157,58 +124,7 @@ TEST_P(PunctureRates, PartialPeriodsMatchModuloReference) {
     const util::BitVec want = modulo_puncture(coded, GetParam());
     EXPECT_EQ(puncture(coded, GetParam()), want) << "mother " << mother;
     EXPECT_EQ(punctured_length(mother, GetParam()), want.size());
-    if (mother % 2 != 0) continue;  // depuncture restores whole pairs
-    std::vector<std::int8_t> llrs(want.size());
-    for (std::size_t i = 0; i < llrs.size(); ++i) {
-      const auto magnitude = static_cast<std::int8_t>(i + 1);  // <= 64
-      llrs[i] = static_cast<std::int8_t>(want[i] ? -magnitude : magnitude);
-    }
-    EXPECT_EQ(depuncture(llrs, GetParam(), mother),
-              modulo_depuncture(llrs, GetParam(), mother))
-        << "mother " << mother;
   }
-}
-
-TEST_P(PunctureRates, DepunctureIntoReusedBufferWritesZeroErasures) {
-  util::Rng rng(12);
-  const std::size_t mother = 210;
-  std::vector<std::int8_t> out;
-  depuncture_into(std::vector<std::int8_t>(
-                      punctured_length(2 * mother, GetParam()), 1),
-                  GetParam(), 2 * mother, out);
-  for (auto& v : out) {  // longer, non-zero
-    v = static_cast<std::int8_t>(1 + rng.uniform_int(100));
-  }
-
-  std::vector<std::int8_t> llrs(punctured_length(mother, GetParam()));
-  for (auto& v : llrs) v = static_cast<std::int8_t>(-1 - rng.uniform_int(100));
-  depuncture_into(llrs, GetParam(), mother, out);
-  const std::vector<std::int8_t> want =
-      modulo_depuncture(llrs, GetParam(), mother);
-  ASSERT_EQ(out.size(), mother);
-  const auto pattern = puncture_pattern(GetParam());
-  for (std::size_t i = 0; i < mother; ++i) {
-    if (pattern[i % pattern.size()] == 0) {
-      EXPECT_EQ(out[i], 0) << "erasure " << i;
-    } else {
-      EXPECT_EQ(out[i], want[i]) << "kept " << i;
-    }
-  }
-}
-
-TEST_P(PunctureRates, DepunctureRejectsLengthMismatch) {
-  const std::size_t mother = 60;
-  const std::size_t n = punctured_length(mother, GetParam());
-  std::vector<std::int8_t> out;
-  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n + 1, 1), GetParam(),
-                               mother, out),
-               std::invalid_argument);
-  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n - 1, 1), GetParam(),
-                               mother, out),
-               std::invalid_argument);
-  EXPECT_THROW(depuncture_into(std::vector<std::int8_t>(n, 1), GetParam(),
-                               mother + 2, out),
-               std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRates, PunctureRates,

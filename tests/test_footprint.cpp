@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <vector>
@@ -38,8 +39,14 @@ std::size_t header_for(std::size_t align) {
 
 void* counted_new(std::size_t size, std::size_t align, bool nothrow) {
   const std::size_t header = header_for(align);
-  const std::size_t body = (size + header - 1) / header * header;
-  auto* base = static_cast<char*>(std::aligned_alloc(header, header + body));
+  // No object is larger than PTRDIFF_MAX bytes. The bound also keeps the
+  // rounding and the header add below from wrapping a huge size into a
+  // small block, so such a request fails like any other too large.
+  char* base = nullptr;
+  if (size <= std::size_t{PTRDIFF_MAX} - 2 * header) {
+    const std::size_t body = (size + header - 1) / header * header;
+    base = static_cast<char*>(std::aligned_alloc(header, header + body));
+  }
   if (base == nullptr) {
     if (nothrow) return nullptr;
     throw std::bad_alloc();
@@ -232,6 +239,22 @@ TEST(Footprint, WarmQueryBuildAllocatesNothing) {
     EXPECT_EQ(g_allocs.load() - before, 0u)
         << (mode == mac::Security::kOpen ? "open" : "CCMP");
   }
+}
+
+TEST(Footprint, OversizedAllocationFails) {
+  // A size whose block would wrap size_t must fail as an allocation too
+  // large: bad_alloc from the throwing forms, nullptr from the nothrow
+  // ones, never a pointer to fewer bytes than asked for.
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  const std::align_val_t align{64};
+  void* p = nullptr;
+  EXPECT_THROW(p = ::operator new(max), std::bad_alloc);
+  EXPECT_THROW(p = ::operator new(max, align), std::bad_alloc);
+  EXPECT_EQ(p, nullptr);
+  void* const q = ::operator new(max, std::nothrow);
+  void* const r = ::operator new(max, align, std::nothrow);
+  EXPECT_EQ(q, nullptr);
+  EXPECT_EQ(r, nullptr);
 }
 
 }  // namespace

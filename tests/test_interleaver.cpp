@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -42,20 +40,6 @@ TEST_P(InterleaverParam, AdjacentCodedBitsLandOnDistantSubcarriers) {
     const auto sc_a = map[k] / n_bpsc;
     const auto sc_b = map[k + 1] / n_bpsc;
     EXPECT_NE(sc_a, sc_b) << "coded bits " << k << "," << k + 1;
-  }
-}
-
-TEST_P(InterleaverParam, LlrDeinterleaveMatchesBitDeinterleave) {
-  util::Rng rng(2);
-  const unsigned n_cbps = kDataSubcarriers * bits_per_symbol(GetParam());
-  const util::BitVec bits = rng.bits(n_cbps);
-  const util::BitVec inter = interleave(bits, GetParam());
-  std::vector<std::int8_t> llrs(n_cbps);
-  for (unsigned i = 0; i < n_cbps; ++i) llrs[i] = inter[i] ? -32 : 32;
-  std::vector<std::int8_t> deint(n_cbps);
-  deinterleave_llrs_into(llrs, GetParam(), deint);
-  for (unsigned i = 0; i < n_cbps; ++i) {
-    EXPECT_EQ(deint[i], bits[i] == 1 ? -32 : 32) << i;
   }
 }
 

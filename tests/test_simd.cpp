@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -14,14 +15,12 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "phy/channel_est.hpp"
 #include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/fft.hpp"
-#include "phy/interleaver.hpp"
 #include "phy/mcs.hpp"
 #include "phy/ppdu.hpp"
 #include "phy/preamble.hpp"
@@ -126,10 +125,6 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
             phy::simd::demap_quantize_for(Tier::kAvx2));
   EXPECT_EQ(phy::simd::equalize_for(Tier::kAvx512),
             phy::simd::equalize_for(Tier::kAvx2));
-  EXPECT_EQ(phy::simd::deinterleave_for(Tier::kAvx512),
-            phy::simd::deinterleave_for(Tier::kAvx2));
-  EXPECT_EQ(phy::simd::quantize_for(Tier::kAvx512),
-            phy::simd::quantize_for(Tier::kAvx2));
   EXPECT_EQ(k512.radix4_pass, k2.radix4_pass);
   EXPECT_EQ(k512.len2_pass, k2.len2_pass);
   EXPECT_EQ(k512.scale, k2.scale);
@@ -144,10 +139,6 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
               phy::simd::demap_quantize_for(Tier::kScalar));
     EXPECT_NE(phy::simd::equalize_for(Tier::kAvx2),
               phy::simd::equalize_for(Tier::kScalar));
-    EXPECT_NE(phy::simd::deinterleave_for(Tier::kAvx2),
-              phy::simd::deinterleave_for(Tier::kScalar));
-    EXPECT_NE(phy::simd::quantize_for(Tier::kAvx2),
-              phy::simd::quantize_for(Tier::kScalar));
     EXPECT_NE(k2.radix4_pass, k0.radix4_pass);
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx2),
               phy::simd::acs_block_for(Tier::kScalar));
@@ -462,7 +453,8 @@ constexpr phy::Modulation kMods[] = {
 
 /// Fuzz points: random complexes, exact constellation points (ties in
 /// the per-bit minima), and far outliers; noise variances span tiny to
-/// the 1e18 dead-bin regime equalize() emits for nulled subcarriers.
+/// the 1e18 dead-bin regime the equalizer's plan gives nulled
+/// subcarriers.
 void fuzz_points(util::Rng& rng, phy::Modulation mod, std::size_t count,
                  util::CxVec& points, std::vector<double>& noise_vars) {
   const std::span<const util::Cx> table = phy::constellation_points(mod);
@@ -498,62 +490,17 @@ void fuzz_points(util::Rng& rng, phy::Modulation mod, std::size_t count,
 }
 
 TEST(SimdParity, DemapEveryTierMatchesReference) {
+  // SoA arrays fed straight to each tier's kernel must match the
+  // full-table reference bit for bit. Counts run 1..300, so every AVX2
+  // remainder (count % 4) reaches the scalar tail.
   const std::vector<Tier> tiers = runnable_tiers();
   util::CxVec points;
   std::vector<double> noise_vars;
-  std::vector<double> got;
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    util::Rng rng(0xD3'3A'90 + trial);
-    for (const phy::Modulation mod : kMods) {
-      // Odd counts exercise the vector kernels' scalar tails.
-      const std::size_t count = 1 + rng.uniform_int(97);
-      fuzz_points(rng, mod, count, points, noise_vars);
-      const std::vector<double> expect =
-          phy::detail::demap_soft_reference(points, mod, noise_vars);
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        phy::demap_soft_into(points, mod, noise_vars, got);
-        ASSERT_EQ(got.size(), expect.size());
-        ASSERT_EQ(std::memcmp(got.data(), expect.data(),
-                              expect.size() * sizeof(double)),
-                  0)
-            << "trial " << trial << " mod " << bits_per_symbol(mod)
-            << " bpsc, count " << count << " tier "
-            << phy::simd::tier_name(t);
-      }
-    }
-  }
-}
-
-/// The kernels' per-axis view of a constellation, rebuilt here from the
-/// public point table: low index bits select the I level, high bits Q.
-phy::simd::DemapAxes axes_from_points(phy::Modulation mod) {
-  const std::span<const util::Cx> table = phy::constellation_points(mod);
-  phy::simd::DemapAxes ax;
-  ax.n_bits = phy::bits_per_symbol(mod);
-  ax.i_bits = ax.n_bits == 1 ? 1u : ax.n_bits / 2;
-  ax.q_bits = ax.n_bits - ax.i_bits;
-  for (unsigned j = 0; j < (1u << ax.i_bits); ++j) {
-    ax.i_levels[j] = table[j].real();
-  }
-  for (unsigned q = 0; q < (1u << ax.q_bits); ++q) {
-    ax.q_levels[q] = table[q << ax.i_bits].imag();
-  }
-  return ax;
-}
-
-TEST(SimdParity, DemapSoaMatchesAosPath) {
-  // SoA arrays fed straight to each tier's kernel must match the AoS
-  // entry point and the full-table reference bit for bit. Counts run
-  // 1..300, so every AVX2 remainder (count % 4) reaches the scalar tail.
-  const std::vector<Tier> tiers = runnable_tiers();
-  util::CxVec points;
-  std::vector<double> noise_vars;
-  std::vector<double> re, im, soa, aos;
+  std::vector<double> re, im, got;
   for (std::size_t count = 1; count <= 300; ++count) {
     util::Rng rng(0x50'A0 + count);
     for (const phy::Modulation mod : kMods) {
-      const phy::simd::DemapAxes ax = axes_from_points(mod);
+      const phy::simd::DemapAxes& ax = phy::demap_axes(mod);
       fuzz_points(rng, mod, count, points, noise_vars);
       re.resize(count);
       im.resize(count);
@@ -564,20 +511,12 @@ TEST(SimdParity, DemapSoaMatchesAosPath) {
       const std::vector<double> expect =
           phy::detail::demap_soft_reference(points, mod, noise_vars);
       for (const Tier t : tiers) {
-        soa.assign(expect.size(), 0.0);
+        got.assign(expect.size(), 0.0);
         phy::simd::demap_block_for(t)(re.data(), im.data(),
                                       noise_vars.data(), count, ax,
-                                      soa.data());
-        ASSERT_EQ(std::memcmp(soa.data(), expect.data(),
+                                      got.data());
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(),
                               expect.size() * sizeof(double)),
-                  0)
-            << "count " << count << " mod " << ax.n_bits << " bpsc, tier "
-            << phy::simd::tier_name(t);
-        const phy::simd::ScopedTier pin(t);
-        phy::demap_soft_into(points, mod, noise_vars, aos);
-        ASSERT_EQ(aos.size(), soa.size());
-        ASSERT_EQ(std::memcmp(aos.data(), soa.data(),
-                              soa.size() * sizeof(double)),
                   0)
             << "count " << count << " mod " << ax.n_bits << " bpsc, tier "
             << phy::simd::tier_name(t);
@@ -623,31 +562,31 @@ void fuzz_channel(util::Rng& rng, phy::FreqSymbol& rx,
   est.mean_gain = 1.0;
 }
 
+using DataPoints = std::array<double, phy::kDataSubcarriers>;
+
 TEST(SimdParity, EqualizeEveryTierBitIdentical) {
   const std::vector<Tier> tiers = runnable_tiers();
   phy::FreqSymbol rx{};
   phy::ChannelEstimate est;
-  phy::EqualizedSymbol scalar_out, got;
+  phy::EqualizerPlan plan;
+  alignas(32) DataPoints scalar_re, scalar_im, re, im;
   for (std::uint64_t trial = 0; trial < 500; ++trial) {
     util::Rng rng(0xE9'0A'11 + trial);
     fuzz_channel(rng, rx, est);
     const bool cpe = (trial % 2) == 0;
+    phy::plan_equalizer(est, plan);
     {
       const phy::simd::ScopedTier pin(Tier::kScalar);
-      phy::equalize_into(rx, est, trial % 7, cpe, scalar_out);
+      phy::equalize_points(rx, est, plan, trial % 7, cpe, scalar_re.data(),
+                           scalar_im.data());
     }
     for (const Tier t : tiers) {
       const phy::simd::ScopedTier pin(t);
-      phy::equalize_into(rx, est, trial % 7, cpe, got);
-      ASSERT_EQ(got.points.size(), scalar_out.points.size());
-      ASSERT_EQ(std::memcmp(got.points.data(), scalar_out.points.data(),
-                            scalar_out.points.size() * sizeof(util::Cx)),
-                0)
+      phy::equalize_points(rx, est, plan, trial % 7, cpe, re.data(),
+                           im.data());
+      ASSERT_EQ(std::memcmp(re.data(), scalar_re.data(), sizeof(re)), 0)
           << "trial " << trial << " tier " << phy::simd::tier_name(t);
-      ASSERT_EQ(std::memcmp(got.noise_vars.data(),
-                            scalar_out.noise_vars.data(),
-                            scalar_out.noise_vars.size() * sizeof(double)),
-                0)
+      ASSERT_EQ(std::memcmp(im.data(), scalar_im.data(), sizeof(im)), 0)
           << "trial " << trial << " tier " << phy::simd::tier_name(t);
     }
   }
@@ -658,105 +597,39 @@ TEST(SimdParity, EqualizeKernelMatchesComplexDivisionReference) {
   // arithmetic; the reference uses std::complex operator/ (libgcc's
   // scaled Smith algorithm). Identical real math is impossible, so this
   // pins the agreement to a few ULP in relative terms instead — enough
-  // that the demapper's LLRs are indistinguishable.
+  // that the demapper's LLRs are indistinguishable. The noise variances
+  // come from the plan.
   phy::FreqSymbol rx{};
   phy::ChannelEstimate est;
-  phy::EqualizedSymbol got;
+  phy::EqualizerPlan plan;
+  alignas(32) DataPoints re, im;
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
     util::Rng rng(0xE9'0B'22 + trial);
     fuzz_channel(rng, rx, est);
     const bool cpe = (trial % 2) == 0;
-    phy::equalize_into(rx, est, trial % 7, cpe, got);
+    phy::plan_equalizer(est, plan);
+    phy::equalize_points(rx, est, plan, trial % 7, cpe, re.data(), im.data());
     const phy::EqualizedSymbol expect =
         phy::detail::equalize_reference(rx, est, trial % 7, cpe);
-    ASSERT_EQ(got.points.size(), expect.points.size());
+    ASSERT_EQ(expect.points.size(), re.size());
     for (std::size_t i = 0; i < expect.points.size(); ++i) {
       const double scale = std::max(1.0, std::abs(expect.points[i]));
-      ASSERT_NEAR(got.points[i].real(), expect.points[i].real(),
-                  1e-12 * scale)
+      ASSERT_NEAR(re[i], expect.points[i].real(), 1e-12 * scale)
           << "trial " << trial << " point " << i;
-      ASSERT_NEAR(got.points[i].imag(), expect.points[i].imag(),
-                  1e-12 * scale)
+      ASSERT_NEAR(im[i], expect.points[i].imag(), 1e-12 * scale)
           << "trial " << trial << " point " << i;
-      ASSERT_NEAR(got.noise_vars[i], expect.noise_vars[i],
+      ASSERT_NEAR(plan.noise_vars[i], expect.noise_vars[i],
                   1e-12 * expect.noise_vars[i])
           << "trial " << trial << " point " << i;
     }
   }
 }
 
-// ---------------------------------------------------------------------
-// Deinterleave.
-// ---------------------------------------------------------------------
-
 /// quantize_llr written with libm: clamp, then round half to even.
 std::int8_t quantize_reference(double llr, double scale) {
   const double v = llr * scale;
   if (std::isnan(v)) return 127;
   return static_cast<std::int8_t>(std::nearbyint(std::clamp(v, -127.0, 127.0)));
-}
-
-/// Quantizes `llrs` at `scale` through every tier's kernel and checks
-/// each against quantize_reference, element for element.
-void expect_quantize_matches(const std::vector<double>& llrs, double scale,
-                             const std::string& what) {
-  std::vector<std::int8_t> got(llrs.size());
-  for (const Tier t : runnable_tiers()) {
-    std::fill(got.begin(), got.end(), std::int8_t{-128});
-    phy::simd::quantize_for(t)(llrs.data(), llrs.size(), scale, got.data());
-    for (std::size_t k = 0; k < llrs.size(); ++k) {
-      ASSERT_EQ(got[k], quantize_reference(llrs[k], scale))
-          << what << " k " << k << " of " << llrs.size() << " llr " << llrs[k]
-          << " scale " << scale << " tier " << phy::simd::tier_name(t);
-    }
-  }
-}
-
-TEST(SimdParity, QuantizeEveryTierMatchesReference) {
-  // Counts 1..320 reach every remainder of the AVX2 kernel's 16-wide
-  // loop; values straddle the clamp and a quarter sit on exact halves.
-  std::vector<double> llrs;
-  for (std::size_t count = 1; count <= 320; ++count) {
-    util::Rng rng(0x0A'17'00 + count);
-    llrs.resize(count);
-    for (auto& v : llrs) {
-      v = rng.uniform_int(4) == 0
-              ? 0.5 * static_cast<double>(
-                          static_cast<int>(rng.uniform_int(601)) - 300)
-              : rng.uniform(-1e3, 1e3);
-    }
-    const double scale = count % 3 == 0 ? 1.0 : rng.uniform(1e-3, 1.0);
-    expect_quantize_matches(llrs, scale, "count " + std::to_string(count));
-  }
-}
-
-TEST(SimdParity, DeinterleaveEveryTierBitIdentical) {
-  const std::vector<Tier> tiers = runnable_tiers();
-  std::vector<std::int8_t> llrs, got;
-  for (std::uint64_t trial = 0; trial < 200; ++trial) {
-    util::Rng rng(0xDE'17'33 + trial);
-    for (const phy::Modulation mod : kMods) {
-      const unsigned n_bpsc = phy::bits_per_symbol(mod);
-      const unsigned n_cbps = phy::kDataSubcarriers * n_bpsc;
-      const std::vector<std::size_t> map = phy::interleave_map(n_cbps, n_bpsc);
-      llrs.resize(n_cbps);
-      got.resize(n_cbps);
-      for (auto& v : llrs) {
-        v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_int(256)) -
-                                     128);
-      }
-      for (const Tier t : tiers) {
-        const phy::simd::ScopedTier pin(t);
-        std::fill(got.begin(), got.end(), std::int8_t{0});
-        phy::deinterleave_llrs_into(llrs, mod, got);
-        for (unsigned k = 0; k < n_cbps; ++k) {
-          ASSERT_EQ(got[k], llrs[map[k]])
-              << "trial " << trial << " mod " << n_bpsc << " bpsc, k " << k
-              << " tier " << phy::simd::tier_name(t);
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -904,18 +777,46 @@ TEST(SimdParity, QuantizerEdgeCases) {
   }
   EXPECT_EQ(phy::simd::quantize_llr(1.0, 0.0), 0);
   EXPECT_EQ(phy::simd::quantize_llr(inf, 0.0), 127);  // 0 * inf is NaN
-  // Every length from 1 to 3 × edges, so each edge value lands in the
-  // AVX2 kernel's vector body and in its scalar tail.
-  std::vector<double> llrs;
-  for (std::size_t count = 1; count <= 3 * edges.size(); ++count) {
-    llrs.resize(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      llrs[k] = edges[(k + count) % edges.size()];
+  // Each edge value e reaches every tier's demap-and-quantize kernel as
+  // its scale: BPSK points at -1/4 and +1/4 with noise variance nv
+  // demap to LLRs of exactly +1/nv and -1/nv, so at scale e * nv they
+  // quantize exactly e and -e (at nv = 1/2 the halves come back exact
+  // after a multiply). Counts 1..9 put each value in the AVX2 kernel's
+  // four-point body and in its scalar tail.
+  const phy::simd::DemapAxes& ax = phy::demap_axes(phy::Modulation::kBpsk);
+  std::vector<double> re, im, nv;
+  std::vector<std::int8_t> got;
+  for (const double var : {1.0, 0.5}) {
+    for (std::size_t count = 1; count <= 9; ++count) {
+      re.resize(count);
+      im.assign(count, 0.0);
+      nv.assign(count, var);
+      for (std::size_t p = 0; p < count; ++p) {
+        re[p] = p % 2 == 0 ? -0.25 : 0.25;
+      }
+      const util::CxVec points(re.begin(), re.end());
+      const std::vector<double> llrs = phy::detail::demap_soft_reference(
+          points, phy::Modulation::kBpsk, nv);
+      for (std::size_t p = 0; p < count; ++p) {
+        ASSERT_EQ(llrs[p], (p % 2 == 0 ? 1.0 : -1.0) / var) << "point " << p;
+      }
+      for (std::size_t i = 0; i < edges.size(); ++i) {
+        const double scale = edges[i] * var;
+        for (const Tier t : runnable_tiers()) {
+          got.assign(count, std::int8_t{-128});
+          phy::simd::demap_quantize_for(t)(re.data(), im.data(), nv.data(),
+                                           count, ax, scale, got.data());
+          for (std::size_t p = 0; p < count; ++p) {
+            const std::int8_t want =
+                p % 2 == 0 ? want_unit[i] : quantize_reference(-edges[i], 1.0);
+            ASSERT_EQ(got[p], want)
+                << "edge " << edges[i] << " noise " << var << " count "
+                << count << " point " << p << " tier "
+                << phy::simd::tier_name(t);
+          }
+        }
+      }
     }
-    expect_quantize_matches(llrs, 1.0, "edges");
-    for (double& v : llrs) v *= 2.0;  // exact halves again at scale 0.5
-    expect_quantize_matches(llrs, 0.5, "doubled edges");
-    expect_quantize_matches(llrs, 0.0, "dead");
   }
 }
 
