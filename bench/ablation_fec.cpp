@@ -12,6 +12,7 @@
 //          --csv PATH, --jobs N
 #include <chrono>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -48,6 +49,10 @@ int bench_main(const witag::util::Args& args) {
   obs_run.config("pos", pos);
   obs_run.config("seed", static_cast<double>(seed));
   args.check();
+  if (!(pos > 0.0 && pos < 8.0)) {
+    throw std::invalid_argument("--pos: " + core::Table::num(pos, 2) +
+                                " m is not strictly between 0 and 8 m");
+  }
 
   std::cout << "=== Ablation: tag-link FEC at a marginal placement ===\n"
             << "Tag " << pos << " m from the client (mid-link = weakest "

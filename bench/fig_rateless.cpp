@@ -29,8 +29,11 @@
 //          4 clock, 8 mac, 16 brownout; default 31 = all),
 //          --csv PATH, --jobs N
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "faults/fault_plan.hpp"
@@ -82,8 +85,8 @@ int bench_main(const util::Args& args) {
   const std::size_t budget = args.get_u64("rounds", 16);
   const double pos = args.get_double("pos", 3.0);
   const std::uint64_t seed = args.get_u64("seed", 4242);
-  const auto fault_mask =
-      static_cast<unsigned>(args.get_int("faults", 0x1F));
+  const std::uint64_t fault_bits =
+      args.get_u64("faults", faults::kAllInjectors);
   const std::string csv_path = args.get_string("csv", "");
   std::size_t jobs = runner::jobs_from_args(args);
   if (jobs == 0) jobs = runner::default_jobs();
@@ -93,8 +96,18 @@ int bench_main(const util::Args& args) {
   obs_run.config("rounds", static_cast<double>(budget));
   obs_run.config("pos", pos);
   obs_run.config("seed", static_cast<double>(seed));
-  obs_run.config("faults", static_cast<double>(fault_mask));
+  obs_run.config("faults", static_cast<double>(fault_bits));
   args.check();
+  if (!(pos > 0.0 && pos < 8.0)) {
+    throw std::invalid_argument("--pos: " + core::Table::num(pos, 2) +
+                                " m is not strictly between 0 and 8 m");
+  }
+  if ((fault_bits & ~std::uint64_t{faults::kAllInjectors}) != 0) {
+    throw std::invalid_argument("--faults: " + std::to_string(fault_bits) +
+                                " sets a bit outside the injector mask " +
+                                std::to_string(faults::kAllInjectors));
+  }
+  const auto fault_mask = static_cast<unsigned>(fault_bits);
 
   std::cout << "=== Rateless: goodput vs fault intensity by FEC mode ===\n"
             << "Tag " << pos << " m from the client; " << polls

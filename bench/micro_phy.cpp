@@ -311,6 +311,54 @@ void BM_PlaceQam64(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaceQam64);
 
+// The transmitter's encode and mapping alone over a link_long-sized
+// field: 257 MCS5 (64-QAM, rate 2/3) symbols of input bits to all 64
+// bins of each, at the best tier (AVX-512 computes the coded streams in
+// registers, permutes their bytes through the MCS's plan and looks the
+// levels up with vpermt2pd; the other tiers encode the field word-wide
+// and run the table loop). Unpinned.
+void BM_TxMapQam64(benchmark::State& state) {
+  constexpr std::size_t kSymbols = 257;
+  const phy::simd::TxMapPlan& plan = phy::detail::tx_map_plan(5);
+  util::Rng rng(12);
+  util::BitVec bits(phy::simd::kTxMapLead, 0);  // the encoder's zero lead
+  const util::BitVec field = rng.bits(kSymbols * plan.n_dbps);
+  bits.insert(bits.end(), field.begin(), field.end());
+  std::vector<phy::FreqSymbol> symbols(kSymbols);
+  const phy::simd::TxMapFn map =
+      phy::simd::tx_map_for(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    map(bits.data() + phy::simd::kTxMapLead, kSymbols, plan, symbols.data());
+    benchmark::DoNotOptimize(symbols.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TxMapQam64);
+
+// The Viterbi traceback alone over one link_long exchange's 53,270
+// steps, at the best tier (on x86 the vector tiers' bt + adc step), from
+// the decisions the ACS made once on BM_ViterbiExchange's LLRs.
+// Unpinned.
+void BM_TracebackExchange(benchmark::State& state) {
+  constexpr std::size_t kSteps = 53270;
+  const std::vector<std::int8_t> llrs = viterbi_bench_llrs(kSteps);
+  std::vector<std::uint64_t> decisions(kSteps);
+  std::array<std::int16_t, phy::kNumStates> metrics{};
+  metrics.fill(-8192);  // the decoder's start: only state 0 reachable
+  metrics[0] = 0;
+  phy::simd::acs_block_for(phy::simd::Tier::kScalar)(
+      llrs.data(), kSteps, decisions.data(), metrics.data());
+  util::BitVec bits(kSteps);
+  const phy::simd::TracebackFn traceback =
+      phy::simd::traceback_for(phy::simd::detect_best_tier());
+  for (auto _ : state) {
+    traceback(decisions.data(), kSteps, bits.data());
+    benchmark::DoNotOptimize(bits.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TracebackExchange);
+
 // Table-driven (byte-at-a-time keystream) vs bit-serial scrambler over
 // one max-rate data field's worth of bits.
 void BM_Scramble(benchmark::State& state) {

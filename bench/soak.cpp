@@ -64,7 +64,8 @@ int bench_main(const util::Args& args) {
   const std::size_t rounds = args.get_u64("rounds", 45);
   const double pos = args.get_double("pos", 3.0);
   const double intensity = args.get_double("intensity", 0.5);
-  const auto fault_mask = static_cast<unsigned>(args.get_int("faults", 0x1F));
+  const std::uint64_t fault_bits =
+      args.get_u64("faults", faults::kAllInjectors);
   const std::uint64_t seed = args.get_u64("seed", 20260807);
   const std::size_t warmup = args.get_u64("warmup-chunks", 20);
   const double rss_limit_mb = args.get_double("assert-rss-growth-mb", 0.0);
@@ -78,14 +79,24 @@ int bench_main(const util::Args& args) {
   obs_run.config("rounds", static_cast<double>(rounds));
   obs_run.config("pos", pos);
   obs_run.config("intensity", intensity);
-  obs_run.config("faults", static_cast<double>(fault_mask));
+  obs_run.config("faults", static_cast<double>(fault_bits));
   obs_run.config("seed", static_cast<double>(seed));
   args.check();
+  if (!(pos > 0.0 && pos < 8.0)) {
+    throw std::invalid_argument("--pos: " + core::Table::num(pos, 2) +
+                                " m is not strictly between 0 and 8 m");
+  }
   if (!(intensity >= 0.0 && intensity <= 1.0)) {
     throw std::invalid_argument("--intensity: " +
                                 core::Table::num(intensity, 2) +
                                 " is outside [0, 1]");
   }
+  if ((fault_bits & ~std::uint64_t{faults::kAllInjectors}) != 0) {
+    throw std::invalid_argument("--faults: " + std::to_string(fault_bits) +
+                                " sets a bit outside the injector mask " +
+                                std::to_string(faults::kAllInjectors));
+  }
+  const auto fault_mask = static_cast<unsigned>(fault_bits);
 
   std::cout << "=== Soak: " << chunks << " chunks x " << runs << " runs x "
             << rounds << " rounds, intensity "

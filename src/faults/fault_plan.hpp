@@ -106,12 +106,17 @@ struct FaultPlan {
   }
 };
 
+/// Every injector bit of hostile_plan()'s `enabled` mask: interference
+/// (1), trigger (2), clock (4), mac (8) and brownout (16). A mask with
+/// any other bit set names no injector.
+inline constexpr unsigned kAllInjectors = 0x1F;
+
 /// Canonical hostile-channel preset used by fig_robustness and the
 /// robustness tests: every injector's rate scaled by one `intensity`
 /// knob in [0, 1]. 0 = benign (plan.any() == false), 1 = the harshest
 /// channel the supervisor is expected to degrade gracefully under.
 /// `enabled` bit i gates injector i in the fixed order interference,
-/// trigger, clock, mac, brownout (0x1F = all).
-FaultPlan hostile_plan(double intensity, unsigned enabled = 0x1F);
+/// trigger, clock, mac, brownout (kAllInjectors = all).
+FaultPlan hostile_plan(double intensity, unsigned enabled = kAllInjectors);
 
 }  // namespace witag::faults

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <cstddef>
@@ -120,6 +121,15 @@ simd::DemapAxes make_axes(Modulation mod) {
   }
   for (unsigned q = 0; q < (1u << ax.q_bits); ++q) {
     ax.q_levels[q] = table[q << ax.i_bits].imag();  // 0.0 for BPSK
+  }
+  // The product holds bit for bit, signed zeros included: the transmit
+  // mapping's AVX-512 kernel looks every point up as its two levels
+  // (simd::TxMapPlan).
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (unsigned i = 0; i < table.size(); ++i) {
+    WITAG_ENSURE(bits(table[i].real()) ==
+                 bits(ax.i_levels[i & ((1u << ax.i_bits) - 1)]));
+    WITAG_ENSURE(bits(table[i].imag()) == bits(ax.q_levels[i >> ax.i_bits]));
   }
   return ax;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <type_traits>
-#include <utility>
 
 #include "obs/obs.hpp"
 #include "phy/constellation.hpp"
@@ -23,27 +21,19 @@ namespace {
 constexpr std::size_t kServiceBits = 16;
 constexpr std::size_t kTailBits = 6;
 
-// Coded bits per OFDM symbol at the densest modulation (64-QAM).
-constexpr std::size_t kMaxCodedBitsPerSymbol =
-    std::size_t{kDataSubcarriers} * 6;
-
 template <typename T>
 std::size_t vec_capacity_bytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
 }
 
-// Transmit intermediates, one set per thread like viterbi_decode's
-// workspace: each buffer grows to the largest field the thread has
-// encoded and is then reused, so transmit_into() allocates only when the
-// caller's timeline grows and no Session owns a transmit buffer.
-struct TxWorkspace {
-  util::BitVec data;   ///< Service + PSDU + tail + pad, scrambled in place.
-  util::BitVec coded;  ///< The field's A stream, then its B stream.
-};
-
-TxWorkspace& tx_workspace() {
-  thread_local TxWorkspace ws;
-  return ws;
+// The data field's bits (simd::kTxMapLead zero bytes, then service +
+// PSDU + tail + pad, scrambled in place), one buffer per thread like
+// viterbi_decode's workspace: it grows to the largest field the thread
+// has encoded and is then reused, so transmit_into() allocates only when
+// the caller's timeline grows and no Session owns a transmit buffer.
+util::BitVec& tx_data_workspace() {
+  thread_local util::BitVec data;
+  return data;
 }
 
 // One MCS's gather table (detail::tx_gather_table).
@@ -72,51 +62,22 @@ unsigned mcs_index_for(Modulation mod, CodeRate rate) {
   return 0;
 }
 
-// Encodes `bits` (scrambled where applicable), whole symbols at MCS
-// `m`, into OFDM symbols appended to `out`: the A and B streams into the
-// thread's coded buffer, then each symbol in place through the MCS's
-// gather table. `first_symbol_index` sets pilot polarity.
-void encode_field(std::span<const std::uint8_t> bits, const McsParams& m,
-                  std::size_t first_symbol_index,
-                  std::vector<FreqSymbol>& out) {
-  const std::size_t n = bits.size();
-  WITAG_REQUIRE(n % m.n_dbps == 0);
-  util::BitVec& coded = tx_workspace().coded;
-  coded.resize(2 * n);
-  convolutional_streams_into(bits, std::span(coded).first(n),
-                             std::span(coded).subspan(n));
-  // The table's mother-rate positions 2i + stream, resolved into the
-  // coded buffer, whose B stream starts n bytes after its A stream.
-  const std::span<const std::uint16_t> table = detail::tx_gather_table(m.index);
-  std::array<std::uint32_t, kMaxCodedBitsPerSymbol> at{};
-  for (std::size_t j = 0; j < table.size(); ++j) {
-    at[j] = static_cast<std::uint32_t>((table[j] >> 1) + (table[j] & 1u) * n);
+// Encodes the field `lead_and_bits` (simd::kTxMapLead zero bytes, then
+// the field's bits, scrambled where applicable), whole symbols at MCS
+// `m`, into the OFDM symbols `out`, every bin of each written: the
+// symbols through the MCS's transmit-mapping plan in one kernel call,
+// then the pilots. `first_symbol_index` sets pilot polarity.
+void encode_field(std::span<const std::uint8_t> lead_and_bits,
+                  const McsParams& m, std::size_t first_symbol_index,
+                  std::span<FreqSymbol> out) {
+  WITAG_REQUIRE(lead_and_bits.size() ==
+                simd::kTxMapLead + out.size() * m.n_dbps);
+  simd::tx_map_for(simd::active_tier())(
+      lead_and_bits.data() + simd::kTxMapLead, out.size(),
+      detail::tx_map_plan(m.index), out.data());
+  for (std::size_t s = 0; s < out.size(); ++s) {
+    set_pilots(out[s], first_symbol_index + s);
   }
-  const std::span<const util::Cx> points = constellation_points(m.modulation);
-  const auto encode_symbols = [&](auto n_bpsc) {
-    constexpr unsigned kBits = decltype(n_bpsc)::value;
-    for (std::size_t s = 0; s < n / m.n_dbps; ++s) {
-      FreqSymbol& symbol = out.emplace_back();
-      const std::uint8_t* base = coded.data() + s * m.n_dbps;
-      const std::uint32_t* entry = at.data();
-      for (const unsigned bin : data_bins()) {
-        const unsigned index =
-            [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
-              return ((static_cast<unsigned>(base[entry[B]]) << B) | ...);
-            }(std::make_integer_sequence<unsigned, kBits>{});
-        symbol[bin] = points[index];
-        entry += kBits;
-      }
-      set_pilots(symbol, first_symbol_index + s);
-    }
-  };
-  switch (m.n_bpsc) {
-    case 1: return encode_symbols(std::integral_constant<unsigned, 1>{});
-    case 2: return encode_symbols(std::integral_constant<unsigned, 2>{});
-    case 4: return encode_symbols(std::integral_constant<unsigned, 4>{});
-    case 6: return encode_symbols(std::integral_constant<unsigned, 6>{});
-  }
-  WITAG_ENSURE(false);
 }
 
 // Inverse of encode_field: equalize, demap and quantize each symbol,
@@ -192,6 +153,21 @@ std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index) {
   }();
   WITAG_REQUIRE(mcs_index < kNumMcs);
   return kTables[mcs_index];
+}
+
+const simd::TxMapPlan& tx_map_plan(unsigned mcs_index) {
+  static const std::array<simd::TxMapPlan, kNumMcs> kPlans = [] {
+    std::array<simd::TxMapPlan, kNumMcs> plans;
+    for (unsigned i = 0; i < kNumMcs; ++i) {
+      const Modulation mod = mcs(i).modulation;
+      plans[i] = simd::make_tx_map_plan(
+          tx_gather_table(i), mcs(i).n_dbps, constellation_points(mod),
+          demap_axes(mod), data_bins());
+    }
+    return plans;
+  }();
+  WITAG_REQUIRE(mcs_index < kNumMcs);
+  return kPlans[mcs_index];
 }
 
 const simd::PlacePlan& place_plan(unsigned mcs_index) {
@@ -304,23 +280,30 @@ void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
   const std::size_t n_sym = data_symbols_for(psdu.size(), m);
 
   ppdu.sig = HtSig{cfg.mcs_index, psdu.size()};
-  ppdu.symbols.clear();
-  ppdu.symbols.reserve(kHeaderSlots + n_sym);
+  // Every slot is written below, so a reused timeline is resized, not
+  // cleared: only slots it grows by are value-initialized.
+  ppdu.symbols.resize(kHeaderSlots + n_sym);
+  const std::span<FreqSymbol> slots(ppdu.symbols);
 
   // Preamble.
-  ppdu.symbols.push_back(stf_symbol());
-  for (std::size_t i = 0; i < kLtfSlots; ++i) ppdu.symbols.push_back(ltf_symbol());
+  slots[0] = stf_symbol();
+  for (std::size_t i = 0; i < kLtfSlots; ++i) {
+    slots[kStfSlots + i] = ltf_symbol();
+  }
 
   // SIG field: BPSK rate 1/2, symbol indices 0..1 for pilot polarity.
-  encode_field(encode_sig_bits(ppdu.sig), mcs(0), 0, ppdu.symbols);
-  WITAG_ENSURE(ppdu.symbols.size() == kHeaderSlots);
+  std::array<std::uint8_t, simd::kTxMapLead + kSigBits> sig{};
+  std::ranges::copy(encode_sig_bits(ppdu.sig), sig.begin() + simd::kTxMapLead);
+  encode_field(sig, mcs(0), 0, slots.subspan(kPreambleSlots, kSigSymbols));
 
   // DATA field: service + PSDU + tail, padded to whole symbols, written
-  // in place and scrambled in place (with the tail re-zeroed so the
-  // decoder's trellis terminates).
-  util::BitVec& data_buf = tx_workspace().data;
-  data_buf.resize(n_sym * m.n_dbps);
-  const std::span<std::uint8_t> bits(data_buf);
+  // in place after the encoder's zero lead and scrambled in place (with
+  // the tail re-zeroed so the decoder's trellis terminates).
+  util::BitVec& data_buf = tx_data_workspace();
+  data_buf.resize(simd::kTxMapLead + n_sym * m.n_dbps);
+  std::fill_n(data_buf.begin(), simd::kTxMapLead, std::uint8_t{0});
+  const std::span<std::uint8_t> bits =
+      std::span(data_buf).subspan(simd::kTxMapLead);
   const std::size_t tail_at = kServiceBits + 8 * psdu.size();
   std::fill_n(bits.begin(), kServiceBits, std::uint8_t{0});
   util::bytes_to_bits_into(psdu, bits.subspan(kServiceBits, 8 * psdu.size()));
@@ -330,9 +313,8 @@ void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
   std::fill_n(bits.begin() + static_cast<std::ptrdiff_t>(tail_at),
               kTailBits, std::uint8_t{0});
 
-  encode_field(bits, m, kSigSymbols, ppdu.symbols);
-  ppdu.n_data_symbols = ppdu.symbols.size() - kHeaderSlots;
-  WITAG_ENSURE(ppdu.n_data_symbols == n_sym);
+  encode_field(data_buf, m, kSigSymbols, slots.subspan(kHeaderSlots));
+  ppdu.n_data_symbols = n_sym;
 }
 
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg) {

@@ -27,6 +27,7 @@ namespace witag::phy {
 
 namespace simd {
 struct PlacePlan;
+struct TxMapPlan;
 }  // namespace simd
 
 /// Reusable buffers for the receive pipeline. One scratch serves any
@@ -86,10 +87,12 @@ struct TxConfig {
 
 /// Builds the PPDU carrying `psdu` into `out`, reusing the capacity of
 /// its timeline; every field of `out` is overwritten. Requires a
-/// non-empty PSDU smaller than 65536 bytes and a valid MCS. Per field,
-/// the bits are encoded word-wide into a per-thread buffer, then each
-/// OFDM symbol is written in place in the timeline (reserved once)
-/// through one gather table that punctures, interleaves and maps.
+/// non-empty PSDU smaller than 65536 bytes and a valid MCS. The timeline
+/// is resized, not cleared, and every bin of every slot written. Per
+/// field, the bits are encoded word-wide into a per-thread buffer, then
+/// the field's OFDM symbols are written in place in the timeline by one
+/// kernel call (simd::tx_map_for) through the MCS's tx_map_plan(),
+/// which punctures, interleaves and maps, and then the pilots.
 void transmit_into(std::span<const std::uint8_t> psdu, const TxConfig& cfg,
                    TxPpdu& out);
 
@@ -151,6 +154,11 @@ namespace detail {
 /// input bit within the symbol. Symbol s uses it at input bit s * n_dbps.
 /// The receiver places its soft bits through the same table.
 std::span<const std::uint16_t> tx_gather_table(unsigned mcs_index);
+
+/// The transmit-mapping plan of `mcs_index`: its tx_gather_table() over
+/// the MCS's constellation and the data bins (simd::make_tx_map_plan),
+/// built once per process.
+const simd::TxMapPlan& tx_map_plan(unsigned mcs_index);
 
 /// The placement plan of `mcs_index`: its tx_gather_table() over the
 /// 2 × n_dbps mother-rate positions of a symbol, built once per process

@@ -2,10 +2,12 @@
 // only tier on non-x86 hosts and on x86 hosts without AVX2 or AES-NI,
 // and the one WITAG_SIMD=off forces. The vector kernels live in
 // simd_avx2.cpp (the ACS, demap, equalize and FFT kernels, and the
-// AES-NI block cipher) and simd_avx512.cpp (the Viterbi ACS and the
-// soft-bit placement); this TU owns the dispatch, so a build without
-// AVX2 or AVX-512 support (or a non-x86 target) runs the lower tiers
-// without any caller noticing.
+// AES-NI block cipher) and simd_avx512.cpp (the Viterbi ACS, the
+// soft-bit placement and the transmit mapping); this TU owns the
+// dispatch, so a build without AVX2 or AVX-512 support (or a non-x86
+// target) runs the lower tiers without any caller noticing. It also
+// holds the vector tiers' traceback, which needs no vector ISA: two
+// base x86-64 instructions per step in inline asm.
 
 #include "phy/simd.hpp"
 
@@ -14,11 +16,14 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <utility>
 
+#include "phy/convolutional.hpp"
 #include "phy/trellis.hpp"
+#include "util/bits.hpp"
 #include "util/require.hpp"
 
 namespace witag::phy::simd {
@@ -61,6 +66,9 @@ Tier env_tier() {
 /// ScopedTier override: -1 = none, otherwise a Tier value. Relaxed is
 /// enough — overrides are set from single-threaded test/bench setup.
 std::atomic<int> g_override{-1};
+
+/// The largest transmit table: 52 data subcarriers of 64-QAM.
+constexpr std::size_t kMaxTxMapEntries = 52 * 6;
 
 // ---------------------------------------------------------------------
 // Scalar kernels (the fallback tier, and the semantics every vector
@@ -119,6 +127,114 @@ void place_scalar(const std::int8_t* llrs, std::size_t n_symbols,
     for (std::size_t j = 0; j < table.size(); ++j) at[table[j]] = in[j];
   }
 }
+
+// The table loop over a field's coded streams, one symbol at a time:
+// every bin zeroed, then per data bin kBits picked bytes ORed into the
+// point index and the point stored.
+template <unsigned kBits>
+void tx_map_table_loop(const std::uint8_t* coded, std::size_t b_offset,
+                       std::size_t n_symbols, const TxMapPlan& plan,
+                       SymbolBins* out) {
+  // The table's mother-rate positions 2i + stream, resolved into
+  // `coded`, whose B stream starts b_offset bytes after its A stream.
+  std::array<std::uint32_t, kMaxTxMapEntries> at;
+  for (std::size_t j = 0; j < plan.table.size(); ++j) {
+    at[j] = static_cast<std::uint32_t>((plan.table[j] >> 1) +
+                                       (plan.table[j] & 1u) * b_offset);
+  }
+  for (std::size_t s = 0; s < n_symbols; ++s) {
+    SymbolBins& symbol = out[s];
+    symbol.fill(util::Cx{});
+    const std::uint8_t* base = coded + s * plan.n_dbps;
+    const std::uint32_t* entry = at.data();
+    for (const unsigned bin : plan.bins) {
+      const unsigned index =
+          [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
+            return ((static_cast<unsigned>(base[entry[B]]) << B) | ...);
+          }(std::make_integer_sequence<unsigned, kBits>{});
+      symbol[bin] = plan.points[index];
+      entry += kBits;
+    }
+  }
+}
+
+// The field's A stream, then its B stream, word-wide into a per-thread
+// buffer (grown to the largest field the thread has encoded, then
+// reused), then the table loop.
+void tx_map_scalar(const std::uint8_t* bits, std::size_t n_symbols,
+                   const TxMapPlan& plan, SymbolBins* out) {
+  thread_local util::BitVec coded;
+  const std::size_t n = n_symbols * plan.n_dbps;
+  coded.resize(2 * n);
+  convolutional_streams_into(std::span(bits, n), std::span(coded).first(n),
+                             std::span(coded).subspan(n));
+  const std::uint8_t* ab = coded.data();
+  switch (plan.n_bpsc) {
+    case 1: return tx_map_table_loop<1>(ab, n, n_symbols, plan, out);
+    case 2: return tx_map_table_loop<2>(ab, n, n_symbols, plan, out);
+    case 4: return tx_map_table_loop<4>(ab, n, n_symbols, plan, out);
+    case 6: return tx_map_table_loop<6>(ab, n, n_symbols, plan, out);
+  }
+  WITAG_ENSURE(false);
+}
+
+void traceback_scalar(const std::uint64_t* decisions, std::size_t n_steps,
+                      std::uint8_t* out) {
+  std::uint32_t state = 0;
+  for (std::size_t step = n_steps; step-- > 0;) {
+    out[step] = static_cast<std::uint8_t>(state >> 5);
+    state = ((state << 1) & (kNumStates - 1)) |
+            static_cast<std::uint32_t>((decisions[step] >> state) & 1u);
+  }
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define WITAG_TRACEBACK_BT 1
+// One step of the walk with the state in the low six bits of `path` and
+// the bits decided so far above them. The register form of bt reads its
+// bit offset mod 64, so `bt path, word` copies decision bit `state` to
+// the carry and `adc path, path` shifts it in: the loop-carried chain is
+// these two single-cycle instructions, where the portable loop's is a
+// shift, a mask and an or. The step's decoded bit, bit 5 of path before
+// it, is bit 6 after it. (bt with a memory operand would address the
+// bit string past the word, so the word must be in a register.)
+[[gnu::always_inline]] inline void traceback_step(std::uint64_t& path,
+                                                  std::uint64_t word) {
+  __asm__("btq %[path], %[word]\n\t"
+          "adcq %[path], %[path]"
+          : [path] "+r"(path)
+          : [word] "r"(word)
+          : "cc");
+}
+
+void traceback_bt(const std::uint64_t* decisions, std::size_t n_steps,
+                  std::uint8_t* out) {
+  std::uint64_t path = 0;
+  std::size_t step = n_steps;
+  // Single steps until whole blocks of eight remain.
+  for (; step % 8 != 0; --step) {
+    out[step - 1] = static_cast<std::uint8_t>((path >> 5) & 1u);
+    traceback_step(path, decisions[step - 1]);
+  }
+  // Eight steps, then their bits (out[step - 8 + j] at bit 6 + j of
+  // path) spread to one byte each and stored at once: x copied to every
+  // byte, byte j masked to bit j, and that bit carried up to bit 7 and
+  // shifted down to bit 0.
+  for (; step != 0; step -= 8) {
+#pragma GCC unroll 8
+    for (std::size_t k = 1; k <= 8; ++k) {
+      traceback_step(path, decisions[step - k]);
+    }
+    const std::uint64_t x = (path >> 6) & 0xFFu;
+    const std::uint64_t bytes =
+        ((((x * 0x0101010101010101u) & 0x8040201008040201u) +
+          0x7F7F7F7F7F7F7F7Fu) >>
+         7) &
+        0x0101010101010101u;
+    std::memcpy(out + step - 8, &bytes, sizeof bytes);
+  }
+}
+#endif
 
 // Max-log LLRs of one point: per-axis squared distances, their minima
 // overall and split by each index bit, then the I-part + Q-part
@@ -282,6 +398,8 @@ void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                     std::uint64_t* decisions, std::int16_t* metrics);
 void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
                   const PlacePlan& plan, std::int8_t* out);
+void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
+                   const TxMapPlan& plan, SymbolBins* out);
 void demap_block_avx2(const double* re, const double* im, const double* nv,
                       std::size_t count, const DemapAxes& ax, double* out);
 void demap_quantize_avx2(const double* re, const double* im, const double* nv,
@@ -366,6 +484,14 @@ AcsBlockFn acs_block_for(Tier t) {
   return use_avx2(t) ? kernels::acs_block_avx2 : acs_block_scalar;
 }
 
+TracebackFn traceback_for(Tier t) {
+#ifdef WITAG_TRACEBACK_BT
+  if (use_avx2(t)) return traceback_bt;
+#endif
+  static_cast<void>(t);
+  return traceback_scalar;
+}
+
 PlacePlan make_place_plan(std::span<const std::uint16_t> table,
                           std::size_t span) {
   constexpr std::size_t kChunk = 64;
@@ -397,6 +523,64 @@ PlaceFn place_for(Tier t) {
     return kernels::place_avx512;
   }
   return place_scalar;
+}
+
+TxMapPlan make_tx_map_plan(std::span<const std::uint16_t> table,
+                           std::size_t n_dbps,
+                           std::span<const util::Cx> points,
+                           const DemapAxes& axes,
+                           std::span<const unsigned> bins) {
+  constexpr std::size_t kReg = 64;
+  constexpr std::size_t kWindow = 128;
+  TxMapPlan plan;
+  plan.table = table;
+  plan.n_dbps = n_dbps;
+  plan.n_bpsc = axes.n_bits;
+  plan.points = points;
+  plan.bins = bins;
+  WITAG_REQUIRE(table.size() == bins.size() * axes.n_bits);
+  WITAG_REQUIRE(bins.size() <= 64);  // one byte lane per point
+  WITAG_REQUIRE(axes.i_bits == (axes.n_bits + 1) / 2);
+  WITAG_REQUIRE(table.size() <= kMaxTxMapEntries);
+  WITAG_REQUIRE(points.size() == std::size_t{1} << axes.n_bits);
+  // Each stream in whole registers; window w is registers 2w and 2w + 1
+  // of A's registers followed by B's.
+  plan.windows = (n_dbps + kReg - 1) / kReg;
+  const std::size_t steps = std::size_t{axes.n_bits} * plan.windows;
+  plan.index.resize(steps);
+  plan.lanes.assign(steps, 0);
+  for (std::size_t j = 0; j < table.size(); ++j) {
+    const std::size_t point = j / axes.n_bits;
+    const std::size_t plane = j % axes.n_bits;
+    const std::size_t bit = table[j] >> 1;
+    WITAG_REQUIRE(bit < n_dbps);
+    const std::size_t source =
+        (table[j] & 1u) * plan.windows * kReg + bit;
+    const std::size_t step = plane * plan.windows + source / kWindow;
+    plan.index[step].bytes[point] =
+        static_cast<std::uint8_t>(source % kWindow);
+    plan.lanes[step] |= std::uint64_t{1} << point;
+  }
+  plan.i_levels = axes.i_levels;
+  plan.q_levels = axes.q_levels;
+  for (std::size_t k = 0; k < bins.size(); ++k) {
+    WITAG_REQUIRE(bins[k] < 64);
+    const std::size_t reg = bins[k] / 4;
+    const std::size_t re = 2 * (bins[k] % 4);
+    const unsigned taken = plan.bin_lanes[reg];
+    WITAG_REQUIRE(((taken >> re) & 1u) == 0);
+    plan.spread[reg].bytes[8 * re] = static_cast<std::uint8_t>(k);
+    plan.spread[reg].bytes[8 * re + 8] = static_cast<std::uint8_t>(64 + k);
+    plan.bin_lanes[reg] = static_cast<std::uint8_t>(taken | 3u << re);
+  }
+  return plan;
+}
+
+TxMapFn tx_map_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::tx_map_avx512;
+  }
+  return tx_map_scalar;
 }
 
 DemapBlockFn demap_block_for(Tier t) {

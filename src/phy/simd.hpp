@@ -1,17 +1,20 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
-// kernels (Viterbi add-compare-select, soft-bit placement, soft demap
-// with or without the LLR quantizer, equalize, radix-4 FFT passes) and
-// one non-PHY kernel, CCMP's AES block cipher. Each runs on a hot path,
-// except the double-precision demap (demap_block_for), which the parity
-// tests compare with the reference. There are three tiers: the portable
-// scalar kernels; AVX2 + AES-NI, with a kernel for each of those but the
-// placement; and AVX-512 (F + BW + VBMI), which carries two kernels of
-// its own, a register-resident Viterbi ACS and the soft-bit placement,
-// both moving bytes with vpermt2b, and runs the AVX2 kernels for
-// everything else. Both vector tiers are selected at run time on x86
-// hosts that have them (AVX2 without AES-NI runs the scalar tier;
-// AVX-512 F + BW without VBMI, as on Skylake-SP and Cascade Lake, runs
-// the AVX2 tier).
+// kernels (Viterbi add-compare-select and traceback, soft-bit placement,
+// transmit mapping, soft demap with or without the LLR quantizer,
+// equalize, radix-4 FFT passes) and one non-PHY kernel, CCMP's AES
+// block cipher. Each runs on a hot path, except the double-precision
+// demap (demap_block_for), which the parity tests compare with the
+// reference. There are three tiers: the portable scalar kernels; AVX2 +
+// AES-NI, with a kernel for each of those but the placement and the
+// transmit mapping (the traceback's, which the AVX-512 tier shares, is
+// two base x86-64 instructions per step in inline asm); and AVX-512
+// (F + BW + VBMI), which carries three kernels of
+// its own, a register-resident Viterbi ACS, the soft-bit placement and
+// the transmit mapping, all moving bytes with vpermt2b, and runs the
+// AVX2 tier's kernels for everything else. Both vector tiers are
+// selected at run time on x86 hosts that have them (AVX2 without AES-NI
+// runs the scalar tier; AVX-512 F + BW without VBMI, as on Skylake-SP
+// and Cascade Lake, runs the AVX2 tier).
 //
 // Every kernel here is bit-identical to its scalar counterpart. The
 // Viterbi back end (int8 LLRs, int16 path metrics, saturating adds) is
@@ -120,9 +123,24 @@ inline constexpr std::int16_t kAcsStartBound = 16384;
 using AcsBlockFn = void (*)(const std::int8_t* llrs, std::size_t n_steps,
                             std::uint64_t* decisions, std::int16_t* metrics);
 
-/// The ACS kernel for a tier (always non-null). One of the two kernels
-/// with an AVX-512 implementation (the other is place_for's).
+/// The ACS kernel for a tier (always non-null). One of the three
+/// kernels with an AVX-512 implementation (with place_for's and
+/// tx_map_for's).
 AcsBlockFn acs_block_for(Tier t);
+
+/// Walks `n_steps` decision words (acs_block_for's layout) back from
+/// state 0 and writes each step's decoded bit: for step = n_steps - 1
+/// down to 0, out[step] = state >> 5, then state = ((state << 1) & 63)
+/// | bit `state` of decisions[step].
+using TracebackFn = void (*)(const std::uint64_t* decisions,
+                             std::size_t n_steps, std::uint8_t* out);
+
+/// The traceback for a tier (always non-null). On x86 built with GCC or
+/// Clang the vector tiers run the walk as two instructions per step
+/// (bt + adc on one register that holds the state and the bits decided
+/// so far); the scalar tier, and every tier elsewhere, runs the
+/// portable loop.
+TracebackFn traceback_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Soft-bit placement (air-order int8 LLRs to mother-rate positions).
@@ -222,6 +240,83 @@ using DemapQuantizeFn = void (*)(const double* re, const double* im,
 
 /// The demap-and-quantize kernel for a tier (always non-null).
 DemapQuantizeFn demap_quantize_for(Tier t);
+
+// ---------------------------------------------------------------------
+// Transmit mapping (a field's input bits to the 64 frequency bins of
+// each of its symbols).
+// ---------------------------------------------------------------------
+
+/// One OFDM symbol's 64 frequency bins (phy::FreqSymbol).
+using SymbolBins = std::array<util::Cx, 64>;
+
+/// How one MCS turns a symbol's coded bits into its 64 bins. Point k
+/// goes to bin bins[k] as points[index], index = Σ_b c(table[k × n_bpsc
+/// + b]) << b, where c(2i + stream) is the symbol's coded bit i of
+/// stream A (0) or B (1) among its n_dbps. phy::detail::tx_map_plan
+/// builds one per MCS, once per process, from the transmitter's gather
+/// table.
+///
+/// The AVX-512 kernel reads the rest. It computes a symbol's A bytes and
+/// then its B bytes, each stream padded to `windows` 64-byte registers,
+/// and pairs the 2 × windows registers into 128-byte windows (the two
+/// registers one vpermt2b reads). Bit b of every point is plane b: step
+/// b × windows + w holds, in `index`, the window-relative source byte
+/// of each point whose plane-b bit lies in window w, and in `lanes`
+/// those points. The levels are the constellation's two axes: entry i
+/// of points is (i_levels[i & (2^i_bits - 1)], q_levels[i >> i_bits])
+/// with i_bits = (n_bpsc + 1) / 2, which constellation.cpp checks once
+/// per table, bit for bit. Output register r holds bins 4r .. 4r + 3 as
+/// (re, im) doubles: `spread[r]` has, for a data bin of point k, byte k
+/// (its I level) at the low byte of its re qword and byte 64 + k (its Q
+/// level) at that of its im qword, and `bin_lanes[r]` marks those
+/// qwords.
+struct TxMapPlan {
+  std::span<const std::uint16_t> table;
+  std::size_t n_dbps = 0;
+  unsigned n_bpsc = 0;
+  std::span<const util::Cx> points;
+  std::span<const unsigned> bins;
+  std::size_t windows = 0;
+  std::vector<PlaceIndex> index;
+  std::vector<std::uint64_t> lanes;
+  alignas(64) std::array<double, 8> i_levels{};
+  alignas(64) std::array<double, 8> q_levels{};
+  std::array<PlaceIndex, 16> spread{};
+  std::array<std::uint8_t, 16> bin_lanes{};
+};
+
+/// The plan of `table` (n_cbps = bins.size() × axes.n_bits entries, each
+/// < 2 × n_dbps) for a constellation given as its `points` and their
+/// `axes`, with data point k at bin bins[k] (< 64, none repeated).
+TxMapPlan make_tx_map_plan(std::span<const std::uint16_t> table,
+                           std::size_t n_dbps,
+                           std::span<const util::Cx> points,
+                           const DemapAxes& axes,
+                           std::span<const unsigned> bins);
+
+/// Bytes before a field's first input bit that a TxMapFn may read and
+/// that must be 0: the encoder's start state, which the AVX-512
+/// kernel's delayed taps load.
+inline constexpr std::size_t kTxMapLead = 8;
+
+/// Encodes and maps `n_symbols` consecutive symbols into `out[0 ..
+/// n_symbols)`. `bits` holds the field's n_symbols × n_dbps input bits,
+/// one byte (0 or 1) each, and the kTxMapLead bytes before it must be 0.
+/// Symbol s's coded bit i of stream A or B is that of input bit
+/// s × n_dbps + i under the rate-1/2 code of convolutional_streams_into
+/// (generators 133 and 171 octal), the encoder starting in state 0 at
+/// bits[0]. Every bin is written: each data bin gets its point, and
+/// every other bin (DC, the guards and the pilots) reads 0, so a reused
+/// `out` may hold anything on entry.
+using TxMapFn = void (*)(const std::uint8_t* bits, std::size_t n_symbols,
+                         const TxMapPlan& plan, SymbolBins* out);
+
+/// The transmit-mapping kernel for a tier (always non-null): AVX-512
+/// computes each symbol's streams in registers (shifted loads and
+/// vpternlog), permutes their bytes through the plan and looks the
+/// levels up with vpermt2pd; the scalar and AVX2 tiers encode the field
+/// word-wide and run the table loop.
+TxMapFn tx_map_for(Tier t);
 
 // ---------------------------------------------------------------------
 // Equalize (separable complex divide over gathered data subcarriers).

@@ -1,10 +1,11 @@
-// AVX-512 tier: two kernels, the Viterbi add-compare-select and the
-// soft-bit placement, both moving bytes with vpermt2b (one instruction
-// over the 128 bytes of a register pair). Thirty-two int16 metrics per register
-// hold all 64 path metrics in two zmm registers for the whole trellis,
-// so an ACS step reads and writes no memory except its two LLRs and its
-// decision word. Every other kernel runs its AVX2 version at this tier
-// (simd.cpp; DESIGN.md section 14.4 says why).
+// AVX-512 tier: three kernels, the Viterbi add-compare-select, the
+// soft-bit placement and the transmit mapping, all moving bytes with
+// vpermt2b (one instruction over the 128 bytes of a register pair).
+// Thirty-two int16 metrics per register hold all 64 path metrics in two
+// zmm registers for the whole trellis, so an ACS step reads and writes
+// no memory except its two LLRs and its decision word. Every other
+// kernel runs its AVX2 tier's version at this tier (simd.cpp; DESIGN.md
+// section 14.4 says why).
 //
 // This TU is compiled with -mavx512f -mavx512bw -mavx512vbmi (the int16
 // lanes and their mask compares are AVX-512BW, the byte permutes
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "phy/trellis.hpp"
 
@@ -160,6 +162,79 @@ void place_windows(const std::int8_t* llrs, std::size_t n_symbols,
   }
 }
 
+/// tx_map_avx512 for plans of kWindows windows and kBits bits per point.
+template <std::size_t kWindows, unsigned kBits>
+void tx_map_windows(const std::uint8_t* bits, std::size_t n_symbols,
+                    const TxMapPlan& plan, SymbolBins* out) {
+  constexpr unsigned kIBits = (kBits + 1) / 2;  // I bits (TxMapPlan)
+  const std::size_t n_dbps = plan.n_dbps;
+  const __m512d i_levels = _mm512_load_pd(plan.i_levels.data());
+  const __m512d q_levels = _mm512_load_pd(plan.q_levels.data());
+  // Bit 3 of a vpermt2pd index picks its second table, the Q levels.
+  const __m512i q_table =
+      _mm512_mask_set1_epi8(_mm512_setzero_si512(), ~__mmask64{0}, 8);
+  for (std::size_t s = 0; s < n_symbols; ++s) {
+    // The symbol's A registers, then its B registers, from the encoder's
+    // taps: register r's lane j reads input bit x = s * n_dbps + 64r + j
+    // and, tap k, bit x - k (the zero lead before bits[0] is the start
+    // state). a = x ^ x-2 ^ x-3 ^ x-5 ^ x-6 (133 octal), b = x ^ x-1 ^
+    // x-2 ^ x-3 ^ x-6 (171 octal); 0x96 is the three-way XOR. Lanes past
+    // the stream's n_dbps are masked off every tap, so nothing past the
+    // field is read.
+    __m512i src[2 * kWindows];
+#pragma GCC unroll 5
+    for (std::size_t r = 0; r < kWindows; ++r) {
+      const __mmask64 live = lanes_below(n_dbps - 64 * r);
+      const std::uint8_t* x = bits + s * n_dbps + 64 * r;
+      const auto tap = [&](std::size_t k) {
+        return _mm512_maskz_loadu_epi8(live, x - k);
+      };
+      const __m512i shared =
+          _mm512_ternarylogic_epi32(tap(0), tap(2), tap(3), 0x96);
+      src[r] = _mm512_ternarylogic_epi32(shared, tap(5), tap(6), 0x96);
+      src[kWindows + r] =
+          _mm512_ternarylogic_epi32(shared, tap(1), tap(6), 0x96);
+    }
+    // Plane b's bits, window by window, added to `acc` after doubling
+    // it. A plane's windows own disjoint lanes and zero the rest, so
+    // their sum is the plane.
+    const auto add_plane = [&](__m512i& acc, unsigned b) {
+      acc = _mm512_add_epi8(acc, acc);
+      const PlaceIndex* index = plan.index.data() + b * kWindows;
+      const std::uint64_t* lanes = plan.lanes.data() + b * kWindows;
+#pragma GCC unroll 5
+      for (std::size_t w = 0; w < kWindows; ++w) {
+        acc = _mm512_add_epi8(
+            acc, _mm512_maskz_permutex2var_epi8(
+                     lanes[w], src[2 * w],
+                     _mm512_load_si512(index[w].bytes.data()),
+                     src[2 * w + 1]));
+      }
+    };
+    // Each axis from its top plane down: I = sum of plane b << b for b
+    // below kIBits, Q = sum of plane b << (b - kIBits) from kIBits on.
+    __m512i i_index = _mm512_setzero_si512();
+    __m512i q_index = _mm512_setzero_si512();
+    [&]<unsigned... B>(std::integer_sequence<unsigned, B...>) {
+      (add_plane(B < kBits - kIBits ? q_index : i_index, kBits - 1 - B), ...);
+    }(std::make_integer_sequence<unsigned, kBits>{});
+    q_index = _mm512_or_si512(q_index, q_table);
+    // Four bins per register: each data bin's I and Q index bytes moved
+    // to the low bytes of its re and im qwords, then the levels looked
+    // up; DC, the guards and the pilots read 0.
+    auto* bins = reinterpret_cast<double*>(out[s].data());
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < plan.spread.size(); ++r) {
+      const __m512i lookup = _mm512_permutex2var_epi8(
+          i_index, _mm512_load_si512(plan.spread[r].bytes.data()), q_index);
+      _mm512_storeu_pd(bins + 8 * r,
+                       _mm512_maskz_permutex2var_pd(plan.bin_lanes[r],
+                                                    i_levels, lookup,
+                                                    q_levels));
+    }
+  }
+}
+
 }  // namespace
 
 void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
@@ -207,6 +282,22 @@ void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
   }
 }
 
+void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
+                   const TxMapPlan& plan, SymbolBins* out) {
+  // The (windows, bits per point) pairs of MCS 0-7.
+  switch (plan.windows * 8 + plan.n_bpsc) {
+    case 1 * 8 + 1: return tx_map_windows<1, 1>(bits, n_symbols, plan, out);
+    case 1 * 8 + 2: return tx_map_windows<1, 2>(bits, n_symbols, plan, out);
+    case 2 * 8 + 2: return tx_map_windows<2, 2>(bits, n_symbols, plan, out);
+    case 2 * 8 + 4: return tx_map_windows<2, 4>(bits, n_symbols, plan, out);
+    case 3 * 8 + 4: return tx_map_windows<3, 4>(bits, n_symbols, plan, out);
+    case 4 * 8 + 6: return tx_map_windows<4, 6>(bits, n_symbols, plan, out);
+    case 5 * 8 + 6: return tx_map_windows<5, 6>(bits, n_symbols, plan, out);
+    default:  // no 802.11n symbol
+      return tx_map_for(Tier::kAvx2)(bits, n_symbols, plan, out);
+  }
+}
+
 #else  // !(AVX-512 F, BW and VBMI)
 
 bool avx512_compiled() { return false; }
@@ -219,6 +310,11 @@ void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
 void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
                   const PlacePlan& plan, std::int8_t* out) {
   place_for(Tier::kAvx2)(llrs, n_symbols, plan, out);
+}
+
+void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
+                   const TxMapPlan& plan, SymbolBins* out) {
+  tx_map_for(Tier::kAvx2)(bits, n_symbols, plan, out);
 }
 
 #endif  // AVX-512 F, BW and VBMI

@@ -46,23 +46,18 @@ void viterbi_decode(std::span<const std::int8_t> llrs, ViterbiWorkspace& ws,
   // The whole trellis runs in one kernel call, with the tier resolved
   // once per decode; the kernels are integer arithmetic, so every tier
   // returns the same decisions (tests/test_simd.cpp).
+  const simd::Tier tier = simd::active_tier();
   std::array<std::int16_t, kNumStates> metric{};
   metric.fill(kUnreachableMetric);
   metric[0] = 0;  // encoder starts zeroed
-  simd::acs_block_for(simd::active_tier())(llrs.data(), n_steps, decisions,
-                                           metric.data());
+  simd::acs_block_for(tier)(llrs.data(), n_steps, decisions, metric.data());
 
   // The tail drives the encoder back to state 0, and the all-zero input
   // path keeps state 0 reachable at every step, so the traceback starts
   // there. State ns was entered with input ns >> 5 from predecessor
   // ((2 * ns) & 63) plus its decision bit.
-  std::uint32_t state = 0;
   out.resize(n_steps);
-  for (std::size_t step = n_steps; step-- > 0;) {
-    out[step] = static_cast<std::uint8_t>(state >> 5);
-    state = ((state << 1) & (kNumStates - 1)) |
-            static_cast<std::uint32_t>((decisions[step] >> state) & 1u);
-  }
+  simd::traceback_for(tier)(decisions, n_steps, out.data());
 }
 
 util::BitVec viterbi_decode(std::span<const std::int8_t> llrs) {

@@ -2,11 +2,13 @@
 # a positional argument, given to each binary below, a malformed value
 # (fig5_ber_throughput --runs 12abc, micro_obs --threads 2x), a negative
 # count (fig5_ber_throughput --runs -1 or --rounds -3), a value out of
-# range (fig_robustness --pos 99, soak --intensity 7, fig6_nlos_cdf
-# --measurements 0, ablation_multi_tag --tags 0 or 5) and an unknown
-# option (fig5_ber_throughput --rnus 64) must each exit with status 2,
-# print nothing on stdout and exactly one line, "<binary>: <reason>",
-# on stderr (util::run_main).
+# range (--pos 99 of fig_robustness, fig_rateless, ablation_fec and
+# soak, soak --intensity 7, fig6_nlos_cdf --measurements 0,
+# ablation_multi_tag --tags 0 or 5), a fault mask that is negative or
+# sets a bit no injector owns (--faults -1, 4294967328 or 32) and an
+# unknown option (fig5_ber_throughput --rnus 64) must each exit with
+# status 2, print nothing on stdout and exactly one line,
+# "<binary>: <reason>", on stderr (util::run_main).
 #
 # Input: BENCH_DIR (the directory holding the bench binaries).
 
@@ -25,6 +27,13 @@ list(APPEND invocations "fig5_ber_throughput --rnus 64")
 list(APPEND invocations "fig5_ber_throughput --runs -1")
 list(APPEND invocations "fig5_ber_throughput --runs 1 --rounds -3")
 list(APPEND invocations "fig_robustness --pos 99")
+list(APPEND invocations "fig_rateless --pos 99")
+list(APPEND invocations "ablation_fec --pos 99")
+list(APPEND invocations "soak --pos 99")
+list(APPEND invocations "fig_robustness --faults -1")
+list(APPEND invocations "fig_rateless --faults -1")
+list(APPEND invocations "fig_robustness --faults 4294967328")
+list(APPEND invocations "soak --faults 32 --chunks 1 --runs 1 --rounds 1")
 list(APPEND invocations "soak --intensity 7")
 list(APPEND invocations "fig6_nlos_cdf --measurements 0")
 list(APPEND invocations "ablation_multi_tag --tags 0")

@@ -22,6 +22,7 @@
 #include "phy/convolutional.hpp"
 #include "phy/fft.hpp"
 #include "phy/mcs.hpp"
+#include "phy/ofdm.hpp"
 #include "phy/ppdu.hpp"
 #include "phy/preamble.hpp"
 #include "phy/simd.hpp"
@@ -51,7 +52,8 @@ TEST(SimdDispatch, ReportsDetectedTier) {
   const Tier best = phy::simd::detect_best_tier();
   std::cout << "[simd] detected tier " << phy::simd::tier_name(best) << ": "
             << (best == Tier::kAvx512
-                    ? "the AVX-512 ACS and placement kernels run"
+                    ? "the AVX-512 ACS, placement and transmit-mapping "
+                      "kernels run"
                     : "no AVX-512 kernel runs (it needs AVX-512 F, BW and "
                       "VBMI)")
             << "\n";
@@ -112,11 +114,13 @@ TEST(SimdDispatchDeathTest, UnknownWitagSimdExitsWithStatus2) {
 }
 
 TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
-  // Only the ACS and the soft-bit placement have AVX-512 kernels; at that
-  // tier every other kernel must stay on AVX2. A dispatch that tests
-  // `tier == kAvx2` would send them back to scalar instead, and the
-  // outputs would still be byte-identical, so no parity test would
-  // notice. The placement has no AVX2 kernel: AVX2 runs the scalar one.
+  // Only the ACS, the soft-bit placement and the transmit mapping have
+  // AVX-512 kernels; at that tier every other kernel must stay on AVX2.
+  // A dispatch that tests `tier == kAvx2` would send them back to scalar
+  // instead, and the outputs would still be byte-identical, so no parity
+  // test would notice. The placement and the transmit mapping have no
+  // AVX2 kernel: AVX2 runs the scalar one. The traceback's bt + adc
+  // step serves both vector tiers.
   const auto& k2 = phy::simd::fft_kernels_for(Tier::kAvx2);
   const auto& k512 = phy::simd::fft_kernels_for(Tier::kAvx512);
   EXPECT_EQ(phy::simd::demap_block_for(Tier::kAvx512),
@@ -130,6 +134,10 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
   EXPECT_EQ(k512.scale, k2.scale);
   EXPECT_EQ(phy::simd::place_for(Tier::kAvx2),
             phy::simd::place_for(Tier::kScalar));
+  EXPECT_EQ(phy::simd::tx_map_for(Tier::kAvx2),
+            phy::simd::tx_map_for(Tier::kScalar));
+  EXPECT_EQ(phy::simd::traceback_for(Tier::kAvx512),
+            phy::simd::traceback_for(Tier::kAvx2));
   if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
     // ... and AVX2 really is a vector kernel on hosts that have it.
     const auto& k0 = phy::simd::fft_kernels_for(Tier::kScalar);
@@ -142,12 +150,18 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
     EXPECT_NE(k2.radix4_pass, k0.radix4_pass);
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx2),
               phy::simd::acs_block_for(Tier::kScalar));
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    EXPECT_NE(phy::simd::traceback_for(Tier::kAvx2),
+              phy::simd::traceback_for(Tier::kScalar));
+#endif
   }
   if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx512),
               phy::simd::acs_block_for(Tier::kAvx2));
     EXPECT_NE(phy::simd::place_for(Tier::kAvx512),
               phy::simd::place_for(Tier::kAvx2));
+    EXPECT_NE(phy::simd::tx_map_for(Tier::kAvx512),
+              phy::simd::tx_map_for(Tier::kAvx2));
   }
 }
 
@@ -443,6 +457,42 @@ TEST(SimdParity, AcsScalarFollowsContract) {
   }
 }
 
+TEST(SimdParity, TracebackEveryTierMatchesPortableLoop) {
+  // Every tier's traceback against the walk written out here, on random
+  // decision words: any word is a valid ACS output, and random ones send
+  // the state through all 64 values. Counts 1-130 cover every remainder
+  // around a kernel's blocks of steps, 4,096 and 53,270 the decoder's
+  // sizes; the output buffer is dirty, and its bytes past n_steps must
+  // survive.
+  constexpr std::uint8_t kDirt = 0xA5;
+  constexpr std::size_t kGuard = 16;
+  std::vector<std::size_t> counts;
+  for (std::size_t n = 1; n <= 130; ++n) counts.push_back(n);
+  counts.push_back(4096);
+  counts.push_back(53270);
+  const std::vector<Tier> tiers = runnable_tiers();
+  std::vector<std::uint64_t> decisions;
+  std::vector<std::uint8_t> expect, got;
+  for (const std::size_t n_steps : counts) {
+    util::Rng rng(0x7B'AC'00 + n_steps);
+    decisions.resize(n_steps);
+    for (auto& word : decisions) word = rng.next_u64();
+    expect.assign(n_steps + kGuard, kDirt);
+    std::uint32_t state = 0;
+    for (std::size_t step = n_steps; step-- > 0;) {
+      expect[step] = static_cast<std::uint8_t>(state >> 5);
+      const auto bit = (decisions[step] >> state) & 1u;
+      state = ((2 * state) % 64) + static_cast<std::uint32_t>(bit);
+    }
+    for (const Tier t : tiers) {
+      got.assign(n_steps + kGuard, kDirt);
+      phy::simd::traceback_for(t)(decisions.data(), n_steps, got.data());
+      ASSERT_TRUE(got == expect)
+          << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Soft demap.
 // ---------------------------------------------------------------------
@@ -691,6 +741,107 @@ TEST(SimdParity, PlaceEveryTierMatchesTableLoop) {
               << "mcs " << i << " symbols " << n_sym << " placed " << placed
               << " tier " << phy::simd::tier_name(t);
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Transmit mapping.
+// ---------------------------------------------------------------------
+
+TEST(SimdParity, TxMapEveryTierMatchesTableLoop) {
+  // Every tier's transmit mapping against the bit-serial encoder and a
+  // table loop written here from the gather table, the constellation and
+  // the data bins alone, on every MCS (MCS0's plan maps the SIG field):
+  // fields of 1, 2, 17 and 257 symbols of random bits written into one
+  // reused timeline, dirtied before each call. Every bin of the field's
+  // symbols must be written (data bins with their points, all others 0)
+  // and the symbols past it left alone.
+  constexpr std::size_t kGuard = 3;
+  const std::vector<Tier> tiers = runnable_tiers();
+  const std::span<const unsigned> bins = phy::data_bins();
+  std::vector<phy::FreqSymbol> expect, got;
+  phy::FreqSymbol dirt;
+  dirt.fill(util::Cx{std::numeric_limits<double>::quiet_NaN(), -0.0});
+  for (unsigned i = 0; i < phy::kNumMcs; ++i) {
+    const phy::McsParams& m = phy::mcs(i);
+    const std::span<const std::uint16_t> table =
+        phy::detail::tx_gather_table(i);
+    const std::span<const util::Cx> points =
+        phy::constellation_points(m.modulation);
+    const phy::simd::TxMapPlan& plan = phy::detail::tx_map_plan(i);
+    ASSERT_EQ(plan.table.size(), std::size_t{m.n_cbps}) << "mcs " << i;
+    ASSERT_EQ(plan.n_dbps, std::size_t{m.n_dbps}) << "mcs " << i;
+    for (const std::size_t n_sym : {1u, 2u, 17u, 257u}) {
+      util::Rng rng(0x7A'AB'00 + 1000 * i + n_sym);
+      const BitVec bits = rng.bits(n_sym * m.n_dbps);
+      // A0 B0 A1 B1 ...: mother-rate position p of symbol s is
+      // mother[s * 2 * n_dbps + p].
+      const BitVec mother = phy::detail::convolutional_encode_reference(bits);
+      expect.assign(n_sym + kGuard, dirt);
+      for (std::size_t s = 0; s < n_sym; ++s) {
+        expect[s].fill(util::Cx{});
+        for (std::size_t k = 0; k < bins.size(); ++k) {
+          unsigned index = 0;
+          for (unsigned b = 0; b < m.n_bpsc; ++b) {
+            const std::uint16_t pos = table[k * m.n_bpsc + b];
+            index |= static_cast<unsigned>(mother[s * 2 * m.n_dbps + pos])
+                     << b;
+          }
+          expect[s][bins[k]] = points[index];
+        }
+      }
+      // The kernel reads kTxMapLead zero bytes before the field.
+      BitVec lead_and_bits(phy::simd::kTxMapLead, 0);
+      lead_and_bits.insert(lead_and_bits.end(), bits.begin(), bits.end());
+      for (const Tier t : tiers) {
+        got.resize(n_sym + kGuard);
+        std::fill(got.begin(), got.end(), dirt);
+        phy::simd::tx_map_for(t)(lead_and_bits.data() + phy::simd::kTxMapLead,
+                                 n_sym, plan, got.data());
+        ASSERT_EQ(std::memcmp(got.data(), expect.data(),
+                              got.size() * sizeof(phy::FreqSymbol)),
+                  0)
+            << "mcs " << i << " symbols " << n_sym << " tier "
+            << phy::simd::tier_name(t);
+      }
+    }
+  }
+}
+
+TEST(SimdParity, TransmitIntoEveryTierMatchesScalar) {
+  // transmit_into at each tier, into one PPDU reused across tiers, MCSs
+  // and lengths and dirtied before each call, equals a fresh transmit()
+  // at the scalar tier byte for byte: preamble, SIG, data and pilots.
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::TxPpdu reused;
+  phy::FreqSymbol dirt;
+  dirt.fill(util::Cx{std::numeric_limits<double>::quiet_NaN(), -0.0});
+  util::Rng rng(0x7A'AC'01);
+  for (unsigned i = 0; i < phy::kNumMcs; ++i) {
+    for (const std::size_t bytes : {1u, 300u, 6656u, 40u}) {
+      const util::ByteVec psdu = rng.bytes(bytes);
+      phy::TxConfig cfg;
+      cfg.mcs_index = i;
+      cfg.scrambler_seed = static_cast<std::uint8_t>(1 + rng.uniform_int(127));
+      phy::TxPpdu expect;
+      {
+        const phy::simd::ScopedTier pin(Tier::kScalar);
+        expect = phy::transmit(psdu, cfg);
+      }
+      for (const Tier t : tiers) {
+        std::fill(reused.symbols.begin(), reused.symbols.end(), dirt);
+        const phy::simd::ScopedTier pin(t);
+        phy::transmit_into(psdu, cfg, reused);
+        ASSERT_EQ(reused.symbols.size(), expect.symbols.size());
+        ASSERT_EQ(std::memcmp(reused.symbols.data(), expect.symbols.data(),
+                              expect.symbols.size() * sizeof(phy::FreqSymbol)),
+                  0)
+            << "mcs " << i << " bytes " << bytes << " tier "
+            << phy::simd::tier_name(t);
+        EXPECT_EQ(reused.n_data_symbols, expect.n_data_symbols);
+        EXPECT_EQ(reused.sig, expect.sig);
       }
     }
   }
