@@ -14,6 +14,7 @@
 #include "mac/station.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "oracle/oracle.hpp"
 #include "util/cli.hpp"
 #include "phy/channel_est.hpp"
 #include "phy/convolutional.hpp"
@@ -62,7 +63,7 @@ void BM_FftReference(benchmark::State& state) {
   util::CxVec data(N);
   for (auto& x : data) x = rng.complex_normal(1.0);
   for (auto _ : state) {
-    phy::detail::fft_reference_inplace(data, /*inverse=*/false);
+    oracle::fft_reference_inplace(data, /*inverse=*/false);
     benchmark::DoNotOptimize(data.data());
   }
 }
@@ -159,7 +160,7 @@ template <std::size_t N>
 void BM_ViterbiRef(benchmark::State& state) {
   const std::vector<double> llrs = viterbi_bench_llrs_wide(N);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::detail::viterbi_reference(llrs));
+    benchmark::DoNotOptimize(oracle::viterbi_reference(llrs));
   }
 }
 void BM_Viterbi48Reference(benchmark::State& state) {
@@ -254,7 +255,7 @@ void BM_EqualizeReference(benchmark::State& state) {
   equalize_bench_inputs(rx, est);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        phy::detail::equalize_reference(rx, est, 1, /*cpe_correction=*/true));
+        oracle::equalize_reference(rx, est, 1, /*cpe_correction=*/true));
   }
 }
 BENCHMARK(BM_EqualizeReference);
@@ -374,7 +375,7 @@ void BM_ScrambleReference(benchmark::State& state) {
   util::Rng rng(6);
   const util::BitVec bits = rng.bits(4096);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::detail::scramble_reference(bits, 0x5D));
+    benchmark::DoNotOptimize(oracle::scramble_reference(bits, 0x5D));
   }
 }
 BENCHMARK(BM_ScrambleReference);
@@ -394,7 +395,7 @@ void BM_Crc32Reference(benchmark::State& state) {
   const util::ByteVec data = rng.bytes(3328);
   for (auto _ : state) {
     benchmark::DoNotOptimize(util::crc32_final(
-        util::detail::crc32_update_bytewise(util::crc32_init(), data)));
+        oracle::crc32_update_bytewise(util::crc32_init(), data)));
   }
 }
 BENCHMARK(BM_Crc32Reference);

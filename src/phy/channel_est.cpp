@@ -16,15 +16,10 @@ namespace {
 
 using util::Cx;
 
-// Floor on |h|^2 to keep equalization of a faded bin from producing
-// non-finite values; such bins get an enormous noise variance instead.
-// The kernel path uses the identical simd::kEqualizeMinGain.
-constexpr double kMinGain = 1e-18;
-
 // Common phase error from the four pilots: correlate received pilots
 // against their expected post-channel values; the angle of the sum is
 // the shared rotation. Four complex MACs per symbol — not worth a
-// kernel, and shared verbatim by the kernel path and the reference.
+// kernel.
 Cx estimate_cpe(const FreqSymbol& rx, const ChannelEstimate& est,
                 std::size_t symbol_index) {
   const auto pilots_rx = extract_pilots(rx);
@@ -119,34 +114,5 @@ void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
       plan.hr.data(), plan.hi.data(), plan.gain.data(), rr.data(), ri.data(),
       cpe.real(), cpe.imag(), kDataSubcarriers, re, im);
 }
-
-namespace detail {
-
-EqualizedSymbol equalize_reference(const FreqSymbol& rx,
-                                   const ChannelEstimate& est,
-                                   std::size_t symbol_index,
-                                   bool cpe_correction) {
-  EqualizedSymbol out;
-  const Cx cpe = cpe_correction ? estimate_cpe(rx, est, symbol_index)
-                                : Cx{1.0, 0.0};
-  const auto data_sc = data_subcarriers();
-  out.points.resize(data_sc.size());
-  out.noise_vars.resize(data_sc.size());
-  for (std::size_t i = 0; i < data_sc.size(); ++i) {
-    const unsigned bin = bin_index(data_sc[i]);
-    const double gain = std::norm(est.h[bin]);
-    if (gain < kMinGain) {
-      // A dead bin carries no information: neutral point, huge noise.
-      out.points[i] = Cx{};
-      out.noise_vars[i] = 1e18;
-      continue;
-    }
-    out.points[i] = rx[bin] * std::conj(cpe) / est.h[bin];
-    out.noise_vars[i] = std::max(est.noise_var, 1e-12) / gain;
-  }
-  return out;
-}
-
-}  // namespace detail
 
 }  // namespace witag::phy

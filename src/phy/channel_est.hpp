@@ -11,7 +11,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 #include <cstddef>
 
 #include "phy/mcs.hpp"
@@ -31,14 +30,6 @@ struct ChannelEstimate {
 /// variance is estimated from the difference between LTF repetitions when
 /// two or more are available. Requires at least one symbol.
 ChannelEstimate estimate_channel(std::span<const FreqSymbol> ltf_rx);
-
-/// One equalized data symbol as detail::equalize_reference returns it
-/// (the receiver keeps its points as the parallel arrays of
-/// equalize_points() and its noise variances in the EqualizerPlan).
-struct EqualizedSymbol {
-  util::CxVec points;              ///< 52 equalized data points.
-  std::vector<double> noise_vars;  ///< Post-equalization noise per point.
-};
 
 /// The equalizer's per-estimate terms over the 52 data subcarriers, in
 /// demap order: the estimate h as parallel arrays, its gain |h|^2 and
@@ -62,24 +53,12 @@ void plan_equalizer(const ChannelEstimate& est, EqualizerPlan& plan);
 /// `plan` (bit-identical at every dispatch tier). No allocation.
 ///
 /// The per-subcarrier divide computes points as y * conj(h) / |h|^2 in
-/// separable real arithmetic instead of the reference's std::complex
-/// division (libgcc's scaled Smith algorithm). The two agree to ~1 ULP
-/// on finite channels — see detail::equalize_reference and the parity
-/// test in test_simd.cpp.
+/// separable real arithmetic instead of std::complex division (libgcc's
+/// scaled Smith algorithm). The two agree to ~1 ULP on finite channels
+/// (the complex-division equalizer in tests/oracle and the parity test
+/// in test_simd.cpp).
 void equalize_points(const FreqSymbol& rx, const ChannelEstimate& est,
                      const EqualizerPlan& plan, std::size_t symbol_index,
                      bool cpe_correction, double* re, double* im);
-
-namespace detail {
-
-/// The original equalizer loop (std::complex operator/ per subcarrier),
-/// kept as the numerical reference the kernel formulation is fuzzed
-/// against. Not used by the decode path.
-EqualizedSymbol equalize_reference(const FreqSymbol& rx,
-                                   const ChannelEstimate& est,
-                                   std::size_t symbol_index,
-                                   bool cpe_correction);
-
-}  // namespace detail
 
 }  // namespace witag::phy

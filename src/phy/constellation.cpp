@@ -191,38 +191,4 @@ util::BitVec demap_hard(std::span<const Cx> points, Modulation mod) {
   return bits;
 }
 
-namespace detail {
-
-std::vector<double> demap_soft_reference(std::span<const Cx> points,
-                                         Modulation mod,
-                                         std::span<const double> noise_vars) {
-  WITAG_REQUIRE(points.size() == noise_vars.size());
-  const unsigned n = bits_per_symbol(mod);
-  const CxVec& table = table_for(mod);
-  std::vector<double> out(points.size() * n);
-  std::size_t w = 0;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const Cx& y = points[p];
-    const double noise_var = noise_vars[p];
-    WITAG_REQUIRE(noise_var > 0.0);
-    for (unsigned b = 0; b < n; ++b) {
-      double min0 = std::numeric_limits<double>::infinity();
-      double min1 = std::numeric_limits<double>::infinity();
-      for (unsigned i = 0; i < table.size(); ++i) {
-        const double d = std::norm(y - table[i]);
-        if ((i >> b) & 1u) {
-          min1 = std::min(min1, d);
-        } else {
-          min0 = std::min(min0, d);
-        }
-      }
-      // Max-log LLR; positive favors bit value 0.
-      out[w++] = (min1 - min0) / noise_var;
-    }
-  }
-  return out;
-}
-
-}  // namespace detail
-
 }  // namespace witag::phy

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 #include <cstddef>
 #include <cstdint>
 
@@ -33,20 +32,5 @@ std::span<const util::Cx> constellation_points(Modulation mod);
 /// The per-axis view of a constellation that the phy::simd demap
 /// kernels take (simd::DemapAxes), built once per modulation.
 const simd::DemapAxes& demap_axes(Modulation mod);
-
-namespace detail {
-
-/// Soft demap to max-log LLRs by a full table scan (O(points · bits ·
-/// table)). Positive LLR means bit 0 is more likely (the Viterbi decoder
-/// consumes this convention); noise_vars[p] is point p's complex noise
-/// variance and scales its LLR magnitude. Requires noise_vars.size() ==
-/// points.size() and all variances > 0. The specification the separable
-/// kernels (simd::demap_block_for, simd::demap_quantize_for) are
-/// parity-fuzzed against in tests/test_simd.cpp.
-std::vector<double> demap_soft_reference(std::span<const util::Cx> points,
-                                         Modulation mod,
-                                         std::span<const double> noise_vars);
-
-}  // namespace detail
 
 }  // namespace witag::phy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 
@@ -16,10 +15,6 @@ constexpr std::array<std::uint8_t, 2> kPattern12{1, 1};
 constexpr std::array<std::uint8_t, 4> kPattern23{1, 1, 1, 0};
 constexpr std::array<std::uint8_t, 6> kPattern34{1, 1, 1, 0, 0, 1};
 constexpr std::array<std::uint8_t, 10> kPattern56{1, 1, 1, 0, 0, 1, 1, 0, 0, 1};
-
-constexpr std::uint8_t parity(std::uint32_t v) {
-  return static_cast<std::uint8_t>(static_cast<unsigned>(std::popcount(v)) & 1u);
-}
 
 // Encodes the eight input bits at x into a[0..8) and b[0..8), one
 // 64-bit XOR per tap; x[-6..8) must be readable. The taps XOR whole
@@ -102,21 +97,5 @@ std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {
   }
   return len;
 }
-
-namespace detail {
-
-util::BitVec convolutional_encode_reference(std::span<const std::uint8_t> bits) {
-  util::BitVec out;
-  out.reserve(bits.size() * 2);
-  std::uint32_t shift = 0;
-  for (const std::uint8_t b : bits) {
-    shift = (shift >> 1) | (static_cast<std::uint32_t>(b & 1u) << 6);
-    out.push_back(parity(shift & kGenPolyA));
-    out.push_back(parity(shift & kGenPolyB));
-  }
-  return out;
-}
-
-}  // namespace detail
 
 }  // namespace witag::phy

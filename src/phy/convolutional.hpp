@@ -43,12 +43,4 @@ std::size_t punctured_length(std::size_t mother_bits, CodeRate rate);
 /// Element 2k is pair k's A bit, element 2k+1 its B bit.
 std::span<const std::uint8_t> puncture_pattern(CodeRate rate);
 
-namespace detail {
-
-/// The original popcount-per-bit encoder, kept as the specification the
-/// word-wide convolutional_encode is parity-tested against.
-util::BitVec convolutional_encode_reference(std::span<const std::uint8_t> bits);
-
-}  // namespace detail
-
 }  // namespace witag::phy

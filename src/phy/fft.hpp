@@ -7,8 +7,8 @@
 // cos/sin work is paid once per length per process instead of once per
 // call. The cache is thread-safe (lock-free lookup, mutex-guarded
 // build) and plans live for the process lifetime; the planned path is
-// bit-identical to the reference transform because plans store the
-// twiddles produced by the very same recurrence.
+// bit-identical to the radix-2 reference transform (tests/oracle)
+// because plans store the twiddles produced by the very same recurrence.
 #pragma once
 
 #include <cstddef>
@@ -30,18 +30,15 @@ util::CxVec ifft(std::span<const util::Cx> data);
 
 namespace detail {
 
-/// Reference transform that re-derives twiddles per call (the pre-cache
-/// implementation). Kept for micro-benchmark baselines and for the test
-/// asserting the planned path is bit-identical.
-void fft_reference_inplace(std::span<util::Cx> data, bool inverse);
-
 /// The planned fused-radix-4 engine pinned to the scalar (hoisted
-/// twiddle) butterflies regardless of the active SIMD tier. Used by
-/// BM_Fft64Radix4 to gate the scalar engine on plain CI runners, and by
-/// tests to check every tier against fft_reference_inplace.
+/// twiddle) butterflies regardless of the active SIMD tier: a seam into
+/// the engine, not an oracle. Used by BM_Fft64Radix4 to gate the scalar
+/// engine on plain CI runners, and by tests to check the scalar
+/// butterflies against the reference transform.
 void fft_radix4_inplace(std::span<util::Cx> data, bool inverse);
 
-/// Number of FFT plans currently cached (one per distinct length seen).
+/// Number of FFT plans currently cached (one per distinct length seen);
+/// the tests' view of the plan cache.
 std::size_t fft_plan_count();
 
 }  // namespace detail

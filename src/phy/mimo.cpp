@@ -1,6 +1,5 @@
 #include "phy/mimo.hpp"
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -8,43 +7,6 @@
 #include "util/require.hpp"
 
 namespace witag::phy::mimo {
-namespace {
-
-using util::Cx;
-
-constexpr double kSingularEps = 1e-12;
-
-}  // namespace
-
-std::array<util::BitVec, kStreams> stream_parse(
-    std::span<const std::uint8_t> bits, Modulation mod) {
-  const unsigned s = std::max(bits_per_symbol(mod) / 2, 1u);
-  WITAG_REQUIRE(bits.size() % (s * kStreams) == 0);
-  std::array<util::BitVec, kStreams> out;
-  for (auto& v : out) v.reserve(bits.size() / kStreams);
-  std::size_t i = 0;
-  unsigned stream = 0;
-  while (i < bits.size()) {
-    for (unsigned k = 0; k < s; ++k) out[stream].push_back(bits[i++]);
-    stream = (stream + 1) % kStreams;
-  }
-  return out;
-}
-
-std::vector<double> stream_deparse_llrs(std::span<const double> s0,
-                                        std::span<const double> s1,
-                                        Modulation mod) {
-  WITAG_REQUIRE(s0.size() == s1.size());
-  const unsigned s = std::max(bits_per_symbol(mod) / 2, 1u);
-  WITAG_REQUIRE(s0.size() % s == 0);
-  std::vector<double> out;
-  out.reserve(s0.size() * 2);
-  for (std::size_t group = 0; group < s0.size() / s; ++group) {
-    for (unsigned k = 0; k < s; ++k) out.push_back(s0[group * s + k]);
-    for (unsigned k = 0; k < s; ++k) out.push_back(s1[group * s + k]);
-  }
-  return out;
-}
 
 MimoSymbol map_symbol(std::span<const std::uint8_t> stream0,
                       std::span<const std::uint8_t> stream1, Modulation mod) {
@@ -69,40 +31,6 @@ MimoSymbol apply_channel(const MimoSymbol& tx,
     rx.points[1][k] = h[1][0] * tx.points[0][k] + h[1][1] * tx.points[1][k];
   }
   return rx;
-}
-
-ZfResult zero_forcing(const MimoSymbol& rx,
-                      std::span<const Matrix2> h_per_subcarrier) {
-  WITAG_REQUIRE(h_per_subcarrier.size() == rx.points[0].size() && rx.points[0].size() == rx.points[1].size());
-  const std::size_t n = rx.points[0].size();
-  ZfResult out;
-  for (unsigned s = 0; s < kStreams; ++s) {
-    out.detected.points[s].resize(n);
-    out.noise_enhancement[s].resize(n);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto& h = h_per_subcarrier[k].m;
-    const Cx det = h[0][0] * h[1][1] - h[0][1] * h[1][0];
-    if (std::abs(det) < kSingularEps) {
-      for (unsigned s = 0; s < kStreams; ++s) {
-        out.detected.points[s][k] = Cx{};
-        out.noise_enhancement[s][k] = 1e18;
-      }
-      continue;
-    }
-    // H^-1 = 1/det * [h11 -h01; -h10 h00]
-    const std::array<std::array<Cx, 2>, 2> inv{{
-        {h[1][1] / det, -h[0][1] / det},
-        {-h[1][0] / det, h[0][0] / det},
-    }};
-    const Cx y0 = rx.points[0][k];
-    const Cx y1 = rx.points[1][k];
-    out.detected.points[0][k] = inv[0][0] * y0 + inv[0][1] * y1;
-    out.detected.points[1][k] = inv[1][0] * y0 + inv[1][1] * y1;
-    out.noise_enhancement[0][k] = std::norm(inv[0][0]) + std::norm(inv[0][1]);
-    out.noise_enhancement[1][k] = std::norm(inv[1][0]) + std::norm(inv[1][1]);
-  }
-  return out;
 }
 
 }  // namespace witag::phy::mimo

@@ -1,20 +1,17 @@
-// 2x2 MIMO spatial multiplexing extension (802.11n style): a round-robin
-// stream parser splits one coded bit stream across two spatial streams,
-// each subcarrier sees a 2x2 complex channel matrix, and the receiver
-// recovers the streams with a zero-forcing detector.
+// 2x2 MIMO spatial multiplexing, transmit side only (802.11n style): two
+// spatial streams of constellation points, each subcarrier seen through
+// a 2x2 complex channel matrix.
 //
-// Used by the MOXcatter baseline bench (MOXcatter exists because per-
-// symbol phase flipping breaks under MIMO) and as a standalone PHY
-// extension with its own tests.
+// Used by the MOXcatter baseline (MOXcatter exists because per-symbol
+// phase flipping breaks under MIMO), which maps symbols and applies the
+// channel; no program detects the streams, so there is no receive half.
 #pragma once
 
 #include <array>
 #include <span>
-#include <vector>
 #include <cstdint>
 
 #include "phy/mcs.hpp"
-#include "util/bits.hpp"
 #include "util/complexvec.hpp"
 
 namespace witag::phy::mimo {
@@ -32,16 +29,6 @@ struct MimoSymbol {
   std::array<util::CxVec, kStreams> points;
 };
 
-/// Splits coded bits across streams: s = max(n_bpsc/2, 1) consecutive
-/// bits go to each stream in turn (802.11n stream parser). Requires the
-/// bit count to divide evenly.
-std::array<util::BitVec, kStreams> stream_parse(
-    std::span<const std::uint8_t> bits, Modulation mod);
-
-/// Inverse of stream_parse for soft values.
-std::vector<double> stream_deparse_llrs(
-    std::span<const double> s0, std::span<const double> s1, Modulation mod);
-
 /// Maps two per-stream bit chunks (each 52 * n_bpsc bits) to a MIMO symbol.
 MimoSymbol map_symbol(std::span<const std::uint8_t> stream0,
                       std::span<const std::uint8_t> stream1, Modulation mod);
@@ -50,16 +37,5 @@ MimoSymbol map_symbol(std::span<const std::uint8_t> stream0,
 /// per-antenna points: y = H x (+ caller-added noise).
 MimoSymbol apply_channel(const MimoSymbol& tx,
                          std::span<const Matrix2> h_per_subcarrier);
-
-/// Zero-forcing detection: x_hat = H^-1 y per subcarrier. Also reports
-/// the per-stream noise enhancement factor (row norm of H^-1 squared),
-/// which scales the demapper noise variance. Singular (non-invertible)
-/// matrices yield zero points with huge noise enhancement.
-struct ZfResult {
-  MimoSymbol detected;
-  std::array<std::vector<double>, kStreams> noise_enhancement;
-};
-ZfResult zero_forcing(const MimoSymbol& rx,
-                      std::span<const Matrix2> h_per_subcarrier);
 
 }  // namespace witag::phy::mimo

@@ -105,13 +105,6 @@ util::CxVec to_time(const FreqSymbol& symbol) {
   return samples;
 }
 
-FreqSymbol from_time(std::span<const Cx> samples) {
-  util::CxVec work;
-  FreqSymbol symbol{};
-  from_time_into(samples, work, symbol);
-  return symbol;
-}
-
 void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
                   std::span<Cx> out) {
   WITAG_COUNT("phy.ofdm.to_time.calls", 1);
@@ -121,15 +114,6 @@ void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
   // Cyclic prefix: last kCpLen samples first.
   std::copy(work.end() - kCpLen, work.end(), out.begin());
   std::copy(work.begin(), work.end(), out.begin() + kCpLen);
-}
-
-void from_time_into(std::span<const Cx> samples, util::CxVec& work,
-                    FreqSymbol& out) {
-  WITAG_COUNT("phy.ofdm.from_time.calls", 1);
-  WITAG_REQUIRE(samples.size() == kSamplesPerSymbol);
-  work.assign(samples.begin() + kCpLen, samples.end());
-  fft_inplace(work);
-  std::copy(work.begin(), work.end(), out.begin());
 }
 
 }  // namespace witag::phy

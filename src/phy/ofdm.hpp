@@ -1,8 +1,8 @@
 // OFDM symbol layout for the HT 20 MHz PHY: 64-point FFT grid with 56
 // used subcarriers (52 data + 4 pilots at +/-7 and +/-21), 16-sample
 // cyclic prefix at 20 Msps (4 us symbols). Provides the mapping between
-// constellation points and frequency-domain symbols, and between
-// frequency-domain symbols and time-domain sample blocks.
+// constellation points and frequency-domain symbols, and from
+// frequency-domain symbols to time-domain sample blocks.
 #pragma once
 
 #include <array>
@@ -61,17 +61,11 @@ std::array<util::Cx, kNumPilots> extract_pilots(const FreqSymbol& symbol);
 /// cyclic prefix prepended).
 util::CxVec to_time(const FreqSymbol& symbol);
 
-/// 80 time-domain samples -> frequency-domain symbol (drop CP, FFT).
-/// Requires exactly kSamplesPerSymbol samples.
-FreqSymbol from_time(std::span<const util::Cx> samples);
-
-/// Allocation-reusing variants for the hot sample paths: `work` is a
-/// caller-owned FFT buffer (grown once, reused) threaded through
-/// phy::DecodeScratch. `out` must hold kSamplesPerSymbol samples for
-/// to_time_into.
+/// Allocation-reusing to_time: `work` is a caller-owned FFT buffer
+/// (grown once, reused) and `out` must hold kSamplesPerSymbol samples.
+/// The envelope trigger renders the query's header and trigger region
+/// through it.
 void to_time_into(const FreqSymbol& symbol, util::CxVec& work,
                   std::span<util::Cx> out);
-void from_time_into(std::span<const util::Cx> samples, util::CxVec& work,
-                    FreqSymbol& out);
 
 }  // namespace witag::phy

@@ -13,7 +13,6 @@
 #include "phy/simd.hpp"
 #include "phy/viterbi.hpp"
 #include "util/require.hpp"
-#include "util/complexvec.hpp"
 
 namespace witag::phy {
 namespace {
@@ -249,8 +248,7 @@ void field_bits_from_llrs(CodeRate rate, std::size_t n_info_bits,
 std::size_t DecodeScratch::capacity_bytes() const {
   return viterbi.capacity_bytes() + vec_capacity_bytes(llrs) +
          vec_capacity_bytes(mother) + vec_capacity_bytes(bits) +
-         vec_capacity_bytes(plain) + vec_capacity_bytes(symbols) +
-         vec_capacity_bytes(fft_work);
+         vec_capacity_bytes(plain);
 }
 
 double TxPpdu::duration_us() const {
@@ -342,35 +340,6 @@ void receive_into(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
   }
   static obs::Gauge& scratch_gauge = obs::gauge("phy.decode.scratch_bytes");
   scratch_gauge.set(static_cast<double>(capacity));
-}
-
-util::CxVec to_samples(const TxPpdu& ppdu) {
-  util::CxVec samples(ppdu.symbols.size() * kSamplesPerSymbol);
-  util::CxVec work;
-  for (std::size_t slot = 0; slot < ppdu.symbols.size(); ++slot) {
-    to_time_into(ppdu.symbols[slot], work,
-                 std::span(samples).subspan(slot * kSamplesPerSymbol,
-                                            kSamplesPerSymbol));
-  }
-  return samples;
-}
-
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg) {
-  DecodeScratch scratch;
-  return receive_samples(samples, cfg, scratch);
-}
-
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg, DecodeScratch& scratch) {
-  WITAG_REQUIRE(samples.size() % kSamplesPerSymbol == 0);
-  scratch.symbols.resize(samples.size() / kSamplesPerSymbol);
-  for (std::size_t slot = 0; slot < scratch.symbols.size(); ++slot) {
-    from_time_into(samples.subspan(slot * kSamplesPerSymbol,
-                                   kSamplesPerSymbol),
-                   scratch.fft_work, scratch.symbols[slot]);
-  }
-  return receive(scratch.symbols, cfg, scratch);
 }
 
 }  // namespace witag::phy

@@ -7,7 +7,8 @@
 // The PPDU is exposed as a timeline of frequency-domain OFDM symbols so
 // the channel simulator can apply a (possibly time-varying) channel per
 // symbol — which is exactly the granularity at which a WiTAG tag operates.
-// `to_samples`/`receive_samples` provide the equivalent time-domain path.
+// The receiver decodes that timeline directly; only the envelope trigger
+// renders time-domain samples (ofdm.hpp's to_time_into).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "phy/plcp.hpp"
 #include "phy/viterbi.hpp"
 #include "util/bits.hpp"
-#include "util/complexvec.hpp"
 
 namespace witag::phy {
 
@@ -49,8 +49,6 @@ struct DecodeScratch {
   std::vector<std::int8_t> mother; ///< Mother-rate LLRs, erasures 0.
   util::BitVec bits;               ///< Viterbi output bits.
   util::BitVec plain;              ///< Descrambled field bits.
-  std::vector<FreqSymbol> symbols; ///< receive_samples staging.
-  util::CxVec fft_work;            ///< OFDM transform buffer.
 
   /// Heap bytes currently reserved across all buffers (exported as the
   /// `phy.decode.scratch_bytes` gauge).
@@ -132,18 +130,6 @@ RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg);
 /// steady-state decode allocates only the returned RxResult contents.
 RxResult receive(std::span<const FreqSymbol> symbols, const RxConfig& cfg,
                  DecodeScratch& scratch);
-
-/// Flattens a PPDU to 20 Msps time-domain samples (80 per slot).
-util::CxVec to_samples(const TxPpdu& ppdu);
-
-/// Splits time-domain samples back into frequency-domain symbols and
-/// decodes them. Requires a whole number of 80-sample slots.
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg);
-
-/// Scratch-threaded variant of receive_samples.
-RxResult receive_samples(std::span<const util::Cx> samples,
-                         const RxConfig& cfg, DecodeScratch& scratch);
 
 namespace detail {
 

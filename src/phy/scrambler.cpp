@@ -111,33 +111,4 @@ const std::array<int, 127>& pilot_polarity_sequence() {
   return kSequence;
 }
 
-namespace detail {
-
-util::BitVec scramble_reference(std::span<const std::uint8_t> bits,
-                                std::uint8_t seed) {
-  WITAG_REQUIRE(seed >= 1 && seed <= 127);
-  std::uint8_t state = seed;
-  util::BitVec out;
-  out.reserve(bits.size());
-  for (const std::uint8_t b : bits) {
-    out.push_back(static_cast<std::uint8_t>((b ^ lfsr_step(state)) & 1u));
-  }
-  return out;
-}
-
-util::BitVec descramble_recover_reference(std::span<const std::uint8_t> bits) {
-  WITAG_REQUIRE(bits.size() >= 7);
-  std::uint8_t state = 0;
-  for (unsigned i = 0; i < 7; ++i) {
-    state = static_cast<std::uint8_t>(((state << 1) | (bits[i] & 1u)) & 0x7Fu);
-  }
-  util::BitVec out(bits.size(), 0);
-  for (std::size_t i = 7; i < bits.size(); ++i) {
-    out[i] = static_cast<std::uint8_t>((bits[i] ^ lfsr_step(state)) & 1u);
-  }
-  return out;
-}
-
-}  // namespace detail
-
 }  // namespace witag::phy

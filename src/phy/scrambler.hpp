@@ -38,14 +38,4 @@ void descramble_recover_into(std::span<const std::uint8_t> bits,
 /// the scrambler LFSR seeded with all ones (802.11 17.3.5.10).
 const std::array<int, 127>& pilot_polarity_sequence();
 
-namespace detail {
-
-/// Bit-serial originals, kept as the specification the keystream-block
-/// implementations are parity-tested against.
-util::BitVec scramble_reference(std::span<const std::uint8_t> bits,
-                                std::uint8_t seed);
-util::BitVec descramble_recover_reference(std::span<const std::uint8_t> bits);
-
-}  // namespace detail
-
 }  // namespace witag::phy

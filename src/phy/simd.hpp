@@ -25,8 +25,8 @@
 // mul/add/sub/div/min/max/compare — the same IEEE-754 operations on the
 // same operands in the same association, several lanes at a time, with
 // min/max operand order matching the scalar compare. tests/test_simd.cpp
-// fuzzes every tier against the detail::*_reference implementations and
-// the ACS kernels against each other.
+// fuzzes every tier against the reference implementations in
+// tests/oracle and the ACS kernels against each other.
 //
 // Dispatch is resolved once per call site from `active_tier()`: the
 // best tier cpuid reports and the build compiled, capped by the

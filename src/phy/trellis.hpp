@@ -1,8 +1,6 @@
-// Shared constexpr trellis tables for the K = 7 Viterbi decoder
-// (generators 133/171 octal). Factored out of viterbi.cpp so the SIMD
-// add-compare-select kernels in src/phy/simd*.cpp walk the exact same
-// flattened trellis as the scalar kernel and the transition-oriented
-// reference — identical outputs fall out of sharing one table.
+// The constexpr butterfly table of the K = 7 Viterbi decoder
+// (generators 133/171 octal), shared by every add-compare-select kernel
+// in src/phy/simd*.cpp, so all tiers walk the same flattened trellis.
 #pragma once
 
 #include <array>
@@ -13,42 +11,17 @@
 
 namespace witag::phy::detail {
 
-// Transition model (matches convolutional_encode): from state s (the top
-// six register bits) with input u, the full 7-bit register becomes
-// f = s | (u << 6); the branch outputs are the parities of f with each
-// generator and the next state is f >> 1.
-struct Transitions {
-  // For [state][input]: next state and the two expected output bits.
-  std::array<std::array<std::uint8_t, 2>, kNumStates> next{};
-  std::array<std::array<std::uint8_t, 2>, kNumStates> out_a{};
-  std::array<std::array<std::uint8_t, 2>, kNumStates> out_b{};
-};
-
-constexpr Transitions make_transitions() {
-  Transitions t;
-  for (std::uint32_t s = 0; s < kNumStates; ++s) {
-    for (std::uint32_t u = 0; u < 2; ++u) {
-      const std::uint32_t full = s | (u << 6);
-      t.next[s][u] = static_cast<std::uint8_t>(full >> 1);
-      t.out_a[s][u] =
-          static_cast<std::uint8_t>(std::popcount(full & kGenPolyA) & 1);
-      t.out_b[s][u] =
-          static_cast<std::uint8_t>(std::popcount(full & kGenPolyB) & 1);
-    }
-  }
-  return t;
-}
-
-inline constexpr Transitions kTrellis = make_transitions();
-
-// Predecessor-oriented view of the same trellis: next-state ns is fed by
-// exactly the two 7-bit registers f0 = 2*ns and f1 = 2*ns + 1, i.e. by
-// predecessor states s0 = f0 & 63 and s1 = s0 + 1, both under the same
-// input u = ns >> 5. s0 < s1 always, which is exactly the order the
-// transition-oriented reference visits them in — so "prefer the s0
-// branch on metric ties" reproduces its strict-> update rule bit for
-// bit. The decoder therefore stores one decision bit per next state and
-// step (set iff ns took s1) and recovers the input as ns >> 5.
+// The trellis seen from each next state: ns is fed by exactly the two
+// 7-bit registers f0 = 2*ns and f1 = 2*ns + 1, i.e. by predecessor
+// states s0 = f0 & 63 and s1 = s0 + 1, both under the same input
+// u = ns >> 5 (from state s with input u the register is s | (u << 6),
+// the branch outputs are its parities with each generator and the next
+// state is the register >> 1, as in convolutional_encode). s0 < s1
+// always, which is exactly the order the transition-oriented reference
+// decoder (tests/oracle) visits them in — so "prefer the s0 branch on
+// metric ties" reproduces its strict-> update rule bit for bit. The
+// decoder therefore stores one decision bit per next state and step
+// (set iff ns took s1) and recovers the input as ns >> 5.
 struct Butterfly {
   std::uint8_t s0, s1;          // the two predecessor states
   std::uint8_t a0, b0, a1, b1;  // expected coded bits per branch

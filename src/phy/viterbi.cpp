@@ -1,24 +1,15 @@
 #include "phy/viterbi.hpp"
 
-#include <algorithm>
 #include <array>
-#include <limits>
 #include <cstddef>
 
 #include "obs/obs.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/simd.hpp"
-#include "phy/trellis.hpp"
 #include "util/require.hpp"
 
 namespace witag::phy {
 namespace {
-
-// Branch metric contribution of one coded bit: LLR > 0 favors bit 0, so a
-// branch expecting bit 0 gains +llr and one expecting bit 1 gains -llr.
-double bit_metric(double llr, std::uint8_t expected) {
-  return expected ? -llr : llr;
-}
 
 // Start metric of the states the zeroed encoder cannot be in: for the
 // six steps until every state is reachable from state 0, a path out of
@@ -66,55 +57,5 @@ util::BitVec viterbi_decode(std::span<const std::int8_t> llrs) {
   viterbi_decode(llrs, ws, bits);
   return bits;
 }
-
-namespace detail {
-
-util::BitVec viterbi_reference(std::span<const double> llrs) {
-  WITAG_REQUIRE(!llrs.empty() && llrs.size() % 2 == 0);
-  const std::size_t n_steps = llrs.size() / 2;
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-  std::vector<double> metric(kNumStates, kNegInf);
-  std::vector<double> next_metric(kNumStates, kNegInf);
-  metric[0] = 0.0;  // encoder starts zeroed
-
-  // survivor[step][state] = (previous state << 1) | input bit.
-  std::vector<std::array<std::uint8_t, kNumStates>> survivor(n_steps);
-
-  for (std::size_t step = 0; step < n_steps; ++step) {
-    std::fill(next_metric.begin(), next_metric.end(), kNegInf);
-    const double la = llrs[2 * step];
-    const double lb = llrs[2 * step + 1];
-    for (std::uint32_t s = 0; s < kNumStates; ++s) {
-      if (metric[s] == kNegInf) continue;
-      for (std::uint32_t u = 0; u < 2; ++u) {
-        const std::uint8_t ns = kTrellis.next[s][u];
-        const double m = metric[s] + bit_metric(la, kTrellis.out_a[s][u]) +
-                         bit_metric(lb, kTrellis.out_b[s][u]);
-        if (m > next_metric[ns]) {
-          next_metric[ns] = m;
-          survivor[step][ns] = static_cast<std::uint8_t>((s << 1) | u);
-        }
-      }
-    }
-    metric.swap(next_metric);
-  }
-
-  std::uint32_t state = 0;
-  if (metric[0] == kNegInf) {
-    state = static_cast<std::uint32_t>(
-        std::max_element(metric.begin(), metric.end()) - metric.begin());
-  }
-
-  util::BitVec bits(n_steps);
-  for (std::size_t step = n_steps; step-- > 0;) {
-    const std::uint8_t sv = survivor[step][state];
-    bits[step] = sv & 1u;
-    state = sv >> 1;
-  }
-  return bits;
-}
-
-}  // namespace detail
 
 }  // namespace witag::phy

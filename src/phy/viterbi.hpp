@@ -4,15 +4,14 @@
 // zero erasures inserted by depuncturing, and assumes the encoder both
 // starts and ends in the all-zero state (6 zero tail bits).
 //
-// Two implementations, identical on integer LLRs (fuzz-tested in
-// tests/test_viterbi_equiv.cpp and tests/test_simd.cpp):
-//  * detail::viterbi_reference — the transition-oriented original in
-//    doubles, kept as the readable specification and benchmark baseline.
-//  * viterbi_decode — predecessor-oriented butterflies with int16 path
-//    metrics (saturating add-compare-select, renormalized, one kernel
-//    call per decode) and one decision bit per state and step in a
-//    reusable ViterbiWorkspace, so steady-state decode performs zero heap
-//    allocations. See DESIGN.md §12 for the correctness argument.
+// viterbi_decode runs predecessor-oriented butterflies with int16 path
+// metrics (saturating add-compare-select, renormalized, one kernel call
+// per decode) and keeps one decision bit per state and step in a
+// reusable ViterbiWorkspace, so steady-state decode performs zero heap
+// allocations. On the same LLRs cast to double it returns exactly the
+// bits of the transition-oriented reference decoder in doubles
+// (tests/oracle; fuzz-tested in tests/test_viterbi_equiv.cpp and
+// tests/test_simd.cpp). See DESIGN.md §12 for the correctness argument.
 #pragma once
 
 #include <cstdint>
@@ -57,15 +56,5 @@ void viterbi_decode(std::span<const std::int8_t> llrs, ViterbiWorkspace& ws,
 /// workspace, so repeated calls still avoid steady-state allocations of
 /// the decision storage (the returned vector is the only allocation).
 util::BitVec viterbi_decode(std::span<const std::int8_t> llrs);
-
-namespace detail {
-
-/// The original transition-oriented decoder (doubles, -inf pruning,
-/// per-call allocations). Retained as the specification the optimized
-/// path is verified against, mirroring fft_reference_inplace: on the
-/// same LLRs cast to double, viterbi_decode returns exactly its bits.
-util::BitVec viterbi_reference(std::span<const double> llrs);
-
-}  // namespace detail
 
 }  // namespace witag::phy

@@ -95,16 +95,4 @@ std::uint8_t crc8(std::span<const std::uint8_t> data) {
   return static_cast<std::uint8_t>(state ^ 0xFFu);
 }
 
-namespace detail {
-
-std::uint32_t crc32_update_bytewise(std::uint32_t state,
-                                    std::span<const std::uint8_t> data) {
-  for (const std::uint8_t byte : data) {
-    state = kCrc32Table[(state ^ byte) & 0xFFu] ^ (state >> 8);
-  }
-  return state;
-}
-
-}  // namespace detail
-
 }  // namespace witag::util

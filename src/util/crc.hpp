@@ -23,13 +23,4 @@ std::uint32_t crc32_final(std::uint32_t state);
 /// CRC-8 over `data` (A-MPDU delimiter convention).
 std::uint8_t crc8(std::span<const std::uint8_t> data);
 
-namespace detail {
-
-/// The original byte-at-a-time CRC-32 update, kept as the specification
-/// the slicing-by-8 crc32_update is parity-tested against.
-std::uint32_t crc32_update_bytewise(std::uint32_t state,
-                                    std::span<const std::uint8_t> data);
-
-}  // namespace detail
-
 }  // namespace witag::util

@@ -28,11 +28,8 @@ struct QueryConfig {
   /// OFDM symbols per subframe; 0 = auto (smallest duration the tag's
   /// clock granularity and guards allow at the chosen MCS).
   unsigned symbols_per_subframe = 0;
-  /// MCS for query PPDUs when auto_rate is off.
+  /// MCS for query PPDUs.
   unsigned mcs_index = 5;
-  /// Probe for the highest near-zero-error MCS before measuring
-  /// (paper section 4.1 rule).
-  bool auto_rate = false;
   /// Envelope amplitude scale of the LOW trigger subframes. Low enough
   /// that the tag comparator's release threshold (0.4 of peak) is
   /// crossed briskly rather than asymptotically.

@@ -10,7 +10,6 @@
 #include "channel/pathloss.hpp"
 #include "obs/obs.hpp"
 #include "mac/airtime.hpp"
-#include "mac/rate_ctrl.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/ppdu.hpp"
 #include "tag/envelope.hpp"
@@ -133,7 +132,7 @@ const QueryLayout& Session::layout_for(unsigned address) {
     QueryConfig qcfg = cfg_.query;
     qcfg.trigger_code = address;
     qcfg.n_trigger = std::max(qcfg.n_trigger, 5 + address);
-    // layout_.mcs_index tracks select_rate()'s choice.
+    // layout_.mcs_index tracks set_mcs()'s choice.
     layout_cache_[address] =
         plan_query(qcfg, layout_.mcs_index, cfg_.security.mode,
                    util::Micros{tags_[0].device.clock().tick_period_us()},
@@ -461,38 +460,6 @@ void Session::idle_wait(util::Micros us) {
   const util::Seconds dt = util::to_seconds(us * cfg_.time_dilation);
   channel_->advance(dt);
   faults_.advance(dt);
-}
-
-unsigned Session::select_rate() {
-  mac::RateSelector selector;
-  while (const auto probe = selector.next_probe()) {
-    QueryLayout saved = layout_;
-    bool planned = false;
-    try {
-      layout_ = plan_query(cfg_.query, *probe, cfg_.security.mode,
-                           util::Micros{tags_[0].device.clock().tick_period_us()},
-                           util::Micros{cfg_.tag_device.guard_us});
-      planned = true;
-    } catch (const std::invalid_argument&) {
-      layout_ = saved;
-    }
-    if (!planned) {
-      // This MCS cannot form valid queries; treat as total failure.
-      selector.record(*probe, 0,
-                      static_cast<std::size_t>(layout_.n_data_subframes));
-      continue;
-    }
-    const RoundResult r = exchange(false, cfg_.query.trigger_code);
-    std::size_t ok = 0;
-    for (const bool b : r.received) ok += b ? 1 : 0;
-    selector.record(*probe, ok, r.received.size());
-  }
-  const unsigned mcs = selector.selected();
-  layout_ = plan_query(cfg_.query, mcs, cfg_.security.mode,
-                       util::Micros{tags_[0].device.clock().tick_period_us()},
-                       util::Micros{cfg_.tag_device.guard_us});
-  layout_cache_.clear();  // cached layouts used the old MCS
-  return mcs;
 }
 
 Session::RunStats Session::run(std::size_t rounds) {

@@ -59,19 +59,15 @@ class Session {
   };
   RunStats run(std::size_t rounds);
 
-  /// Applies the paper's section 4.1 rate rule: probes MCS 7 downward
-  /// with the tag idle until one achieves near-zero subframe errors,
-  /// re-plans the query layout for it, and returns the choice.
-  unsigned select_rate();
-
   /// Runs one exchange with the tag idle and reports the fraction of
-  /// subframes the AP acked (used by select_rate and diagnostics).
+  /// subframes the AP acked: the clean side of the LinkSupervisor's
+  /// two-sided rate probe.
   double probe_subframe_success();
 
   /// Re-plans the query layout for `mcs` without probing (the
-  /// LinkSupervisor's closed-loop fallback; select_rate is the paper's
-  /// open-loop probe). Throws std::invalid_argument when the MCS cannot
-  /// form a valid query layout, leaving the current layout in place.
+  /// LinkSupervisor's closed-loop fallback). Throws
+  /// std::invalid_argument when the MCS cannot form a valid query
+  /// layout, leaving the current layout in place.
   void set_mcs(unsigned mcs);
   unsigned current_mcs() const { return layout_.mcs_index; }
 

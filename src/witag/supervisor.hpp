@@ -49,7 +49,8 @@ struct SupervisorConfig {
   /// least this rate. WiTAG's link breaks in both directions: too fast
   /// and noise corrupts idle subframes, too slow and the decoder rides
   /// through the tag's perturbation (bit 0 reads as 1) — the paper's
-  /// select_rate() checks only the clean side. The threshold separates
+  /// section 4.1 rule (the highest MCS with near-zero subframe errors)
+  /// checks only the clean side. The threshold separates
   /// the corruption cliff (corrupt-read rates collapse to ~0 outside
   /// the band) from transient channel noise during the probe round, so
   /// it sits well below 1 but far above the cliff.

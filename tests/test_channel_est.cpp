@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "oracle/oracle.hpp"
 #include "phy/constellation.hpp"
 #include "phy/preamble.hpp"
 #include "util/rng.hpp"
@@ -25,14 +26,14 @@ FreqSymbol through(const FreqSymbol& x, const FreqSymbol& h) {
 
 // Equalizes data symbol 0 through the receiver's own calls: the plan
 // of `est`, then the symbol's points, with the plan's noise variances.
-EqualizedSymbol equalize_symbol(const FreqSymbol& rx,
+oracle::EqualizedSymbol equalize_symbol(const FreqSymbol& rx,
                                 const ChannelEstimate& est,
                                 bool cpe_correction) {
   EqualizerPlan plan;
   plan_equalizer(est, plan);
   std::array<double, kDataSubcarriers> re, im;
   equalize_points(rx, est, plan, 0, cpe_correction, re.data(), im.data());
-  EqualizedSymbol out;
+  oracle::EqualizedSymbol out;
   for (std::size_t i = 0; i < kDataSubcarriers; ++i) {
     out.points.emplace_back(re[i], im[i]);
   }
@@ -119,7 +120,7 @@ TEST(ChannelEst, EqualizeRecoversConstellation) {
   const FreqSymbol ltf_rx = through(ltf_symbol(), h);
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
-  const EqualizedSymbol eq = equalize_symbol(rx, est, true);
+  const oracle::EqualizedSymbol eq = equalize_symbol(rx, est, true);
   ASSERT_EQ(eq.points.size(), 52u);
   EXPECT_EQ(demap_hard(eq.points, Modulation::kQpsk), bits);
 }
@@ -138,10 +139,10 @@ TEST(ChannelEst, CpeCorrectionRemovesCommonRotation) {
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
 
-  const EqualizedSymbol with = equalize_symbol(rx, est, true);
+  const oracle::EqualizedSymbol with = equalize_symbol(rx, est, true);
   EXPECT_EQ(demap_hard(with.points, Modulation::kQpsk), bits);
 
-  const EqualizedSymbol without = equalize_symbol(rx, est, false);
+  const oracle::EqualizedSymbol without = equalize_symbol(rx, est, false);
   // 40 degrees pushes QPSK close to/over decision boundaries; the
   // uncorrected points must be measurably worse.
   double err_with = 0.0;
@@ -169,7 +170,7 @@ TEST(ChannelEst, StaleEstimateBreaksEqualization) {
   const FreqSymbol ltf_rx = through(ltf_symbol(), h_est);
   const std::vector<FreqSymbol> ltfs{ltf_rx, ltf_rx};
   const ChannelEstimate est = estimate_channel(ltfs);
-  const EqualizedSymbol eq = equalize_symbol(rx, est, false);
+  const oracle::EqualizedSymbol eq = equalize_symbol(rx, est, false);
   EXPECT_NE(demap_hard(eq.points, Modulation::kQam64), bits);
 }
 
@@ -179,7 +180,7 @@ TEST(ChannelEst, DeadBinGetsHugeNoise) {
   ChannelEstimate est;
   est.h = h;
   est.noise_var = 1e-9;
-  const EqualizedSymbol eq = equalize_symbol(rx, est, false);
+  const oracle::EqualizedSymbol eq = equalize_symbol(rx, est, false);
   for (const double v : eq.noise_vars) {
     EXPECT_GE(v, 1e17);
   }

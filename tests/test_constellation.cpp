@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace witag::phy {
@@ -17,7 +18,7 @@ using util::Cx;
 std::vector<double> reference_llrs(std::span<const Cx> points,
                                    Modulation mod, double noise_var) {
   const std::vector<double> vars(points.size(), noise_var);
-  return detail::demap_soft_reference(points, mod, vars);
+  return oracle::demap_soft_reference(points, mod, vars);
 }
 
 class ConstellationParam : public ::testing::TestWithParam<Modulation> {};

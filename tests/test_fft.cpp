@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "oracle/oracle.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -104,7 +105,7 @@ TEST_P(FftPlanParity, PlannedMatchesReferenceBitwise) {
     } else {
       fft_inplace(planned);
     }
-    detail::fft_reference_inplace(reference, inverse);
+    oracle::fft_reference_inplace(reference, inverse);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(planned[i].real(), reference[i].real()) << "bin " << i;
       EXPECT_EQ(planned[i].imag(), reference[i].imag()) << "bin " << i;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "mac/airtime.hpp"
-#include "mac/rate_ctrl.hpp"
 
 namespace witag::mac {
 namespace {
@@ -29,52 +28,6 @@ TEST(Airtime, ExchangeTotal) {
   EXPECT_DOUBLE_EQ(t.total_us().value(),
                    kDifsUs.value() + 45.0 + 1000.0 + kSifsUs.value() +
                        block_ack_airtime_us().value());
-}
-
-TEST(RateSelector, PicksHighestCleanRate) {
-  RateSelector sel(0.99, 100);
-  // MCS 7 and 6 are lossy; MCS 5 is clean.
-  while (const auto probe = sel.next_probe()) {
-    if (*probe >= 6) {
-      sel.record(*probe, 50, 100);
-    } else {
-      sel.record(*probe, 100, 100);
-    }
-  }
-  EXPECT_TRUE(sel.converged());
-  EXPECT_EQ(sel.selected(), 5u);
-}
-
-TEST(RateSelector, StartsFromTheTop) {
-  RateSelector sel;
-  ASSERT_TRUE(sel.next_probe().has_value());
-  EXPECT_EQ(*sel.next_probe(), phy::kNumMcs - 1);
-}
-
-TEST(RateSelector, AccumulatesAcrossRounds) {
-  RateSelector sel(0.99, 100);
-  sel.record(7, 40, 40);
-  EXPECT_TRUE(sel.next_probe().has_value());  // not enough samples yet
-  sel.record(7, 60, 60);
-  EXPECT_FALSE(sel.next_probe().has_value());
-  EXPECT_EQ(sel.selected(), 7u);
-}
-
-TEST(RateSelector, FallsBackToMcs0) {
-  RateSelector sel(0.99, 10);
-  while (const auto probe = sel.next_probe()) {
-    sel.record(*probe, 0, 10);  // everything fails
-  }
-  EXPECT_EQ(sel.selected(), 0u);
-}
-
-TEST(RateSelector, ContractChecks) {
-  RateSelector sel(0.99, 10);
-  EXPECT_THROW(sel.record(3, 1, 1), std::invalid_argument);  // wrong MCS
-  EXPECT_THROW(sel.record(7, 5, 1), std::invalid_argument);  // ok > total
-  EXPECT_THROW(RateSelector(0.0, 10), std::invalid_argument);
-  EXPECT_THROW(RateSelector(0.5, 0), std::invalid_argument);
-  EXPECT_THROW(sel.selected(), std::invalid_argument);  // not converged
 }
 
 }  // namespace

@@ -1,20 +1,20 @@
-// Parity tests for the receive front end (phy::detail::field_llrs_into
-// and field_bits_from_llrs): one pass per OFDM symbol through the
-// points-only equalizer and the demap-and-quantize kernel, then the
-// soft bits placed at their mother-rate positions through the
-// transmitter's table. The oracle is a copy, local to this file, of the
-// stage chain the receiver ran before: equalize into an array of points
-// and noise variances, demap to double LLRs (the full-table reference),
-// quantize, deinterleave each symbol, depuncture the field. Every
+// Parity tests for the receive path against tests/oracle's staged
+// chain. The front end (phy::detail::field_llrs_into and
+// field_bits_from_llrs) runs one pass per OFDM symbol through the
+// points-only equalizer and the demap-and-quantize kernel, then places
+// the soft bits at their mother-rate positions through the
+// transmitter's table; the oracle equalizes into an array of points and
+// noise variances, demaps to double LLRs (the full-table reference),
+// quantizes, deinterleaves each symbol and depunctures the field. Every
 // runnable tier and MCS must give the oracle's mother-rate stream bit
 // for bit, dead bins, NaN and infinite points and ±127 saturation
-// included.
+// included. Whole PPDUs through the channel model must decode to the
+// oracle's PSDU bytes, bit errors included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -22,134 +22,26 @@
 #include <string>
 #include <vector>
 
+#include "channel/channel_model.hpp"
+#include "oracle/oracle.hpp"
 #include "phy/channel_est.hpp"
 #include "phy/constellation.hpp"
-#include "phy/convolutional.hpp"
-#include "phy/interleaver.hpp"
 #include "phy/mcs.hpp"
 #include "phy/ofdm.hpp"
 #include "phy/ppdu.hpp"
 #include "phy/simd.hpp"
 #include "phy/viterbi.hpp"
 #include "tiers.hpp"
+#include "util/bits.hpp"
 #include "util/complexvec.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace witag {
 namespace {
 
 using Tier = phy::simd::Tier;
 using util::Cx;
-
-// ---------------------------------------------------------------------
-// The oracle: the staged front end, written out here.
-// ---------------------------------------------------------------------
-
-/// Common phase error from the four pilots (the angle of the summed
-/// pilot correlation), as the receiver estimates it.
-Cx oracle_cpe(const phy::FreqSymbol& rx, const phy::ChannelEstimate& est,
-              std::size_t symbol_index) {
-  const auto pilots_tx = phy::pilot_values(symbol_index);
-  const auto pilot_sc = phy::pilot_subcarriers();
-  Cx acc{};
-  for (std::size_t i = 0; i < phy::kNumPilots; ++i) {
-    const unsigned bin = phy::bin_index(pilot_sc[i]);
-    acc += rx[bin] * std::conj(est.h[bin] * pilots_tx[i]);
-  }
-  if (std::abs(acc) > 0.0) return acc / std::abs(acc);
-  return Cx{1.0, 0.0};
-}
-
-/// One symbol's equalized points and noise variances, the separable
-/// divide in the association simd::EqualizeFn documents.
-void oracle_equalize(const phy::FreqSymbol& rx,
-                     const phy::ChannelEstimate& est,
-                     std::size_t symbol_index, bool cpe_correction,
-                     util::CxVec& points, std::vector<double>& noise_vars) {
-  const Cx cpe = cpe_correction ? oracle_cpe(rx, est, symbol_index)
-                                : Cx{1.0, 0.0};
-  const double cr = cpe.real();
-  const double ci = cpe.imag();
-  const double noise_floor = std::max(est.noise_var, 1e-12);
-  const auto data_sc = phy::data_subcarriers();
-  points.resize(data_sc.size());
-  noise_vars.resize(data_sc.size());
-  for (std::size_t i = 0; i < data_sc.size(); ++i) {
-    const unsigned bin = phy::bin_index(data_sc[i]);
-    const double hr = est.h[bin].real();
-    const double hi = est.h[bin].imag();
-    const double rr = rx[bin].real();
-    const double ri = rx[bin].imag();
-    const double g = hr * hr + hi * hi;
-    const double yr = rr * cr + ri * ci;
-    const double yi = ri * cr - rr * ci;
-    if (g < phy::simd::kEqualizeMinGain) {
-      points[i] = Cx{};
-      noise_vars[i] = phy::simd::kEqualizeDeadNoise;
-      continue;
-    }
-    points[i] = Cx{(yr * hr + yi * hi) / g, (yi * hr - yr * hi) / g};
-    noise_vars[i] = noise_floor / g;
-  }
-}
-
-/// quantize_llr written with libm: clamp, then round half to even; a
-/// NaN reads 127.
-std::int8_t oracle_quantize(double llr, double scale) {
-  const double v = llr * scale;
-  if (std::isnan(v)) return 127;
-  return static_cast<std::int8_t>(
-      std::nearbyint(std::clamp(v, -127.0, 127.0)));
-}
-
-/// The field's air-order int8 LLRs: equalize, demap through the
-/// full-table reference, quantize.
-std::vector<std::int8_t> oracle_air_llrs(
-    std::span<const phy::FreqSymbol> symbols, const phy::ChannelEstimate& est,
-    phy::Modulation mod, std::size_t first_symbol_index,
-    bool cpe_correction) {
-  const double scale = phy::detail::llr_scale(est, mod);
-  std::vector<std::int8_t> air;
-  util::CxVec points;
-  std::vector<double> noise_vars;
-  for (std::size_t s = 0; s < symbols.size(); ++s) {
-    oracle_equalize(symbols[s], est, first_symbol_index + s, cpe_correction,
-                    points, noise_vars);
-    for (const double llr :
-         phy::detail::demap_soft_reference(points, mod, noise_vars)) {
-      air.push_back(oracle_quantize(llr, scale));
-    }
-  }
-  return air;
-}
-
-/// Deinterleave each symbol, depuncture the field, truncate to
-/// `n_info_bits` (0 = all): the mother-rate stream the decoder reads.
-std::vector<std::int8_t> oracle_mother(std::span<const std::int8_t> air,
-                                       phy::Modulation mod,
-                                       phy::CodeRate rate,
-                                       std::size_t n_info_bits) {
-  const unsigned n_bpsc = phy::bits_per_symbol(mod);
-  const unsigned n_cbps = phy::kDataSubcarriers * n_bpsc;
-  const std::vector<std::size_t> map = phy::interleave_map(n_cbps, n_bpsc);
-  std::vector<std::int8_t> field(air.size());
-  for (std::size_t base = 0; base < air.size(); base += n_cbps) {
-    for (std::size_t k = 0; k < n_cbps; ++k) {
-      field[base + k] = air[base + map[k]];
-    }
-  }
-  const std::span<const std::uint8_t> pattern = phy::puncture_pattern(rate);
-  const auto frac = phy::rate_fraction(rate);
-  const std::size_t n_info = field.size() * frac.num / frac.den;
-  std::vector<std::int8_t> mother(2 * n_info);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < mother.size(); ++i) {
-    mother[i] = pattern[i % pattern.size()] ? field[kept++] : std::int8_t{0};
-  }
-  EXPECT_EQ(kept, field.size());
-  if (n_info_bits != 0) mother.resize(2 * n_info_bits);
-  return mother;
-}
 
 // ---------------------------------------------------------------------
 // Inputs.
@@ -300,14 +192,14 @@ TEST(RxFrontParity, DemapQuantizeEveryTierMatchesOracle) {
       }
       const double scale = count % 5 == 0 ? 0.0 : rng.uniform(1e-3, 50.0);
       const std::vector<double> llrs =
-          phy::detail::demap_soft_reference(points, mod, nv);
+          oracle::demap_soft_reference(points, mod, nv);
       const phy::simd::DemapAxes& ax = phy::demap_axes(mod);
       for (const Tier t : tiers) {
         got.assign(llrs.size(), std::int8_t{-128});
         phy::simd::demap_quantize_for(t)(re.data(), im.data(), nv.data(),
                                          count, ax, scale, got.data());
         for (std::size_t k = 0; k < llrs.size(); ++k) {
-          ASSERT_EQ(got[k], oracle_quantize(llrs[k], scale))
+          ASSERT_EQ(got[k], oracle::quantize(llrs[k], scale))
               << "count " << count << " mod " << ax.n_bits << " bpsc, k " << k
               << " point " << points[k / ax.n_bits] << " llr " << llrs[k]
               << " tier " << phy::simd::tier_name(t);
@@ -349,10 +241,10 @@ TEST(RxFrontParity, FieldMatchesStageChainEveryTierEveryMcs) {
           rng, est, m.modulation, sh.n_symbols, phy::kSigSymbols, 0.01);
       const std::size_t n_info = sh.n_symbols * m.n_dbps;
       const std::size_t n_info_bits = sh.truncate ? n_info - 77 : 0;
-      const std::vector<std::int8_t> air = oracle_air_llrs(
+      const std::vector<std::int8_t> air = oracle::air_llrs(
           symbols, est, m.modulation, phy::kSigSymbols, sh.cpe);
       const std::vector<std::int8_t> expect =
-          oracle_mother(air, m.modulation, m.rate, n_info_bits);
+          oracle::mother_llrs(air, m.modulation, m.rate, n_info_bits);
       saturated_pos += static_cast<std::size_t>(
           std::count(air.begin(), air.end(), std::int8_t{127}));
       saturated_neg += static_cast<std::size_t>(
@@ -409,6 +301,78 @@ TEST(RxFrontParity, ReusedScratchMatchesFresh) {
       ASSERT_EQ(reused.bits, fresh.bits) << what;
     }
   }
+}
+
+TEST(RxOracleParity, PsduMatchesOracleEveryTierEveryMcs) {
+  // Seeded PSDUs at every MCS through the channel model: an 8 m room
+  // link at a transmit power from clean to marginal (at -35 dBm a few
+  // SIG fields fail too), thermal noise, and a tag asserted on the
+  // middle third of the data symbols, so the LTF estimate goes stale
+  // mid-PPDU. Each capture decodes through phy::receive at every
+  // runnable tier and through the oracle's staged chain; the header
+  // outcome and the PSDU bytes must agree, bit errors and all. On this
+  // seed set every MCS decodes 7 or 8 of its 8 PPDUs and 2-5 of them
+  // carry bit errors.
+  constexpr double kTxPowerDbm[] = {15.0, -10.0, -25.0, -35.0};
+  constexpr unsigned kTrials = 8;
+  const std::vector<Tier> tiers = test::runnable_tiers();
+  channel::FadingConfig still;
+  still.n_scatterers = 0;
+  still.blocking_rate_hz = util::Hertz{0.0};
+  still.interference_rate_hz = util::Hertz{0.0};
+  std::array<std::size_t, phy::kNumMcs> decoded{};
+  std::array<std::size_t, phy::kNumMcs> with_errors{};
+  for (unsigned mcs_index = 0; mcs_index < phy::kNumMcs; ++mcs_index) {
+    for (unsigned trial = 0; trial < kTrials; ++trial) {
+      util::Rng rng(0x0A'C1'00 + 16 * mcs_index + trial);
+      const util::ByteVec psdu = rng.bytes(40 + rng.uniform_int(360));
+      phy::TxConfig cfg;
+      cfg.mcs_index = mcs_index;
+      cfg.scrambler_seed = static_cast<std::uint8_t>(1 + rng.uniform_int(127));
+      const phy::TxPpdu ppdu = phy::transmit(psdu, cfg);
+      std::vector<std::uint8_t> level(ppdu.size(), 0);
+      const std::size_t third = ppdu.n_data_symbols / 3;
+      std::fill_n(level.begin() +
+                      static_cast<std::ptrdiff_t>(phy::kHeaderSlots + third),
+                  third, std::uint8_t{1});
+
+      channel::RadioConfig radio;
+      radio.tx_power_dbm = util::Dbm{kTxPowerDbm[trial % 4]};
+      channel::LinkGeometry geo;
+      geo.tx = {0.0, 0.0};
+      geo.rx = {8.0, 0.0};
+      geo.reflectors = channel::default_room_reflectors(geo.tx, geo.rx);
+      const channel::TagPathConfig tag{
+          {1.0 + static_cast<double>(trial % 7), 0.5}, 7.0,
+          channel::TagMode::kPhaseFlip};
+      channel::ChannelModel ch(radio, geo, tag, still, rng.next_u64());
+      const std::vector<phy::FreqSymbol> rx = ch.apply(ppdu.symbols, level);
+
+      const phy::RxResult expect = oracle::receive(rx, {});
+      for (const Tier t : tiers) {
+        const phy::simd::ScopedTier pin(t);
+        const phy::RxResult got = phy::receive(rx, {});
+        const std::string what = "mcs " + std::to_string(mcs_index) +
+                                 " trial " + std::to_string(trial) +
+                                 " tier " + phy::simd::tier_name(t);
+        ASSERT_EQ(got.sig_ok, expect.sig_ok) << what;
+        ASSERT_EQ(got.sig, expect.sig) << what;
+        ASSERT_EQ(got.psdu, expect.psdu) << what;
+      }
+      if (expect.sig_ok) {
+        ++decoded[mcs_index];
+        if (expect.psdu != psdu) ++with_errors[mcs_index];
+      }
+    }
+  }
+  // Every MCS compared decoded PSDUs, and some of them carried bit
+  // errors, so the comparison reached the decoder's error paths.
+  for (unsigned mcs_index = 0; mcs_index < phy::kNumMcs; ++mcs_index) {
+    EXPECT_GT(decoded[mcs_index], 0u) << "mcs " << mcs_index;
+  }
+  std::size_t errors = 0;
+  for (const std::size_t e : with_errors) errors += e;
+  EXPECT_GT(errors, 0u);
 }
 
 }  // namespace

@@ -104,14 +104,6 @@ TEST(Session, EnvelopeTriggerModeDeliversBits) {
   EXPECT_DOUBLE_EQ(stats.metrics.ber(), 0.0);
 }
 
-TEST(Session, SelectRatePicksHighMcsOnCleanChannel) {
-  Session s(quiet_los(1.0, 9));
-  const unsigned mcs = s.select_rate();
-  // 50+ dB SNR: every MCS is clean; the rule picks the top one.
-  EXPECT_EQ(mcs, 7u);
-  EXPECT_EQ(s.layout().mcs_index, 7u);
-}
-
 TEST(Session, CustomTagPayloadFlowsThroughLinkLayer) {
   SessionConfig cfg = quiet_los(1.0, 10);
   Session s(cfg);

@@ -1,7 +1,7 @@
 // Tier-parity tests for the SIMD dispatch layer (phy/simd.hpp): every
 // kernel tier the hardware can run — scalar, AVX2, AVX-512 — must
-// produce bit-identical output to the detail::*_reference
-// implementations, over fuzz regimes that include the degenerate cases
+// produce bit-identical output to the reference implementations in
+// tests/oracle, over fuzz regimes that include the degenerate cases
 // (Viterbi ties, demap dead bins, erasures) where "almost equal" kernels
 // diverge first.
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "phy/channel_est.hpp"
 #include "phy/constellation.hpp"
 #include "phy/convolutional.hpp"
@@ -240,12 +241,6 @@ std::vector<std::int8_t> full_scale_llrs(util::Rng& rng, const BitVec& coded,
   return llrs;
 }
 
-/// The reference decoder on the same LLRs cast to double.
-BitVec reference_decode(const std::vector<std::int8_t>& llrs) {
-  const std::vector<double> wide(llrs.begin(), llrs.end());
-  return phy::detail::viterbi_reference(wide);
-}
-
 TEST(SimdParity, ViterbiEveryTierMatchesReference) {
   const std::vector<Tier> tiers = runnable_tiers();
   phy::ViterbiWorkspace ws;
@@ -258,7 +253,7 @@ TEST(SimdParity, ViterbiEveryTierMatchesReference) {
     const std::vector<std::int8_t> llrs =
         fuzz_llrs(rng, coded, static_cast<int>(trial % 5));
 
-    const BitVec expect = reference_decode(llrs);
+    const BitVec expect = oracle::viterbi_reference(llrs);
     for (const Tier t : tiers) {
       const phy::simd::ScopedTier pin(t);
       phy::viterbi_decode(llrs, ws, decoded);
@@ -280,7 +275,7 @@ TEST(SimdParity, ViterbiExchangeSizesMatchReference) {
   BitVec decoded;
   const auto check = [&](const std::vector<std::int8_t>& llrs,
                          std::size_t n_steps, const char* what, int kind) {
-    const BitVec expect = reference_decode(llrs);
+    const BitVec expect = oracle::viterbi_reference(llrs);
     for (const Tier t : tiers) {
       const phy::simd::ScopedTier pin(t);
       phy::ViterbiWorkspace ws;
@@ -559,7 +554,7 @@ TEST(SimdParity, DemapEveryTierMatchesReference) {
         im[p] = points[p].imag();
       }
       const std::vector<double> expect =
-          phy::detail::demap_soft_reference(points, mod, noise_vars);
+          oracle::demap_soft_reference(points, mod, noise_vars);
       for (const Tier t : tiers) {
         got.assign(expect.size(), 0.0);
         phy::simd::demap_block_for(t)(re.data(), im.data(),
@@ -659,8 +654,8 @@ TEST(SimdParity, EqualizeKernelMatchesComplexDivisionReference) {
     const bool cpe = (trial % 2) == 0;
     phy::plan_equalizer(est, plan);
     phy::equalize_points(rx, est, plan, trial % 7, cpe, re.data(), im.data());
-    const phy::EqualizedSymbol expect =
-        phy::detail::equalize_reference(rx, est, trial % 7, cpe);
+    const oracle::EqualizedSymbol expect =
+        oracle::equalize_reference(rx, est, trial % 7, cpe);
     ASSERT_EQ(expect.points.size(), re.size());
     for (std::size_t i = 0; i < expect.points.size(); ++i) {
       const double scale = std::max(1.0, std::abs(expect.points[i]));
@@ -673,13 +668,6 @@ TEST(SimdParity, EqualizeKernelMatchesComplexDivisionReference) {
           << "trial " << trial << " point " << i;
     }
   }
-}
-
-/// quantize_llr written with libm: clamp, then round half to even.
-std::int8_t quantize_reference(double llr, double scale) {
-  const double v = llr * scale;
-  if (std::isnan(v)) return 127;
-  return static_cast<std::int8_t>(std::nearbyint(std::clamp(v, -127.0, 127.0)));
 }
 
 // ---------------------------------------------------------------------
@@ -778,7 +766,7 @@ TEST(SimdParity, TxMapEveryTierMatchesTableLoop) {
       const BitVec bits = rng.bits(n_sym * m.n_dbps);
       // A0 B0 A1 B1 ...: mother-rate position p of symbol s is
       // mother[s * 2 * n_dbps + p].
-      const BitVec mother = phy::detail::convolutional_encode_reference(bits);
+      const BitVec mother = oracle::convolutional_encode_reference(bits);
       expect.assign(n_sym + kGuard, dirt);
       for (std::size_t s = 0; s < n_sym; ++s) {
         expect[s].fill(util::Cx{});
@@ -923,7 +911,7 @@ TEST(SimdParity, QuantizerEdgeCases) {
   for (std::size_t i = 0; i < edges.size(); ++i) {
     EXPECT_EQ(phy::simd::quantize_llr(edges[i], 1.0), want_unit[i])
         << "llr " << edges[i];
-    EXPECT_EQ(quantize_reference(edges[i], 1.0), want_unit[i])
+    EXPECT_EQ(oracle::quantize(edges[i], 1.0), want_unit[i])
         << "llr " << edges[i];
   }
   EXPECT_EQ(phy::simd::quantize_llr(1.0, 0.0), 0);
@@ -946,7 +934,7 @@ TEST(SimdParity, QuantizerEdgeCases) {
         re[p] = p % 2 == 0 ? -0.25 : 0.25;
       }
       const util::CxVec points(re.begin(), re.end());
-      const std::vector<double> llrs = phy::detail::demap_soft_reference(
+      const std::vector<double> llrs = oracle::demap_soft_reference(
           points, phy::Modulation::kBpsk, nv);
       for (std::size_t p = 0; p < count; ++p) {
         ASSERT_EQ(llrs[p], (p % 2 == 0 ? 1.0 : -1.0) / var) << "point " << p;
@@ -959,7 +947,7 @@ TEST(SimdParity, QuantizerEdgeCases) {
                                            count, ax, scale, got.data());
           for (std::size_t p = 0; p < count; ++p) {
             const std::int8_t want =
-                p % 2 == 0 ? want_unit[i] : quantize_reference(-edges[i], 1.0);
+                p % 2 == 0 ? want_unit[i] : oracle::quantize(-edges[i], 1.0);
             ASSERT_EQ(got[p], want)
                 << "edge " << edges[i] << " noise " << var << " count "
                 << count << " point " << p << " tier "
@@ -983,7 +971,7 @@ TEST(SimdParity, FftEveryTierMatchesReference) {
     for (auto& x : input) x = rng.complex_normal(1.0);
     for (const bool inverse : {false, true}) {
       util::CxVec expect = input;
-      phy::detail::fft_reference_inplace(expect, inverse);
+      oracle::fft_reference_inplace(expect, inverse);
 
       util::CxVec radix4 = input;
       phy::detail::fft_radix4_inplace(radix4, inverse);

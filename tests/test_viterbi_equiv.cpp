@@ -2,7 +2,7 @@
 // butterfly Viterbi (on the reference's doubles cast from its int8
 // LLRs), table-driven scrambler/encoder and slicing-by-8 CRC-32 must be
 // bit-identical to the bit-serial reference implementations they
-// replaced (kept under detail::).
+// replaced (tests/oracle).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "oracle/oracle.hpp"
 #include "phy/convolutional.hpp"
 #include "phy/scrambler.hpp"
 #include "phy/viterbi.hpp"
@@ -66,12 +67,6 @@ std::vector<std::int8_t> fuzz_llrs(util::Rng& rng, const BitVec& coded,
   return llrs;
 }
 
-/// The reference decoder on the same LLRs cast to double.
-BitVec reference_decode(const std::vector<std::int8_t>& llrs) {
-  const std::vector<double> wide(llrs.begin(), llrs.end());
-  return phy::detail::viterbi_reference(wide);
-}
-
 TEST(ViterbiEquiv, FuzzMatchesReferenceOverAllRegimes) {
   phy::ViterbiWorkspace ws;
   BitVec decoded;
@@ -79,11 +74,11 @@ TEST(ViterbiEquiv, FuzzMatchesReferenceOverAllRegimes) {
     util::Rng rng(0xE0'11'00 + trial);
     const std::size_t n_info = 8 + rng.uniform_int(201);
     const BitVec info = random_info_bits(rng, n_info);
-    const BitVec coded = phy::detail::convolutional_encode_reference(info);
+    const BitVec coded = oracle::convolutional_encode_reference(info);
     const std::vector<std::int8_t> llrs =
         fuzz_llrs(rng, coded, static_cast<int>(trial % 5));
 
-    const BitVec expect = reference_decode(llrs);
+    const BitVec expect = oracle::viterbi_reference(llrs);
     phy::viterbi_decode(llrs, ws, decoded);
     ASSERT_EQ(decoded, expect) << "trial " << trial << " n_info " << n_info
                                << " regime " << trial % 5;
@@ -95,7 +90,7 @@ TEST(ViterbiEquiv, AllTiesDecodeToAllZeros) {
   // same way, which lands on the all-zeros path (state 0 throughout).
   const std::vector<std::int8_t> llrs(2 * 64, 0);
   const BitVec expect(64, 0);
-  EXPECT_EQ(reference_decode(llrs), expect);
+  EXPECT_EQ(oracle::viterbi_reference(llrs), expect);
   EXPECT_EQ(phy::viterbi_decode(llrs), expect);
 }
 
@@ -130,9 +125,9 @@ TEST(DecodePipelineParity, ScramblerTableMatchesBitSerial) {
   const auto check = [](const BitVec& bits, std::uint8_t seed,
                         const std::string& label) {
     EXPECT_EQ(phy::scramble(bits, seed),
-              phy::detail::scramble_reference(bits, seed))
+              oracle::scramble_reference(bits, seed))
         << label;
-    const BitVec expect = phy::detail::descramble_recover_reference(bits);
+    const BitVec expect = oracle::descramble_recover_reference(bits);
     EXPECT_EQ(phy::descramble_recover(bits), expect) << label;
     BitVec out;
     phy::descramble_recover_into(bits, out);
@@ -164,7 +159,7 @@ TEST(DecodePipelineParity, EncoderLutMatchesBitSerial) {
     BitVec bits(n);
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(2));
     EXPECT_EQ(phy::convolutional_encode(bits),
-              phy::detail::convolutional_encode_reference(bits))
+              oracle::convolutional_encode_reference(bits))
         << "length " << n;
   };
   for (std::uint64_t trial = 0; trial < 200; ++trial) {
@@ -186,7 +181,7 @@ TEST(DecodePipelineParity, Crc32SlicingMatchesBytewise) {
   for (std::size_t len = 0; len <= buf.size(); ++len) {
     const std::span<const std::uint8_t> data(buf.data(), len);
     const std::uint32_t expect =
-        util::detail::crc32_update_bytewise(util::crc32_init(), data);
+        oracle::crc32_update_bytewise(util::crc32_init(), data);
     ASSERT_EQ(util::crc32_update(util::crc32_init(), data), expect)
         << "len " << len;
     const std::size_t cut = len / 3;

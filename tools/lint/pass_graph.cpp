@@ -12,8 +12,9 @@
 //                  cycle means no valid compile order exists without
 //                  the accident of include guards.
 //   detail-reach   `other_module::detail::` is module-private by
-//                  contract (scalar reference kernels, trellis tables);
-//                  only the owning module and tests may name it.
+//                  contract (seams into a module's kernels, its plans
+//                  and tables); only the owning module, tests and
+//                  benches may name it.
 //   iwyu           symbols in the curated map below must be included
 //                  directly. Transitive includes compile today and
 //                  break when an unrelated header drops a dependency.
@@ -254,7 +255,7 @@ void run_graph_pass(const std::vector<SourceFile>& files,
                 {f->display, i + 1, "detail-reach",
                  "reaches into " + owner + "::detail:: from module '" +
                      f->module +
-                     "'; detail is module-private (reference kernels, "
+                     "'; detail is module-private (kernel seams, plans, "
                      "tables) — use the module's public API",
                  {},
                  {}});

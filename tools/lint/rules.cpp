@@ -55,7 +55,7 @@ const std::map<std::string, std::string>& rule_descriptions() {
        "The src/ include graph must be acyclic at file granularity."},
       {"detail-reach",
        "No reaching into another module's detail:: namespace; detail is "
-       "module-private by contract."},
+       "module-private by contract (kernel seams, plans, tables)."},
       {"iwyu",
        "Symbols from the curated map must be included directly, not "
        "relied on transitively (include-what-you-use, lite)."},

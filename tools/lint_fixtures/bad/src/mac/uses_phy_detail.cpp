@@ -1,5 +1,5 @@
 // Known-bad fixture: a cross-module detail:: reach-in. phy::detail is
-// module-private (scalar reference kernels, trellis tables); the MAC
+// module-private (kernel seams, plans, tables); the MAC
 // layer grabbing one directly bypasses the dispatch table and the
 // scalar/SIMD parity tests. Scanned, never compiled.
 namespace mac {
