@@ -7,12 +7,11 @@
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "mac/aes.hpp"
 #include "mac/station.hpp"
-#include "obs/metrics.hpp"
+#include "micro_main.hpp"
 #include "obs/report.hpp"
 #include "oracle/oracle.hpp"
 #include "util/cli.hpp"
@@ -554,28 +553,6 @@ void BM_SessionRound(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionRound);
 
-// Console output as usual, plus one obs gauge per benchmark
-// (`bench.<name>.ns_per_op`) so `--metrics-out FILE` captures the run as
-// a machine-readable baseline (see bench/BENCH_phy.json). Under
-// --benchmark_repetitions the median aggregate, reported after the
-// repetitions, overwrites their per-repetition values.
-class ObsReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      const bool median = run.run_type == Run::RT_Aggregate &&
-                          run.aggregate_name == "median";
-      if (run.error_occurred ||
-          (run.run_type != Run::RT_Iteration && !median)) {
-        continue;
-      }
-      obs::gauge("bench." + run.run_name.str() + ".ns_per_op")
-          .set(run.GetAdjustedRealTime());
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-};
-
 // Runs the benchmarks under a RunScope read from the obs flags; a
 // malformed one reaches util::run_main as std::invalid_argument.
 int bench_main(const util::Args& args) {
@@ -583,7 +560,7 @@ int bench_main(const util::Args& args) {
   // Which kernels produced the gauges: the dispatched tier differs
   // between AVX2-only and AVX-512 hosts.
   obs_run.config("simd_tier", phy::simd::tier_name(phy::simd::active_tier()));
-  ObsReporter reporter;
+  bench::ObsReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;
@@ -592,27 +569,5 @@ int bench_main(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split the standard obs flags (see util/cli.hpp) off argv before
-  // google-benchmark sees it — it rejects flags it does not know.
-  std::vector<char*> bench_argv{argv[0]};
-  std::vector<const char*> obs_argv{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--trace-out" || arg == "--metrics-out" ||
-        arg == "--no-metrics" || arg == "--ledger") {
-      obs_argv.push_back(argv[i]);
-      const bool takes_value = arg == "--trace-out" || arg == "--metrics-out";
-      if (takes_value && i + 1 < argc) obs_argv.push_back(argv[++i]);
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
-    return 1;
-  }
-
-  return witag::util::run_main("micro_phy", static_cast<int>(obs_argv.size()),
-                               obs_argv.data(), bench_main);
+  return witag::bench::micro_main("micro_phy", argc, argv, bench_main);
 }

@@ -5,11 +5,10 @@
 // the gauges (see tools/bench_compare).
 #include <benchmark/benchmark.h>
 
-#include <string_view>
 #include <vector>
 
+#include "micro_main.hpp"
 #include "obs/hdr.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/interference.hpp"
@@ -90,26 +89,11 @@ void BM_AmbientCompose(benchmark::State& state) {
 }
 BENCHMARK(BM_AmbientCompose);
 
-// Console output as usual, plus one obs gauge per benchmark
-// (`bench.<name>.ns_per_op`) so `--metrics-out FILE` captures the run
-// as a machine-readable baseline (see bench/BENCH_sim.json).
-class ObsReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      obs::gauge("bench." + run.benchmark_name() + ".ns_per_op")
-          .set(run.GetAdjustedRealTime());
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-};
-
 // Runs the benchmarks under a RunScope read from the obs flags; a
 // malformed one reaches util::run_main as std::invalid_argument.
 int bench_main(const util::Args& args) {
   obs::RunScope obs_run("micro_sim", args);
-  ObsReporter reporter;
+  bench::ObsReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   return 0;
@@ -118,27 +102,5 @@ int bench_main(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split the standard obs flags (see util/cli.hpp) off argv before
-  // google-benchmark sees it — it rejects flags it does not know.
-  std::vector<char*> bench_argv{argv[0]};
-  std::vector<const char*> obs_argv{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--trace-out" || arg == "--metrics-out" ||
-        arg == "--no-metrics" || arg == "--ledger") {
-      obs_argv.push_back(argv[i]);
-      const bool takes_value = arg == "--trace-out" || arg == "--metrics-out";
-      if (takes_value && i + 1 < argc) obs_argv.push_back(argv[++i]);
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_argv.data())) {
-    return 1;
-  }
-
-  return witag::util::run_main("micro_sim", static_cast<int>(obs_argv.size()),
-                               obs_argv.data(), bench_main);
+  return witag::bench::micro_main("micro_sim", argc, argv, bench_main);
 }

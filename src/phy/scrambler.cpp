@@ -13,7 +13,7 @@ namespace {
 constexpr std::uint8_t lfsr_step(std::uint8_t& state) {
   const std::uint8_t out =
       static_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1u);
-  state = static_cast<std::uint8_t>(((state << 1) | out) & 0x7Fu);
+  state = static_cast<std::uint8_t>(((unsigned{state} << 1) | out) & 0x7Fu);
   return out;
 }
 
@@ -37,7 +37,7 @@ void apply_keystream(const std::uint8_t* in, std::uint8_t* out,
   // from the state by byte XORs and three doublings fill the block.
   std::array<std::uint8_t, 7 + kBlockBits> seq;
   for (unsigned j = 0; j < 7; ++j) {
-    seq[j] = static_cast<std::uint8_t>((state >> (6 - j)) & 1u);
+    seq[j] = static_cast<std::uint8_t>((unsigned{state} >> (6 - j)) & 1u);
   }
   for (std::size_t j = 7; j < 7 + kPeriod; ++j) {
     seq[j] = seq[j - 7] ^ seq[j - 4];
@@ -92,7 +92,8 @@ void descramble_recover_into(std::span<const std::uint8_t> bits,
   // the first 7 scrambled bits.
   std::uint8_t state = 0;
   for (unsigned i = 0; i < 7; ++i) {
-    state = static_cast<std::uint8_t>(((state << 1) | (bits[i] & 1u)) & 0x7Fu);
+    state = static_cast<std::uint8_t>(((unsigned{state} << 1) | (bits[i] & 1u)) &
+                                      0x7Fu);
   }
   out.assign(bits.size(), 0);
   apply_keystream(bits.data() + 7, out.data() + 7, bits.size() - 7, state);

@@ -114,6 +114,19 @@ void acs_block_scalar(const std::int8_t* llrs, std::size_t n_steps,
   if (cur != metrics) std::copy(cur, cur + kNumStates, metrics);
 }
 
+// The pair contract as its three block calls: the scalar and AVX2
+// tiers' pair entry.
+template <AcsBlockFn kAcs>
+void acs_pair_blocks(const std::int8_t* llrs, std::size_t n_steps,
+                     std::uint64_t* decisions, const AcsPair& pair) {
+  kAcs(llrs, pair.split, decisions, pair.metrics_a);
+  kAcs(llrs + 2 * (pair.split - pair.warmup), pair.warmup,
+       pair.warmup_decisions, pair.metrics_b);
+  std::copy_n(pair.metrics_b, kNumStates, pair.snapshot);
+  kAcs(llrs + 2 * pair.split, n_steps - pair.split, decisions + pair.split,
+       pair.metrics_b);
+}
+
 // The table loop: erasures zeroed, then one byte store per soft bit.
 void place_scalar(const std::int8_t* llrs, std::size_t n_symbols,
                   const PlacePlan& plan, std::int8_t* out) {
@@ -396,6 +409,8 @@ void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
                       std::uint64_t* decisions, std::int16_t* metrics);
 void acs_block_avx2(const std::int8_t* llrs, std::size_t n_steps,
                     std::uint64_t* decisions, std::int16_t* metrics);
+void acs_pair_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                     std::uint64_t* decisions, const AcsPair& pair);
 void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
                   const PlacePlan& plan, std::int8_t* out);
 void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
@@ -482,6 +497,14 @@ AcsBlockFn acs_block_for(Tier t) {
     return kernels::acs_block_avx512;
   }
   return use_avx2(t) ? kernels::acs_block_avx2 : acs_block_scalar;
+}
+
+AcsPairFn acs_pair_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::acs_pair_avx512;
+  }
+  return use_avx2(t) ? acs_pair_blocks<kernels::acs_block_avx2>
+                     : acs_pair_blocks<acs_block_scalar>;
 }
 
 TracebackFn traceback_for(Tier t) {

@@ -9,7 +9,8 @@
 // transmit mapping (the traceback's, which the AVX-512 tier shares, is
 // two base x86-64 instructions per step in inline asm); and AVX-512
 // (F + BW + VBMI), which carries three kernels of
-// its own, a register-resident Viterbi ACS, the soft-bit placement and
+// its own, a register-resident Viterbi ACS (one chain, or the two
+// chains of a split trellis in one loop), the soft-bit placement and
 // the transmit mapping, all moving bytes with vpermt2b, and runs the
 // AVX2 tier's kernels for everything else. Both vector tiers are
 // selected at run time on x86 hosts that have them (AVX2 without AES-NI
@@ -123,10 +124,43 @@ inline constexpr std::int16_t kAcsStartBound = 16384;
 using AcsBlockFn = void (*)(const std::int8_t* llrs, std::size_t n_steps,
                             std::uint64_t* decisions, std::int16_t* metrics);
 
-/// The ACS kernel for a tier (always non-null). One of the three
-/// kernels with an AVX-512 implementation (with place_for's and
-/// tx_map_for's).
+/// The ACS kernel for a tier (always non-null). The ACS (this kernel
+/// and acs_pair_for's), the placement and the transmit mapping are the
+/// kernels with an AVX-512 implementation.
 AcsBlockFn acs_block_for(Tier t);
+
+/// The two chains of a trellis split at step `split` (DESIGN.md §12.1):
+/// chain A runs steps [0, split) from `metrics_a`, chain B runs steps
+/// [split - warmup, n_steps) from `metrics_b`, and `snapshot` receives
+/// B's metrics after its first `warmup` steps. Requires warmup <= split
+/// <= n_steps and warmup % kAcsRenormPeriod == 0, so the snapshot
+/// directly follows one of B's renormalizations.
+struct AcsPair {
+  std::size_t split = 0;
+  std::size_t warmup = 0;
+  std::uint64_t* warmup_decisions = nullptr;  ///< warmup words
+  std::int16_t* metrics_a = nullptr;          ///< 64, in and out
+  std::int16_t* metrics_b = nullptr;          ///< 64, in and out
+  std::int16_t* snapshot = nullptr;           ///< 64, out
+};
+
+/// Runs both chains of `pair` over `n_steps` steps of `llrs`, with the
+/// result of these acs_block_for calls, in this order:
+///   acs(llrs, split, decisions, metrics_a);
+///   acs(llrs + 2 (split - warmup), warmup, warmup_decisions, metrics_b);
+///   copy metrics_b to snapshot;
+///   acs(llrs + 2 split, n_steps - split, decisions + split, metrics_b);
+/// so decisions[0 .. n_steps) holds A's words, then B's after its
+/// warm-up. Those n_steps words may hold anything on entry: the AVX-512
+/// kernel first stores each step's branch sums there and reads them
+/// back.
+using AcsPairFn = void (*)(const std::int8_t* llrs, std::size_t n_steps,
+                           std::uint64_t* decisions, const AcsPair& pair);
+
+/// The pair kernel for a tier (always non-null): AVX-512 interleaves the
+/// two chains in one loop; the scalar and AVX2 tiers run the calls above
+/// through their acs_block_for kernel.
+AcsPairFn acs_pair_for(Tier t);
 
 /// Walks `n_steps` decision words (acs_block_for's layout) back from
 /// state 0 and writes each step's decoded bit: for step = n_steps - 1

@@ -2,7 +2,7 @@
 // metrics per vector), the AES-NI block cipher and, four doubles / two
 // complex doubles per vector, the separable soft demap (with a double or
 // a quantized int8 store), the equalizer and the fused radix-4 FFT
-// passes. This TU is compiled with -mavx2 -maes (and
+// passes. This TU is compiled with -mavx2 -maes -ffp-contract=off (and
 // deliberately WITHOUT -mfma: the scalar code the double kernels must
 // match bit for bit is built with no contraction, so the kernels stick
 // to packed mul/add/sub — an FMA here would round differently). When

@@ -1,20 +1,23 @@
-// AVX-512 tier: three kernels, the Viterbi add-compare-select, the
-// soft-bit placement and the transmit mapping, all moving bytes with
-// vpermt2b (one instruction over the 128 bytes of a register pair).
-// Thirty-two int16 metrics per register hold all 64 path metrics in two
-// zmm registers for the whole trellis, so an ACS step reads and writes
-// no memory except its two LLRs and its decision word. Every other
-// kernel runs its AVX2 tier's version at this tier (simd.cpp; DESIGN.md
-// section 14.4 says why).
+// AVX-512 tier: three kernels, the Viterbi add-compare-select (one
+// chain, or the two chains of a split trellis), the soft-bit placement
+// and the transmit mapping, all moving bytes with vpermt2b (one
+// instruction over the 128 bytes of a register pair). Thirty-two int16
+// metrics per register hold all 64 path metrics of a chain in two zmm
+// registers for the whole trellis, so an ACS step reads and writes no
+// memory except its two LLRs (or its branch-metric word) and its
+// decision word. Every other kernel runs its AVX2 tier's version at
+// this tier (simd.cpp; DESIGN.md section 14.4 says why).
 //
 // This TU is compiled with -mavx512f -mavx512bw -mavx512vbmi (the int16
 // lanes and their mask compares are AVX-512BW, the byte permutes
-// AVX-512VBMI). When the compiler cannot target AVX-512 the file
-// degrades to stubs and dispatch never selects this tier (see
-// avx512_compiled()).
+// AVX-512VBMI) and -ffp-contract=off, since AVX-512F brings FMA and a
+// contracted double kernel would round unlike the scalar tier. When
+// the compiler cannot target AVX-512 the file degrades to stubs and
+// dispatch never selects this tier (see avx512_compiled()).
 
 #include "phy/simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -113,6 +116,184 @@ alignas(64) constexpr std::array<std::uint8_t, 64> kOddBytes =
 /// Lanes [0, n) of a 64-lane mask (all of them for n >= 64).
 __mmask64 lanes_below(std::size_t n) {
   return n >= 64 ? ~__mmask64{0} : (__mmask64{1} << n) - 1;
+}
+
+// ---------------------------------------------------------------------
+// The split trellis's two chains (acs_pair_avx512). Their steps read
+// branch-metric words instead of LLRs: step k's word holds the four
+// int16 sums {la + lb, la - lb, -la + lb, -la - lb} of its LLRs, and
+// entry 2 a0 + b0 is the sum bm of a next state whose even predecessor
+// expects (a0, b0). A step broadcasts its word from memory (a load, no
+// shuffle port) and one vpshufb places each next state's sum, where
+// acs_step broadcasts la and lb from general registers and applies the
+// signs with two masked subtracts and an add.
+// ---------------------------------------------------------------------
+
+constexpr __mmask8 kAllQwords = 0xFF;
+
+/// vpshufb indices placing word entry 2 a0 + b0 in the int16 lane of
+/// next state ns < 32 (the word sits in bytes 0 .. 7 of every 128-bit
+/// lane).
+alignas(64) constexpr std::array<std::uint8_t, 64> kPickBytes = [] {
+  std::array<std::uint8_t, 64> idx{};
+  for (std::uint32_t ns = 0; ns < kNumStates / 2; ++ns) {
+    const auto entry = static_cast<std::uint8_t>(
+        2 * detail::kButterflies[ns].a0 + detail::kButterflies[ns].b0);
+    idx[2 * ns] = static_cast<std::uint8_t>(2 * entry);
+    idx[2 * ns + 1] = static_cast<std::uint8_t>(2 * entry + 1);
+  }
+  return idx;
+}();
+
+/// Byte j of the qword of step k (of 8 per register) reads LLR byte
+/// 2 k + j % 2: each step's (la, lb) four times.
+alignas(64) constexpr std::array<std::uint8_t, 64> kWordSourceBytes = [] {
+  std::array<std::uint8_t, 64> idx{};
+  for (std::uint32_t b = 0; b < 64; ++b) {
+    idx[b] = static_cast<std::uint8_t>(2 * (b / 8) + b % 2);
+  }
+  return idx;
+}();
+
+/// vpmaddubsw weights per qword: (+, +), (+, -), (-, +), (-, -).
+alignas(64) constexpr std::array<std::int8_t, 64> kWordSigns = [] {
+  std::array<std::int8_t, 64> w{};
+  for (std::uint32_t b = 0; b < 64; ++b) {
+    const std::uint32_t entry = (b % 8) / 2;
+    const bool negative = b % 2 == 0 ? entry >= 2 : entry % 2 == 1;
+    w[b] = static_cast<std::int8_t>(negative ? -1 : 1);
+  }
+  return w;
+}();
+
+/// Writes step k's branch-metric word to words[k] for k < n_steps, eight
+/// steps per register. vpmaddubsw multiplies unsigned by signed bytes,
+/// so the LLRs go in offset by 128 (flipped sign bit): entries 0 and 3
+/// come out 256 too high and too low, and the other two exact, all
+/// within int16 (|sum| <= 510 before the correction).
+void branch_words(const std::int8_t* llrs, std::size_t n_steps,
+                  std::uint64_t* words) {
+  const __m512i source = _mm512_load_si512(kWordSourceBytes.data());
+  const __m512i signs = _mm512_load_si512(kWordSigns.data());
+  const __m512i offset =
+      _mm512_mask_set1_epi8(_mm512_setzero_si512(), ~__mmask64{0},
+                            static_cast<char>(0x80));
+  const __m512i correct = _mm512_mask_set1_epi64(
+      _mm512_setzero_si512(), kAllQwords,
+      static_cast<long long>(0x0100'0000'0000'FF00ull));
+  for (std::size_t k = 0; k < n_steps; k += 8) {
+    const std::size_t steps = n_steps - k < 8 ? n_steps - k : 8;
+    const __m512i pairs = _mm512_xor_si512(
+        _mm512_maskz_loadu_epi8(lanes_below(2 * steps), llrs + 2 * k),
+        offset);
+    const __m512i sums = _mm512_maddubs_epi16(
+        _mm512_maskz_permutexvar_epi8(~__mmask64{0}, source, pairs), signs);
+    _mm512_mask_storeu_epi64(words + k,
+                             static_cast<__mmask8>(lanes_below(steps)),
+                             _mm512_add_epi16(sums, correct));
+  }
+}
+
+/// The path metrics of one chain: states 0 .. 31 in lo, 32 .. 63 in hi.
+struct ChainMetrics {
+  __m512i lo;
+  __m512i hi;
+};
+
+/// The registers every word step reads.
+struct WordStepConsts {
+  __m512i even_idx = _mm512_load_si512(kEvenBytes.data());
+  __m512i odd_idx = _mm512_load_si512(kOddBytes.data());
+  __m512i pick = _mm512_load_si512(kPickBytes.data());
+};
+
+/// One trellis step that reads its branch-metric word at `word` and
+/// writes its decision word to `decision` (which may be `word`).
+[[gnu::always_inline]] inline void acs_word_step(const std::uint64_t* word,
+                                                 std::uint64_t* decision,
+                                                 ChainMetrics& m,
+                                                 const WordStepConsts& c) {
+  const __m512i bm = _mm512_shuffle_epi8(
+      _mm512_maskz_set1_epi64(kAllQwords, static_cast<long long>(*word)),
+      c.pick);
+  const __m512i ev = _mm512_permutex2var_epi8(m.lo, c.even_idx, m.hi);
+  const __m512i od = _mm512_permutex2var_epi8(m.lo, c.odd_idx, m.hi);
+  const __m512i lo0 = _mm512_adds_epi16(ev, bm);
+  const __m512i lo1 = _mm512_subs_epi16(od, bm);
+  const __m512i hi0 = _mm512_subs_epi16(ev, bm);
+  const __m512i hi1 = _mm512_adds_epi16(od, bm);
+  const __mmask32 take_lo = _mm512_cmpgt_epi16_mask(lo1, lo0);
+  const __mmask32 take_hi = _mm512_cmpgt_epi16_mask(hi1, hi0);
+  auto* out = reinterpret_cast<unsigned char*>(decision);
+  std::memcpy(out, &take_lo, sizeof take_lo);
+  std::memcpy(out + sizeof take_lo, &take_hi, sizeof take_hi);
+  m.lo = _mm512_max_epi16(lo0, lo1);
+  m.hi = _mm512_max_epi16(hi0, hi1);
+}
+
+/// Subtracts next-state 0's metric from every metric (word permute,
+/// indices 0).
+[[gnu::always_inline]] inline void renormalize(ChainMetrics& m) {
+  const __m512i base =
+      _mm512_permutexvar_epi16(_mm512_setzero_si512(), m.lo);
+  m.lo = _mm512_subs_epi16(m.lo, base);
+  m.hi = _mm512_subs_epi16(m.hi, base);
+}
+
+/// `blocks` renormalization periods of both chains in lockstep. Chain B
+/// steps first: when split == warmup its first word is chain A's, which
+/// A's step overwrites.
+void acs_word_blocks2(std::size_t blocks, std::uint64_t* a_words,
+                      const std::uint64_t* b_words, std::uint64_t* b_out,
+                      ChainMetrics& a_metrics, ChainMetrics& b_metrics) {
+  const WordStepConsts c;
+  ChainMetrics a = a_metrics;
+  ChainMetrics b = b_metrics;
+  for (std::size_t i = 0; i < blocks * kAcsRenormPeriod;
+       i += kAcsRenormPeriod) {
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < kAcsRenormPeriod; ++k) {
+      acs_word_step(b_words + i + k, b_out + i + k, b, c);
+      acs_word_step(a_words + i + k, a_words + i + k, a, c);
+    }
+    renormalize(a);
+    renormalize(b);
+  }
+  a_metrics = a;
+  b_metrics = b;
+}
+
+/// `n_steps` steps of one chain, reading and overwriting words[0 ..
+/// n_steps): whole renormalization periods, then the rest.
+void acs_word_chain(std::size_t n_steps, std::uint64_t* words,
+                    ChainMetrics& metrics) {
+  const WordStepConsts c;
+  ChainMetrics m = metrics;
+  std::size_t step = 0;
+  for (; n_steps - step >= kAcsRenormPeriod; step += kAcsRenormPeriod) {
+#pragma GCC unroll 16
+    for (std::size_t k = 0; k < kAcsRenormPeriod; ++k) {
+      acs_word_step(words + step + k, words + step + k, m, c);
+    }
+    renormalize(m);
+  }
+  for (; step < n_steps; ++step) {
+    acs_word_step(words + step, words + step, m, c);
+  }
+  metrics = m;
+}
+
+ChainMetrics load_metrics(const std::int16_t* metrics) {
+  // Callers' metric arrays carry no alignment contract, and these loads
+  // run once per call.
+  return {_mm512_loadu_si512(metrics),  // witag-lint: allow(simd-unaligned)
+          _mm512_loadu_si512(metrics +  // witag-lint: allow(simd-unaligned)
+                             32)};
+}
+
+void store_metrics(const ChainMetrics& m, std::int16_t* metrics) {
+  _mm512_storeu_si512(metrics, m.lo);
+  _mm512_storeu_si512(metrics + 32, m.hi);
 }
 
 /// place_avx512 for plans of kWindows 128-byte windows.
@@ -271,6 +452,35 @@ void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
   _mm512_storeu_si512(metrics + 32, hi);
 }
 
+void acs_pair_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                     std::uint64_t* decisions, const AcsPair& pair) {
+  // Every step's word goes where its decision will: A reads word k and
+  // writes decision k in place, and so does B after its warm-up. B's
+  // warm-up decisions go to the side array, because they would
+  // overwrite words [split - warmup, split), which A has yet to read.
+  branch_words(llrs, n_steps, decisions);
+  const std::size_t b_start = pair.split - pair.warmup;
+  std::uint64_t* b_words = decisions + b_start;
+  ChainMetrics a = load_metrics(pair.metrics_a);
+  ChainMetrics b = load_metrics(pair.metrics_b);
+  acs_word_blocks2(pair.warmup / kAcsRenormPeriod, decisions, b_words,
+                   pair.warmup_decisions, a, b);
+  store_metrics(b, pair.snapshot);
+  // Both chains on while each has a whole period left, then whichever
+  // is longer alone. Each has run a multiple of kAcsRenormPeriod steps,
+  // so its renormalizations stay on its own schedule.
+  const std::size_t b_steps = n_steps - b_start;
+  const std::size_t both =
+      std::min(pair.split, b_steps) / kAcsRenormPeriod * kAcsRenormPeriod;
+  acs_word_blocks2((both - pair.warmup) / kAcsRenormPeriod,
+                   decisions + pair.warmup, b_words + pair.warmup,
+                   b_words + pair.warmup, a, b);
+  acs_word_chain(pair.split - both, decisions + both, a);
+  acs_word_chain(b_steps - both, b_words + both, b);
+  store_metrics(a, pair.metrics_a);
+  store_metrics(b, pair.metrics_b);
+}
+
 void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,
                   const PlacePlan& plan, std::int8_t* out) {
   switch (plan.windows) {
@@ -305,6 +515,11 @@ bool avx512_compiled() { return false; }
 void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
                       std::uint64_t* decisions, std::int16_t* metrics) {
   acs_block_for(Tier::kAvx2)(llrs, n_steps, decisions, metrics);
+}
+
+void acs_pair_avx512(const std::int8_t* llrs, std::size_t n_steps,
+                     std::uint64_t* decisions, const AcsPair& pair) {
+  acs_pair_for(Tier::kAvx2)(llrs, n_steps, decisions, pair);
 }
 
 void place_avx512(const std::int8_t* llrs, std::size_t n_symbols,

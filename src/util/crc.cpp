@@ -21,11 +21,12 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
 constexpr std::array<std::uint8_t, 256> make_crc8_table() {
   std::array<std::uint8_t, 256> table{};
   for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint8_t c = static_cast<std::uint8_t>(i);
+    // Shifted as unsigned, not as the int a uint8_t promotes to.
+    std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = static_cast<std::uint8_t>((c & 0x80u) ? ((c << 1) ^ 0x07u) : (c << 1));
+      c = ((c & 0x80u) ? ((c << 1) ^ 0x07u) : (c << 1)) & 0xFFu;
     }
-    table[i] = c;
+    table[i] = static_cast<std::uint8_t>(c);
   }
   return table;
 }

@@ -56,7 +56,7 @@ constexpr std::uint8_t parity(std::uint32_t v) {
 constexpr std::uint8_t lfsr_step(std::uint8_t& state) {
   const std::uint8_t out =
       static_cast<std::uint8_t>(((state >> 6) ^ (state >> 3)) & 1u);
-  state = static_cast<std::uint8_t>(((state << 1) | out) & 0x7Fu);
+  state = static_cast<std::uint8_t>(((unsigned{state} << 1) | out) & 0x7Fu);
   return out;
 }
 
@@ -157,7 +157,8 @@ util::BitVec descramble_recover_reference(std::span<const std::uint8_t> bits) {
   // scrambled bits are the LFSR's own output: its state.
   std::uint8_t state = 0;
   for (unsigned i = 0; i < 7; ++i) {
-    state = static_cast<std::uint8_t>(((state << 1) | (bits[i] & 1u)) & 0x7Fu);
+    state = static_cast<std::uint8_t>(((unsigned{state} << 1) | (bits[i] & 1u)) &
+                                      0x7Fu);
   }
   util::BitVec out(bits.size(), 0);
   for (std::size_t i = 7; i < bits.size(); ++i) {

@@ -15,8 +15,10 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "oracle/oracle.hpp"
 #include "phy/channel_est.hpp"
 #include "phy/constellation.hpp"
@@ -115,8 +117,10 @@ TEST(SimdDispatchDeathTest, UnknownWitagSimdExitsWithStatus2) {
 }
 
 TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
-  // Only the ACS, the soft-bit placement and the transmit mapping have
-  // AVX-512 kernels; at that tier every other kernel must stay on AVX2.
+  // Only the ACS (block and pair), the soft-bit placement and the
+  // transmit mapping have AVX-512 kernels; at that tier every other
+  // kernel must stay on AVX2. The pair entry runs its tier's block
+  // kernel below AVX-512, so it differs between scalar and AVX2 too.
   // A dispatch that tests `tier == kAvx2` would send them back to scalar
   // instead, and the outputs would still be byte-identical, so no parity
   // test would notice. The placement and the transmit mapping have no
@@ -151,6 +155,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
     EXPECT_NE(k2.radix4_pass, k0.radix4_pass);
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx2),
               phy::simd::acs_block_for(Tier::kScalar));
+    EXPECT_NE(phy::simd::acs_pair_for(Tier::kAvx2),
+              phy::simd::acs_pair_for(Tier::kScalar));
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
     EXPECT_NE(phy::simd::traceback_for(Tier::kAvx2),
               phy::simd::traceback_for(Tier::kScalar));
@@ -159,6 +165,8 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
   if (phy::simd::detect_best_tier() >= Tier::kAvx512) {
     EXPECT_NE(phy::simd::acs_block_for(Tier::kAvx512),
               phy::simd::acs_block_for(Tier::kAvx2));
+    EXPECT_NE(phy::simd::acs_pair_for(Tier::kAvx512),
+              phy::simd::acs_pair_for(Tier::kAvx2));
     EXPECT_NE(phy::simd::place_for(Tier::kAvx512),
               phy::simd::place_for(Tier::kAvx2));
     EXPECT_NE(phy::simd::tx_map_for(Tier::kAvx512),
@@ -448,6 +456,200 @@ TEST(SimdParity, AcsScalarFollowsContract) {
     }
     for (std::uint32_t s = 0; s < phy::kNumStates; ++s) {
       ASSERT_EQ(metrics[s], want[s]) << "trial " << trial << " state " << s;
+    }
+  }
+}
+
+TEST(SimdParity, AcsPairEveryTierMatchesBlockCalls) {
+  // The pair kernel's contract is three calls of the scalar block kernel
+  // (simd.hpp); every tier's pair entry, the scalar one included, must
+  // reproduce their decision words, the warm-up's side words, both end
+  // metrics and the snapshot. The (n, split, warmup) cases cover empty
+  // chains, split == warmup (B starts with A), split == n (B's part
+  // after the warm-up is empty), a split off the renormalization grid,
+  // each chain being the longer one, and the decoder's own splits. The
+  // decision buffer starts dirty, since the AVX-512 kernel writes its
+  // branch-metric words there first.
+  struct Case {
+    std::size_t n, split, warmup;
+  };
+  constexpr Case kCases[] = {
+      {0, 0, 0},         {1, 0, 0},         {1, 1, 0},
+      {40, 16, 16},      {40, 40, 32},      {47, 32, 32},
+      {100, 37, 16},     {300, 250, 16},    {300, 64, 64},
+      {2048, 1280, 512}, {2049, 1280, 512}, {4097, 2304, 512},
+      {53270, 26880, 512}};
+  constexpr std::uint64_t kDirt = 0xD1'27'D1'27'D1'27'D1'27;
+  const std::vector<Tier> tiers = runnable_tiers();
+  const phy::simd::AcsBlockFn scalar =
+      phy::simd::acs_block_for(Tier::kScalar);
+  std::vector<std::uint64_t> expect_dec, expect_side, got_dec, got_side;
+  for (const Case& c : kCases) {
+    for (int regime = 0; regime < 9; ++regime) {
+      for (int start = 0; start < 3; ++start) {
+        util::Rng rng(0xAC'5C'00 + 64 * c.n + 8 * c.split +
+                      static_cast<unsigned>(4 * regime + start));
+        const BitVec info = random_info_bits(rng, c.n);
+        const BitVec coded = phy::convolutional_encode(info);
+        const std::vector<std::int8_t> llrs =
+            regime < 5 ? fuzz_llrs(rng, coded, regime)
+                       : full_scale_llrs(rng, coded, regime - 5);
+        const std::vector<std::int16_t> a0 = acs_start_metrics(rng, start);
+        // B starts from zeros, as in the decoder, or from random metrics.
+        const std::vector<std::int16_t> b0 =
+            start == 0 ? std::vector<std::int16_t>(phy::kNumStates, 0)
+                       : acs_start_metrics(rng, start);
+
+        std::vector<std::int16_t> expect_a = a0;
+        std::vector<std::int16_t> expect_b = b0;
+        expect_dec.assign(c.n, 0);
+        expect_side.assign(c.warmup, 0);
+        scalar(llrs.data(), c.split, expect_dec.data(), expect_a.data());
+        scalar(llrs.data() + 2 * (c.split - c.warmup), c.warmup,
+               expect_side.data(), expect_b.data());
+        const std::vector<std::int16_t> expect_snapshot = expect_b;
+        scalar(llrs.data() + 2 * c.split, c.n - c.split,
+               expect_dec.data() + c.split, expect_b.data());
+        for (const Tier t : tiers) {
+          std::vector<std::int16_t> got_a = a0;
+          std::vector<std::int16_t> got_b = b0;
+          std::vector<std::int16_t> got_snapshot(phy::kNumStates, 0x2727);
+          got_dec.assign(c.n, kDirt);
+          got_side.assign(c.warmup, kDirt);
+          phy::simd::acs_pair_for(t)(
+              llrs.data(), c.n, got_dec.data(),
+              {c.split, c.warmup, got_side.data(), got_a.data(),
+               got_b.data(), got_snapshot.data()});
+          const auto where = [&] {
+            return "n " + std::to_string(c.n) + " split " +
+                   std::to_string(c.split) + " warmup " +
+                   std::to_string(c.warmup) + " regime " +
+                   std::to_string(regime) + " start " +
+                   std::to_string(start) + " tier " +
+                   phy::simd::tier_name(t);
+          };
+          ASSERT_TRUE(got_dec == expect_dec) << where();
+          ASSERT_TRUE(got_side == expect_side) << where();
+          ASSERT_TRUE(got_a == expect_a) << where();
+          ASSERT_TRUE(got_b == expect_b) << where();
+          ASSERT_TRUE(got_snapshot == expect_snapshot) << where();
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParity, ViterbiSplitLengthsMatchReference) {
+  // viterbi_decode splits fields of 2,048 steps and more into two
+  // chains. Around that threshold and at exchange size, in every fuzz
+  // regime and every ±127 stream, every tier must still decode exactly
+  // the reference's bits.
+  constexpr std::size_t kSteps[] = {2047, 2048, 2049, 4097, 53270};
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::ViterbiWorkspace ws;
+  BitVec decoded;
+  for (const std::size_t n_steps : kSteps) {
+    for (int regime = 0; regime < 9; ++regime) {
+      util::Rng rng(0x5B'17'00 + 16 * n_steps + static_cast<unsigned>(regime));
+      const BitVec info = random_info_bits(rng, n_steps);
+      const BitVec coded = phy::convolutional_encode(info);
+      const std::vector<std::int8_t> llrs =
+          regime < 5 ? fuzz_llrs(rng, coded, regime)
+                     : full_scale_llrs(rng, coded, regime - 5);
+      const BitVec expect = oracle::viterbi_reference(llrs);
+      for (const Tier t : tiers) {
+        const phy::simd::ScopedTier pin(t);
+        phy::viterbi_decode(llrs, ws, decoded);
+        ASSERT_EQ(decoded, expect)
+            << "steps " << n_steps << " regime " << regime << " tier "
+            << phy::simd::tier_name(t);
+      }
+    }
+  }
+}
+
+/// The counters of the decoder's split trellis.
+struct SplitCounts {
+  std::uint64_t splits = obs::counter("phy.viterbi.splits").value();
+  std::uint64_t reruns = obs::counter("phy.viterbi.split_reruns").value();
+};
+
+TEST(SimdParity, ViterbiSplitRerunStaysExact) {
+  // A field whose second chain cannot converge: noisy LLRs, except from
+  // 64 steps before chain B starts to 64 steps after the split, where
+  // each LLR is +32 if the alternating input 1010... encodes a 0 there
+  // and 0 if it encodes a 1. Both that input's path and the all-zero
+  // one collect every +32, and neither passes through the other's
+  // states, so each chain carries whatever lead one of them held when
+  // the window began: A a lead from the noisy steps before, B none.
+  // B's snapshot differs from A's metrics, the decoder re-runs the
+  // second half and must still match the reference, at every tier. At
+  // 53,270 steps this field also decodes to other bits if the re-run is
+  // skipped.
+  constexpr std::size_t kWarmup = phy::detail::kSplitWarmup;
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::ViterbiWorkspace ws;
+  BitVec decoded;
+  for (const std::size_t n_steps : {std::size_t{4097}, std::size_t{53270}}) {
+    const std::size_t split = phy::detail::split_step(n_steps);
+    util::Rng rng(3);
+    const BitVec info = random_info_bits(rng, n_steps);
+    std::vector<std::int8_t> llrs =
+        fuzz_llrs(rng, phy::convolutional_encode(info), 1);
+    BitVec alternating(n_steps);
+    for (std::size_t i = 0; i < n_steps; ++i) {
+      alternating[i] = static_cast<std::uint8_t>((i + 1) % 2);
+    }
+    const BitVec window_code = phy::convolutional_encode(alternating);
+    for (std::size_t i = 2 * (split - kWarmup - 64); i < 2 * (split + 64);
+         ++i) {
+      llrs[i] = window_code[i] != 0 ? 0 : 32;
+    }
+    const BitVec expect = oracle::viterbi_reference(llrs);
+    for (const Tier t : tiers) {
+      const phy::simd::ScopedTier pin(t);
+      const SplitCounts before;
+      phy::viterbi_decode(llrs, ws, decoded);
+      const SplitCounts after;
+      EXPECT_EQ(after.splits, before.splits + 1);
+      EXPECT_EQ(after.reruns, before.reruns + 1)
+          << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+      ASSERT_EQ(decoded, expect)
+          << "steps " << n_steps << " tier " << phy::simd::tier_name(t);
+    }
+  }
+}
+
+TEST(SimdParity, ViterbiSplitCleanFieldsNeverRerun) {
+  // On a noiseless and a high-SNR (±8 on ±32) exchange-sized field,
+  // chain B has converged long before its warm-up ends, so the decoder
+  // must accept the split without re-running anything. A split off the
+  // renormalization grid would compare metrics on different
+  // renormalization schedules and re-run every field.
+  constexpr std::size_t kExchangeSteps = 53270;
+  const std::vector<Tier> tiers = runnable_tiers();
+  phy::ViterbiWorkspace ws;
+  BitVec decoded;
+  for (const int noise : {0, 1}) {
+    util::Rng rng(0xC1'EA'00 + static_cast<unsigned>(noise));
+    const BitVec info = random_info_bits(rng, kExchangeSteps);
+    const BitVec coded = phy::convolutional_encode(info);
+    std::vector<std::int8_t> llrs(coded.size());
+    for (std::size_t i = 0; i < coded.size(); ++i) {
+      const auto jitter = static_cast<int>(rng.uniform_int(2 * 8 + 1)) - 8;
+      llrs[i] = static_cast<std::int8_t>((coded[i] != 0 ? -32 : 32) +
+                                         (noise != 0 ? jitter : 0));
+    }
+    for (const Tier t : tiers) {
+      const phy::simd::ScopedTier pin(t);
+      const SplitCounts before;
+      phy::viterbi_decode(llrs, ws, decoded);
+      const SplitCounts after;
+      EXPECT_EQ(after.splits, before.splits + 1);
+      EXPECT_EQ(after.reruns, before.reruns)
+          << "noise " << noise << " tier " << phy::simd::tier_name(t);
+      ASSERT_EQ(decoded, info)
+          << "noise " << noise << " tier " << phy::simd::tier_name(t);
     }
   }
 }
