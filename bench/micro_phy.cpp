@@ -9,6 +9,7 @@
 #include <span>
 #include <vector>
 
+#include "channel/channel_model.hpp"
 #include "mac/aes.hpp"
 #include "mac/station.hpp"
 #include "micro_main.hpp"
@@ -411,17 +412,77 @@ void BM_PpduTransmit(benchmark::State& state) {
 BENCHMARK(BM_PpduTransmit);
 
 // One perfbench link_long query: the 6,656-byte MCS5 PSDU (64 x 104-byte
-// subframes, 257 data symbols). Unpinned.
+// subframes, 257 data symbols), transmitted into one reused PPDU as
+// Session does (phy::transmit_into), so no iteration allocates.
+// Unpinned.
 void BM_PpduTransmitExchange(benchmark::State& state) {
   util::Rng rng(3);
   const util::ByteVec psdu = rng.bytes(6656);
   phy::TxConfig cfg;
   cfg.mcs_index = 5;
+  phy::TxPpdu ppdu;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(phy::transmit(psdu, cfg));
+    phy::transmit_into(psdu, cfg, ppdu);
+    benchmark::DoNotOptimize(ppdu.symbols.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_PpduTransmitExchange);
+
+// The channel over one link_long exchange: the 262-symbol MCS5 timeline
+// of that query, the tag toggling every four symbols, through
+// ChannelModel::apply_multi_into into a reused timeline (~29.3k noise
+// normals from the eight lanes). BM_ChannelApplyExchange runs the best
+// tier (AVX-512 steps the eight generators and mixes four bins per
+// register); BM_ChannelApplyExchangeScalar pins the scalar tier's
+// eight normal() calls per group and bin loop, so the pair's ratio is
+// the kernel's gain on this host. Unpinned.
+void channel_apply_loop(benchmark::State& state, phy::simd::Tier tier) {
+  const phy::simd::ScopedTier pin(tier);
+  util::Rng rng(13);
+  phy::TxConfig cfg;
+  cfg.mcs_index = 5;
+  const phy::TxPpdu ppdu = phy::transmit(rng.bytes(6656), cfg);
+  std::vector<std::vector<std::uint8_t>> levels{
+      std::vector<std::uint8_t>(ppdu.size())};
+  for (std::size_t s = 0; s < ppdu.size(); ++s) {
+    levels[0][s] = static_cast<std::uint8_t>((s / 4) % 2);
+  }
+  channel::LinkGeometry geo;
+  geo.tx = {0.0, 0.0};
+  geo.rx = {8.0, 0.0};
+  geo.reflectors = channel::default_room_reflectors(geo.tx, geo.rx);
+  channel::ChannelModel ch(
+      channel::RadioConfig{}, geo,
+      channel::TagPathConfig{{4.0, 0.0}, 7.0, channel::TagMode::kPhaseFlip},
+      channel::FadingConfig{}, 13);
+  std::vector<phy::FreqSymbol> rx;
+  for (auto _ : state) {
+    ch.apply_multi_into(ppdu.symbols, levels, {}, rx);
+    benchmark::DoNotOptimize(rx.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void BM_ChannelApplyExchange(benchmark::State& state) {
+  channel_apply_loop(state, phy::simd::detect_best_tier());
+}
+BENCHMARK(BM_ChannelApplyExchange);
+
+void BM_ChannelApplyExchangeScalar(benchmark::State& state) {
+  channel_apply_loop(state, phy::simd::Tier::kScalar);
+}
+BENCHMARK(BM_ChannelApplyExchangeScalar);
+
+// One Rng::normal() per iteration: the 1024-layer ziggurat's inline
+// fast path, and its wedge or tail on 0.43% of draws. Unpinned.
+void BM_RngNormal(benchmark::State& state) {
+  util::Rng rng(14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal());
+  }
+}
+BENCHMARK(BM_RngNormal);
 
 void BM_PpduReceive(benchmark::State& state) {
   util::Rng rng(4);

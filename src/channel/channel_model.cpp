@@ -6,6 +6,7 @@
 
 #include "channel/pathloss.hpp"
 #include "obs/obs.hpp"
+#include "phy/simd.hpp"
 #include "util/require.hpp"
 #include "util/units.hpp"
 
@@ -20,36 +21,41 @@ constexpr util::Hertz kSubcarrierSpacing{312'500.0};
 /// Number of used subcarriers (52 data + 4 pilots).
 constexpr unsigned kUsedSubcarriers = 56;
 
-util::Hertz subcarrier_offset(int subcarrier) {
-  return static_cast<double>(subcarrier) * kSubcarrierSpacing;
-}
-
-// Logical subcarrier index for an FFT bin, or nullopt for unused bins.
-std::optional<int> logical_subcarrier(unsigned bin) {
-  const int k = bin < 32 ? static_cast<int>(bin) : static_cast<int>(bin) - 64;
-  if (k == 0 || k < -28 || k > 28) return std::nullopt;
-  return k;
-}
-
-// A used FFT bin and its subcarrier's offset from the carrier.
-struct UsedBin {
-  unsigned bin;
-  util::Hertz offset;
-};
-
-// The used bins in FFT-bin order.
-const std::array<UsedBin, kUsedSubcarriers>& used_bins() {
-  static const std::array<UsedBin, kUsedSubcarriers> kBins = [] {
-    std::array<UsedBin, kUsedSubcarriers> bins{};
+// The used FFT bins (subcarriers -28..-1 and 1..28) in bin order.
+const std::array<unsigned, kUsedSubcarriers>& used_bins() {
+  static const std::array<unsigned, kUsedSubcarriers> kBins = [] {
+    std::array<unsigned, kUsedSubcarriers> bins{};
     std::size_t n = 0;
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-      if (const auto k = logical_subcarrier(bin)) {
-        bins[n++] = {bin, subcarrier_offset(*k)};
-      }
+      const int k =
+          bin < 32 ? static_cast<int>(bin) : static_cast<int>(bin) - 64;
+      if (k != 0 && k >= -28 && k <= 28) bins[n++] = bin;
     }
     return bins;
   }();
   return kBins;
+}
+
+// Adds `factor` times a path's gain to every used bin of `h`. The phase
+// is linear in the subcarrier, so two polar() calls give the gain at the
+// carrier and the rotation of one subcarrier spacing, and complex
+// multiplies walk outward from DC: bin k holds subcarrier +k and bin
+// 64 - k subcarrier -k. Every path the CFR sums goes through here.
+void add_path(phy::FreqSymbol& h, const PathTerms& terms, double factor,
+              util::Hertz fc) {
+  const double coeff = terms.phase_coeff;
+  const Cx step =
+      std::polar(1.0, coeff * kSubcarrierSpacing.value() / util::kSpeedOfLight);
+  const Cx step_down = std::conj(step);
+  Cx up = std::polar(terms.amp * factor,
+                     coeff * fc.value() / util::kSpeedOfLight);
+  Cx down = up;
+  for (unsigned k = 1; k <= kUsedSubcarriers / 2; ++k) {
+    up *= step;
+    down *= step_down;
+    h[k] += up;
+    h[phy::kFftSize - k] += down;
+  }
 }
 
 }  // namespace
@@ -77,6 +83,7 @@ ChannelModel::ChannelModel(const RadioConfig& radio, LinkGeometry geometry,
       fading_cfg_(fading),
       fading_(fading, util::Rng(seed)),
       rng_(util::Rng(seed).split()) {
+  for (util::Rng& lane : noise_lanes_) lane = rng_.split();
   if (tag) tags_.push_back(*tag);
   const util::Watts p_tx = util::to_watts(radio_.tx_power_dbm);
   amp_scale_ = std::sqrt(p_tx.value() / kUsedSubcarriers);
@@ -125,27 +132,24 @@ void ChannelModel::rebuild_cache() const {
       fading_.direct_excess_loss_db();
 
   // Each path's distances, amplitude and wall-loss factors are computed
-  // once here; only its phase and polar() run per bin. The paths are
-  // added one at a time over all bins, and every bin still sums them in
-  // the same order (direct, room reflectors, scatterers, tags), so each
-  // bin's value is the same double as a per-bin loop over the paths.
-  // Only the scatterers move: the direct-plus-reflector prefix is
-  // recomputed when the direct path's loss factor changes (blocked or
-  // clear), and each tag's coupling when the tags do.
+  // once here, and add_path lays its gain over the used bins. Every bin
+  // sums the paths in the same order (direct, room reflectors,
+  // scatterers, tags). Only the scatterers move: the direct-plus-
+  // reflector prefix is recomputed when the direct path's loss factor
+  // changes (blocked or clear), and each tag's coupling when the tags do.
   const auto add_paths = [&](phy::FreqSymbol& h,
                              std::span<const StaticReflector> paths) {
     for (const StaticReflector& r : paths) {
       const TwoHopPath path =
           two_hop_path(tx, r.position, rx, r.strength, geometry_.plan, fc);
-      for (const UsedBin& u : used_bins()) h[u.bin] += path.gain(fc, u.offset);
+      add_path(h, path.terms, path.loss_in * path.loss_out, fc);
     }
   };
   const double direct_factor = loss_factor(direct_loss);
   if (direct_factor != static_factor_) {
-    const PathTerms direct = direct_terms(util::Meters{distance(tx, rx)}, fc);
-    for (const UsedBin& u : used_bins()) {
-      h_static_[u.bin] = direct.gain(fc, u.offset) * direct_factor;
-    }
+    h_static_ = {};
+    add_path(h_static_, direct_terms(util::Meters{distance(tx, rx)}, fc),
+             direct_factor, fc);
     add_paths(h_static_, geometry_.reflectors);
     static_factor_ = direct_factor;
   }
@@ -155,9 +159,8 @@ void ChannelModel::rebuild_cache() const {
       const TagPathConfig& tag = tags_[t];
       const TwoHopPath path =
           two_hop_path(tx, tag.position, rx, tag.strength, geometry_.plan, fc);
-      for (const UsedBin& u : used_bins()) {
-        tag_coupling_[t][u.bin] = path.gain(fc, u.offset);
-      }
+      add_path(tag_coupling_[t], path.terms, path.loss_in * path.loss_out,
+               fc);
     }
     tags_valid_ = true;
   }
@@ -165,12 +168,12 @@ void ChannelModel::rebuild_cache() const {
   add_paths(h_base_, fading_.scatterers());
   for (std::size_t t = 0; t < tags_.size(); ++t) {
     const Cx gamma_off = tag_gamma(tags_[t].mode, false);
-    for (const UsedBin& u : used_bins()) {
-      h_base_[u.bin] += gamma_off * tag_coupling_[t][u.bin];
+    for (const unsigned bin : used_bins()) {
+      h_base_[bin] += gamma_off * tag_coupling_[t][bin];
     }
   }
-  for (const UsedBin& u : used_bins()) {
-    h_base_[u.bin] = amp_scale_ * h_base_[u.bin];
+  for (const unsigned bin : used_bins()) {
+    h_base_[bin] = amp_scale_ * h_base_[bin];
   }
   cache_valid_ = true;
 }
@@ -178,8 +181,8 @@ void ChannelModel::rebuild_cache() const {
 void ChannelModel::add_tag_delta(std::size_t t, phy::FreqSymbol& h) const {
   const Cx delta_gamma =
       tag_gamma(tags_[t].mode, true) - tag_gamma(tags_[t].mode, false);
-  for (const UsedBin& u : used_bins()) {
-    h[u.bin] += amp_scale_ * delta_gamma * tag_coupling_[t][u.bin];
+  for (const unsigned bin : used_bins()) {
+    h[bin] += amp_scale_ * delta_gamma * tag_coupling_[t][bin];
   }
 }
 
@@ -281,6 +284,8 @@ void ChannelModel::apply_multi_into(
   std::vector<std::uint64_t> composed_masks{0};
   std::vector<phy::FreqSymbol> composed{h_base_};
 
+  const phy::simd::ChannelMixFn mix =
+      phy::simd::channel_mix_for(phy::simd::active_tier());
   rx.resize(tx.size());
   for (std::size_t s = 0; s < tx.size(); ++s) {
     std::uint64_t mask = 0;
@@ -305,23 +310,17 @@ void ChannelModel::apply_multi_into(
                        (extra_noise.empty() ? 0.0 : extra_noise[s]);
     WITAG_REQUIRE(var >= 0.0);
     // Per-axis deviation of the circular complex Gaussian noise, once per
-    // symbol; real part drawn first, as Rng::complex_normal does.
-    const double sigma = std::sqrt(var / 2.0);
-    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-      if (h[bin] == Cx{} && tx[s][bin] == Cx{}) {
-        rx[s][bin] = Cx{};  // `rx` may hold an earlier PPDU
-        continue;
-      }
-      const double re = sigma * rng_.normal();
-      rx[s][bin] = h[bin] * tx[s][bin] + Cx{re, sigma * rng_.normal()};
-    }
+    // symbol. Every bin carrying signal or channel gets h * tx plus
+    // sigma times two lane normals (real part first); every other bin
+    // reads 0, whatever `rx` held before.
+    mix(noise_lanes_, h, tx[s], std::sqrt(var / 2.0), rx[s]);
   }
 }
 
 util::Db ChannelModel::mean_snr_db() const {
   if (!cache_valid_) rebuild_cache();
   double acc = 0.0;
-  for (const UsedBin& u : used_bins()) acc += std::norm(h_base_[u.bin]);
+  for (const unsigned bin : used_bins()) acc += std::norm(h_base_[bin]);
   return util::linear_to_db(acc / kUsedSubcarriers /
                             noise_variance().value());
 }
@@ -333,10 +332,10 @@ util::Db ChannelModel::tag_perturbation_db() const {
   add_tag_delta(0, delta);
   double acc = 0.0;
   unsigned used = 0;
-  for (const UsedBin& u : used_bins()) {
-    const double denom = std::norm(h_base_[u.bin]);
+  for (const unsigned bin : used_bins()) {
+    const double denom = std::norm(h_base_[bin]);
     if (denom <= 0.0) continue;
-    acc += std::norm(delta[u.bin]) / denom;
+    acc += std::norm(delta[bin]) / denom;
     ++used;
   }
   return util::linear_to_db(acc / used);

@@ -29,6 +29,7 @@
 #include "channel/geometry.hpp"
 #include "channel/tag_path.hpp"
 #include "phy/ofdm.hpp"
+#include "phy/simd.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -81,18 +82,19 @@ class ChannelModel {
   /// Ambient co-channel noise floor [W per subcarrier] added on top of
   /// thermal noise — the city simulator's epoch-boundary interference
   /// hook (src/sim/): neighbouring cells' airtime raises this floor.
-  /// A pure parameter change: the RNG draws the same number of noise
-  /// samples at a different variance, so the session's random stream
-  /// stays aligned whatever the floor (determinism contract, DESIGN.md
-  /// section 17).
+  /// A pure parameter change: the noise lanes draw the same normals at
+  /// any variance (their count depends only on which bins carry signal
+  /// or channel), so every random stream stays aligned whatever the
+  /// floor (determinism contract, DESIGN.md sections 17 and 18.4).
   void set_ambient_noise(util::Watts w) { ambient_noise_w_ = w.value(); }
   util::Watts ambient_noise() const { return util::Watts{ambient_noise_w_}; }
 
   /// Applies the channel to a symbol timeline. `tag_level` gives tag 0's
   /// switch level during each symbol (empty = tag never asserted;
-  /// otherwise size must match). Noise is drawn from the internal RNG;
-  /// co-channel interference bursts (FadingConfig) raise the noise on
-  /// the symbols they overlap.
+  /// otherwise size must match). Noise is drawn from the eight noise
+  /// lanes (phy::simd::channel_mix_for); co-channel interference bursts
+  /// (FadingConfig, drawn from the internal RNG) raise the noise on the
+  /// symbols they overlap.
   std::vector<phy::FreqSymbol> apply(std::span<const phy::FreqSymbol> tx,
                                      std::span<const std::uint8_t> tag_level);
 
@@ -153,6 +155,9 @@ class ChannelModel {
   FadingConfig fading_cfg_;
   FadingProcess fading_;
   util::Rng rng_;
+  /// The per-bin noise: eight generators split from rng_ at
+  /// construction, lane 0 first.
+  phy::simd::NoiseLanes noise_lanes_;
   double amp_scale_ = 1.0;  ///< sqrt(tx power per subcarrier).
   double ambient_noise_w_ = 0.0;  ///< Cross-cell interference floor [W].
 

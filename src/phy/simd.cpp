@@ -395,6 +395,47 @@ void fft_scale_scalar(Cx* data, std::size_t n, double scale) {
 constexpr FftKernels kFftScalar{fft_radix4_pass_scalar, fft_len2_pass_scalar,
                                 fft_scale_scalar};
 
+// The reference lane sampler: eight normal() calls per group, the eight
+// generators' chains independent of each other.
+void normal_lanes_scalar(NoiseLanes& lanes, std::size_t count, double* out) {
+  std::size_t i = 0;
+  for (; count - i >= kNoiseLanes; i += kNoiseLanes) {
+#pragma GCC unroll 8
+    for (std::size_t l = 0; l < kNoiseLanes; ++l) {
+      out[i + l] = lanes[l].normal();
+    }
+  }
+  if (i == count) return;
+  // The last, partial group is drawn whole.
+  for (std::size_t l = 0; l < kNoiseLanes; ++l) {
+    const double z = lanes[l].normal();
+    if (i + l < count) out[i + l] = z;
+  }
+}
+
+void channel_mix_scalar(NoiseLanes& lanes, const SymbolBins& h,
+                        const SymbolBins& tx, double sigma, SymbolBins& rx) {
+  std::array<std::uint8_t, 64> active;
+  std::size_t n = 0;
+  for (unsigned b = 0; b < 64; ++b) {
+    if (h[b] != Cx{} || tx[b] != Cx{}) {
+      active[n++] = static_cast<std::uint8_t>(b);
+    }
+  }
+  std::array<double, 2 * 64> z;
+  normal_lanes_scalar(lanes, 2 * n, z.data());
+  rx.fill(Cx{});
+  for (std::size_t k = 0; k < n; ++k) {
+    const unsigned b = active[k];
+    const double hr = h[b].real();
+    const double hi = h[b].imag();
+    const double tr = tx[b].real();
+    const double ti = tx[b].imag();
+    rx[b] = Cx{(hr * tr - hi * ti) + sigma * z[2 * k],
+               (hr * ti + hi * tr) + sigma * z[2 * k + 1]};
+  }
+}
+
 }  // namespace
 
 // Vector kernel entry points, defined in simd_avx2.cpp and
@@ -430,6 +471,9 @@ void fft_len2_pass_avx2(util::Cx* data, std::size_t n);
 void fft_scale_avx2(util::Cx* data, std::size_t n, double scale);
 void aes_encrypt_aesni(const std::uint8_t* round_keys, const std::uint8_t* in,
                        std::uint8_t* out);
+void normal_lanes_avx512(NoiseLanes& lanes, std::size_t count, double* out);
+void channel_mix_avx512(NoiseLanes& lanes, const SymbolBins& h,
+                        const SymbolBins& tx, double sigma, SymbolBins& rx);
 }  // namespace kernels
 
 std::int8_t quantize_llr(double llr, double scale) {
@@ -623,6 +667,20 @@ const FftKernels& fft_kernels_for(Tier t) {
                                kernels::fft_len2_pass_avx2,
                                kernels::fft_scale_avx2};
   return use_avx2(t) ? avx2 : kFftScalar;
+}
+
+NormalLanesFn normal_lanes_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::normal_lanes_avx512;
+  }
+  return normal_lanes_scalar;
+}
+
+ChannelMixFn channel_mix_for(Tier t) {
+  if (t >= Tier::kAvx512 && detect_best_tier() >= Tier::kAvx512) {
+    return kernels::channel_mix_avx512;
+  }
+  return channel_mix_scalar;
 }
 
 AesEncryptFn aes_encrypt_for(Tier t) {

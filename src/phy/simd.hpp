@@ -1,21 +1,23 @@
 // Runtime SIMD capability tiers and the dispatch surface for the PHY hot
 // kernels (Viterbi add-compare-select and traceback, soft-bit placement,
 // transmit mapping, soft demap with or without the LLR quantizer,
-// equalize, radix-4 FFT passes) and one non-PHY kernel, CCMP's AES
-// block cipher. Each runs on a hot path, except the double-precision
+// equalize, radix-4 FFT passes) and two non-PHY kernels, CCMP's AES
+// block cipher and the channel's noise lanes and per-bin mix. Each runs
+// on a hot path, except the double-precision
 // demap (demap_block_for), which the parity tests compare with the
 // reference. There are three tiers: the portable scalar kernels; AVX2 +
 // AES-NI, with a kernel for each of those but the placement and the
 // transmit mapping (the traceback's, which the AVX-512 tier shares, is
 // two base x86-64 instructions per step in inline asm); and AVX-512
-// (F + BW + VBMI), which carries three kernels of
-// its own, a register-resident Viterbi ACS (one chain, or the two
-// chains of a split trellis in one loop), the soft-bit placement and
-// the transmit mapping, all moving bytes with vpermt2b, and runs the
-// AVX2 tier's kernels for everything else. Both vector tiers are
-// selected at run time on x86 hosts that have them (AVX2 without AES-NI
-// runs the scalar tier; AVX-512 F + BW without VBMI, as on Skylake-SP
-// and Cascade Lake, runs the AVX2 tier).
+// (F + BW + DQ + VBMI), which carries four kernels of its own, a
+// register-resident Viterbi ACS (one chain, or the two chains of a
+// split trellis in one loop), the soft-bit placement and the transmit
+// mapping, all moving bytes with vpermt2b, and the channel's eight
+// noise lanes with their mix, and runs the AVX2 tier's kernels for
+// everything else. Both vector tiers are selected at run time on x86
+// hosts that have them (AVX2 without AES-NI runs the scalar tier;
+// AVX-512 without VBMI, as on Skylake-SP and Cascade Lake, or without
+// DQ runs the AVX2 tier).
 //
 // Every kernel here is bit-identical to its scalar counterpart. The
 // Viterbi back end (int8 LLRs, int16 path metrics, saturating adds) is
@@ -49,6 +51,7 @@
 #include <vector>
 
 #include "util/complexvec.hpp"
+#include "util/rng.hpp"
 
 namespace witag::phy::simd {
 
@@ -59,7 +62,7 @@ enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// Best tier the hardware and build support (ignores WITAG_SIMD).
 /// kAvx2 needs AVX2 and AES-NI; AVX-512 needs both of those plus
-/// AVX-512F, AVX-512BW and AVX-512VBMI.
+/// AVX-512F, AVX-512BW, AVX-512DQ and AVX-512VBMI.
 Tier detect_best_tier();
 
 /// Parses a WITAG_SIMD value into the tier it caps dispatch at:
@@ -411,6 +414,49 @@ struct FftKernels {
 
 /// The FFT pass kernels for a tier.
 const FftKernels& fft_kernels_for(Tier t);
+
+// ---------------------------------------------------------------------
+// Channel noise: eight generator lanes and the channel's per-bin mix
+// (channel::ChannelModel::apply_multi_into; DESIGN.md section 18.4).
+// ---------------------------------------------------------------------
+
+/// The generators the channel's noise is drawn from, stepped as one
+/// group of eight: lane l is an ordinary util::Rng, and every tier draws
+/// the same normals from it as lane l's Rng::normal() would.
+inline constexpr std::size_t kNoiseLanes = 8;
+using NoiseLanes = std::array<util::Rng, kNoiseLanes>;
+
+/// Draws `count` standard normals into out[0 .. count) group by group:
+/// group g is lanes[0].normal(), ..., lanes[7].normal(), and out[8g + l]
+/// is lane l's draw. A last group that `count` does not fill is still
+/// drawn whole, every lane stepping once, and its draws past `count` are
+/// dropped; so each lane advances by ceil(count / 8) normal() calls.
+using NormalLanesFn = void (*)(NoiseLanes& lanes, std::size_t count,
+                               double* out);
+
+/// The lane sampler for a tier (always non-null): AVX-512 runs
+/// Rng::normal()'s fast path in all eight lanes at once and hands each
+/// miss to that lane's Rng::normal_slow; the scalar and AVX2 tiers make
+/// the eight normal() calls.
+NormalLanesFn normal_lanes_for(Tier t);
+
+/// One symbol through the channel. A bin is active when h[b] or tx[b]
+/// is nonzero (a NaN part counts as nonzero). With n active bins and z
+/// the 2n normals normal_lanes_for draws for them, the k-th active bin b
+/// (in bin order) receives, in this association and with no FMA,
+///   rx[b].re = (hr*tr - hi*ti) + sigma*z[2k]
+///   rx[b].im = (hr*ti + hi*tr) + sigma*z[2k + 1]
+/// for h[b] = (hr, hi) and tx[b] = (tr, ti), and every other bin reads
+/// 0. So the lanes advance by a number of draws that depends only on
+/// which bins are active, never on sigma. `rx` must not alias h or tx.
+using ChannelMixFn = void (*)(NoiseLanes& lanes, const SymbolBins& h,
+                              const SymbolBins& tx, double sigma,
+                              SymbolBins& rx);
+
+/// The mix for a tier (always non-null): AVX-512 forms four bins per
+/// register and draws through its lane sampler; the scalar and AVX2
+/// tiers run the bin loop on the scalar lane sampler.
+ChannelMixFn channel_mix_for(Tier t);
 
 // ---------------------------------------------------------------------
 // AES-128 block encryption (mac::Aes128's hardware path).

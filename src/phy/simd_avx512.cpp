@@ -1,32 +1,41 @@
-// AVX-512 tier: three kernels, the Viterbi add-compare-select (one
-// chain, or the two chains of a split trellis), the soft-bit placement
-// and the transmit mapping, all moving bytes with vpermt2b (one
-// instruction over the 128 bytes of a register pair). Thirty-two int16
+// AVX-512 tier: four kernels. Three move bytes with vpermt2b (one
+// instruction over the 128 bytes of a register pair): the Viterbi
+// add-compare-select (one chain, or the two chains of a split trellis),
+// the soft-bit placement and the transmit mapping. Thirty-two int16
 // metrics per register hold all 64 path metrics of a chain in two zmm
 // registers for the whole trellis, so an ACS step reads and writes no
 // memory except its two LLRs (or its branch-metric word) and its
-// decision word. Every other kernel runs its AVX2 tier's version at
-// this tier (simd.cpp; DESIGN.md section 14.4 says why).
+// decision word. The fourth is the channel's noise: eight xoshiro256++
+// generators in the qwords of four registers, the ziggurat's fast path
+// in all eight at once, and the channel's h * tx + sigma * z four bins
+// per register. Every other kernel runs its AVX2 tier's version at this
+// tier (simd.cpp; DESIGN.md section 14.4 says why).
 //
-// This TU is compiled with -mavx512f -mavx512bw -mavx512vbmi (the int16
-// lanes and their mask compares are AVX-512BW, the byte permutes
-// AVX-512VBMI) and -ffp-contract=off, since AVX-512F brings FMA and a
-// contracted double kernel would round unlike the scalar tier. When
-// the compiler cannot target AVX-512 the file degrades to stubs and
-// dispatch never selects this tier (see avx512_compiled()).
+// This TU is compiled with -mavx512f -mavx512bw -mavx512dq -mavx512vbmi
+// (the int16 lanes and their mask compares are AVX-512BW, the byte
+// permutes AVX-512VBMI, the uint64-to-double conversion AVX-512DQ) and
+// -ffp-contract=off, since AVX-512F brings FMA and a contracted double
+// kernel would round unlike the scalar tier. When the compiler cannot
+// target AVX-512 the file degrades to stubs and dispatch never selects
+// this tier (see avx512_compiled()).
 
 #include "phy/simd.hpp"
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "phy/trellis.hpp"
+#include "util/rng.hpp"
+#include "util/ziggurat.hpp"
 
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VBMI__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && \
+    defined(__AVX512DQ__) && defined(__AVX512VBMI__)
 #include <immintrin.h>
 #endif
 
@@ -37,13 +46,15 @@ bool avx512_supported() {
     (defined(__GNUC__) || defined(__clang__))
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512bw") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
          __builtin_cpu_supports("avx512vbmi") != 0;
 #else
   return false;
 #endif
 }
 
-#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VBMI__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && \
+    defined(__AVX512DQ__) && defined(__AVX512VBMI__)
 
 bool avx512_compiled() { return true; }
 
@@ -416,6 +427,176 @@ void tx_map_windows(const std::uint8_t* bits, std::size_t n_symbols,
   }
 }
 
+
+// ---------------------------------------------------------------------
+// The channel's noise lanes (normal_lanes_avx512) and mix
+// (channel_mix_avx512). Qword l of each state register is lane l's
+// xoshiro256++ word, so one step of all eight generators is the scalar
+// step's adds, shifts, rotates and xors on whole registers, and one
+// group of normals is Rng::normal()'s fast path in every lane: the
+// layer's two edges come from two gathers, the 53-bit uniform from one
+// vcvtuqq2pd (AVX-512DQ), and the same multiplies and compare decide.
+// A lane that misses goes to its own Rng::normal_slow.
+// ---------------------------------------------------------------------
+
+static_assert(sizeof(util::Rng) == 4 * sizeof(std::uint64_t) &&
+                  std::is_standard_layout_v<util::Rng>,
+              "the lanes are read as eight runs of four state words");
+
+/// Qword indices that interleave two registers' lanes: with lanes l and
+/// l + 1 in one register (words 0-3 then 0-3) and l + 2, l + 3 in the
+/// other, kInterleaveLo picks words 0 and 1 of the four lanes and
+/// kInterleaveHi words 2 and 3. The same indices undo it.
+alignas(64) constexpr std::array<std::uint64_t, 8> kInterleaveLo = {
+    0, 4, 8, 12, 1, 5, 9, 13};
+alignas(64) constexpr std::array<std::uint64_t, 8> kInterleaveHi = {
+    2, 6, 10, 14, 3, 7, 11, 15};
+/// The low (kHalvesLo) or high four qwords of each of two registers.
+alignas(64) constexpr std::array<std::uint64_t, 8> kHalvesLo = {
+    0, 1, 2, 3, 8, 9, 10, 11};
+alignas(64) constexpr std::array<std::uint64_t, 8> kHalvesHi = {
+    4, 5, 6, 7, 12, 13, 14, 15};
+
+/// The eight lanes' state: word k of lane l in qword l of sk.
+struct LaneState {
+  __m512i s0;
+  __m512i s1;
+  __m512i s2;
+  __m512i s3;
+};
+
+__m512i index_register(const std::array<std::uint64_t, 8>& idx) {
+  return _mm512_load_si512(idx.data());
+}
+
+/// Transposes the lanes' 8 x 4 state words into LaneState (and back in
+/// store_lanes): four loads and eight two-register permutes.
+[[gnu::always_inline]] inline LaneState load_lanes(const NoiseLanes& lanes) {
+  // The lanes live inside their owner (channel::ChannelModel), which
+  // carries no 64-byte alignment; this runs once per call.
+  // Register p holds lanes 2p and 2p + 1.
+  const auto* bytes = reinterpret_cast<const unsigned char*>(lanes.data());
+  const __m512i p0 =
+      _mm512_loadu_si512(bytes);  // witag-lint: allow(simd-unaligned)
+  const __m512i p1 =
+      _mm512_loadu_si512(bytes + 64);  // witag-lint: allow(simd-unaligned)
+  const __m512i p2 =
+      _mm512_loadu_si512(bytes + 128);  // witag-lint: allow(simd-unaligned)
+  const __m512i p3 =
+      _mm512_loadu_si512(bytes + 192);  // witag-lint: allow(simd-unaligned)
+  const __m512i lo = index_register(kInterleaveLo);
+  const __m512i hi = index_register(kInterleaveHi);
+  const __m512i a01 = _mm512_permutex2var_epi64(p0, lo, p1);
+  const __m512i a23 = _mm512_permutex2var_epi64(p0, hi, p1);
+  const __m512i b01 = _mm512_permutex2var_epi64(p2, lo, p3);
+  const __m512i b23 = _mm512_permutex2var_epi64(p2, hi, p3);
+  const __m512i half_lo = index_register(kHalvesLo);
+  const __m512i half_hi = index_register(kHalvesHi);
+  return {_mm512_permutex2var_epi64(a01, half_lo, b01),
+          _mm512_permutex2var_epi64(a01, half_hi, b01),
+          _mm512_permutex2var_epi64(a23, half_lo, b23),
+          _mm512_permutex2var_epi64(a23, half_hi, b23)};
+}
+
+[[gnu::always_inline]] inline void store_lanes(const LaneState& st,
+                                               NoiseLanes& lanes) {
+  const __m512i half_lo = index_register(kHalvesLo);
+  const __m512i half_hi = index_register(kHalvesHi);
+  const __m512i a01 = _mm512_permutex2var_epi64(st.s0, half_lo, st.s1);
+  const __m512i b01 = _mm512_permutex2var_epi64(st.s0, half_hi, st.s1);
+  const __m512i a23 = _mm512_permutex2var_epi64(st.s2, half_lo, st.s3);
+  const __m512i b23 = _mm512_permutex2var_epi64(st.s2, half_hi, st.s3);
+  const __m512i lo = index_register(kInterleaveLo);
+  const __m512i hi = index_register(kInterleaveHi);
+  auto* bytes = reinterpret_cast<unsigned char*>(lanes.data());
+  _mm512_storeu_si512(bytes, _mm512_permutex2var_epi64(a01, lo, a23));
+  _mm512_storeu_si512(bytes + 64, _mm512_permutex2var_epi64(a01, hi, a23));
+  _mm512_storeu_si512(bytes + 128, _mm512_permutex2var_epi64(b01, lo, b23));
+  _mm512_storeu_si512(bytes + 192, _mm512_permutex2var_epi64(b01, hi, b23));
+}
+
+/// The missed lanes of one group (clear bits of `fast`), each resolved
+/// by its own generator: `draws` holds every lane's raw draw and `group`
+/// its fast-path value, overwritten where the lane missed. Out of line:
+/// about 3.4% of groups come here.
+[[gnu::noinline]] void resolve_misses(NoiseLanes& lanes, unsigned fast,
+                                      const std::uint64_t* draws,
+                                      double* group) {
+  for (std::size_t l = 0; l < kNoiseLanes; ++l) {
+    if (((fast >> l) & 1u) == 0) group[l] = lanes[l].normal_slow(draws[l]);
+  }
+}
+
+/// One group: every lane's next normal(). `st` is the lanes' state in
+/// registers; on a miss it is written back to `lanes` for the slow path
+/// and read again after it.
+[[gnu::always_inline]] inline __m512d normal_group(LaneState& st,
+                                                   NoiseLanes& lanes) {
+  auto& [s0, s1, s2, s3] = st;
+  // xoshiro256++, as util::Rng::next_u64().
+  const __m512i u = _mm512_add_epi64(
+      _mm512_maskz_rol_epi64(kAllQwords, _mm512_add_epi64(s0, s3), 23), s0);
+  const __m512i t = _mm512_maskz_slli_epi64(kAllQwords, s1, 17);
+  s2 = _mm512_xor_si512(s2, s0);
+  s3 = _mm512_xor_si512(s3, s1);
+  s1 = _mm512_xor_si512(s1, s2);
+  s0 = _mm512_xor_si512(s0, s3);
+  s2 = _mm512_xor_si512(s2, t);
+  s3 = _mm512_maskz_rol_epi64(kAllQwords, s3, 45);
+  // Rng::normal()'s fast path: x = (U * 2^-53) * kX[layer], kept when
+  // x < kX[layer + 1], its sign bit XORed with the draw's sign bit.
+  const __m512i layer = _mm512_and_si512(
+      u, _mm512_maskz_set1_epi64(
+             kAllQwords, static_cast<long long>(util::ziggurat::kLayerMask)));
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d edge = _mm512_mask_i64gather_pd(
+      zero, kAllQwords, layer, util::ziggurat::kX.data(), 8);
+  const __m512d next = _mm512_mask_i64gather_pd(
+      zero, kAllQwords, layer, util::ziggurat::kX.data() + 1, 8);
+  const __m512d uniform = _mm512_mul_pd(
+      _mm512_maskz_cvtepu64_pd(kAllQwords,
+                               _mm512_maskz_srli_epi64(kAllQwords, u, 11)),
+      _mm512_castsi512_pd(_mm512_maskz_set1_epi64(
+          kAllQwords, std::bit_cast<long long>(0x1.0p-53))));
+  const __m512d x = _mm512_mul_pd(uniform, edge);
+  const __mmask8 fast = _mm512_cmp_pd_mask(x, next, _CMP_LT_OQ);
+  const __m512i sign = _mm512_maskz_slli_epi64(
+      kAllQwords,
+      _mm512_and_si512(
+          u, _mm512_maskz_set1_epi64(
+                 kAllQwords, static_cast<long long>(util::ziggurat::kSignBit))),
+      53);
+  __m512d z = _mm512_castsi512_pd(
+      _mm512_xor_si512(_mm512_castpd_si512(x), sign));
+  if (fast != kAllQwords) [[unlikely]] {
+    alignas(64) std::array<std::uint64_t, kNoiseLanes> draws;
+    alignas(64) std::array<double, kNoiseLanes> group;
+    _mm512_store_si512(draws.data(), u);
+    _mm512_store_pd(group.data(), z);
+    store_lanes(st, lanes);
+    resolve_misses(lanes, fast, draws.data(), group.data());
+    st = load_lanes(lanes);
+    z = _mm512_load_pd(group.data());
+  }
+  return z;
+}
+
+/// Lanes [0, n) of an 8-lane mask (all of them for n >= 8).
+__mmask8 qwords_below(std::size_t n) {
+  return n >= 8 ? kAllQwords : static_cast<__mmask8>((1u << n) - 1);
+}
+
+[[gnu::always_inline]] inline void normal_lanes_into(NoiseLanes& lanes,
+                                                     std::size_t count,
+                                                     double* out) {
+  LaneState st = load_lanes(lanes);
+  for (std::size_t i = 0; i < count; i += kNoiseLanes) {
+    _mm512_mask_storeu_pd(out + i, qwords_below(count - i),
+                          normal_group(st, lanes));
+  }
+  store_lanes(st, lanes);
+}
+
 }  // namespace
 
 void acs_block_avx512(const std::int8_t* llrs, std::size_t n_steps,
@@ -508,7 +689,62 @@ void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
   }
 }
 
-#else  // !(AVX-512 F, BW and VBMI)
+void normal_lanes_avx512(NoiseLanes& lanes, std::size_t count, double* out) {
+  normal_lanes_into(lanes, count, out);
+}
+
+void channel_mix_avx512(NoiseLanes& lanes, const SymbolBins& h,
+                        const SymbolBins& tx, double sigma, SymbolBins& rx) {
+  // Four bins (eight doubles) per register. A bin is active when any of
+  // its h and tx parts is nonzero (NEQ_UQ: a NaN counts), marked on both
+  // of its qwords. Symbols sit in std::vector storage, 16-byte aligned.
+  const auto* hp = reinterpret_cast<const double*>(h.data());
+  const auto* tp = reinterpret_cast<const double*>(tx.data());
+  auto* rp = reinterpret_cast<double*>(rx.data());
+  const __m512d zero = _mm512_setzero_pd();
+  std::array<__mmask8, 16> active;
+  std::size_t n = 0;
+  for (std::size_t r = 0; r < active.size(); ++r) {
+    const unsigned nonzero =
+        _mm512_cmp_pd_mask(
+            _mm512_loadu_pd(hp + 8 * r),  // witag-lint: allow(simd-unaligned)
+            zero, _CMP_NEQ_UQ) |
+        _mm512_cmp_pd_mask(
+            _mm512_loadu_pd(tp + 8 * r),  // witag-lint: allow(simd-unaligned)
+            zero, _CMP_NEQ_UQ);
+    const unsigned bins = (nonzero | nonzero >> 1) & 0x55u;
+    active[r] = static_cast<__mmask8>(bins | bins << 1);
+    n += static_cast<std::size_t>(std::popcount(bins));
+  }
+  alignas(64) std::array<double, 2 * 64> z;
+  normal_lanes_into(lanes, 2 * n, z.data());
+  // re = (hr*tr - hi*ti) + sigma*z, im = (hr*ti + hi*tr) + sigma*z: hr
+  // and hi broadcast within each bin, tx swapped within it, the even
+  // (re) qwords subtracting and the odd adding. Each active bin's two
+  // normals are expanded into its qwords in bin order.
+  const __m512d s = _mm512_castsi512_pd(_mm512_maskz_set1_epi64(
+      kAllQwords, std::bit_cast<long long>(sigma)));
+  const double* next = z.data();
+#pragma GCC unroll 4
+  for (std::size_t r = 0; r < active.size(); ++r) {
+    const __m512d hv =
+        _mm512_loadu_pd(hp + 8 * r);  // witag-lint: allow(simd-unaligned)
+    const __m512d tv =
+        _mm512_loadu_pd(tp + 8 * r);  // witag-lint: allow(simd-unaligned)
+    const __m512d p =
+        _mm512_mul_pd(_mm512_maskz_permute_pd(kAllQwords, hv, 0x00), tv);
+    const __m512d q =
+        _mm512_mul_pd(_mm512_maskz_permute_pd(kAllQwords, hv, 0xFF),
+                      _mm512_maskz_permute_pd(kAllQwords, tv, 0x55));
+    const __m512d mix = _mm512_mask_sub_pd(_mm512_add_pd(p, q), 0x55, p, q);
+    const __m512d noise = _mm512_maskz_expandloadu_pd(active[r], next);
+    next += std::popcount(static_cast<unsigned>(active[r]));
+    _mm512_storeu_pd(rp + 8 * r, _mm512_maskz_add_pd(active[r], mix,
+                                                     _mm512_mul_pd(s, noise)));
+  }
+}
+
+#else  // !(AVX-512 F, BW, DQ and VBMI)
 
 bool avx512_compiled() { return false; }
 
@@ -532,6 +768,15 @@ void tx_map_avx512(const std::uint8_t* bits, std::size_t n_symbols,
   tx_map_for(Tier::kAvx2)(bits, n_symbols, plan, out);
 }
 
-#endif  // AVX-512 F, BW and VBMI
+void normal_lanes_avx512(NoiseLanes& lanes, std::size_t count, double* out) {
+  normal_lanes_for(Tier::kAvx2)(lanes, count, out);
+}
+
+void channel_mix_avx512(NoiseLanes& lanes, const SymbolBins& h,
+                        const SymbolBins& tx, double sigma, SymbolBins& rx) {
+  channel_mix_for(Tier::kAvx2)(lanes, h, tx, sigma, rx);
+}
+
+#endif  // AVX-512 F, BW, DQ and VBMI
 
 }  // namespace witag::phy::simd::kernels

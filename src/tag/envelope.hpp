@@ -1,7 +1,8 @@
 // Envelope detector + comparator front end (paper section 7).
 //
 // The tag cannot decode WiFi; it watches the RF envelope through a diode
-// detector (modeled as |x| followed by a one-pole RC low-pass) and slices
+// detector (modeled as |x| = sqrt(re^2 + im^2) followed by a one-pole RC
+// low-pass) and slices
 // it with a comparator whose threshold adapts to the long-term average.
 // The resulting binary waveform is all the tag sees of the channel — the
 // trigger correlator turns it into "a query packet started, subframes

@@ -64,8 +64,8 @@ double Rng::normal_slow(std::uint64_t u) {
   using ziggurat::kR;
   using ziggurat::kX;
   for (;;) {
-    const std::size_t layer = u & 0xFF;
-    const bool negative = (u & 0x100) != 0;
+    const std::size_t layer = u & ziggurat::kLayerMask;
+    const bool negative = (u & ziggurat::kSignBit) != 0;
     const double x = static_cast<double>(u >> 11) * 0x1.0p-53 * kX[layer];
     if (x < kX[layer + 1]) return negative ? -x : x;
     if (layer == 0) {

@@ -65,23 +65,31 @@ class Rng {
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
   bool bernoulli(double p);
 
-  /// Standard normal deviate: 256-layer ziggurat (util/ziggurat.hpp).
-  /// One 64-bit draw picks the layer (bits 0-7), the sign (bit 8) and a
-  /// 53-bit uniform (bits 11-63); ~99% of draws end in this inline fast
-  /// path, the rest in the wedge or tail (normal_slow), which redraw.
-  /// The sign is XORed into the result's sign bit: a branch on a random
-  /// bit would mispredict half the time.
+  /// Standard normal deviate: 1024-layer ziggurat (util/ziggurat.hpp).
+  /// One 64-bit draw picks the layer (bits 0-9), the sign (bit 10) and a
+  /// 53-bit uniform (bits 11-63); 99.57% of draws end in this inline
+  /// fast path, the rest in the wedge or tail (normal_slow), which
+  /// redraw. The sign is XORed into the result's sign bit: a branch on a
+  /// random bit would mispredict half the time.
   double normal() {
     const std::uint64_t u = next_u64();
-    const std::size_t layer = u & 0xFF;
+    const std::size_t layer = u & ziggurat::kLayerMask;
     const double x = static_cast<double>(u >> 11) * 0x1.0p-53 *
                      ziggurat::kX[layer];
     if (x < ziggurat::kX[layer + 1]) {
       return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
-                                   ((u & 0x100) << 55));
+                                   ((u & ziggurat::kSignBit) << 53));
     }
     return normal_slow(u);
   }
+
+  /// The ziggurat's rejection path for the draw `u`, this generator's
+  /// latest next_u64(), when it missed normal()'s fast path: the wedge
+  /// test of layers 1-1023 or the tail beyond R of layer 0; a rejected
+  /// point starts over with a fresh draw. normal() is next_u64() then
+  /// this on a miss; phy::simd's lane kernel runs the fast path of
+  /// eight generators at once and hands each miss to its lane here.
+  double normal_slow(std::uint64_t u);
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -100,12 +108,13 @@ class Rng {
   /// Fills `n` random bits (0/1 values).
   std::vector<std::uint8_t> bits(std::size_t n);
 
- private:
-  /// The ziggurat's rejection path for the draw `u` that missed the fast
-  /// path: the wedge test of layers 1-255 or the tail beyond R of layer
-  /// 0; a rejected point starts over with a fresh draw.
-  double normal_slow(std::uint64_t u);
+  /// Two generators are equal when their states are, so they draw the
+  /// same stream from here on.
+  bool operator==(const Rng&) const = default;
 
+ private:
+  /// The only member, so an Rng is its four state words: phy::simd's
+  /// lane kernel reads and writes eight of them in place.
   std::array<std::uint64_t, 4> state_{};
 };
 

@@ -161,13 +161,18 @@ std::optional<tag::QueryTiming> Session::tag_timing(
   util::CxVec& heard = ws.heard;
   heard.clear();
   heard.reserve(prefix + rendered.size());
-  for (std::size_t i = 0; i < prefix; ++i) {
-    heard.push_back(rng_.complex_normal(tag_noise_var_));
-  }
+  // Per-axis deviation of the detector's input noise, once per render;
+  // each sample adds sigma times two normals, real part first, as
+  // Rng::complex_normal(tag_noise_var_) would.
+  const double sigma = std::sqrt(tag_noise_var_ / 2.0);
+  const auto noise = [&] {
+    const double re = sigma * rng_.normal();
+    return util::Cx{re, sigma * rng_.normal()};
+  };
+  for (std::size_t i = 0; i < prefix; ++i) heard.push_back(noise());
   for (std::size_t i = 0; i < rendered.size(); ++i) {
     const double scale = frame.slot_scale[i / phy::kSamplesPerSymbol];
-    heard.push_back(rendered[i] * scale * unit.link_amp +
-                    rng_.complex_normal(tag_noise_var_));
+    heard.push_back(rendered[i] * scale * unit.link_amp + noise());
   }
 
   tag::EnvelopeConfig env_cfg;

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "phy/ppdu.hpp"
+#include "phy/simd.hpp"
+#include "tiers.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -202,33 +205,52 @@ TEST(ChannelModel, SetTagInvalidatesCache) {
   EXPECT_THROW(ch.tag_perturbation_db(), std::invalid_argument);
 }
 
-// Oracle for ChannelModel::cfr: every path gain computed from scratch in
-// every bin, with the path-loss formulas written out here so the check
-// does not run the split (terms once, gain per bin) code it checks.
+// Oracle for ChannelModel::cfr: every path's gains laid over the used
+// bins from scratch, with the path-loss formulas written out here so the
+// check does not run the code it checks. A path's phase is linear in the
+// subcarrier: its gain at the carrier (amplitude and wall-loss factors
+// folded in) and the rotation of one subcarrier spacing are two polar()
+// calls, and the gains walk outward from DC by complex multiplies. With
+// `polar_per_bin`, each bin's gain is instead its own polar() call, the
+// exact phase the recurrence approximates.
 using util::Cx;
 
-Cx per_bin_polar(double amp, double path_m, util::Hertz freq,
-                 util::Hertz offset) {
-  const double phase = -2.0 * util::kPi * path_m * (freq + offset).value() /
-                       util::kSpeedOfLight;
-  return std::polar(amp, phase);
+void add_path_gains(phy::FreqSymbol& h, double amp, double path_m,
+                    util::Hertz fc, bool polar_per_bin) {
+  const double coeff = -2.0 * util::kPi * path_m;
+  const Cx step = std::polar(1.0, coeff * 312'500.0 / util::kSpeedOfLight);
+  Cx up = std::polar(amp, coeff * fc.value() / util::kSpeedOfLight);
+  Cx down = up;
+  for (int k = 1; k <= 28; ++k) {
+    up *= step;
+    down *= std::conj(step);
+    if (polar_per_bin) {
+      const auto at = [&](int sc) {
+        const double f = fc.value() + sc * 312'500.0;
+        return std::polar(amp, coeff * f / util::kSpeedOfLight);
+      };
+      up = at(k);
+      down = at(-k);
+    }
+    h[phy::bin_index(k)] += up;
+    h[phy::bin_index(-k)] += down;
+  }
 }
 
-Cx per_bin_attenuate(Cx gain, double loss_db) {
-  return gain * std::pow(10.0, -loss_db / 20.0);
-}
+double wall_factor(double loss_db) { return std::pow(10.0, -loss_db / 20.0); }
 
-Cx per_bin_two_hop(Point2 via, double strength, Point2 tx, Point2 rx,
-                   const FloorPlan& plan, util::Hertz fc, util::Hertz off) {
+void add_two_hop(phy::FreqSymbol& h, Point2 via, double strength, Point2 tx,
+                 Point2 rx, const FloorPlan& plan, util::Hertz fc,
+                 bool polar_per_bin) {
   const double ds = distance(tx, via);
   const double dr = distance(via, rx);
   const double lambda = util::wavelength(fc).value();
   const double amp = strength * lambda * lambda /
                      (std::pow(4.0 * util::kPi, 1.5) * ds * dr);
-  Cx gain = per_bin_polar(amp, ds + dr, fc, off);
-  gain = per_bin_attenuate(gain, plan.penetration_loss_db(tx, via));
-  gain = per_bin_attenuate(gain, plan.penetration_loss_db(via, rx));
-  return gain;
+  add_path_gains(h,
+                 amp * (wall_factor(plan.penetration_loss_db(tx, via)) *
+                        wall_factor(plan.penetration_loss_db(via, rx))),
+                 ds + dr, fc, polar_per_bin);
 }
 
 struct PerBinCfr {
@@ -238,7 +260,8 @@ struct PerBinCfr {
 
 PerBinCfr per_bin_cfr(const RadioConfig& radio, const LinkGeometry& geo,
                       const FadingProcess& fading,
-                      const std::vector<TagPathConfig>& tags) {
+                      const std::vector<TagPathConfig>& tags,
+                      bool polar_per_bin = false) {
   const util::Hertz fc = radio.carrier_hz;
   const double amp_scale =
       std::sqrt(util::to_watts(radio.tx_power_dbm).value() / 56);
@@ -246,35 +269,37 @@ PerBinCfr per_bin_cfr(const RadioConfig& radio, const LinkGeometry& geo,
       util::Db{geo.plan.penetration_loss_db(geo.tx, geo.rx)} +
       fading.direct_excess_loss_db();
   const double d_direct = distance(geo.tx, geo.rx);
+  const double lambda = util::wavelength(fc).value();
+  phy::FreqSymbol h{};
+  add_path_gains(h,
+                 lambda / (4.0 * util::kPi * d_direct) *
+                     wall_factor(direct_loss.value()),
+                 d_direct, fc, polar_per_bin);
+  for (const StaticReflector& r : geo.reflectors) {
+    add_two_hop(h, r.position, r.strength, geo.tx, geo.rx, geo.plan, fc,
+                polar_per_bin);
+  }
+  for (const StaticReflector& r : fading.scatterers()) {
+    add_two_hop(h, r.position, r.strength, geo.tx, geo.rx, geo.plan, fc,
+                polar_per_bin);
+  }
   PerBinCfr out;
   out.delta.assign(tags.size(), phy::FreqSymbol{});
-  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
-    const int k = bin < 32 ? static_cast<int>(bin) : static_cast<int>(bin) - 64;
-    if (k == 0 || k < -28 || k > 28) continue;
-    const util::Hertz off{static_cast<double>(k) * 312'500.0};
-    const double lambda = util::wavelength(fc).value();
-    Cx h = per_bin_attenuate(
-        per_bin_polar(lambda / (4.0 * util::kPi * d_direct), d_direct, fc,
-                      off),
-        direct_loss.value());
-    for (const StaticReflector& r : geo.reflectors) {
-      h += per_bin_two_hop(r.position, r.strength, geo.tx, geo.rx, geo.plan,
-                           fc, off);
-    }
-    for (const StaticReflector& r : fading.scatterers()) {
-      h += per_bin_two_hop(r.position, r.strength, geo.tx, geo.rx, geo.plan,
-                           fc, off);
-    }
-    for (std::size_t t = 0; t < tags.size(); ++t) {
-      const Cx coupling = per_bin_two_hop(tags[t].position, tags[t].strength,
-                                          geo.tx, geo.rx, geo.plan, fc, off);
-      h += tag_gamma(tags[t].mode, false) * coupling;
+  for (std::size_t t = 0; t < tags.size(); ++t) {
+    phy::FreqSymbol coupling{};
+    add_two_hop(coupling, tags[t].position, tags[t].strength, geo.tx, geo.rx,
+                geo.plan, fc, polar_per_bin);
+    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+      if (coupling[bin] == Cx{}) continue;
+      h[bin] += tag_gamma(tags[t].mode, false) * coupling[bin];
       out.delta[t][bin] = amp_scale *
                           (tag_gamma(tags[t].mode, true) -
                            tag_gamma(tags[t].mode, false)) *
-                          coupling;
+                          coupling[bin];
     }
-    out.base[bin] = amp_scale * h;
+  }
+  for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+    if (h[bin] != Cx{}) out.base[bin] = amp_scale * h[bin];
   }
   return out;
 }
@@ -330,6 +355,14 @@ TEST(ChannelModel, CfrMatchesPerBinPathLoopBitExact) {
                               const char* what, int advances) {
     const PerBinCfr want = per_bin_cfr(radio(), geo, replay, want_tags);
     expect_bit_exact(ch.cfr(false), want.base, what, advances);
+    // The recurrence stays within 1e-12 of per-bin phases.
+    const PerBinCfr exact = per_bin_cfr(radio(), geo, replay, want_tags,
+                                        /*polar_per_bin=*/true);
+    for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
+      EXPECT_LE(std::abs(want.base[bin] - exact.base[bin]),
+                1e-12 * std::abs(exact.base[bin]))
+          << what << " bin " << bin << " after " << advances << " advances";
+    }
     phy::FreqSymbol asserted = want.base;
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
       asserted[bin] += want.delta[0][bin];
@@ -373,6 +406,120 @@ TEST(ChannelModel, ApplyMultiIntoOverwritesEveryBinOfAReusedTimeline) {
   for (std::size_t s = 0; s < rx.size(); ++s) {
     for (unsigned bin = 0; bin < phy::kFftSize; ++bin) {
       ASSERT_EQ(rx[s][bin], want[s][bin]) << "symbol " << s << " bin " << bin;
+    }
+  }
+}
+
+// A link_long-sized timeline: one 6,656-byte MCS5 PSDU (64 subframes,
+// 262 symbols), the tag toggling every few symbols, interference bursts
+// on, and extra noise on a third of the symbols. Every tier gives the
+// scalar tier's output bit for bit, over two applies in a row (the
+// second starts from the lanes the first left).
+TEST(ChannelModel, ApplyMultiIntoEveryTierBitIdentical) {
+  util::Rng rng(0x11AB);
+  phy::TxConfig cfg;
+  cfg.mcs_index = 5;
+  const phy::TxPpdu ppdu = phy::transmit(rng.bytes(6656), cfg);
+  ASSERT_EQ(ppdu.size(), 262u);
+  std::vector<std::vector<std::uint8_t>> levels{
+      std::vector<std::uint8_t>(ppdu.size())};
+  std::vector<double> extra(ppdu.size(), 0.0);
+  for (std::size_t s = 0; s < ppdu.size(); ++s) {
+    levels[0][s] = static_cast<std::uint8_t>((s / 3) % 2);
+    if (s % 3 == 1) extra[s] = rng.uniform(0.0, 1e-10);
+  }
+  FadingConfig fading;  // three scatterers, blocking, interference
+  fading.interference_rate_hz = util::Hertz{2e3};
+  const auto run = [&](phy::simd::Tier t) {
+    const phy::simd::ScopedTier pin(t);
+    ChannelModel ch(radio(), los_link(), mid_tag(), fading, 31);
+    std::vector<phy::FreqSymbol> rx;
+    std::vector<phy::FreqSymbol> out;
+    for (int round = 0; round < 2; ++round) {
+      ch.apply_multi_into(ppdu.symbols, levels, extra, rx);
+      out.insert(out.end(), rx.begin(), rx.end());
+      ch.advance(util::Seconds{0.01});
+    }
+    return out;
+  };
+  const std::vector<phy::FreqSymbol> want = run(phy::simd::Tier::kScalar);
+  for (const phy::simd::Tier t : test::runnable_tiers()) {
+    const std::vector<phy::FreqSymbol> got = run(t);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      ASSERT_EQ(std::memcmp(got[s].data(), want[s].data(), sizeof got[s]), 0)
+          << phy::simd::tier_name(t) << " symbol " << s;
+    }
+  }
+}
+
+// The ambient floor scales the noise and draws nothing: after one apply
+// at two different floors the channels' streams (the noise lanes and the
+// burst RNG) stand at the same place, so a second apply at equal floors
+// gives equal outputs.
+TEST(ChannelModel, NoiseStreamsIndependentOfAmbientFloor) {
+  util::Rng rng(0x11AC);
+  const phy::TxPpdu ppdu = phy::transmit(rng.bytes(600), phy::TxConfig{});
+  FadingConfig fading = no_fading();
+  fading.interference_rate_hz = util::Hertz{2e3};
+  ChannelModel quiet(radio(), los_link(), mid_tag(), fading, 32);
+  ChannelModel loud(radio(), los_link(), mid_tag(), fading, 32);
+  loud.set_ambient_noise(util::Watts{1e-9});
+  const auto a = quiet.apply(ppdu.symbols, {});
+  const auto b = loud.apply(ppdu.symbols, {});
+  EXPECT_NE(a[3][5], b[3][5]);
+  loud.set_ambient_noise(util::Watts{0.0});
+  const auto a2 = quiet.apply(ppdu.symbols, {});
+  const auto b2 = loud.apply(ppdu.symbols, {});
+  ASSERT_EQ(a2.size(), b2.size());
+  for (std::size_t s = 0; s < a2.size(); ++s) {
+    ASSERT_EQ(std::memcmp(a2[s].data(), b2[s].data(), sizeof a2[s]), 0)
+        << "symbol " << s;
+  }
+}
+
+// The noise's seeding and draw order, written out: the channel RNG is
+// Rng(seed).split(), the eight lanes are its next eight splits in lane
+// order, and each symbol's active bins (those with h or tx nonzero)
+// take two lane normals each from ceil(2n / 8) whole groups. A symbol
+// with a signal on DC (h = 0 there) has 57 active bins: 114 draws, a
+// partial 15th group whose last six draws are dropped.
+TEST(ChannelModel, NoiseLanesSplitFromChannelRngInLaneOrder) {
+  const std::uint64_t seed = 33;
+  ChannelModel ch(radio(), los_link(), std::nullopt, no_fading(), seed);
+  util::Rng root = util::Rng(seed).split();
+  phy::simd::NoiseLanes lanes;
+  for (util::Rng& lane : lanes) lane = root.split();
+
+  util::Rng rng(0x11AD);
+  std::vector<phy::FreqSymbol> tx(6);
+  for (std::size_t s = 0; s < tx.size(); ++s) {
+    for (int k = -28; k <= 28; ++k) {
+      if (k != 0) tx[s][phy::bin_index(k)] = rng.complex_normal(1.0);
+    }
+  }
+  tx[2][0] = util::Cx{0.5, -0.25};
+  const phy::FreqSymbol h = ch.cfr(false);
+  const double sigma = std::sqrt(ch.noise_variance().value() / 2.0);
+  const auto rx = ch.apply(tx, {});
+  for (std::size_t s = 0; s < tx.size(); ++s) {
+    std::vector<unsigned> active;
+    for (unsigned b = 0; b < phy::kFftSize; ++b) {
+      if (h[b] != util::Cx{} || tx[s][b] != util::Cx{}) active.push_back(b);
+    }
+    ASSERT_EQ(active.size(), s == 2 ? 57u : 56u);
+    std::vector<double> z((2 * active.size() + 7) / 8 * 8);
+    for (std::size_t i = 0; i < z.size(); ++i) z[i] = lanes[i % 8].normal();
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const unsigned b = active[k];
+      const double hr = h[b].real();
+      const double hi = h[b].imag();
+      const double tr = tx[s][b].real();
+      const double ti = tx[s][b].imag();
+      EXPECT_EQ(rx[s][b].real(), (hr * tr - hi * ti) + sigma * z[2 * k])
+          << "symbol " << s << " bin " << b;
+      EXPECT_EQ(rx[s][b].imag(), (hr * ti + hi * tr) + sigma * z[2 * k + 1])
+          << "symbol " << s << " bin " << b;
     }
   }
 }

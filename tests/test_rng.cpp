@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "phy/simd.hpp"
 #include "util/ziggurat.hpp"
 
 namespace witag::util {
@@ -179,52 +180,66 @@ TEST(Rng, BytesAndBitsShapes) {
 // checked-in constant must sit within 1 ulp of the recomputed value.
 TEST(Ziggurat, TablesMatchDefinition) {
   using ziggurat::kF;
+  using ziggurat::kLayers;
   using ziggurat::kR;
   using ziggurat::kV;
   using ziggurat::kX;
-  std::array<double, 257> x{};
+  static_assert(kLayers == 1024 && kX.size() == kLayers + 1 &&
+                kF.size() == kLayers + 1);
+  std::array<double, kLayers + 1> x{};
   x[0] = kV / std::exp(-0.5 * kR * kR);
   x[1] = kR;
-  for (std::size_t i = 1; i < 255; ++i) {
+  for (std::size_t i = 1; i < kLayers - 1; ++i) {
     const double f = std::exp(-0.5 * x[i] * x[i]);
     x[i + 1] = std::sqrt(-2.0 * std::log(kV / x[i] + f));
   }
-  x[256] = 0.0;
+  x[kLayers] = 0.0;
   const auto within_ulp = [](double want, double got) {
     return got == want || got == std::nextafter(want, 0.0) ||
            got == std::nextafter(want, 1e300);
   };
-  for (std::size_t i = 0; i < 257; ++i) {
+  for (std::size_t i = 0; i <= kLayers; ++i) {
     EXPECT_TRUE(within_ulp(x[i], kX[i])) << "kX[" << i << "]";
     EXPECT_TRUE(within_ulp(std::exp(-0.5 * x[i] * x[i]), kF[i]))
         << "kF[" << i << "]";
   }
-  // Shape: widths shrink and heights grow toward the mode, and every
-  // layer 1..254 has area V.
-  for (std::size_t i = 0; i < 256; ++i) {
+  // Shape: widths shrink and heights grow toward the mode, every layer
+  // 1..N-2 has area V, and so (to the rounding of V's 12 digits) does
+  // the top layer, closing at 0.
+  for (std::size_t i = 0; i < kLayers; ++i) {
     EXPECT_GT(kX[i], kX[i + 1]) << i;
     EXPECT_LT(kF[i], kF[i + 1]) << i;
   }
-  for (std::size_t i = 1; i < 255; ++i) {
+  for (std::size_t i = 1; i < kLayers - 1; ++i) {
     EXPECT_NEAR(kX[i] * (kF[i + 1] - kF[i]), kV, 1e-15) << i;
   }
+  EXPECT_NEAR(kX[kLayers - 1] * (1.0 - kF[kLayers - 1]), kV, 1e-8 * kV);
+  // R closes the ziggurat: the base layer, rectangle plus tail, has area
+  // V too (the tail integral is sqrt(pi/2) erfc(R / sqrt 2)).
+  const double base = kR * std::exp(-0.5 * kR * kR) +
+                      std::sqrt(std::acos(-1.0) / 2.0) *
+                          std::erfc(kR / std::sqrt(2.0));
+  EXPECT_NEAR(base, kV, 1e-14);
+  // The draw's bit layout: layer bits 0-9, sign bit 10.
+  EXPECT_EQ(ziggurat::kLayerMask, 0x3FFu);
+  EXPECT_EQ(ziggurat::kSignBit, 0x400u);
 }
 
 // The first 32 draws of one seed, bit for bit: any change to the stream
 // (table, bit layout, slow path) moves every figure and must show here.
 TEST(Ziggurat, FirstDrawsPinned) {
   constexpr std::array<double, 32> kWant = {
-      -0x1.069af0134283ep+1, -0x1.290b307cafe73p+0, 0x1.c453cb1e6d2bap+0,
-      -0x1.c0e224e7621fep-3, -0x1.372883d3a577ep+0, -0x1.da36e9c03b6dfp-2,
-      -0x1.3bdb4e3161d49p-2, 0x1.26d01d89980adp-3, 0x1.adca2cb2a689ep-3,
-      0x1.3b1411290c59ap-1, -0x1.5f7f7336a4e56p-1, -0x1.d37ffd13c1672p-1,
-      0x1.282d701925b14p-1, -0x1.13cb2fcf0a54bp+0, -0x1.0242edcb1e603p-1,
-      0x1.0d17da202aab2p-3, 0x1.25fb6882956e9p+0, -0x1.66a40480e82e6p-1,
-      -0x1.d60111c2d5a61p-1, -0x1.6e8f45103b62bp-2, -0x1.0cf4a9a0723b1p-3,
-      -0x1.647cb84d18ddp-1, 0x1.f2fa0cdf69e5p-6, -0x1.17ec03c59e818p-2,
-      -0x1.9f5a53fbb6a1ap-2, -0x1.136546e0bb1cep-1, 0x1.434e32019adb7p+0,
-      0x1.73c8375b3af1ep-3, 0x1.ac2f5c8d821e5p-2, -0x1.33496da91b32dp-1,
-      0x1.6f28ec883b06bp+1, -0x1.8d542c9ba3114p-3,
+      0x1.985f43715a82cp-1, 0x1.6c9146cdda667p+0, 0x1.b75f7749f988p-1,
+      0x1.0ba748f247416p-3, -0x1.8e52595dbe1d9p+0, -0x1.eca64985a60ap-3,
+      0x1.5ee1987e0f13p-2, 0x1.c4c7fd7cb2586p-2, -0x1.c2db9c69752b2p-1,
+      0x1.1377b5ecde2e4p+0, -0x1.e08c0426ab13ap-2, -0x1.ff798f794905p-2,
+      -0x1.87584de830ac6p+0, -0x1.4c63bd49cac9ep+0, 0x1.22119ea209783p-2,
+      0x1.9ab08e8f57f08p-3, -0x1.9c6f9b2ec1329p+0, 0x1.15a48ff1c222ep+0,
+      -0x1.04c181769ebabp-1, 0x1.b68038abf97f1p-3, 0x1.288e21d8aa8f2p-4,
+      -0x1.8b8df2ead4519p-2, -0x1.006dcaeaf4768p-4, -0x1.c8fb41b333a56p-2,
+      -0x1.f50e673bf3a81p-3, -0x1.04202b61bf71ap+0, -0x1.056580edd5f4bp+1,
+      0x1.a47ca462fa604p-2, -0x1.d5187ac7b88ap-1, 0x1.31e1e25ff693dp-2,
+      0x1.77aabb0d47533p+0, 0x1.736aad04820abp-2,
   };
   Rng rng(20181115);
   for (std::size_t i = 0; i < kWant.size(); ++i) {
@@ -238,19 +253,18 @@ TEST(Ziggurat, FirstDrawsPinned) {
 // 10^7 draws against N(0, 1): moments, tail masses and a Kolmogorov-
 // Smirnov bound, each at 99.9% (|z| < 3.29; KS 1.949 / sqrt(n)). Each
 // tail is also checked on its own, so a sign error confined to the
-// tail sampler (beyond R = 3.65) cannot hide in P(|z| > k). The KS
+// tail sampler (beyond R = 4.04) cannot hide in P(|z| > k). The KS
 // statistic is bounded from above through a 2^17-bin histogram on
 // [-6, 6): within a bin both the empirical and the normal CDF are
 // monotone, so the bin-edge gaps bound the supremum.
-TEST(Ziggurat, TenMillionDrawsMatchStandardNormal) {
-  constexpr std::size_t kDraws = 10'000'000;
+template <class Draw>
+void expect_standard_normal(std::size_t draws, Draw&& draw) {
   constexpr std::size_t kBins = 1u << 17;
   constexpr double kLo = -6.0;
   constexpr double kHi = 6.0;
-  const double n = static_cast<double>(kDraws);
+  const double n = static_cast<double>(draws);
   const double width = (kHi - kLo) / static_cast<double>(kBins);
 
-  Rng rng(0x5EED'2018);
   std::vector<std::uint32_t> hist(kBins, 0);
   std::size_t below = 0;
   std::size_t above = 0;
@@ -259,8 +273,8 @@ TEST(Ziggurat, TenMillionDrawsMatchStandardNormal) {
   double s1 = 0.0;
   double s2 = 0.0;
   double s4 = 0.0;
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    const double z = rng.normal();
+  for (std::size_t i = 0; i < draws; ++i) {
+    const double z = draw();
     const double z2 = z * z;
     s1 += z;
     s2 += z2;
@@ -312,6 +326,61 @@ TEST(Ziggurat, TenMillionDrawsMatchStandardNormal) {
   }
   ks = std::max(ks, static_cast<double>(above) / n);
   EXPECT_LT(ks, 1.949 / std::sqrt(n));
+}
+
+TEST(Ziggurat, TenMillionDrawsMatchStandardNormal) {
+  Rng rng(0x5EED'2018);
+  expect_standard_normal(10'000'000, [&] { return rng.normal(); });
+}
+
+// The channel's noise: eight generators split from one Rng, drawn in
+// groups of eight at the best tier (phy::simd::normal_lanes_for) and
+// read in that interleaved order, pass the same checks. Each lane's mean
+// is checked on its own, and the correlation of every pair of lanes
+// (their draws paired by group) stays below 4 / sqrt(draws per lane).
+TEST(Ziggurat, TenMillionLaneDrawsMatchStandardNormal) {
+  constexpr std::size_t kDraws = 10'000'000;
+  constexpr std::size_t kLanes = phy::simd::kNoiseLanes;
+  constexpr std::size_t kBlock = 1000;  // not a multiple of 8 groups
+  Rng root(0x5EED'2019);
+  phy::simd::NoiseLanes lanes;
+  for (Rng& lane : lanes) lane = root.split();
+  const phy::simd::NormalLanesFn fill =
+      phy::simd::normal_lanes_for(phy::simd::detect_best_tier());
+  // Blocks of 1,000 = 125 whole groups, so the interleave never breaks.
+  std::vector<double> block(kBlock);
+  std::size_t at = kBlock;
+  std::array<double, kLanes> sum{};
+  std::array<std::array<double, kLanes>, kLanes> cross{};
+  std::array<double, kLanes> group{};
+  std::size_t drawn = 0;
+  expect_standard_normal(kDraws, [&] {
+    if (at == kBlock) {
+      fill(lanes, kBlock, block.data());
+      at = 0;
+    }
+    const double z = block[at++];
+    const std::size_t lane = drawn++ % kLanes;
+    sum[lane] += z;
+    group[lane] = z;
+    if (lane == kLanes - 1) {
+      for (std::size_t a = 0; a < kLanes; ++a) {
+        for (std::size_t b = a + 1; b < kLanes; ++b) {
+          cross[a][b] += group[a] * group[b];
+        }
+      }
+    }
+    return z;
+  });
+  const double per_lane = static_cast<double>(kDraws / kLanes);
+  for (std::size_t a = 0; a < kLanes; ++a) {
+    EXPECT_LT(std::abs(sum[a] / per_lane), 3.29 / std::sqrt(per_lane))
+        << "lane " << a;
+    for (std::size_t b = a + 1; b < kLanes; ++b) {
+      EXPECT_LT(std::abs(cross[a][b] / per_lane), 4.0 / std::sqrt(per_lane))
+          << "lanes " << a << ", " << b;
+    }
+  }
 }
 
 }  // namespace

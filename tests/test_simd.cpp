@@ -35,6 +35,7 @@
 #include "util/bits.hpp"
 #include "util/complexvec.hpp"
 #include "util/rng.hpp"
+#include "util/ziggurat.hpp"
 
 namespace witag {
 namespace {
@@ -51,17 +52,19 @@ TEST(SimdDispatch, ActiveTierNeverExceedsDetected) {
 TEST(SimdDispatch, ReportsDetectedTier) {
   // CI's simd-dispatch job runs this first: hosted runners' CPUs vary,
   // so the log says whether the run exercised the AVX-512 kernels. A
-  // host without AVX-512 VBMI (Skylake-SP, Cascade Lake) runs AVX2.
+  // host without AVX-512 VBMI (Skylake-SP, Cascade Lake) or DQ runs
+  // AVX2.
   const Tier best = phy::simd::detect_best_tier();
   std::cout << "[simd] detected tier " << phy::simd::tier_name(best) << ": "
             << (best == Tier::kAvx512
-                    ? "the AVX-512 ACS, placement and transmit-mapping "
-                      "kernels run"
-                    : "no AVX-512 kernel runs (it needs AVX-512 F, BW and "
-                      "VBMI)")
+                    ? "the AVX-512 ACS, placement, transmit-mapping and "
+                      "noise kernels run"
+                    : "no AVX-512 kernel runs (it needs AVX-512 F, BW, DQ "
+                      "and VBMI)")
             << "\n";
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx512vbmi") == 0) {
+  if (__builtin_cpu_supports("avx512vbmi") == 0 ||
+      __builtin_cpu_supports("avx512dq") == 0) {
     EXPECT_LT(best, Tier::kAvx512);
   }
 #endif
@@ -117,15 +120,15 @@ TEST(SimdDispatchDeathTest, UnknownWitagSimdExitsWithStatus2) {
 }
 
 TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
-  // Only the ACS (block and pair), the soft-bit placement and the
-  // transmit mapping have AVX-512 kernels; at that tier every other
-  // kernel must stay on AVX2. The pair entry runs its tier's block
-  // kernel below AVX-512, so it differs between scalar and AVX2 too.
-  // A dispatch that tests `tier == kAvx2` would send them back to scalar
-  // instead, and the outputs would still be byte-identical, so no parity
-  // test would notice. The placement and the transmit mapping have no
-  // AVX2 kernel: AVX2 runs the scalar one. The traceback's bt + adc
-  // step serves both vector tiers.
+  // Only the ACS (block and pair), the soft-bit placement, the transmit
+  // mapping and the channel's noise lanes and mix have AVX-512 kernels;
+  // at that tier every other kernel must stay on AVX2. The pair entry
+  // runs its tier's block kernel below AVX-512, so it differs between
+  // scalar and AVX2 too. A dispatch that tests `tier == kAvx2` would
+  // send them back to scalar instead, and the outputs would still be
+  // byte-identical, so no parity test would notice. The placement, the
+  // transmit mapping and the noise have no AVX2 kernel: AVX2 runs the
+  // scalar one. The traceback's bt + adc step serves both vector tiers.
   const auto& k2 = phy::simd::fft_kernels_for(Tier::kAvx2);
   const auto& k512 = phy::simd::fft_kernels_for(Tier::kAvx512);
   EXPECT_EQ(phy::simd::demap_block_for(Tier::kAvx512),
@@ -141,6 +144,10 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
             phy::simd::place_for(Tier::kScalar));
   EXPECT_EQ(phy::simd::tx_map_for(Tier::kAvx2),
             phy::simd::tx_map_for(Tier::kScalar));
+  EXPECT_EQ(phy::simd::normal_lanes_for(Tier::kAvx2),
+            phy::simd::normal_lanes_for(Tier::kScalar));
+  EXPECT_EQ(phy::simd::channel_mix_for(Tier::kAvx2),
+            phy::simd::channel_mix_for(Tier::kScalar));
   EXPECT_EQ(phy::simd::traceback_for(Tier::kAvx512),
             phy::simd::traceback_for(Tier::kAvx2));
   if (phy::simd::detect_best_tier() >= Tier::kAvx2) {
@@ -171,6 +178,10 @@ TEST(SimdDispatch, HigherTierKeepsLowerTierKernels) {
               phy::simd::place_for(Tier::kAvx2));
     EXPECT_NE(phy::simd::tx_map_for(Tier::kAvx512),
               phy::simd::tx_map_for(Tier::kAvx2));
+    EXPECT_NE(phy::simd::normal_lanes_for(Tier::kAvx512),
+              phy::simd::normal_lanes_for(Tier::kAvx2));
+    EXPECT_NE(phy::simd::channel_mix_for(Tier::kAvx512),
+              phy::simd::channel_mix_for(Tier::kAvx2));
   }
 }
 
@@ -1157,6 +1168,136 @@ TEST(SimdParity, QuantizerEdgeCases) {
           }
         }
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Channel noise lanes and the channel's mix.
+// ---------------------------------------------------------------------
+
+phy::simd::NoiseLanes seeded_lanes(std::uint64_t seed) {
+  util::Rng root(seed);
+  phy::simd::NoiseLanes lanes;
+  for (util::Rng& lane : lanes) lane = root.split();
+  return lanes;
+}
+
+// Every tier against the contract, written out as Rng::normal() calls:
+// group g is lane 0's, ..., lane 7's next normal(), out[8g + l] is lane
+// l's, and a last partial group still steps every lane. Calls with
+// every count 0-1,000 (~500k draws per seed, ~2M per tier, so ~8.6k
+// draws miss the fast path and ~100 land in the tail) from four seeds,
+// the lanes carried from call to call.
+TEST(SimdParity, NormalLanesEveryTierMatchesNormalCalls) {
+  for (const Tier t : runnable_tiers()) {
+    const phy::simd::NormalLanesFn fill = phy::simd::normal_lanes_for(t);
+    std::size_t tail = 0;
+    std::size_t draws = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      phy::simd::NoiseLanes lanes = seeded_lanes(seed);
+      phy::simd::NoiseLanes want = lanes;
+      std::vector<double> out(1000 + 1);
+      for (std::size_t count = 0; count <= 1000; ++count) {
+        out[count] = -7.0;  // must stay: past the count
+        fill(lanes, count, out.data());
+        for (std::size_t i = 0; i < (count + 7) / 8 * 8; ++i) {
+          const double z = want[i % 8].normal();
+          if (i >= count) continue;
+          ASSERT_EQ(out[i], z) << phy::simd::tier_name(t) << " seed " << seed
+                               << " count " << count << " draw " << i;
+          tail += std::abs(z) > util::ziggurat::kR ? 1 : 0;
+        }
+        ASSERT_EQ(out[count], -7.0);
+        draws += count;
+        for (std::size_t l = 0; l < phy::simd::kNoiseLanes; ++l) {
+          ASSERT_TRUE(lanes[l] == want[l])
+              << phy::simd::tier_name(t) << " seed " << seed << " count "
+              << count << " lane " << l;
+        }
+      }
+    }
+    EXPECT_GE(draws, 2'000'000u);
+    EXPECT_GT(tail, 0u) << phy::simd::tier_name(t);
+  }
+}
+
+// The mix's contract at the scalar tier, bin by bin, and every tier
+// against it: random symbols whose bins are zero in h, in tx, in both
+// (never drawn, written 0) or in neither, with -0.0 parts and a NaN, at
+// several sigmas including 0.
+TEST(SimdParity, ChannelMixEveryTierMatchesContract) {
+  util::Rng rng(0xC4A7);
+  constexpr std::size_t kSymbols = 300;
+  std::vector<phy::simd::SymbolBins> h(kSymbols);
+  std::vector<phy::simd::SymbolBins> tx(kSymbols);
+  std::vector<double> sigma(kSymbols);
+  const auto part = [&] {
+    const std::uint64_t pick = rng.uniform_int(8);
+    if (pick == 0) return 0.0;
+    if (pick == 1) return -0.0;
+    return rng.normal();
+  };
+  for (std::size_t s = 0; s < kSymbols; ++s) {
+    for (unsigned b = 0; b < 64; ++b) {
+      // One bin in four zero in both, one in four zero in h only.
+      const std::uint64_t kind = rng.uniform_int(4);
+      h[s][b] = kind <= 1 ? util::Cx{} : util::Cx{part(), part()};
+      tx[s][b] = kind == 0 ? util::Cx{-0.0, 0.0} : util::Cx{part(), part()};
+    }
+    sigma[s] = s % 7 == 0 ? 0.0 : rng.uniform(0.0, 2.0);
+  }
+  h[5][9] = util::Cx{std::numeric_limits<double>::quiet_NaN(), 0.0};
+
+  // Scalar tier against the formula, from the lanes' normals.
+  std::vector<phy::simd::SymbolBins> want(kSymbols);
+  {
+    phy::simd::NoiseLanes lanes = seeded_lanes(77);
+    phy::simd::NoiseLanes ref = lanes;
+    const phy::simd::ChannelMixFn mix =
+        phy::simd::channel_mix_for(Tier::kScalar);
+    for (std::size_t s = 0; s < kSymbols; ++s) {
+      std::vector<unsigned> active;
+      for (unsigned b = 0; b < 64; ++b) {
+        if (h[s][b] != util::Cx{} || tx[s][b] != util::Cx{}) {
+          active.push_back(b);
+        }
+      }
+      std::vector<double> z(2 * active.size());
+      phy::simd::normal_lanes_for(Tier::kScalar)(ref, z.size(), z.data());
+      mix(lanes, h[s], tx[s], sigma[s], want[s]);
+      std::size_t k = 0;
+      for (unsigned b = 0; b < 64; ++b) {
+        util::Cx expect{};
+        if (k < active.size() && active[k] == b) {
+          const double hr = h[s][b].real();
+          const double hi = h[s][b].imag();
+          const double tr = tx[s][b].real();
+          const double ti = tx[s][b].imag();
+          expect = {(hr * tr - hi * ti) + sigma[s] * z[2 * k],
+                    (hr * ti + hi * tr) + sigma[s] * z[2 * k + 1]};
+          ++k;
+        }
+        const double* got = reinterpret_cast<const double*>(&want[s][b]);
+        const double* exp = reinterpret_cast<const double*>(&expect);
+        ASSERT_EQ(std::memcmp(got, exp, 2 * sizeof(double)), 0)
+            << "symbol " << s << " bin " << b;
+      }
+    }
+    for (std::size_t l = 0; l < phy::simd::kNoiseLanes; ++l) {
+      ASSERT_TRUE(lanes[l] == ref[l]) << "lane " << l;
+    }
+  }
+
+  for (const Tier t : runnable_tiers()) {
+    phy::simd::NoiseLanes lanes = seeded_lanes(77);
+    const phy::simd::ChannelMixFn mix = phy::simd::channel_mix_for(t);
+    for (std::size_t s = 0; s < kSymbols; ++s) {
+      phy::simd::SymbolBins rx;
+      rx.fill(util::Cx{3.0, -5.0});  // a reused buffer
+      mix(lanes, h[s], tx[s], sigma[s], rx);
+      ASSERT_EQ(std::memcmp(rx.data(), want[s].data(), sizeof rx), 0)
+          << phy::simd::tier_name(t) << " symbol " << s;
     }
   }
 }
